@@ -23,7 +23,7 @@ from .errors import (
     OutOfRange,
     OutsideDisk,
 )
-from .geometry import BoundaryRegion
+from .geometry import BOUNDARY, OUTSIDE, BoundaryRegion
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
@@ -296,24 +296,25 @@ def subordination_check(
     Checks g(0) = h(0) and that every sampled g(r e^{i theta}) lies inside
     the sampled boundary curve of h.  A sample within the containment
     tolerance of the curve makes the result Inconclusive rather than a
-    verdict either way.
+    verdict either way.  The witness is the first outside sample in
+    (radius, angle) order, else the first on-curve sample.
     """
+    if angles < 1:
+        raise OutOfRange("angles must be >= 1")
+    radii = tuple(float(r) for r in test_radii)
+    if not radii or any(not (0 < r < 1) for r in radii):
+        raise OutOfRange("test_radii must be non-empty and lie strictly in (0, 1)")
     g0 = complex(series_eval_many(g, np.asarray(0j))[()])
     if abs(g0 - complex(h_at_0)) > 1e-9:
         return SubordinationVerdict("Fails", witness=0j)
     theta = np.linspace(0.0, 2 * math.pi, angles, endpoint=False)
     ring = np.exp(1j * theta)
-    inconclusive = None
-    for r in test_radii:
-        pts = series_eval_many(g, r * ring)
-        for z, w in zip(r * ring, pts):
-            where = h_boundary.contains(complex(w))
-            if where == "outside":
-                return SubordinationVerdict("Fails", witness=complex(z))
-            if where == "boundary" and inconclusive is None:
-                inconclusive = complex(z)
-    if inconclusive is not None:
-        return SubordinationVerdict("Inconclusive", witness=inconclusive)
+    z = np.stack([r * ring for r in radii]).ravel()
+    where = h_boundary.classify(series_eval_many(g, z))
+    for code, verdict in ((OUTSIDE, "Fails"), (BOUNDARY, "Inconclusive")):
+        hits = np.flatnonzero(where == code)
+        if hits.size:
+            return SubordinationVerdict(verdict, witness=complex(z[hits[0]]))
     return SubordinationVerdict("Holds")
 
 

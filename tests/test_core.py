@@ -6,6 +6,7 @@ import pytest
 
 from ulambda.core import (
     GridSpec,
+    SubordinationVerdict,
     UCandidate,
     count_disk_zeros,
     dilate,
@@ -30,7 +31,8 @@ from ulambda.errors import (
     OutOfRange,
     OutsideDisk,
 )
-from ulambda.series import TruncatedSeries, series_eval
+from ulambda.geometry import BoundaryRegion
+from ulambda.series import TruncatedSeries, series_eval, series_eval_many
 
 
 def extremal(lam, phase=math.pi, order=64):
@@ -307,6 +309,94 @@ class TestSubordination:
             ))
             assert subordination_check(g1, majorant_h_boundary(lam), 1.0).verdict == "Holds"
             assert subordination_check(cand.q, extremal_q_boundary(lam), 1.0).verdict == "Holds"
+
+
+def reference_subordination(g, h_boundary, h_at_0, test_radii=(0.3, 0.6, 0.9), angles=360):
+    """The per-sample scan ``subordination_check`` made before it classified
+    all samples in one call."""
+    g0 = complex(series_eval_many(g, np.asarray(0j))[()])
+    if abs(g0 - complex(h_at_0)) > 1e-9:
+        return SubordinationVerdict("Fails", witness=0j)
+    theta = np.linspace(0.0, 2 * math.pi, angles, endpoint=False)
+    ring = np.exp(1j * theta)
+    inconclusive = None
+    for r in test_radii:
+        pts = series_eval_many(g, r * ring)
+        for z, w in zip(r * ring, pts):
+            where = h_boundary.contains(complex(w))
+            if where == "outside":
+                return SubordinationVerdict("Fails", witness=complex(z))
+            if where == "boundary" and inconclusive is None:
+                inconclusive = complex(z)
+    if inconclusive is not None:
+        return SubordinationVerdict("Inconclusive", witness=inconclusive)
+    return SubordinationVerdict("Holds")
+
+
+def polygon_circle(n):
+    t = np.linspace(0, 2 * np.pi, n + 1)
+    return BoundaryRegion(np.exp(1j * t))
+
+
+class TestSubordinationWitness:
+    """Same verdict and witness as the per-sample scan in (radius, angle)
+    order: the first outside sample, else the first on-curve one."""
+
+    def check(self, expected, g, h, h_at_0, **kw):
+        verdict = subordination_check(g, h, h_at_0, **kw)
+        assert verdict == reference_subordination(g, h, h_at_0, **kw)
+        assert verdict.verdict == expected
+        return verdict
+
+    def test_member_holds(self):
+        lam = 0.5
+        cand = dilate(extremal(lam, 2.0), 0.8)
+        g1 = TruncatedSeries(cand.q.coeffs + np.where(np.arange(65) == 1, cand.a2, 0))
+        self.check("Holds", g1, majorant_h_boundary(lam, resolution=1024), 1.0)
+        self.check("Holds", cand.q, extremal_q_boundary(lam, resolution=1024), 1.0)
+
+    def test_nonmembers_fail_at_first_outside_sample(self):
+        lam = 0.5
+        h1 = majorant_h_boundary(lam, resolution=1024)
+        radii = (0.3, 0.6, 0.9, 0.99)
+        self.check("Fails", TruncatedSeries.from_coeffs([1, 3 * lam], order=16), h1, 1.0, test_radii=radii)
+        q = extremal(lam, 1.0).q.coeffs.copy()
+        q[1] -= 6.5 * cmath.exp(0.7j)
+        g = TruncatedSeries(q)
+        verdict = self.check("Fails", g, extremal_q_boundary(lam, resolution=1024), 1.0)
+        assert abs(verdict.witness) == 0.3
+
+    def test_boundary_sample_before_outside_sample_fails(self):
+        # 2z maps the 0.5-circle onto the polygon's vertices, the 0.9-circle
+        # outside it
+        g = TruncatedSeries.from_coeffs([0, 2], order=4)
+        verdict = self.check("Fails", g, polygon_circle(720), 0.0, test_radii=(0.5, 0.9))
+        assert verdict.witness == 0.9
+
+    def test_boundary_samples_only_inconclusive(self):
+        g = TruncatedSeries.from_coeffs([0, 2], order=4)
+        verdict = self.check("Inconclusive", g, polygon_circle(720), 0.0, test_radii=(0.3, 0.5))
+        assert verdict.witness == 0.5
+
+
+class TestSubordinationGrid:
+    """A grid with no samples used to return a vacuous Holds."""
+
+    bad = TruncatedSeries.from_coeffs([1, 1.5], order=16)
+
+    @pytest.mark.parametrize("angles", [0, -3])
+    def test_no_angles(self, angles):
+        with pytest.raises(OutOfRange):
+            subordination_check(self.bad, majorant_h_boundary(0.5), 1.0, angles=angles)
+
+    def test_no_radii(self):
+        with pytest.raises(OutOfRange):
+            subordination_check(self.bad, majorant_h_boundary(0.5), 1.0, test_radii=())
+
+    @pytest.mark.parametrize("radius", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_radius_outside_open_disk(self, radius):
+        with pytest.raises(OutOfRange):
+            subordination_check(self.bad, majorant_h_boundary(0.5), 1.0, test_radii=(0.5, radius))
 
 
 class TestRotationFamilyInvariants:
