@@ -2,6 +2,12 @@
 constructive objects: v(x), B_a(z), the forbidden-value curve and admissible
 region for a2, the F(R, r) root analysis, the contraction-mapping zero
 finder and both sharpness constructions.
+
+``b_a`` and ``diskfun.antiderivative`` take a point or an array of points, so
+the boundary scans (``v_of_omega``, ``max_boundary_ba``), the sampled curve of
+``c_omega_curve`` and the checks inside the sharpness constructions each cost
+one vectorized call; only the golden-section refinement and the fixed-point
+iteration evaluate one point at a time.
 """
 
 from __future__ import annotations
@@ -9,10 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .diskfun import DiskFunction, MoebiusShift, antiderivative
+from .diskfun import DiskFunction, MoebiusShift, _any, _by_mask, antiderivative
 from .errors import (
     BranchPointSingularity,
     NoConvergence,
@@ -112,29 +119,41 @@ def v_of_x(x: float) -> float:
     return 1 / x - (1 - x * x) / (x * x) * math.log1p(x)
 
 
-def b_a(a: complex, z: complex) -> complex:
-    """Majorant B_a(z) of (1/z) int_0^z omega for omega with omega(0) = a.
+def _b_a_small(a: complex, z, w):
+    # B_a(z) = a + (1 - |a|^2) z sum_{j>=0} (-w)^j / (j + 2)
+    acc = 0j
+    for j in range(11, -1, -1):
+        acc = acc * (-w) + 1.0 / (j + 2)
+    return a + (1 - abs(a) ** 2) * z * acc
+
+
+def _b_a_closed(a: complex, z, w):
+    return 1 / np.conj(a) - (1 - abs(a) ** 2) / (np.conj(a) ** 2 * z) * np.log1p(w)
+
+
+def b_a(a: complex, z):
+    """Majorant B_a(z) of (1/z) int_0^z omega for omega with omega(0) = a,
+    at a point or an array of points (same shape out; a 0-d z gives a
+    complex).
 
     Branches: the constant a for |a| = 1, z/2 for a = 0 (covered by the
     series path), otherwise 1/conj(a) - ((1-|a|^2)/(conj(a)^2 z)) log(1+conj(a) z)
-    with the principal logarithm.
+    with the principal logarithm.  Each element takes the series for
+    |conj(a) z| < 1e-3 and the closed form elsewhere; each branch runs only on
+    its own elements.
     """
     a = complex(a)
-    z = complex(z)
-    if abs(z) > 1 + 1e-12:
-        raise OutsideDisk(f"|z| = {abs(z):.6f} > 1")
+    z = np.asarray(z, dtype=complex)[()]  # a 0-d z becomes a fast numpy scalar
+    modulus = abs(z)
+    if _any(modulus > 1 + 1e-12):
+        raise OutsideDisk(f"|z| = {float(np.max(modulus)):.6f} > 1")
     if abs(abs(a) - 1) <= 1e-12:
-        return a
+        return np.full(z.shape, a) if z.ndim else a
     w = np.conj(a) * z
-    if abs(1 + w) <= 1e-9:
+    if _any(abs(1 + w) <= 1e-9):
         raise BranchPointSingularity("conj(a) z at the branch point -1")
-    if abs(w) < _SMALL:
-        # B_a(z) = a + (1 - |a|^2) z sum_{j>=0} (-w)^j / (j + 2)
-        acc = 0j
-        for j in range(11, -1, -1):
-            acc = acc * (-w) + 1.0 / (j + 2)
-        return a + (1 - abs(a) ** 2) * z * acc
-    return complex(1 / np.conj(a) - (1 - abs(a) ** 2) / (np.conj(a) ** 2 * z) * np.log1p(w))
+    out = _by_mask(abs(w) < _SMALL, partial(_b_a_small, a), partial(_b_a_closed, a), z, w)
+    return out if z.ndim else complex(out)
 
 
 def b_a_series(a: complex, rotation: float = 0.0, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -146,8 +165,6 @@ def b_a_series(a: complex, rotation: float = 0.0, order: int = DEFAULT_ORDER) ->
         k = np.arange(1, order + 1)
         c[1:] = (1 - abs(a) ** 2) * (-np.conj(a)) ** (k - 1) / (k + 1)
         c[1:] *= np.exp(1j * rotation * k)
-    elif abs(abs(a) - 1) <= 1e-12:
-        pass  # constant branch
     return TruncatedSeries(c)
 
 
@@ -176,7 +193,7 @@ def max_boundary_ba(a: complex, scan: int = 4096) -> tuple[float, float]:
     if abs(abs(a) - 1) <= 1e-12:
         return 0.0, abs(a)
     ts = np.linspace(0.0, 2 * math.pi, scan, endpoint=False)
-    vals = np.array([abs(b_a(a, cmath.exp(1j * t))) for t in ts])
+    vals = np.abs(b_a(a, np.exp(1j * ts)))
     i = int(np.argmax(vals))
     step = 2 * math.pi / scan
     f = lambda t: abs(b_a(a, cmath.exp(1j * t)))
@@ -188,7 +205,7 @@ def v_of_omega(omega: DiskFunction, scan: int = 4096) -> float:
     """max over the closed disk of |int_0^z omega|; the integral is analytic,
     so the maximum sits on the boundary circle."""
     ts = np.linspace(0.0, 2 * math.pi, scan, endpoint=False)
-    vals = np.array([abs(antiderivative(omega, cmath.exp(1j * t))) for t in ts])
+    vals = np.abs(antiderivative(omega, np.exp(1j * ts)))
     i = int(np.argmax(vals))
     step = 2 * math.pi / scan
     f = lambda t: abs(antiderivative(omega, cmath.exp(1j * t)))
@@ -259,17 +276,21 @@ def fixed_point_zero(
     r: float,
     tol: float = 1e-12,
     max_iter: int = 10000,
+    v: float | None = None,
 ) -> FixedPointResult:
     """Zero of q(z) = 1 - a2 z + lam z int_0^z omega inside |z| <= r, by
     iterating the contraction F(z) = (1 + lam z int_0^z omega) / a2 from 0.
 
     Raises NotContractive unless F maps the closed r-disk into itself with
-    Lipschitz constant lam (r + v)/|a2| < 1, where v bounds the antiderivative.
+    Lipschitz constant lam (r + v)/|a2| < 1, where v = v_of_omega(omega)
+    bounds the antiderivative.  A caller that already holds that v passes it
+    to skip the boundary scan.
     """
     if not (0 < r < 1):
         raise OutOfRange("r must lie in (0, 1)")
     a2 = complex(a2)
-    v = v_of_omega(omega)
+    if v is None:
+        v = v_of_omega(omega)
     into = (1 + lam * r * v) / abs(a2)
     lip = lam * (r + v) / abs(a2)
     if into > r + 1e-9 or lip >= 1:
@@ -340,6 +361,31 @@ class RegionA2:
         )
 
 
+def _close_sample_pairs(pts: np.ndarray) -> int:
+    """Number of sample pairs more than 4 steps apart (cyclically) and closer
+    than 1e-6.
+
+    |dx| <= |dz|, so every such pair lies within 1e-6 in real part: sort by
+    real part, take each sample's band of successors with one binary search,
+    and test only those pairs.  The band is padded by a few ulps of the
+    curve's scale so rounding cannot drop a pair.
+    """
+    close = 1e-6
+    n = len(pts)
+    order = np.argsort(pts.real)
+    xs = pts.real[order]
+    pad = 8 * np.spacing(np.max(np.abs(pts.view(float))))
+    last = np.searchsorted(xs, xs + close + pad, side="right")
+    count = last - np.arange(n) - 1
+    lo = np.repeat(np.arange(n), count)
+    start = np.cumsum(count) - count
+    hi = np.arange(len(lo)) - np.repeat(start, count) + lo + 1
+    i, j = order[lo], order[hi]
+    sep = np.abs(i - j)
+    sep = np.minimum(sep, n - sep)
+    return int(np.count_nonzero((sep > 4) & (np.abs(pts[i] - pts[j]) < close)))
+
+
 def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> RegionA2:
     """Sample the forbidden-value curve 1/z + lam int_0^z omega on the unit
     circle and package the containment test for candidate a2 values.
@@ -350,23 +396,14 @@ def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> Reg
     if resolution < 64:
         raise OutOfRange("resolution must be >= 64")
     thetas = np.linspace(0.0, 2 * math.pi, resolution + 1)
-    omega_vals = np.array(
-        [antiderivative(omega, cmath.exp(1j * t)) for t in thetas[:-1]]
-    )
+    omega_vals = antiderivative(omega, np.exp(1j * thetas[:-1]))
     pts = np.exp(-1j * thetas[:-1]) + lam * omega_vals
     pts = np.concatenate([pts, pts[:1]])
 
     open_pts = pts[:-1]
-    n = len(open_pts)
-    idx = np.arange(n)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    sep = np.minimum(sep, n - sep)
-    dist = np.abs(open_pts[:, None] - open_pts[None, :])
-    suspicious = (sep > 4) & (dist < 1e-6)
-    if np.any(suspicious):
-        raise SelfIntersectionSuspected(
-            f"{int(np.count_nonzero(suspicious)) // 2} close sample pairs"
-        )
+    pairs = _close_sample_pairs(open_pts)
+    if pairs:
+        raise SelfIntersectionSuspected(f"{pairs} close sample pairs")
 
     region = RegionA2(
         lam=lam,
@@ -400,16 +437,12 @@ def sharpness_g_thm5(lam: float, a: float, order: int = DEFAULT_ORDER) -> tuple:
     omega = MoebiusShift(a, 0.0)
     cand = q_from_omega(a2, lam, omega, order=order)
 
-    rng_pts = [
-        0.97 * cmath.exp(2j * math.pi * k / 100) * (0.3 + 0.7 * ((7 * k) % 100) / 100)
-        for k in range(100)
-    ]
-    disagree = 0.0
-    for z in rng_pts:
-        om = antiderivative(omega, z)
-        expr1 = 1 - a2 * z + lam * z * om
-        expr2 = 1 - z - lam * z * (v - om)
-        disagree = max(disagree, abs(expr1 - expr2))
+    k = np.arange(100)
+    z = 0.97 * np.exp(2j * math.pi * k / 100) * (0.3 + 0.7 * ((7 * k) % 100) / 100)
+    om = antiderivative(omega, z)
+    expr1 = 1 - a2 * z + lam * z * om
+    expr2 = 1 - z - lam * z * (v - om)
+    disagree = float(np.max(np.abs(expr1 - expr2)))
 
     grid = GridSpec()
     theta = np.linspace(0.0, 2 * math.pi, grid.angles, endpoint=False)
@@ -462,18 +495,14 @@ def sharpness_construction_thm6(lam: float, a: complex, order: int = DEFAULT_ORD
     d_boundary = 1 - a2 * zb + lam * zb * zb * b_a(a, zb * cmath.exp(1j * psi))
 
     grid = GridSpec()
-    min_abs = math.inf
     thg = np.linspace(0.0, 2 * math.pi, grid.angles, endpoint=False)
-    for r in grid.radii:
-        for t in thg[:: max(1, grid.angles // 180)]:
-            z = r * cmath.exp(1j * t)
-            val = 1 - a2 * z + lam * z * z * b_a(a, z * cmath.exp(1j * psi))
-            min_abs = min(min_abs, abs(val))
+    z = np.outer(grid.radii, np.exp(1j * thg[:: max(1, grid.angles // 180)]))
+    val = 1 - a2 * z + lam * z * z * b_a(a, z * cmath.exp(1j * psi))
+    min_abs = float(np.min(np.abs(val)))
 
-    ident = 0.0
-    for k in range(100):
-        z = 0.95 * cmath.exp(2j * math.pi * k / 100) * (0.2 + 0.8 * ((13 * k) % 100) / 100)
-        ident = max(ident, abs(antiderivative(omega, z) - z * b_a(a, z * cmath.exp(1j * psi))))
+    k = np.arange(100)
+    z = 0.95 * np.exp(2j * math.pi * k / 100) * (0.2 + 0.8 * ((13 * k) % 100) / 100)
+    ident = float(np.max(np.abs(antiderivative(omega, z) - z * b_a(a, z * cmath.exp(1j * psi)))))
 
     report = {
         "t0": t0,

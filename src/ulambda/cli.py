@@ -39,19 +39,14 @@ from .core import (
     julia_quotient,
     obstruction_value,
 )
-from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, diskfun_from_json
+from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, diskfun_from_json
 from .errors import ConfigError, NoConvergence, NotContractive, UlambdaError
+from .series import series_eval
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_CONFIG = 4
-
-
-def _cplx(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(float(v[0]), float(v[1]))
-    return complex(float(v))
 
 
 def _threads_cap() -> int:
@@ -320,17 +315,15 @@ def cmd_fixed_point(cfg: dict, out: Path) -> int:
     lam = _lam(cfg)
     omega = diskfun_from_json(cfg["omega"])
     a2 = _cplx(cfg["a2"])
-    if "r" in cfg:
-        r = float(cfg["r"])
-    else:
-        r = (1 + lam * bounds.v_of_omega(omega)) / abs(a2)
+    # one boundary scan serves both the default radius and the contraction test
+    v = bounds.v_of_omega(omega)
+    r = float(cfg["r"]) if "r" in cfg else (1 + lam * v) / abs(a2)
     try:
-        res = bounds.fixed_point_zero(a2, lam, omega, r)
+        res = bounds.fixed_point_zero(a2, lam, omega, r, v=v)
     except (NotContractive, NoConvergence) as e:
         _write_json(out / "fixed_point.json", {"error": str(e), "r": r})
         return EXIT_INCONCLUSIVE
     cand = q_from_omega(a2, lam, omega)
-    from .series import series_eval
 
     payload = res.to_json()
     payload["r"] = r

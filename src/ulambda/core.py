@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,8 +300,9 @@ def subordination_check(
     verdict either way.  The witness is the first outside sample in
     (radius, angle) order, else the first on-curve sample.
     """
-    if angles < 1:
-        raise OutOfRange("angles must be >= 1")
+    # np.linspace needs an integer count, and a bool is not a count
+    if isinstance(angles, bool) or not isinstance(angles, numbers.Integral) or angles < 1:
+        raise OutOfRange("angles must be an integer >= 1")
     radii = tuple(float(r) for r in test_radii)
     if not radii or any(not (0 < r < 1) for r in radii):
         raise OutOfRange("test_radii must be non-empty and lie strictly in (0, 1)")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ulambda.bounds as bounds_module
 from ulambda.bounds import (
     BoundTable,
     b_a,
@@ -25,7 +26,13 @@ from ulambda.bounds import (
 )
 from ulambda.core import q_from_phi, q_from_omega, sup_u, dilate
 from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial
-from ulambda.errors import BranchPointSingularity, NotContractive, OutOfRange
+from ulambda.errors import (
+    BranchPointSingularity,
+    NotContractive,
+    OutOfRange,
+    OutsideDisk,
+    SelfIntersectionSuspected,
+)
 from ulambda.series import series_eval
 
 ZERO_FUN = ScaledPolynomial(raw=(0.0,), normalizer=1.0)
@@ -155,6 +162,79 @@ class TestBa:
                 assert abs(series_eval(s, z) - b_a(a, z)) < 1e-9
 
 
+def reference_b_a(a, z):
+    """The per-point rule ``b_a`` followed before it took arrays."""
+    a = complex(a)
+    z = complex(z)
+    if abs(abs(a) - 1) <= 1e-12:
+        return a
+    w = np.conj(a) * z
+    if abs(1 + w) <= 1e-9:
+        raise BranchPointSingularity("conj(a) z at the branch point -1")
+    if abs(w) < 1e-3:
+        acc = 0j
+        for j in range(11, -1, -1):
+            acc = acc * (-w) + 1.0 / (j + 2)
+        return a + (1 - abs(a) ** 2) * z * acc
+    return complex(1 / np.conj(a) - (1 - abs(a) ** 2) / (np.conj(a) ** 2 * z) * np.log1p(w))
+
+
+def ba_points(rng, n):
+    """Points in the closed disk, a tenth of them with |z| < 1e-3 (the series
+    branch for every |a| < 1), including 0 and points on the circle."""
+    r = np.concatenate([rng.uniform(0, 1, n), np.ones(n // 4), rng.uniform(0, 1e-3, n // 10), [0.0]])
+    return rng.permutation(r * np.exp(2j * np.pi * rng.uniform(size=r.size)))
+
+
+class TestBaBatch:
+    """An array call agrees with the per-point rule and keeps the shape."""
+
+    @pytest.mark.parametrize("a", [0.0, 1e-5j, 0.5, 0.3 - 0.4j, -0.95, 0.999j])
+    def test_matches_per_point_rule(self, a):
+        z = ba_points(np.random.default_rng(31), 400)
+        ref = np.array([reference_b_a(a, p) for p in z])
+        batch = b_a(a, z)
+        assert batch.shape == z.shape
+        # numpy's complex log1p rounds 1 + w, so a one-ulp change in w moves
+        # the closed form by about eps (1 - |a|^2)/|a^2 z|, the size of the
+        # terms that cancel in it; the series branch has no such factor
+        w = np.abs(np.conj(a) * z)
+        cancel = np.where(w < 1e-3, 0.0, (1 - abs(a) ** 2) / np.maximum(w * abs(a), 1e-300))
+        assert np.all(np.abs(batch - ref) <= 8 * np.finfo(float).eps * (1 + cancel))
+
+    @pytest.mark.parametrize("a", [1e-5, 0.5, 0.3 - 0.4j])
+    def test_single_branch_arrays(self, a):
+        # every element in the series branch, then every one in the closed form
+        for z in (1e-4 * np.exp(1j * np.arange(9)), np.exp(1j * np.arange(9))):
+            ref = np.array([reference_b_a(a, p) for p in z])
+            assert np.max(np.abs(b_a(a, z) - ref)) <= 1e-14
+            assert b_a(a, z[3]) == b_a(a, z)[3]
+
+    def test_unimodular_constant(self):
+        a = cmath.exp(0.7j)
+        out = b_a(a, np.linspace(-1, 1, 12).reshape(3, 4))
+        assert out.shape == (3, 4) and np.all(out == a)
+        assert type(b_a(a, np.asarray(0.2))) is complex
+
+    def test_shapes(self):
+        for z in (0.3 + 0.4j, np.complex128(1e-4), np.asarray(-0.5), 1.0):
+            assert type(b_a(0.4 + 0.1j, z)) is complex
+        z = ba_points(np.random.default_rng(32), 40)[:36].reshape(6, 6)
+        out = b_a(0.4 + 0.1j, z)
+        assert out.shape == (6, 6)
+        assert np.array_equal(out.ravel(), b_a(0.4 + 0.1j, z.ravel()))
+
+    def test_branch_point_in_array_rejected(self):
+        a = cmath.exp(0.5j) * (1 - 1e-10)
+        z = np.array([0.2, -cmath.exp(0.5j), 0.5j])
+        with pytest.raises(BranchPointSingularity):
+            b_a(a, z)
+
+    def test_outside_disk_in_array_rejected(self):
+        with pytest.raises(OutsideDisk):
+            b_a(0.5, np.array([0.2, 1.01j]))
+
+
 class TestMaxBoundaryBa:
     def test_zero_base_point(self):
         _, value = max_boundary_ba(0.0)
@@ -268,6 +348,80 @@ class TestFixedPoint:
     def test_not_contractive_rejected(self):
         with pytest.raises(NotContractive):
             fixed_point_zero(0.5, 0.9, LINEAR_FUN, 0.9)
+
+    def test_given_v_skips_the_scan(self, monkeypatch):
+        omega = MoebiusShift(0.4, 0.7)
+        expected = fixed_point_zero(2.5, 0.6, omega, 0.6)
+        v = v_of_omega(omega)
+        monkeypatch.setattr(bounds_module, "v_of_omega", None)
+        assert fixed_point_zero(2.5, 0.6, omega, 0.6, v=v) == expected
+
+
+def reference_self_intersections(pts):
+    """The dense rule ``c_omega_curve`` applied before its neighbour search:
+    pairs more than 4 steps apart (cyclically) and closer than 1e-6."""
+    n = len(pts)
+    idx = np.arange(n)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    sep = np.minimum(sep, n - sep)
+    dist = np.abs(pts[:, None] - pts[None, :])
+    return int(np.count_nonzero((sep > 4) & (dist < 1e-6))) // 2
+
+
+def injected_curve(n, pairs, rng):
+    """A circle of n samples with sample j moved onto (or next to) sample i
+    for each (i, j, offset) in pairs."""
+    pts = np.exp(2j * np.pi * np.arange(n) / n) * (1 + 0.01 * rng.uniform(size=n))
+    for i, j, offset in pairs:
+        pts[j] = pts[i] + offset
+    return pts
+
+
+class TestSelfIntersection:
+    """The neighbour search flags the same pairs as the dense matrices."""
+
+    CASES = [
+        [],
+        [(3, 200, 0.0)],
+        [(3, 200, 4e-7j), (10, 400, 9e-7)],
+        # beyond 1e-6, or too few steps apart: not flagged
+        [(3, 200, 1.1e-6), (50, 53, 0.0)],
+        # a cluster of three mutually close samples, and one at 5 steps
+        [(7, 300, 0.0), (7, 301, 2e-7), (100, 105, -3e-7j)],
+        # across the wrap-around: steps 0 and n - 1 are neighbours
+        [(0, 511, 0.0), (0, 256, 5e-7 + 5e-7j)],
+    ]
+
+    @pytest.mark.parametrize("pairs", CASES)
+    def test_matches_dense_rule(self, pairs):
+        pts = injected_curve(512, pairs, np.random.default_rng(41))
+        assert bounds_module._close_sample_pairs(pts) == reference_self_intersections(pts)
+
+    def test_vertical_runs(self):
+        # many samples sharing one real part all land in each other's band
+        rng = np.random.default_rng(42)
+        pts = np.concatenate([0.3 + 1j * rng.uniform(-1, 1, 100), 0.3 + 1j * np.linspace(-1, 1, 200)])
+        pts[150] = pts[20] + 1e-7j
+        expected = reference_self_intersections(pts)
+        assert expected > 0
+        assert bounds_module._close_sample_pairs(pts) == expected
+
+    @pytest.mark.parametrize("pairs", CASES[1:3] + CASES[4:])
+    def test_c_omega_curve_raises_with_dense_count(self, pairs, monkeypatch):
+        lam, n = 0.5, 512
+        target = injected_curve(n, pairs, np.random.default_rng(43))
+        ring = np.exp(-1j * np.linspace(0.0, 2 * math.pi, n + 1)[:-1])
+        # an antiderivative that puts the curve e^{-it} + lam I(e^{it}) on target
+        monkeypatch.setattr(bounds_module, "antiderivative", lambda omega, z: (target - ring) / lam)
+        expected = reference_self_intersections(ring + lam * (target - ring) / lam)
+        with pytest.raises(SelfIntersectionSuspected, match=f"^{expected} close sample pairs$"):
+            c_omega_curve(ZERO_FUN, lam, resolution=n)
+
+    @pytest.mark.parametrize("omega", [ZERO_FUN, LINEAR_FUN, MoebiusShift(0.8, 1.0), Blaschke((0.3j,))])
+    def test_injective_curves_pass(self, omega):
+        region = c_omega_curve(omega, 0.5, resolution=1024)
+        pts = region.curve.samples[:-1]
+        assert bounds_module._close_sample_pairs(pts) == reference_self_intersections(pts) == 0
 
 
 class TestRegionA2:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ulambda import bounds
 from ulambda.cli import main
 
 
@@ -215,6 +216,22 @@ class TestFixedPoint:
                          "omega": {"kind": "poly", "coeffs": [0, 1.0], "normalizer": 1.0}})
         assert code == 3
         assert "error" in json.loads((out / "fixed_point.json").read_text())
+
+    @pytest.mark.parametrize("extra,code,keys", [
+        ({}, 0, {"z0", "iterations", "residuals", "contraction_constant", "v", "r", "q_residual"}),
+        ({"r": 0.8}, 0, {"z0", "iterations", "residuals", "contraction_constant", "v", "r", "q_residual"}),
+        ({"lambda": 0.9, "a2": 0.5, "r": 0.9}, 3, {"error", "r"}),
+    ])
+    def test_one_boundary_scan_per_run(self, tmp_path, monkeypatch, extra, code, keys):
+        calls = []
+        v_of_omega = bounds.v_of_omega
+        monkeypatch.setattr(bounds, "v_of_omega", lambda *a, **k: calls.append(a) or v_of_omega(*a, **k))
+        cfg = {"lambda": 0.5, "a2": 1.5625,
+               "omega": {"kind": "poly", "coeffs": [0, 1.0], "normalizer": 1.0}, **extra}
+        got, out = run(tmp_path, "fixed-point", cfg)
+        assert got == code
+        assert len(calls) == 1
+        assert set(json.loads((out / "fixed_point.json").read_text())) == keys
 
 
 class TestHarness:

@@ -389,6 +389,18 @@ class TestSubordinationGrid:
         with pytest.raises(OutOfRange):
             subordination_check(self.bad, majorant_h_boundary(0.5), 1.0, angles=angles)
 
+    @pytest.mark.parametrize("angles", [360.0, 12.5, True, False, "360", None])
+    def test_non_integral_angles(self, angles):
+        # a float used to reach np.linspace as a TypeError, and True passed
+        # as a one-angle grid
+        with pytest.raises(OutOfRange):
+            subordination_check(self.bad, majorant_h_boundary(0.5), 1.0, angles=angles)
+
+    @pytest.mark.parametrize("angles", [np.int64(360), np.int32(360), np.uint16(360)])
+    def test_numpy_integer_angles(self, angles):
+        h = majorant_h_boundary(0.5)
+        assert subordination_check(self.bad, h, 1.0, angles=angles) == subordination_check(self.bad, h, 1.0, angles=360)
+
     def test_no_radii(self):
         with pytest.raises(OutOfRange):
             subordination_check(self.bad, majorant_h_boundary(0.5), 1.0, test_radii=())

@@ -13,7 +13,7 @@ from ulambda.diskfun import (
     diskfun_from_json,
     schwarz_pick_envelope,
 )
-from ulambda.errors import BasePointOutsideClosedDisk, ZeroOnOrOutsideBoundary
+from ulambda.errors import BasePointOutsideClosedDisk, OutsideDisk, ZeroOnOrOutsideBoundary
 from ulambda.series import series_eval, series_integrate
 from ulambda.bounds import v_of_x
 
@@ -145,6 +145,73 @@ class TestAntiderivative:
             for k in range(6):
                 z = 0.9 * cmath.exp(2j * math.pi * k / 6)
                 assert abs(antiderivative(fun, z) - series_eval(integ, z)) < 1e-9
+
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def reference_antiderivative(fun, z):
+    """The per-point rule ``antiderivative`` followed before it took arrays:
+    16-point Gauss-Legendre on [0, z], split at z/2 when |z| > 0.5."""
+
+    def segment(z0, z1):
+        mid = 0.5 * (z0 + z1)
+        half = 0.5 * (z1 - z0)
+        return complex(half * np.dot(GL_WEIGHTS, fun.eval(mid + half * GL_NODES)))
+
+    z = complex(z)
+    if abs(z) <= 0.5:
+        return segment(0j, z)
+    return segment(0j, z / 2) + segment(z / 2, z)
+
+
+def disk_points(rng, n):
+    """Points with |z| < 0.5, = 0.5, in (0.5, 1) and = 1, in random order."""
+    radii = np.concatenate([
+        rng.uniform(0.0, 0.5, n), np.full(n, 0.5), rng.uniform(0.5, 1.0, n), np.ones(n),
+    ])
+    z = radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
+    return np.concatenate([[0j, 0.5, -0.5j, 1.0, -1j], rng.permutation(z)])
+
+
+class TestAntiderivativeBatch:
+    """An array call agrees with the per-point rule and keeps the shape."""
+
+    FAMILIES = sample_functions() + [MoebiusShift(1.0, 0.0), MoebiusShift(0.95j, 2.0)]
+
+    @pytest.mark.parametrize("fun", FAMILIES, ids=repr)
+    def test_matches_per_point_rule(self, fun):
+        z = disk_points(np.random.default_rng(21), 40)
+        batch = antiderivative(fun, z)
+        ref = np.array([reference_antiderivative(fun, p) for p in z])
+        assert batch.shape == z.shape
+        assert np.max(np.abs(batch - ref)) <= 1e-15
+        for p in z[:9]:
+            assert abs(antiderivative(fun, p) - reference_antiderivative(fun, p)) <= 1e-15
+
+    def test_only_near_or_only_far_points(self):
+        fun = MoebiusShift(0.3 - 0.4j, 1.2)
+        for z in (0.4 * np.exp(1j * np.arange(7)), np.exp(1j * np.arange(7))):
+            ref = np.array([reference_antiderivative(fun, p) for p in z])
+            assert np.max(np.abs(antiderivative(fun, z) - ref)) <= 1e-15
+
+    def test_shapes(self):
+        fun = Blaschke(zeros=(0.2 + 0.1j, -0.5j), rotation=0.7)
+        for z in (0.3 + 0.8j, np.complex128(0.3 + 0.8j), np.asarray(0.3 + 0.8j), 0.25):
+            out = antiderivative(fun, z)
+            assert type(out) is complex
+        assert antiderivative(fun, np.zeros(0)).shape == (0,)
+        grid = disk_points(np.random.default_rng(22), 10).reshape(5, 9)
+        out = antiderivative(fun, grid)
+        assert out.shape == (5, 9)
+        assert np.array_equal(out.ravel(), antiderivative(fun, grid.ravel()))
+
+    def test_outside_disk_rejected(self):
+        z = np.array([0.1, 0.5j, 1.0 + 1e-6, 0.9])
+        with pytest.raises(OutsideDisk):
+            antiderivative(MoebiusShift(0.5, 0.0), z)
+        with pytest.raises(OutsideDisk):
+            antiderivative(MoebiusShift(0.5, 0.0), z.reshape(2, 2))
 
 
 class TestTaylorInvariants:
