@@ -2,13 +2,10 @@
 
 from .series import (
     TruncatedSeries,
-    series_add,
-    series_sub,
+    ring,
     series_mul,
     series_reciprocal,
-    series_compose,
     series_integrate,
-    series_differentiate,
     series_eval,
 )
 from .diskfun import (
@@ -27,7 +24,6 @@ from .core import (
     MembershipReport,
     UCandidate,
     dilate,
-    f_coefficient,
     julia_quotient,
     l_of_phi,
     obstruction_value,

@@ -4,10 +4,12 @@ region for a2, the F(R, r) root analysis, the contraction-mapping zero
 finder and both sharpness constructions.
 
 ``b_a`` and ``diskfun.antiderivative`` take a point or an array of points, so
-the boundary scans (``v_of_omega``, ``max_boundary_ba``), the sampled curve of
-``c_omega_curve`` and the checks inside the sharpness constructions each cost
-one vectorized call; only the golden-section refinement and the fixed-point
-iteration evaluate one point at a time.
+the sampled curve of ``c_omega_curve`` and the checks inside the sharpness
+constructions each cost one vectorized call.  ``v_of_omega`` and
+``max_boundary_ba`` share one boundary-max search, ``_circle_max``: one call
+on a ``series.ring`` of the unit circle, then golden-section refinement
+around the best sample.  Only that refinement and the fixed-point iteration
+evaluate one point at a time.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from .geometry import BoundaryRegion
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
+    ring,
     series_eval_many,
     series_reciprocal,
 )
-from .core import GridSpec, UCandidate, q_from_omega
+from .core import GridSpec, q_from_omega
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -99,6 +102,11 @@ def rogosinski_check(w: DiskFunction, lam: float, n: int, order: int | None = No
 # v(x) and B_a(z)
 
 _SMALL = 1e-3
+# B_a takes its 32-term series for |conj(a) z| below this: the series'
+# truncation error stays below 0.3^32, while the closed form loses accuracy
+# as |conj(a) z| shrinks (log1p rounds 1 + conj(a) z first and the
+# prefactor grows like 1/|conj(a) z|).
+_B_A_SERIES = 0.3
 
 
 def v_of_x(x: float) -> float:
@@ -122,7 +130,7 @@ def v_of_x(x: float) -> float:
 def _b_a_small(a: complex, z, w):
     # B_a(z) = a + (1 - |a|^2) z sum_{j>=0} (-w)^j / (j + 2)
     acc = 0j
-    for j in range(11, -1, -1):
+    for j in range(31, -1, -1):
         acc = acc * (-w) + 1.0 / (j + 2)
     return a + (1 - abs(a) ** 2) * z * acc
 
@@ -139,7 +147,7 @@ def b_a(a: complex, z):
     Branches: the constant a for |a| = 1, z/2 for a = 0 (covered by the
     series path), otherwise 1/conj(a) - ((1-|a|^2)/(conj(a)^2 z)) log(1+conj(a) z)
     with the principal logarithm.  Each element takes the series for
-    |conj(a) z| < 1e-3 and the closed form elsewhere; each branch runs only on
+    |conj(a) z| < 0.3 and the closed form elsewhere; each branch runs only on
     its own elements.
     """
     a = complex(a)
@@ -152,7 +160,7 @@ def b_a(a: complex, z):
     w = np.conj(a) * z
     if _any(abs(1 + w) <= 1e-9):
         raise BranchPointSingularity("conj(a) z at the branch point -1")
-    out = _by_mask(abs(w) < _SMALL, partial(_b_a_small, a), partial(_b_a_closed, a), z, w)
+    out = _by_mask(abs(w) < _B_A_SERIES, partial(_b_a_small, a), partial(_b_a_closed, a), z, w)
     return out if z.ndim else complex(out)
 
 
@@ -187,30 +195,29 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return t, f(t)
 
 
+def _circle_max(fun, scan: int) -> tuple[float, float]:
+    """(t*, max_t |fun(e^{it})|) for fun taking a point or an array: one call
+    on ``scan`` equally spaced boundary points, then golden-section
+    refinement within one grid step of the first largest sample."""
+    vals = np.abs(fun(ring(1.0, scan)))
+    step = 2 * math.pi / scan
+    t0 = int(np.argmax(vals)) * step  # the sample's angle, as ring spaces them
+    return _golden_max(lambda t: abs(fun(cmath.exp(1j * t))), t0 - step, t0 + step, 1e-10)
+
+
 def max_boundary_ba(a: complex, scan: int = 4096) -> tuple[float, float]:
     """(t*, max_t |B_a(e^{it})|) by dense scan plus golden-section refinement."""
     a = complex(a)
     if abs(abs(a) - 1) <= 1e-12:
         return 0.0, abs(a)
-    ts = np.linspace(0.0, 2 * math.pi, scan, endpoint=False)
-    vals = np.abs(b_a(a, np.exp(1j * ts)))
-    i = int(np.argmax(vals))
-    step = 2 * math.pi / scan
-    f = lambda t: abs(b_a(a, cmath.exp(1j * t)))
-    t_star, value = _golden_max(f, ts[i] - step, ts[i] + step, 1e-10)
+    t_star, value = _circle_max(partial(b_a, a), scan)
     return t_star % (2 * math.pi), value
 
 
 def v_of_omega(omega: DiskFunction, scan: int = 4096) -> float:
     """max over the closed disk of |int_0^z omega|; the integral is analytic,
     so the maximum sits on the boundary circle."""
-    ts = np.linspace(0.0, 2 * math.pi, scan, endpoint=False)
-    vals = np.abs(antiderivative(omega, np.exp(1j * ts)))
-    i = int(np.argmax(vals))
-    step = 2 * math.pi / scan
-    f = lambda t: abs(antiderivative(omega, cmath.exp(1j * t)))
-    _, value = _golden_max(f, ts[i] - step, ts[i] + step, 1e-10)
-    return value
+    return _circle_max(partial(antiderivative, omega), scan)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +296,8 @@ def fixed_point_zero(
     if not (0 < r < 1):
         raise OutOfRange("r must lie in (0, 1)")
     a2 = complex(a2)
+    if a2 == 0:
+        raise NotContractive("a2 = 0: the map F is undefined")
     if v is None:
         v = v_of_omega(omega)
     into = (1 + lam * r * v) / abs(a2)
@@ -445,12 +454,7 @@ def sharpness_g_thm5(lam: float, a: float, order: int = DEFAULT_ORDER) -> tuple:
     disagree = float(np.max(np.abs(expr1 - expr2)))
 
     grid = GridSpec()
-    theta = np.linspace(0.0, 2 * math.pi, grid.angles, endpoint=False)
-    ring = np.exp(1j * theta)
-    min_abs = math.inf
-    for r in grid.radii:
-        vals = np.abs(series_eval_many(cand.q, r * ring))
-        min_abs = min(min_abs, float(np.min(vals)))
+    min_abs = float(np.min(np.abs(series_eval_many(cand.q, ring(grid.radii, grid.angles)))))
 
     g_at_1 = 1 - 1 - lam * 1 * (v - antiderivative(omega, 1.0))
 
@@ -495,8 +499,8 @@ def sharpness_construction_thm6(lam: float, a: complex, order: int = DEFAULT_ORD
     d_boundary = 1 - a2 * zb + lam * zb * zb * b_a(a, zb * cmath.exp(1j * psi))
 
     grid = GridSpec()
-    thg = np.linspace(0.0, 2 * math.pi, grid.angles, endpoint=False)
-    z = np.outer(grid.radii, np.exp(1j * thg[:: max(1, grid.angles // 180)]))
+    # every 4th angle of the default 720, i.e. 180 per circle
+    z = ring(grid.radii, grid.angles)[:, :: max(1, grid.angles // 180)]
     val = 1 - a2 * z + lam * z * z * b_a(a, z * cmath.exp(1j * psi))
     min_abs = float(np.min(np.abs(val)))
 

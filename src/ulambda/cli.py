@@ -29,8 +29,6 @@ from . import bounds
 from .core import (
     GridSpec,
     count_disk_zeros,
-    extremal_q_boundary,
-    majorant_h_boundary,
     q_from_omega,
     q_from_phi,
     sup_u,
@@ -159,12 +157,14 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
             candidates.append(("random", cand))
             kept += 1
 
+    # one reciprocal per candidate; coefficient k of f(z)/z is a_{k+1}
+    coeffs = [(fam, taylor_of_f(cand).coeffs) for fam, cand in candidates]
     rows = []
     for n in range(2, n_max + 1):
         best = -1.0
         best_fam = "extremal"
-        for fam, cand in candidates:
-            obs = abs(taylor_of_f(cand).coeffs[n - 1])
+        for fam, a in coeffs:
+            obs = abs(a[n - 1])
             if obs > best:
                 best, best_fam = float(obs), fam
         rows.append(
@@ -317,11 +317,18 @@ def cmd_fixed_point(cfg: dict, out: Path) -> int:
     a2 = _cplx(cfg["a2"])
     # one boundary scan serves both the default radius and the contraction test
     v = bounds.v_of_omega(omega)
-    r = float(cfg["r"]) if "r" in cfg else (1 + lam * v) / abs(a2)
     try:
+        if "r" in cfg:
+            r = float(cfg["r"])
+        else:
+            r = (1 + lam * v) / abs(a2) if a2 else math.inf
+            if not r < 1:
+                # then |a2| <= 1 + lam v, and F maps no r-disk with r < 1 into itself
+                raise NotContractive(f"default radius (1 + lam v)/|a2| = {r:.6f} is not below 1")
         res = bounds.fixed_point_zero(a2, lam, omega, r, v=v)
     except (NotContractive, NoConvergence) as e:
-        _write_json(out / "fixed_point.json", {"error": str(e), "r": r})
+        # JSON has no infinity; an a2 of 0 gives no radius at all
+        _write_json(out / "fixed_point.json", {"error": str(e), "r": r if math.isfinite(r) else None})
         return EXIT_INCONCLUSIVE
     cand = q_from_omega(a2, lam, omega)
 

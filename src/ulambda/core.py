@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +27,8 @@ from .geometry import BOUNDARY, OUTSIDE, BoundaryRegion
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
+    ring,
+    series_eval,
     series_eval_many,
     series_integrate,
     series_mul,
@@ -54,6 +55,8 @@ class GridSpec:
             raise ValueError("radii must lie strictly in (0, 1)")
         object.__setattr__(self, "radii", tuple(sorted(r)))
         object.__setattr__(self, "angles", int(self.angles))
+        if self.angles < 1:
+            raise ValueError("angles must be >= 1")
 
     @staticmethod
     def from_json(obj: dict) -> "GridSpec":
@@ -123,30 +126,22 @@ def u_of_q(cand: UCandidate, z: complex) -> complex:
     z = complex(z)
     if abs(z) >= 1:
         raise OutsideDisk(f"|z| = {abs(z):.6f} >= 1")
-    return complex(series_eval_many(_u_series(cand), np.asarray(z))[()])
+    return series_eval(_u_series(cand), z)
 
 
 def sup_u(cand: UCandidate, grid: GridSpec = GridSpec(), tol: float = MEMBERSHIP_TOL) -> MembershipReport:
-    """Estimate sup |U_f| over the grid.
+    """Estimate sup |U_f| over the grid, in one evaluation on all its circles.
 
     The quantity is analytic, so per-radius maxima are nondecreasing in the
-    radius and the outermost circle decides the estimate.  The verdict is a
+    radius and the outermost circle decides the estimate; the argmax is the
+    first maximal sample in (radius, angle) order.  The verdict is a
     numerical report, not a proof: Inside / Outside when the margin exceeds
     tol, Inconclusive otherwise.
     """
-    u = _u_series(cand)
-    theta = np.linspace(0.0, 2 * math.pi, grid.angles, endpoint=False)
-    ring = np.exp(1j * theta)
-    radial = []
-    best = -1.0
-    best_z = 0j
-    for r in grid.radii:
-        vals = np.abs(series_eval_many(u, r * ring))
-        i = int(np.argmax(vals))
-        m = float(vals[i])
-        radial.append(m)
-        if m > best:
-            best, best_z = m, complex(r * ring[i])
+    z = ring(grid.radii, grid.angles)
+    vals = np.abs(series_eval_many(_u_series(cand), z))
+    i = int(np.argmax(vals))
+    best = float(vals.flat[i])
     margin = cand.lam - best
     if best > cand.lam + tol:
         verdict = "Outside"
@@ -156,11 +151,11 @@ def sup_u(cand: UCandidate, grid: GridSpec = GridSpec(), tol: float = MEMBERSHIP
         verdict = "Inconclusive"
     return MembershipReport(
         sup_estimate=best,
-        argmax=best_z,
+        argmax=complex(z.flat[i]),
         margin=margin,
         verdict=verdict,
         grid=grid.describe(),
-        radial_max=tuple(radial),
+        radial_max=tuple(vals.max(axis=1).tolist()),
     )
 
 
@@ -174,8 +169,7 @@ def count_disk_zeros(cand: UCandidate, radius: float = 0.999, samples: int = 819
     """
     if not (0 < radius < 1):
         raise OutOfRange(f"radius must lie in (0, 1), got {radius}")
-    theta = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-    vals = series_eval_many(cand.q, radius * np.exp(1j * theta))
+    vals = series_eval_many(cand.q, ring(radius, samples))
     phases = np.unwrap(np.angle(np.append(vals, vals[:1])))
     return round(float(phases[-1] - phases[0]) / (2 * math.pi))
 
@@ -208,13 +202,6 @@ def taylor_of_f(cand: UCandidate) -> TruncatedSeries:
     """Series of f(z)/z = 1/q(z); coefficient k is the Taylor coefficient
     a_{k+1} of f."""
     return series_reciprocal(cand.q)
-
-
-def f_coefficient(cand: UCandidate, n: int) -> complex:
-    """Taylor coefficient a_n of f, for 1 <= n <= order + 1."""
-    if n < 1 or n > cand.q.order + 1:
-        raise ValueError(f"coefficient a_{n} not carried at order {cand.q.order}")
-    return complex(taylor_of_f(cand).coeffs[n - 1])
 
 
 def dilate(cand: UCandidate, R: float) -> UCandidate:
@@ -298,20 +285,15 @@ def subordination_check(
     the sampled boundary curve of h.  A sample within the containment
     tolerance of the curve makes the result Inconclusive rather than a
     verdict either way.  The witness is the first outside sample in
-    (radius, angle) order, else the first on-curve sample.
+    (radius, angle) order, else the first on-curve sample.  ``angles`` is
+    validated by ``series.ring``.
     """
-    # np.linspace needs an integer count, and a bool is not a count
-    if isinstance(angles, bool) or not isinstance(angles, numbers.Integral) or angles < 1:
-        raise OutOfRange("angles must be an integer >= 1")
     radii = tuple(float(r) for r in test_radii)
     if not radii or any(not (0 < r < 1) for r in radii):
         raise OutOfRange("test_radii must be non-empty and lie strictly in (0, 1)")
-    g0 = complex(series_eval_many(g, np.asarray(0j))[()])
-    if abs(g0 - complex(h_at_0)) > 1e-9:
+    z = ring(radii, angles).ravel()
+    if abs(series_eval(g, 0j) - complex(h_at_0)) > 1e-9:
         return SubordinationVerdict("Fails", witness=0j)
-    theta = np.linspace(0.0, 2 * math.pi, angles, endpoint=False)
-    ring = np.exp(1j * theta)
-    z = np.stack([r * ring for r in radii]).ravel()
     where = h_boundary.classify(series_eval_many(g, z))
     for code, verdict in ((OUTSIDE, "Fails"), (BOUNDARY, "Inconclusive")):
         hits = np.flatnonzero(where == code)

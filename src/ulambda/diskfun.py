@@ -14,7 +14,6 @@ vectorized ``eval`` on a (points x nodes) matrix per quadrature rule it needs
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
+    ring,
     series_mul,
     series_reciprocal,
 )
@@ -59,8 +59,7 @@ class DiskFunction:
         return complex(self.eval(0j))
 
     def _check_bounded(self):
-        t = np.linspace(0.0, 2 * math.pi, _BOUNDARY_SAMPLES, endpoint=False)
-        vals = self.eval(np.exp(1j * t))
+        vals = self.eval(ring(1.0, _BOUNDARY_SAMPLES))
         sup = float(np.max(np.abs(vals)))
         if not sup <= 1 + _BOUNDARY_SLACK:
             raise ValueError(f"boundary sup {sup:.12f} exceeds 1")

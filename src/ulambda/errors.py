@@ -9,10 +9,6 @@ class NearZeroConstantTerm(UlambdaError):
     """Reciprocal of a series whose constant term is (numerically) zero."""
 
 
-class InnerNotVanishing(UlambdaError):
-    """Composition inner series must vanish at the origin."""
-
-
 class OutsideDisk(UlambdaError):
     """Evaluation point outside the allowed disk."""
 
@@ -27,10 +23,6 @@ class ZeroOnOrOutsideBoundary(UlambdaError):
 
 class BasePointNotZero(UlambdaError):
     """A function required to fix the origin does not."""
-
-
-class DerivativeUnavailable(UlambdaError):
-    """No closed-form derivative for this family."""
 
 
 class NotBoundaryMax(UlambdaError):

@@ -1,17 +1,24 @@
-"""Truncated complex power series about the origin.
+"""Truncated complex power series about the origin, and the circle grids
+they are swept on.
 
 A series carries coefficients c_0..c_N and its order N.  Arithmetic always
 truncates to the minimum order of the operands; no operation extends the
 order, so a result never pretends to more precision than its inputs carry.
+
+``ring`` is the one open uniform angular grid every circle sweep of the
+package samples; ``series_eval_many`` is the one Horner loop, and
+``series_eval`` its one-point case.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InnerNotVanishing, NearZeroConstantTerm, OutsideDisk
+from .errors import NearZeroConstantTerm, OutOfRange, OutsideDisk
 
 DEFAULT_ORDER = 64
 
@@ -57,44 +64,15 @@ class TruncatedSeries:
         return TruncatedSeries(c)
 
     @staticmethod
-    def zero(order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return TruncatedSeries(np.zeros(order + 1, dtype=complex))
-
-    @staticmethod
     def one(order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         c = np.zeros(order + 1, dtype=complex)
         c[0] = 1.0
         return TruncatedSeries(c)
 
-    @staticmethod
-    def identity(order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        c = np.zeros(order + 1, dtype=complex)
-        if order >= 1:
-            c[1] = 1.0
-        return TruncatedSeries(c)
-
-
-def _common_order(a: TruncatedSeries, b: TruncatedSeries) -> int:
-    return min(a.order, b.order)
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    n = _common_order(a, b)
-    return TruncatedSeries(a.coeffs[: n + 1] + b.coeffs[: n + 1])
-
-
-def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    n = _common_order(a, b)
-    return TruncatedSeries(a.coeffs[: n + 1] - b.coeffs[: n + 1])
-
-
-def series_scale(a: TruncatedSeries, c: complex) -> TruncatedSeries:
-    return TruncatedSeries(a.coeffs * complex(c))
-
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the minimum order."""
-    n = _common_order(a, b)
+    n = min(a.order, b.order)
     full = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])
     return TruncatedSeries(full[: n + 1])
 
@@ -120,21 +98,6 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(r)
 
 
-def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """Horner-style composition outer(inner(z)); inner must vanish at 0."""
-    if abs(inner.coeffs[0]) > EPS0:
-        raise InnerNotVanishing(f"|inner(0)| = {abs(inner.coeffs[0]):.3e} > {EPS0}")
-    n = _common_order(outer, inner)
-    inner_n = TruncatedSeries(inner.coeffs[: n + 1])
-    acc = TruncatedSeries.from_coeffs([outer.coeffs[n]], order=n)
-    for k in range(n - 1, -1, -1):
-        acc = series_mul(acc, inner_n)
-        c = acc.coeffs.copy()
-        c[0] += outer.coeffs[k]
-        acc = TruncatedSeries(c)
-    return acc
-
-
 def series_integrate(a: TruncatedSeries) -> TruncatedSeries:
     """Termwise antiderivative with value 0 at 0; top coefficient is dropped
     so the order does not grow."""
@@ -145,32 +108,30 @@ def series_integrate(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
-def series_differentiate(a: TruncatedSeries) -> TruncatedSeries:
-    """Termwise derivative; order shrinks by one (constants stay order 0)."""
-    n = a.order
-    if n == 0:
-        return TruncatedSeries.zero(0)
-    k = np.arange(1, n + 1)
-    return TruncatedSeries(a.coeffs[1:] * k)
-
-
 def series_eval(a: TruncatedSeries, z: complex) -> complex:
-    """Horner evaluation of the truncated sum; |z| <= 1 only."""
-    z = complex(z)
-    if abs(z) > 1 + 1e-14:
-        raise OutsideDisk(f"|z| = {abs(z):.6f} > 1")
-    acc = 0j
-    for c in a.coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+    """Horner evaluation of the truncated sum at one point, |z| <= 1."""
+    return complex(series_eval_many(a, np.asarray(complex(z)))[()])
 
 
 def series_eval_many(a: TruncatedSeries, z: np.ndarray) -> np.ndarray:
     """Vectorized Horner evaluation over an array of points, |z| <= 1."""
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) > 1 + 1e-14):
-        raise OutsideDisk("some |z| > 1")
+    modulus = np.abs(z)
+    if np.any(modulus > 1 + 1e-14):
+        raise OutsideDisk(f"|z| = {float(np.max(modulus)):.6f} > 1")
     acc = np.zeros_like(z)
     for c in a.coeffs[::-1]:
         acc = acc * z + c
     return acc
+
+
+def ring(radii, angles: int) -> np.ndarray:
+    """r e^{i theta_k} for each radius r, with theta_k = k (2 pi / angles)
+    exactly (``np.linspace(..., endpoint=False)``), k = 0..angles-1: shape
+    radii.shape + (angles,), one row per radius.  ``angles`` must be an
+    integer >= 1 (numpy integers included, bools not), else OutOfRange."""
+    # np.linspace needs an integer count, and a bool is not a count
+    if isinstance(angles, bool) or not isinstance(angles, numbers.Integral) or angles < 1:
+        raise OutOfRange(f"angles must be an integer >= 1, got {angles!r}")
+    circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, angles, endpoint=False))
+    return np.multiply.outer(radii, circle)

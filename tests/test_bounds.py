@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from test_diskfun import sample_functions
 
 import ulambda.bounds as bounds_module
 from ulambda.bounds import (
@@ -33,6 +35,7 @@ from ulambda.errors import (
     OutsideDisk,
     SelfIntersectionSuspected,
 )
+from ulambda.diskfun import antiderivative
 from ulambda.series import series_eval
 
 ZERO_FUN = ScaledPolynomial(raw=(0.0,), normalizer=1.0)
@@ -233,6 +236,66 @@ class TestBaBatch:
     def test_outside_disk_in_array_rejected(self):
         with pytest.raises(OutsideDisk):
             b_a(0.5, np.array([0.2, 1.01j]))
+
+
+def mp_b_a(a, z):
+    """B_a(z) in the closed form at 40 significant digits."""
+    with mpmath.workdps(40):
+        a, z = mpmath.mpc(a), mpmath.mpc(z)
+        ca = mpmath.conj(a)
+        return complex(1 / ca - (1 - abs(a) ** 2) / (ca**2 * z) * mpmath.log(1 + ca * z))
+
+
+class TestBaAccuracy:
+    """Against 40-digit arithmetic.  The closed form used to take over at
+    |conj(a) z| = 1e-3, where rounding 1 + conj(a) z inside log1p, scaled by
+    (1 - |a|^2)/|a^2 z|, cost up to 1e-10."""
+
+    @pytest.mark.parametrize("a, z", [(0.0011, 1.0), (0.01, 0.1), (0.0011j, -0.9), (0.29, 1.0), (0.31, 1.0), (0.9, 1.0)])
+    def test_named_points(self, a, z):
+        assert abs(b_a(a, z) - mp_b_a(a, z)) <= 1e-15
+
+    def test_across_the_series_threshold(self):
+        rng = np.random.default_rng(40)
+        w = np.exp(rng.uniform(math.log(1.1e-3), math.log(0.9), 400))
+        amod = np.minimum(rng.uniform(w, 1.0), 0.9999)
+        a = amod * np.exp(2j * np.pi * rng.uniform(size=400))
+        z = (w / amod) * np.exp(2j * np.pi * rng.uniform(size=400))
+        err = [abs(b_a(ak, zk) - mp_b_a(ak, zk)) for ak, zk in zip(a, z)]
+        assert max(err) <= 2e-15
+
+
+def reference_circle_max(f_many, f_one, scan=4096):
+    """The scan-then-golden-section code ``v_of_omega`` and
+    ``max_boundary_ba`` each carried before they shared ``_circle_max``."""
+    ts = np.linspace(0.0, 2 * math.pi, scan, endpoint=False)
+    vals = np.abs(f_many(np.exp(1j * ts)))
+    i = int(np.argmax(vals))
+    step = 2 * math.pi / scan
+    return bounds_module._golden_max(lambda t: abs(f_one(cmath.exp(1j * t))), ts[i] - step, ts[i] + step, 1e-10)
+
+
+class TestCircleMax:
+    """One shared boundary-max search, ``==``-identical to the two copies."""
+
+    @pytest.mark.parametrize("omega", sample_functions() + [ZERO_FUN, LINEAR_FUN, MoebiusShift(0.95j, 2.0)], ids=repr)
+    def test_v_of_omega(self, omega):
+        ref = reference_circle_max(lambda z: antiderivative(omega, z), lambda z: antiderivative(omega, z))
+        assert v_of_omega(omega) == ref[1]
+
+    def test_max_boundary_ba(self):
+        rng = np.random.default_rng(41)
+        a = np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+        for ak in np.append(a, [0.0, 0.5, -0.999, 1e-4j]):
+            ak = complex(ak)
+            t, value = reference_circle_max(lambda z: b_a(ak, z), lambda z: b_a(ak, z))
+            assert max_boundary_ba(ak) == (t % (2 * math.pi), value)
+
+    def test_coarse_scan(self):
+        omega = MoebiusShift(0.3 - 0.4j, 1.2)
+        for scan in (1, 2, 7, 64):
+            ref = reference_circle_max(lambda z: antiderivative(omega, z), lambda z: antiderivative(omega, z), scan)
+            assert v_of_omega(omega, scan=scan) == ref[1]
 
 
 class TestMaxBoundaryBa:

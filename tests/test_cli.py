@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from ulambda import bounds
+from ulambda import bounds, cli
 from ulambda.cli import main
+from ulambda.diskfun import MoebiusShift
 
 
 def run(tmp_path, command, cfg, outdir="out"):
@@ -44,6 +45,20 @@ class TestVerifyConjecture:
         for line in rows:
             n, conj, th2, obs, fam = line.split(",")
             assert float(obs) <= float(conj) + 1e-9
+
+
+    def test_one_reciprocal_per_candidate(self, tmp_path, monkeypatch):
+        calls = []
+        taylor_of_f = cli.taylor_of_f
+        monkeypatch.setattr(cli, "taylor_of_f", lambda cand: calls.append(cand) or taylor_of_f(cand))
+        code, out = run(tmp_path, "verify-conjecture",
+                        {"lambda": 0.5, "n_max": 10, "samples": 12, "seed": 3})
+        assert code == 0
+        kept = json.loads((out / "verify_conjecture.json").read_text())["members_kept"]
+        assert kept > 0
+        # the extremal candidate and each kept member, once each
+        assert len(calls) == kept + 1
+        assert len({id(c) for c in calls}) == len(calls)
 
 
 class TestMembership:
@@ -217,6 +232,35 @@ class TestFixedPoint:
         assert code == 3
         assert "error" in json.loads((out / "fixed_point.json").read_text())
 
+    @pytest.mark.parametrize("a2,modulus", [(0, 0.0), (1.1, 1.1), ([0.3, -0.4], 0.5)])
+    def test_default_radius_not_below_one(self, tmp_path, a2, modulus):
+        # with |a2| <= 1 + lam v the default radius (1 + lam v)/|a2| is >= 1
+        # (infinite for a2 = 0): no disk inside the unit disk is mapped into
+        # itself, which is the NotContractive outcome
+        code, out = run(tmp_path, "fixed-point",
+                        {"lambda": 0.5, "a2": a2, "omega": {"kind": "moebius", "a": 0.3}})
+        assert code == 3
+        text = (out / "fixed_point.json").read_text()
+        rep = json.loads(text)
+        assert set(rep) == {"error", "r"}
+        assert "Infinity" not in text
+        if modulus == 0:
+            assert rep["r"] is None
+        else:
+            v = bounds.v_of_omega(MoebiusShift(0.3))
+            assert rep["r"] == pytest.approx((1 + 0.5 * v) / modulus, rel=1e-15)
+            assert rep["r"] >= 1
+
+    def test_given_radius_keeps_its_checks(self, tmp_path):
+        omega = {"kind": "moebius", "a": 0.3}
+        # a radius outside (0, 1) is still an error with no JSON
+        code, out = run(tmp_path, "fixed-point", {"lambda": 0.5, "a2": 1.1, "r": 1.5, "omega": omega})
+        assert code == 3 and not (out / "fixed_point.json").exists()
+        # a2 = 0 with a given radius reports NotContractive, not a traceback
+        code, out = run(tmp_path, "fixed-point", {"lambda": 0.5, "a2": 0, "r": 0.5, "omega": omega}, outdir="zero")
+        assert code == 3
+        assert json.loads((out / "fixed_point.json").read_text())["r"] == 0.5
+
     @pytest.mark.parametrize("extra,code,keys", [
         ({}, 0, {"z0", "iterations", "residuals", "contraction_constant", "v", "r", "q_residual"}),
         ({"r": 0.8}, 0, {"z0", "iterations", "residuals", "contraction_constant", "v", "r", "q_residual"}),
@@ -238,6 +282,12 @@ class TestHarness:
     def test_config_error_exit_code(self, tmp_path):
         code, _ = run(tmp_path, "membership", {"lambda": 0.5})
         assert code == 4
+
+    def test_empty_grid_is_a_config_error(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "membership",
+                      {"lambda": 0.5, "candidate": {"type": "extremal"}, "grid": {"angles": 0}})
+        assert code == 4
+        assert "angles must be >= 1" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         code = main(["membership", "--config", str(tmp_path / "nope.json")])

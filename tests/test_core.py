@@ -11,7 +11,6 @@ from ulambda.core import (
     count_disk_zeros,
     dilate,
     extremal_q_boundary,
-    f_coefficient,
     julia_quotient,
     l_of_phi,
     majorant_h_boundary,
@@ -23,6 +22,7 @@ from ulambda.core import (
     taylor_of_f,
     u_of_q,
 )
+from ulambda.cli import sample_omega, sample_phi
 from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial
 from ulambda.errors import (
     BasePointNotZero,
@@ -175,8 +175,10 @@ class TestTaylorOfF:
         assert np.max(np.abs(f_over_z.coeffs[:51] - n)) < 1e-10
 
     def test_f_coefficient_and_a2(self):
+        # a_2 of f is coefficient 1 of f(z)/z = 1/q, and equals -q_1
         cand = extremal(0.5)
-        assert abs(f_coefficient(cand, 2) - cand.a2) < 1e-12
+        assert abs(taylor_of_f(cand).coeffs[1] - cand.a2) < 1e-12
+        assert cand.a2 == -cand.q.coeffs[1]
         assert abs(abs(cand.a2) - 1.5) < 1e-12
 
 
@@ -447,3 +449,90 @@ class TestCountDiskZeros:
         cand = q_from_phi(0.5, Monomial(theta=math.pi, k=1))
         with pytest.raises(OutOfRange):
             count_disk_zeros(cand, radius=1.0)
+
+    @pytest.mark.parametrize("samples", [0, -1, 100.0, True])
+    def test_samples_validated(self, samples):
+        # 0 used to end in an IndexError and 100.0 in a TypeError
+        cand = q_from_phi(0.5, Monomial(theta=math.pi, k=1))
+        with pytest.raises(OutOfRange):
+            count_disk_zeros(cand, samples=samples)
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("angles", [0, -1])
+    def test_empty_sweep_rejected(self, angles):
+        with pytest.raises(ValueError, match="angles must be >= 1"):
+            GridSpec(angles=angles)
+
+
+def reference_sup_u(cand, grid=GridSpec(), tol=1e-6):
+    """``sup_u`` as it was before it swept the whole grid in one call: one
+    evaluation per radius, the strict ``m > best`` rule for the argmax."""
+    k = np.arange(len(cand.q.coeffs))
+    c = (1 - k) * cand.q.coeffs
+    c[0] -= 1.0
+    u = TruncatedSeries(c)
+    theta = np.linspace(0.0, 2 * math.pi, grid.angles, endpoint=False)
+    ring = np.exp(1j * theta)
+    radial = []
+    best = -1.0
+    best_z = 0j
+    for r in grid.radii:
+        vals = np.abs(series_eval_many(u, r * ring))
+        i = int(np.argmax(vals))
+        m = float(vals[i])
+        radial.append(m)
+        if m > best:
+            best, best_z = m, complex(r * ring[i])
+    return best, best_z, tuple(radial)
+
+
+def reference_count_disk_zeros(cand, radius=0.999, samples=8192):
+    """``count_disk_zeros`` as it was before its circle came from ``ring``."""
+    theta = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
+    vals = series_eval_many(cand.q, radius * np.exp(1j * theta))
+    phases = np.unwrap(np.angle(np.append(vals, vals[:1])))
+    return round(float(phases[-1] - phases[0]) / (2 * math.pi))
+
+
+class TestOneCallSweeps:
+    """The one-call sweeps give ``==``-identical results to the per-radius
+    loops they replaced."""
+
+    def check(self, cand, grid=GridSpec()):
+        rep = sup_u(cand, grid)
+        best, best_z, radial = reference_sup_u(cand, grid)
+        assert (rep.sup_estimate, rep.argmax, rep.radial_max) == (best, best_z, radial)
+        assert rep.margin == cand.lam - best
+        assert count_disk_zeros(cand) == reference_count_disk_zeros(cand)
+
+    def test_sampled_candidates_default_grid(self):
+        rng = np.random.default_rng(2024)
+        for k in range(100):
+            lam = (0.25, 0.5, 0.75, 1.0)[k % 4]
+            self.check(q_from_phi(lam, sample_phi(rng)))
+            a2 = complex(*rng.uniform(-1, 1, 2))
+            self.check(q_from_omega(a2, lam, sample_omega(rng)))
+
+    def test_ties_pick_the_first_sample(self):
+        # constant |U| on every circle: the first sample of the first circle
+        cand = UCandidate(TruncatedSeries.one(8), 0.5)
+        rep = sup_u(cand)
+        assert rep.argmax == 0.1 and rep.radial_max == (0.0,) * 11
+        self.check(cand)
+        # |U| = lam |z|^2 is constant on each circle up to rounding
+        self.check(extremal(0.5, 0.0))
+
+    def test_subordination_workload_grid(self):
+        # order 256 on 2048 angles, as in the subordination benchmark
+        grid = GridSpec(angles=2048)
+        rng = np.random.default_rng(5)
+        for k in range(6):
+            lam = (0.25, 0.5, 0.75)[k % 3]
+            cand = q_from_phi(lam, Monomial(theta=float(rng.uniform(0, 2 * math.pi)), k=1), order=256)
+            if k % 2:
+                cand = dilate(cand, float(rng.uniform(0.5, 0.99)))
+            self.check(cand, grid)
+            q = cand.q.coeffs.copy()
+            q[1] -= complex(*rng.uniform(-0.5, 0.5, 2))
+            self.check(UCandidate(TruncatedSeries(q), lam), grid)

@@ -1,14 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ulambda.errors import InnerNotVanishing, NearZeroConstantTerm, OutsideDisk
+from ulambda.errors import NearZeroConstantTerm, OutOfRange, OutsideDisk
 from ulambda.series import (
     TruncatedSeries,
-    series_add,
-    series_compose,
-    series_differentiate,
+    ring,
     series_eval,
+    series_eval_many,
     series_integrate,
     series_mul,
     series_reciprocal,
@@ -22,27 +23,6 @@ def ts(*coeffs, order=None):
 def random_series(rng, order):
     c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
     return TruncatedSeries(c)
-
-
-class TestAdd:
-    def test_cancellation(self):
-        s = series_add(ts(1, 1), ts(1, -1))
-        assert np.allclose(s.coeffs, [2, 0])
-
-    def test_zero_identity(self):
-        rng = np.random.default_rng(1)
-        s = random_series(rng, 12)
-        out = series_add(s, TruncatedSeries.zero(12))
-        assert np.array_equal(out.coeffs, s.coeffs)
-
-    def test_elementwise_oracle(self):
-        rng = np.random.default_rng(2)
-        a, b = random_series(rng, 20), random_series(rng, 20)
-        assert np.array_equal(series_add(a, b).coeffs, a.coeffs + b.coeffs)
-
-    def test_order_truncates_to_min(self):
-        out = series_add(ts(1, 2, 3), ts(1, 2, 3, 4, 5))
-        assert out.order == 2
 
 
 class TestMul:
@@ -67,6 +47,11 @@ class TestMul:
             for k in range(n + 1):
                 expect[n] += a.coeffs[k] * b.coeffs[n - k]
         assert np.max(np.abs(out.coeffs - expect)) < 1e-14
+
+    def test_order_truncates_to_min(self):
+        out = series_mul(ts(1, 2, 3), ts(1, 2, 3, 4, 5))
+        assert out.order == 2
+        assert np.allclose(out.coeffs, [1, 4, 10])
 
 
 class TestReciprocal:
@@ -95,41 +80,6 @@ class TestReciprocal:
             series_reciprocal(ts(1e-13, 1))
 
 
-class TestCompose:
-    def test_monomial_scaling(self):
-        out = series_compose(ts(0, 0, 1), ts(0, 2, 0))
-        assert np.allclose(out.coeffs, [0, 0, 4])
-
-    def test_monomial_substitution(self):
-        lam = 0.7
-        outer = ts(1, 2 * lam, lam, *[0] * 2)
-        inner = ts(0, 0, 1, 0, 0)
-        out = series_compose(outer, inner)
-        assert np.allclose(out.coeffs, [1, 0, 2 * lam, 0, lam])
-
-    def test_pointwise_oracle_with_tail_bound(self):
-        rng = np.random.default_rng(4)
-        outer = random_series(rng, 5)
-        inner_c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        inner_c[0] = 0
-        inner = TruncatedSeries(inner_c)
-        out = series_compose(outer, inner)
-        # full degree-25 composition as oracle for the truncation tail
-        full = TruncatedSeries.from_coeffs(outer.coeffs, order=25)
-        inner_full = TruncatedSeries.from_coeffs(inner_c, order=25)
-        exact = series_compose(full, inner_full)
-        for k in range(8):
-            z = 0.3 * np.exp(2j * np.pi * k / 8)
-            tail = sum(abs(exact.coeffs[j]) * 0.3**j for j in range(6, 26))
-            got = series_eval(out, z)
-            ref = series_eval(exact, z)
-            assert abs(got - ref) <= tail + 1e-12
-
-    def test_inner_must_vanish(self):
-        with pytest.raises(InnerNotVanishing):
-            series_compose(ts(1, 1), ts(0.5, 1))
-
-
 class TestCalculus:
     def test_integrate_constant(self):
         out = series_integrate(ts(1, 0, 0))
@@ -139,15 +89,14 @@ class TestCalculus:
         out = series_integrate(ts(0, 1, 0))
         assert np.allclose(out.coeffs, [0, 0, 0.5])
 
-    def test_differentiate_mirrors(self):
-        assert np.allclose(series_differentiate(ts(0, 1, 0)).coeffs, [1, 0])
-        assert np.allclose(series_differentiate(ts(0, 0, 0.5)).coeffs, [0, 1])
-
     def test_round_trip(self):
+        # termwise differentiation (c_k -> k c_k) undoes the integration
         rng = np.random.default_rng(5)
         s = random_series(rng, 16)
-        back = series_differentiate(series_integrate(s))
-        assert np.max(np.abs(back.coeffs - s.coeffs[:16])) < 1e-14
+        integ = series_integrate(s)
+        back = integ.coeffs[1:] * np.arange(1, 17)
+        assert integ.coeffs[0] == 0
+        assert np.max(np.abs(back - s.coeffs[:16])) < 1e-14
 
 
 class TestEval:
@@ -169,6 +118,65 @@ class TestEval:
     def test_outside_disk_rejected(self):
         with pytest.raises(OutsideDisk):
             series_eval(ts(1, 1), 1.5)
+        with pytest.raises(OutsideDisk):
+            series_eval_many(ts(1, 1), np.array([0.5, 1.5]))
+
+    def test_one_point_is_the_0d_case_of_eval_many(self):
+        rng = np.random.default_rng(10)
+        for order in (0, 1, 5, 64, 256):
+            s = random_series(rng, order)
+            z = np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+            z = np.append(z, [0, 1, -1j, np.exp(0.3j)])
+            many = series_eval_many(s, z)
+            for k, zk in enumerate(z):
+                one = series_eval(s, zk)
+                assert type(one) is complex
+                assert one == complex(series_eval_many(s, np.asarray(zk))[()])
+                # array and 0-d evaluation run the same operations
+                assert one == many[k]
+
+    def test_python_horner_drift_is_rounding(self):
+        # the former scalar loop in Python complex arithmetic
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            s = random_series(rng, 64)
+            z = complex(0.99 * np.exp(2j * np.pi * rng.uniform()))
+            acc = 0j
+            for c in s.coeffs[::-1]:
+                acc = acc * z + complex(c)
+            scale = float(np.sum(np.abs(s.coeffs)))
+            assert abs(series_eval(s, z) - acc) <= 64 * 2.3e-16 * scale
+
+
+class TestRing:
+    def test_bit_identical_to_linspace_grid(self):
+        for angles in (1, 2, 3, 180, 720, 2048, 4096, 8192):
+            theta = np.linspace(0.0, 2 * math.pi, angles, endpoint=False)
+            circle = np.exp(1j * theta)
+            radii = (0.1, 0.5, 0.9, 0.999)
+            grid = ring(radii, angles)
+            assert grid.shape == (4, angles)
+            expect = np.stack([r * circle for r in radii])
+            assert np.array_equal(grid.view(float), expect.view(float))
+            assert np.array_equal(ring(0.999, angles).view(float), (0.999 * circle).view(float))
+            # the unit circle is the bare exponential, and angle k is k * step
+            assert np.array_equal(ring(1.0, angles).view(float), circle.view(float))
+            step = 2 * math.pi / angles
+            assert all(theta[k] == k * step for k in range(angles))
+
+    def test_shapes(self):
+        assert ring(0.5, 7).shape == (7,)
+        assert ring([0.5], 7).shape == (1, 7)
+        assert ring(np.full((2, 3), 0.5), 5).shape == (2, 3, 5)
+
+    @pytest.mark.parametrize("angles", [np.int64(16), np.int32(16), np.uint16(16)])
+    def test_numpy_integers_accepted(self, angles):
+        assert np.array_equal(ring(0.5, angles), ring(0.5, 16))
+
+    @pytest.mark.parametrize("angles", [0, -3, 16.0, True, False, "16", None, np.float64(16)])
+    def test_bad_angles_rejected(self, angles):
+        with pytest.raises(OutOfRange):
+            ring(0.5, angles)
 
 
 coeff_lists = st.lists(
