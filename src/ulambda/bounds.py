@@ -35,7 +35,7 @@ from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
     ring,
-    series_eval_many,
+    ring_eval,
     series_reciprocal,
 )
 from .core import GridSpec, q_from_omega
@@ -454,7 +454,7 @@ def sharpness_g_thm5(lam: float, a: float, order: int = DEFAULT_ORDER) -> tuple:
     disagree = float(np.max(np.abs(expr1 - expr2)))
 
     grid = GridSpec()
-    min_abs = float(np.min(np.abs(series_eval_many(cand.q, ring(grid.radii, grid.angles)))))
+    min_abs = float(np.min(np.abs(ring_eval(cand.q, grid.radii, grid.angles))))
 
     g_at_1 = 1 - 1 - lam * 1 * (v - antiderivative(omega, 1.0))
 

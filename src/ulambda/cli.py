@@ -28,6 +28,7 @@ import numpy as np
 from . import bounds
 from .core import (
     GridSpec,
+    UCandidate,
     count_disk_zeros,
     q_from_omega,
     q_from_phi,
@@ -39,7 +40,7 @@ from .core import (
 )
 from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, diskfun_from_json
 from .errors import ConfigError, NoConvergence, NotContractive, UlambdaError
-from .series import series_eval
+from .series import TruncatedSeries, series_eval
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -157,8 +158,13 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
             candidates.append(("random", cand))
             kept += 1
 
-    # one reciprocal per candidate; coefficient k of f(z)/z is a_{k+1}
-    coeffs = [(fam, taylor_of_f(cand).coeffs) for fam, cand in candidates]
+    # one reciprocal per candidate; coefficient k of f(z)/z is a_{k+1}.  The
+    # recurrence is triangular, so a_2..a_{n_max} need only q_0..q_{n_max-1}
+    head = max(n_max, 1)
+    coeffs = [
+        (fam, taylor_of_f(UCandidate(TruncatedSeries(cand.q.coeffs[:head]), lam)).coeffs)
+        for fam, cand in candidates
+    ]
     rows = []
     for n in range(2, n_max + 1):
         best = -1.0

@@ -27,9 +27,10 @@ from .geometry import BOUNDARY, OUTSIDE, BoundaryRegion
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
+    _angle_count,
     ring,
+    ring_eval,
     series_eval,
-    series_eval_many,
     series_integrate,
     series_mul,
     series_reciprocal,
@@ -54,15 +55,18 @@ class GridSpec:
         if not r or any(not (0 < x < 1) for x in r):
             raise ValueError("radii must lie strictly in (0, 1)")
         object.__setattr__(self, "radii", tuple(sorted(r)))
-        object.__setattr__(self, "angles", int(self.angles))
-        if self.angles < 1:
-            raise ValueError("angles must be >= 1")
+        # the rule of series.ring; a bad grid is a config error, not a range
+        # error of the sweep
+        try:
+            object.__setattr__(self, "angles", _angle_count(self.angles))
+        except OutOfRange as e:
+            raise ValueError(str(e)) from None
 
     @staticmethod
     def from_json(obj: dict) -> "GridSpec":
         return GridSpec(
             radii=tuple(obj.get("radii", DEFAULT_RADII)),
-            angles=int(obj.get("angles", DEFAULT_ANGLES)),
+            angles=obj.get("angles", DEFAULT_ANGLES),
         )
 
     def describe(self) -> dict:
@@ -129,17 +133,23 @@ def u_of_q(cand: UCandidate, z: complex) -> complex:
     return series_eval(_u_series(cand), z)
 
 
+def _ring_point(radii: tuple, angles: int, i: int) -> complex:
+    """Element i of ``ring(radii, angles).ravel()``, bit for bit, from the
+    one circle it lies on rather than the whole grid."""
+    row, col = divmod(i, angles)
+    return complex(ring(radii[row], angles)[col])
+
+
 def sup_u(cand: UCandidate, grid: GridSpec = GridSpec(), tol: float = MEMBERSHIP_TOL) -> MembershipReport:
     """Estimate sup |U_f| over the grid, in one evaluation on all its circles.
 
     The quantity is analytic, so per-radius maxima are nondecreasing in the
     radius and the outermost circle decides the estimate; the argmax is the
-    first maximal sample in (radius, angle) order.  The verdict is a
-    numerical report, not a proof: Inside / Outside when the margin exceeds
-    tol, Inconclusive otherwise.
+    first maximal sample in (radius, angle) order, a point of ``ring``.  The
+    verdict is a numerical report, not a proof: Inside / Outside when the
+    margin exceeds tol, Inconclusive otherwise.
     """
-    z = ring(grid.radii, grid.angles)
-    vals = np.abs(series_eval_many(_u_series(cand), z))
+    vals = np.abs(ring_eval(_u_series(cand), grid.radii, grid.angles))
     i = int(np.argmax(vals))
     best = float(vals.flat[i])
     margin = cand.lam - best
@@ -151,7 +161,7 @@ def sup_u(cand: UCandidate, grid: GridSpec = GridSpec(), tol: float = MEMBERSHIP
         verdict = "Inconclusive"
     return MembershipReport(
         sup_estimate=best,
-        argmax=complex(z.flat[i]),
+        argmax=_ring_point(grid.radii, grid.angles, i),
         margin=margin,
         verdict=verdict,
         grid=grid.describe(),
@@ -165,13 +175,14 @@ def count_disk_zeros(cand: UCandidate, radius: float = 0.999, samples: int = 819
     A zero of q is a pole of f = z/q, so a candidate whose q vanishes in the
     disk does not describe a member no matter what the operator sweep says.
     q(0) = 1, so the winding of the image of the circle about 0 counts the
-    zeros enclosed.
+    zeros enclosed: the sum of the turning angles arg(v_{j+1} conj(v_j))
+    over consecutive samples, the last back to the first, over 2 pi.
     """
     if not (0 < radius < 1):
         raise OutOfRange(f"radius must lie in (0, 1), got {radius}")
-    vals = series_eval_many(cand.q, ring(radius, samples))
-    phases = np.unwrap(np.angle(np.append(vals, vals[:1])))
-    return round(float(phases[-1] - phases[0]) / (2 * math.pi))
+    vals = ring_eval(cand.q, radius, samples)
+    turns = np.angle(np.roll(vals, -1) * vals.conj())
+    return round(float(np.sum(turns)) / (2 * math.pi))
 
 
 def q_from_phi(lam: float, phi: DiskFunction, order: int = DEFAULT_ORDER) -> UCandidate:
@@ -285,20 +296,20 @@ def subordination_check(
     the sampled boundary curve of h.  A sample within the containment
     tolerance of the curve makes the result Inconclusive rather than a
     verdict either way.  The witness is the first outside sample in
-    (radius, angle) order, else the first on-curve sample.  ``angles`` is
-    validated by ``series.ring``.
+    (radius, angle) order, else the first on-curve sample, a point of
+    ``series.ring``, which validates ``angles``.
     """
     radii = tuple(float(r) for r in test_radii)
     if not radii or any(not (0 < r < 1) for r in radii):
         raise OutOfRange("test_radii must be non-empty and lie strictly in (0, 1)")
-    z = ring(radii, angles).ravel()
-    if abs(series_eval(g, 0j) - complex(h_at_0)) > 1e-9:
+    vals = ring_eval(g, radii, angles).ravel()
+    if abs(g[0] - complex(h_at_0)) > 1e-9:
         return SubordinationVerdict("Fails", witness=0j)
-    where = h_boundary.classify(series_eval_many(g, z))
+    where = h_boundary.classify(vals)
     for code, verdict in ((OUTSIDE, "Fails"), (BOUNDARY, "Inconclusive")):
         hits = np.flatnonzero(where == code)
         if hits.size:
-            return SubordinationVerdict(verdict, witness=complex(z[hits[0]]))
+            return SubordinationVerdict(verdict, witness=_ring_point(radii, angles, int(hits[0])))
     return SubordinationVerdict("Holds")
 
 

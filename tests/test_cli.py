@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ulambda import bounds, cli
@@ -59,6 +60,43 @@ class TestVerifyConjecture:
         # the extremal candidate and each kept member, once each
         assert len(calls) == kept + 1
         assert len({id(c) for c in calls}) == len(calls)
+
+    def test_truncated_reciprocal_is_the_full_one(self, tmp_path, monkeypatch):
+        # each candidate is inverted from q_0..q_{n_max-1} only; the table
+        # and the coefficients equal those of the full-order reciprocal
+        n_max, lam = 10, 0.5
+        built, inverted = [], []
+        for name in ("q_from_phi", "q_from_omega"):
+            make = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, make=make, **k: built.append(make(*a, **k)) or built[-1])
+        taylor_of_f = cli.taylor_of_f
+        monkeypatch.setattr(cli, "taylor_of_f", lambda cand: inverted.append((cand, taylor_of_f(cand))) or inverted[-1][1])
+        code, out = run(tmp_path, "verify-conjecture",
+                        {"lambda": lam, "n_max": n_max, "samples": 12, "seed": 3})
+        assert code == 0
+        full = iter(built)
+        coeffs = []
+        for cand, got in inverted:
+            assert cand.q.order == n_max - 1
+            # the candidate it was cut from, in the order they were built
+            source = next(c for c in full if np.array_equal(c.q.coeffs[:n_max], cand.q.coeffs))
+            expect = taylor_of_f(source).coeffs
+            assert np.array_equal(got.coeffs, expect[:n_max])
+            coeffs.append(expect)
+        rows = []
+        for n in range(2, n_max + 1):
+            obs = [abs(a[n - 1]) for a in coeffs]
+            best = int(np.argmax(obs))
+            rows.append((n, bounds.conjecture_bound(n, lam), bounds.theorem2_bound(n, lam),
+                         float(obs[best]), "extremal" if best == 0 else "random"))
+        assert (out / "bounds.csv").read_text() == bounds.BoundTable(rows).to_csv()
+
+    @pytest.mark.parametrize("n_max", [1, 0, -2])
+    def test_no_rows_below_two(self, tmp_path, n_max):
+        code, out = run(tmp_path, "verify-conjecture",
+                        {"lambda": 0.5, "n_max": n_max, "samples": 3, "seed": 1})
+        assert code == 0
+        assert (out / "bounds.csv").read_text() == "n,conjecture,theorem2,observed_max,family\n"
 
 
 class TestMembership:
@@ -288,6 +326,21 @@ class TestHarness:
                       {"lambda": 0.5, "candidate": {"type": "extremal"}, "grid": {"angles": 0}})
         assert code == 4
         assert "angles must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("angles", [2.9, True, 720.0, "720"])
+    def test_non_integral_angles_are_a_config_error(self, tmp_path, capsys, angles):
+        # 2.9 used to run a 2-angle sweep
+        code, out = run(tmp_path, "membership",
+                        {"lambda": 0.5, "candidate": {"type": "extremal"}, "grid": {"angles": angles}})
+        assert code == 4
+        assert "angles must be an integer" in capsys.readouterr().err
+        assert not (out / "membership.json").exists()
+
+    def test_integral_angles_accepted(self, tmp_path):
+        code, out = run(tmp_path, "membership",
+                        {"lambda": 0.5, "candidate": {"type": "extremal"}, "grid": {"angles": 720}})
+        assert code == 0
+        assert json.loads((out / "membership.json").read_text())["grid"]["angles"] == 720
 
     def test_missing_config_file(self, tmp_path):
         code = main(["membership", "--config", str(tmp_path / "nope.json")])

@@ -32,7 +32,9 @@ from ulambda.errors import (
     OutsideDisk,
 )
 from ulambda.geometry import BoundaryRegion
-from ulambda.series import TruncatedSeries, series_eval, series_eval_many
+from ulambda.series import TruncatedSeries, ring, series_eval, series_eval_many
+
+EPS = np.finfo(float).eps
 
 
 def extremal(lam, phase=math.pi, order=64):
@@ -450,6 +452,13 @@ class TestCountDiskZeros:
         with pytest.raises(OutOfRange):
             count_disk_zeros(cand, radius=1.0)
 
+    def test_exact_zero_sample_turns_by_nothing(self):
+        # q = 1 - 2z vanishes at the first sample of the 0.5-circle; that
+        # sample contributes angle 0 (no NaN), as the unwrap rule did
+        cand = UCandidate(TruncatedSeries.from_coeffs([1, -2], order=4), lam=0.5)
+        assert count_disk_zeros(cand, radius=0.5, samples=8) == 0
+        assert reference_count_disk_zeros(cand, radius=0.5, samples=8) == 0
+
     @pytest.mark.parametrize("samples", [0, -1, 100.0, True])
     def test_samples_validated(self, samples):
         # 0 used to end in an IndexError and 100.0 in a TypeError
@@ -464,14 +473,39 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="angles must be >= 1"):
             GridSpec(angles=angles)
 
+    @pytest.mark.parametrize("angles", [2.9, 720.0, True, "720", None, np.float64(720)])
+    def test_non_integral_angles_rejected(self, angles):
+        # int() used to run a 2.9 as a 2-angle sweep
+        with pytest.raises(ValueError, match="angles must be an integer"):
+            GridSpec(angles=angles)
+        with pytest.raises(ValueError, match="angles must be an integer"):
+            GridSpec.from_json({"angles": angles})
+
+    @pytest.mark.parametrize("angles", [np.int64(720), np.int32(720), np.uint16(720)])
+    def test_numpy_integer_angles(self, angles):
+        grid = GridSpec(angles=angles)
+        assert type(grid.angles) is int and grid == GridSpec(angles=720)
+
+
+def u_series(cand):
+    """Coefficients (1 - k) q_k of U = q - z q' - 1."""
+    k = np.arange(len(cand.q.coeffs))
+    c = (1 - k) * cand.q.coeffs
+    c[0] -= 1.0
+    return TruncatedSeries(c)
+
+
+def sweep_bound(series, radii):
+    """64 eps sum_k |c_k| r^k for each radius: how far the FFT sweep may
+    drift from Horner on that circle (the candidates below reach 23 eps)."""
+    k = np.arange(len(series.coeffs))
+    return 64 * EPS * np.sum(np.abs(series.coeffs) * np.power.outer(np.asarray(radii), k), axis=-1)
+
 
 def reference_sup_u(cand, grid=GridSpec(), tol=1e-6):
     """``sup_u`` as it was before it swept the whole grid in one call: one
     evaluation per radius, the strict ``m > best`` rule for the argmax."""
-    k = np.arange(len(cand.q.coeffs))
-    c = (1 - k) * cand.q.coeffs
-    c[0] -= 1.0
-    u = TruncatedSeries(c)
+    u = u_series(cand)
     theta = np.linspace(0.0, 2 * math.pi, grid.angles, endpoint=False)
     ring = np.exp(1j * theta)
     radial = []
@@ -496,14 +530,30 @@ def reference_count_disk_zeros(cand, radius=0.999, samples=8192):
 
 
 class TestOneCallSweeps:
-    """The one-call sweeps give ``==``-identical results to the per-radius
-    loops they replaced."""
+    """The FFT sweeps agree with the per-radius Horner loops they replaced:
+    values within ``sweep_bound``, the same verdicts and zero counts, and an
+    argmax on the grid whose Horner value is maximal within that bound."""
 
     def check(self, cand, grid=GridSpec()):
         rep = sup_u(cand, grid)
-        best, best_z, radial = reference_sup_u(cand, grid)
-        assert (rep.sup_estimate, rep.argmax, rep.radial_max) == (best, best_z, radial)
-        assert rep.margin == cand.lam - best
+        best, _, radial = reference_sup_u(cand, grid)
+        bound = sweep_bound(u_series(cand), grid.radii)
+        assert np.all(np.abs(np.array(rep.radial_max) - radial) <= bound)
+        assert abs(rep.sup_estimate - best) <= bound.max()
+        if best > cand.lam + 1e-6:
+            verdict = "Outside"
+        elif best < cand.lam - 1e-6:
+            verdict = "Inside"
+        else:
+            verdict = "Inconclusive"
+        assert rep.verdict == verdict
+        assert rep.margin == cand.lam - rep.sup_estimate
+        # the argmax is a point of the grid, bit for bit
+        z = ring(grid.radii, grid.angles).ravel()
+        hit = np.flatnonzero(z == rep.argmax)
+        assert hit.size == 1
+        horner = abs(series_eval_many(u_series(cand), z[hit[0]]))
+        assert best - horner <= bound.max()
         assert count_disk_zeros(cand) == reference_count_disk_zeros(cand)
 
     def test_sampled_candidates_default_grid(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,16 @@ from ulambda.errors import NearZeroConstantTerm, OutOfRange, OutsideDisk
 from ulambda.series import (
     TruncatedSeries,
     ring,
+    ring_eval,
     series_eval,
     series_eval_many,
     series_integrate,
     series_mul,
     series_reciprocal,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def ts(*coeffs, order=None):
@@ -177,6 +182,82 @@ class TestRing:
     def test_bad_angles_rejected(self, angles):
         with pytest.raises(OutOfRange):
             ring(0.5, angles)
+
+
+def weights(s, radii):
+    """|c_k| r^k for each radius, and k."""
+    k = np.arange(len(s.coeffs))
+    return np.abs(s.coeffs) * np.power.outer(np.asarray(radii, dtype=float), k), k
+
+
+class TestRingEval:
+    """``ring_eval`` is ``series_eval_many`` on ``ring`` to rounding."""
+
+    ANGLES = (1, 2, 7, 64, 65, 257, 360, 720, 2048, 8192)
+    RADII = (0.5, (0.1, 0.6, 0.999), 1.0)
+
+    @pytest.mark.parametrize("order", [0, 1, 64, 256])
+    def test_matches_horner_on_ring(self, order):
+        # folded (angles <= order), exact fit (65 at order 64, 257 at 256),
+        # padded, and prime counts.  64 eps sum |c_k| r^k covers the FFT; on
+        # top, Horner evaluates at ring's rounded points, a few eps |z| off
+        # the exact angles, where the sum moves by up to
+        # sum k |c_k| r^k times that
+        rng = np.random.default_rng(order)
+        for angles in self.ANGLES:
+            for radii in self.RADII:
+                s = random_series(rng, order)
+                got = ring_eval(s, radii, angles)
+                expect = series_eval_many(s, ring(radii, angles))
+                assert got.shape == expect.shape
+                w, k = weights(s, radii)
+                bound = 64 * EPS * w.sum(axis=-1) + 4 * EPS * (k * w).sum(axis=-1)
+                assert np.all(np.abs(got - expect) <= bound[..., None])
+
+    @pytest.mark.parametrize("order,angles,radius", [(64, 7, 0.9), (64, 65, 1.0), (64, 257, 0.999), (256, 64, 0.9)])
+    def test_accurate_at_the_exact_angles(self, order, angles, radius):
+        # against the sum at z_j = r e^{2 pi i j / angles} in 40 digits
+        s = random_series(np.random.default_rng(angles), order)
+        got = ring_eval(s, radius, angles)
+        with mpmath.workdps(40):
+            coeffs = [mpmath.mpc(complex(c)) for c in s.coeffs[::-1]]
+            for j in range(angles):
+                z = mpmath.mpf(radius) * mpmath.expjpi(mpmath.mpf(2 * j) / angles)
+                acc = mpmath.mpc(0)
+                for c in coeffs:
+                    acc = acc * z + c
+                assert abs(got[j] - complex(acc)) <= 64 * EPS * weights(s, radius)[0].sum()
+
+    def test_shapes(self):
+        s = random_series(np.random.default_rng(3), 9)
+        assert ring_eval(s, 0.5, 7).shape == (7,)
+        assert ring_eval(s, [0.5], 7).shape == (1, 7)
+        assert ring_eval(s, (), 7).shape == (0, 7)
+        assert ring_eval(s, np.full((2, 3), 0.5), 5).shape == (2, 3, 5)
+
+    def test_zero_series_is_exactly_zero(self):
+        assert np.array_equal(ring_eval(TruncatedSeries(np.zeros(65)), (0.5, 0.9), 720), np.zeros((2, 720)))
+
+    @pytest.mark.parametrize("angles", [np.int64(16), np.int32(16), np.uint16(16)])
+    def test_numpy_integers_accepted(self, angles):
+        s = random_series(np.random.default_rng(4), 20)
+        assert np.array_equal(ring_eval(s, 0.5, angles), ring_eval(s, 0.5, 16))
+
+    @pytest.mark.parametrize("angles", [0, -3, 16.0, True, False, "16", None, np.float64(16)])
+    def test_bad_angles_rejected_as_by_ring(self, angles):
+        with pytest.raises(OutOfRange):
+            ring_eval(ts(1, 1), 0.5, angles)
+
+    @pytest.mark.parametrize("radii", [1.5, (0.5, 1 + 1e-13), -1.5])
+    def test_outside_disk_rejected_as_by_horner(self, radii):
+        with pytest.raises(OutsideDisk):
+            series_eval_many(ts(1, 1), ring(radii, 16))
+        with pytest.raises(OutsideDisk):
+            ring_eval(ts(1, 1), radii, 16)
+
+    def test_rounding_above_one_accepted_as_by_horner(self):
+        s = ts(1, 1)
+        assert np.abs(ring_eval(s, 1 + 1e-15, 16) - series_eval_many(s, ring(1 + 1e-15, 16))).max() < 1e-14
 
 
 coeff_lists = st.lists(
