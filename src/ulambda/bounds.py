@@ -101,7 +101,6 @@ def rogosinski_check(w: DiskFunction, lam: float, n: int, order: int | None = No
 # ---------------------------------------------------------------------------
 # v(x) and B_a(z)
 
-_SMALL = 1e-3
 # B_a takes its 32-term series for |conj(a) z| below this: the series'
 # truncation error stays below 0.3^32, while the closed form loses accuracy
 # as |conj(a) z| shrinks (log1p rounds 1 + conj(a) z first and the
@@ -112,19 +111,14 @@ _B_A_SERIES = 0.3
 def v_of_x(x: float) -> float:
     """v(x) = int_0^1 (x + t)/(1 + x t) dt, the sharp antiderivative bound.
 
-    Closed form 1/x - ((1 - x^2)/x^2) log(1 + x) for x away from 0; a short
-    series near 0 avoids the cancellation of the two large terms.  v(0) = 1/2.
+    v(x) = B_x(1), so this is ``b_a(x, 1.0)``: its series below x = 0.3
+    avoids the cancellation of the closed form 1/x - ((1 - x^2)/x^2) log(1 + x)
+    near 0.  v(0) = 1/2.
     """
     x = float(x)
     if not (0 <= x < 1):
         raise OutOfRange("x must lie in [0, 1)")
-    if x < _SMALL:
-        # v(x) = 1/2 + sum_{k>=1} (-1)^{k+1} 2 x^k / (k (k + 2))
-        acc = 0.0
-        for k in range(10, 0, -1):
-            acc += (-1) ** (k + 1) * 2.0 / (k * (k + 2)) * x**k
-        return 0.5 + acc
-    return 1 / x - (1 - x * x) / (x * x) * math.log1p(x)
+    return b_a(x, 1.0).real
 
 
 def _b_a_small(a: complex, z, w):
@@ -162,18 +156,6 @@ def b_a(a: complex, z):
         raise BranchPointSingularity("conj(a) z at the branch point -1")
     out = _by_mask(abs(w) < _B_A_SERIES, partial(_b_a_small, a), partial(_b_a_closed, a), z, w)
     return out if z.ndim else complex(out)
-
-
-def b_a_series(a: complex, rotation: float = 0.0, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Taylor series of B_a(z e^{i rotation}) about 0."""
-    a = complex(a)
-    c = np.zeros(order + 1, dtype=complex)
-    c[0] = a
-    if abs(abs(a) - 1) > 1e-12 and order >= 1:
-        k = np.arange(1, order + 1)
-        c[1:] = (1 - abs(a) ** 2) * (-np.conj(a)) ** (k - 1) / (k + 1)
-        c[1:] *= np.exp(1j * rotation * k)
-    return TruncatedSeries(c)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -404,12 +386,8 @@ def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> Reg
     """
     if resolution < 64:
         raise OutOfRange("resolution must be >= 64")
-    thetas = np.linspace(0.0, 2 * math.pi, resolution + 1)
-    omega_vals = antiderivative(omega, np.exp(1j * thetas[:-1]))
-    pts = np.exp(-1j * thetas[:-1]) + lam * omega_vals
-    pts = np.concatenate([pts, pts[:1]])
-
-    open_pts = pts[:-1]
+    z = ring(1.0, resolution)
+    open_pts = z.conj() + lam * antiderivative(omega, z)
     pairs = _close_sample_pairs(open_pts)
     if pairs:
         raise SelfIntersectionSuspected(f"{pairs} close sample pairs")
@@ -417,8 +395,8 @@ def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> Reg
     region = RegionA2(
         lam=lam,
         omega_descriptor=repr(omega),
-        thetas=thetas,
-        curve=BoundaryRegion(pts),
+        thetas=np.linspace(0.0, 2 * math.pi, resolution + 1),
+        curve=BoundaryRegion(np.concatenate([open_pts, open_pts[:1]])),
     )
     centroid = complex(np.mean(open_pts))
     wn = region.curve.winding_number(centroid)
@@ -487,13 +465,8 @@ def sharpness_construction_thm6(lam: float, a: complex, order: int = DEFAULT_ORD
     omega = MoebiusShift(a, psi)
     a2 = cmath.exp(-1j * theta) + lam * cmath.exp(1j * theta) * B
 
-    ba_rot = b_a_series(a, rotation=psi, order=order)
-    d = np.zeros(order + 1, dtype=complex)
-    d[0] = 1.0
-    if order >= 1:
-        d[1] = -a2
-    d[2:] += lam * ba_rot.coeffs[:-2]
-    D = TruncatedSeries(d)
+    # 1 - a2 z + lam z int_0^z omega, and int_0^z omega = z B_a(z e^{i psi})
+    D = q_from_omega(a2, lam, omega, order=order).q
 
     zb = cmath.exp(1j * theta)
     d_boundary = 1 - a2 * zb + lam * zb * zb * b_a(a, zb * cmath.exp(1j * psi))

@@ -19,6 +19,7 @@ import argparse
 import cmath
 import json
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -86,6 +87,15 @@ def _lam(cfg: dict) -> float:
     if not (0 < lam <= 1):
         raise ConfigError("lambda must lie in (0, 1]")
     return lam
+
+
+def _order(cfg: dict) -> int:
+    # below order 2 every coefficient (1 - k) q_k of U is 0, so the sweep
+    # would call any candidate Inside; bools and floats are not orders
+    order = cfg.get("order", 64)
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 2:
+        raise ConfigError(f"order must be an integer >= 2, got {order!r}")
+    return int(order)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +203,7 @@ def _candidate_from_config(cfg: dict):
     spec = cfg.get("candidate")
     if not isinstance(spec, dict):
         raise ConfigError("config requires a 'candidate' object")
-    order = int(cfg.get("order", 64))
+    order = _order(cfg)
     kind = spec.get("type")
     if kind == "phi":
         return q_from_phi(lam, diskfun_from_json(spec["phi"]), order=order)
@@ -224,12 +234,13 @@ def cmd_membership(cfg: dict, out: Path) -> int:
 
 def cmd_julia(cfg: dict, out: Path) -> int:
     lam = _lam(cfg)
+    order = _order(cfg)
     phi = diskfun_from_json(cfg["phi"])
     theta0 = float(cfg.get("theta0", 0.0))
     m = julia_quotient(phi, theta0)
     value = obstruction_value(lam, phi, theta0)
     direct = l_of_phi(lam, phi, cmath.exp(1j * theta0))
-    cand = q_from_phi(lam, phi, order=int(cfg.get("order", 64)))
+    cand = q_from_phi(lam, phi, order=order)
     sweep = sup_u(cand, _grid(cfg))
     _write_json(out / "julia.json", {
         "lambda": lam,

@@ -28,7 +28,6 @@ from .series import (
     TruncatedSeries,
     ring,
     series_mul,
-    series_reciprocal,
 )
 
 _BOUNDARY_SAMPLES = 2048
@@ -104,15 +103,19 @@ class MoebiusShift(DiskFunction):
         return out if z.ndim else complex(out)
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = self.a
-        if not self._degenerate and order >= 1:
-            e = cmath.exp(1j * self.psi)
-            lead = (1 - abs(self.a) ** 2)
-            # c_k = e^{ik psi} (1-|a|^2) (-conj(a))^{k-1}
-            k = np.arange(1, order + 1)
-            c[1:] = lead * e**k * (-np.conj(self.a)) ** (k - 1)
-        return TruncatedSeries(c)
+        if self._degenerate:
+            return TruncatedSeries.from_coeffs([self.a], order=order)
+        return TruncatedSeries(_moebius_coeffs(self.a, order, cmath.exp(1j * self.psi)))
+
+
+def _moebius_coeffs(a: complex, order: int, e: complex = 1.0) -> np.ndarray:
+    """Taylor coefficients c_0..c_order of (a + e z)/(1 + conj(a) e z) for
+    |a| < 1, |e| = 1: c_0 = a and c_k = e^k (1 - |a|^2) (-conj(a))^{k-1}."""
+    c = np.empty(order + 1, dtype=complex)
+    c[0] = a
+    k = np.arange(1, order + 1)
+    c[1:] = (1 - abs(a) ** 2) * e**k * (-np.conj(a)) ** (k - 1)
+    return c
 
 
 @dataclass(frozen=True)
@@ -155,13 +158,10 @@ class Blaschke(DiskFunction):
         return out if z.ndim else complex(out)
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+        # each factor (z - b)/(1 - conj(b) z) is the Moebius shift with a = -b
         acc = TruncatedSeries.from_coeffs([cmath.exp(1j * self.rotation)], order=order)
         for b in self.zeros:
-            num = TruncatedSeries.from_coeffs([-b, 1.0], order=order)
-            acc = series_mul(acc, num)
-            if b != 0:
-                den = TruncatedSeries.from_coeffs([1.0, -np.conj(b)], order=order)
-                acc = series_mul(acc, series_reciprocal(den))
+            acc = series_mul(acc, TruncatedSeries(_moebius_coeffs(-b, order)))
         return acc
 
 

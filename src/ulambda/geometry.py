@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .series import ring
+
 OUTSIDE, INSIDE, BOUNDARY = 0, 1, 2
 LABELS = ("outside", "inside", "boundary")
 
@@ -68,11 +70,10 @@ class BoundaryRegion:
 
     @staticmethod
     def from_function(fun, resolution: int = 2048, tol: float = 1e-7) -> "BoundaryRegion":
-        """Sample fun(e^{i theta}) on a closed uniform angular grid."""
-        t = np.linspace(0.0, 2 * np.pi, resolution + 1)
-        pts = np.asarray(fun(np.exp(1j * t)), dtype=complex)
-        pts[-1] = pts[0]
-        return BoundaryRegion(pts, tol=tol)
+        """Sample fun on ``ring(1.0, resolution)``, closed with the first
+        sample."""
+        pts = np.asarray(fun(ring(1.0, resolution)), dtype=complex)
+        return BoundaryRegion(np.concatenate([pts, pts[:1]]), tol=tol)
 
     def distance(self, p: complex) -> float:
         """Distance from p to the sampled polygon (segment-wise)."""

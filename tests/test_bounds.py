@@ -11,7 +11,6 @@ import ulambda.bounds as bounds_module
 from ulambda.bounds import (
     BoundTable,
     b_a,
-    b_a_series,
     c_omega_curve,
     conjecture_bound,
     f_quadratic,
@@ -132,6 +131,14 @@ class TestVofX:
         below, above = v_of_x(1e-3 * (1 - 1e-12)), v_of_x(1e-3 * (1 + 1e-12))
         assert abs(below - above) < 1e-10
 
+    @pytest.mark.parametrize("x", [0.0, 1e-4, 0.0011, 0.01, 0.02, 0.1, 0.3, 0.5, 0.9])
+    def test_against_40_digits(self, x):
+        # a closed form of its own used to lose 2.4e-13 to cancellation at 0.0011
+        with mpmath.workdps(40):
+            X = mpmath.mpf(x)
+            ref = 0.5 if x == 0 else float(1 / X - (1 - X**2) / X**2 * mpmath.log1p(X))
+        assert abs(v_of_x(x) - ref) <= 1e-15
+
 
 class TestBa:
     def test_zero_base_point_is_half_z(self):
@@ -157,12 +164,14 @@ class TestBa:
             b_a(cmath.exp(0.5j) * (1 - 1e-10), -cmath.exp(0.5j))
 
     def test_series_consistency(self):
-        # 32-term expansion against pointwise values on |z| <= 0.5
+        # thm6's denominator series against 1 - a2 z + lam z^2 B_a(z e^{i psi})
+        lam = 0.6
         for a in (0.5, 0.3 - 0.4j, 0.8j):
-            s = b_a_series(a, order=32)
+            _, psi, _, a2, D, _ = sharpness_construction_thm6(lam, a)
             for k in range(12):
                 z = 0.5 * cmath.exp(2j * math.pi * k / 12)
-                assert abs(series_eval(s, z) - b_a(a, z)) < 1e-9
+                direct = 1 - a2 * z + lam * z * z * b_a(a, z * cmath.exp(1j * psi))
+                assert abs(series_eval(D, z) - direct) < 1e-14
 
 
 def reference_b_a(a, z):
@@ -513,6 +522,17 @@ class TestRegionA2:
             res = fixed_point_zero(a2, lam, omega, 0.8)
             cand = q_from_omega(a2, lam, omega)
             assert abs(series_eval(cand.q, res.z0)) < 1e-9
+
+    @pytest.mark.parametrize("resolution", [64, 512, 1000, 4096])
+    def test_samples_the_closed_angle_grid(self, resolution):
+        # ring's points are those of the closed grid thetas, bit for bit, so
+        # region.csv and region.svg do not depend on which grid is sampled
+        omega = MoebiusShift(0.3, 0.2)
+        region = c_omega_curve(omega, 0.5, resolution=resolution)
+        t = region.thetas[:-1]
+        closed = np.exp(-1j * t) + 0.5 * antiderivative(omega, np.exp(1j * t))
+        assert np.array_equal(region.curve.samples[:-1], closed)
+        assert region.curve.samples[-1] == region.curve.samples[0]
 
     def test_csv_and_svg_shapes(self):
         region = c_omega_curve(ZERO_FUN, 0.5, resolution=64)

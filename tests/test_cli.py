@@ -316,6 +316,16 @@ class TestFixedPoint:
         assert set(json.loads((out / "fixed_point.json").read_text())) == keys
 
 
+# the README's -z^2 configs
+Z_SQUARED = {
+    "membership": {"lambda": 0.5,
+                   "candidate": {"type": "phi",
+                                 "phi": {"kind": "monomial", "theta": math.pi, "k": 2}}},
+    "julia": {"lambda": 0.5, "phi": {"kind": "monomial", "theta": math.pi, "k": 2},
+              "theta0": 0.0},
+}
+
+
 class TestHarness:
     def test_config_error_exit_code(self, tmp_path):
         code, _ = run(tmp_path, "membership", {"lambda": 0.5})
@@ -341,6 +351,21 @@ class TestHarness:
                         {"lambda": 0.5, "candidate": {"type": "extremal"}, "grid": {"angles": 720}})
         assert code == 0
         assert json.loads((out / "membership.json").read_text())["grid"]["angles"] == 720
+
+    @pytest.mark.parametrize("command", ["membership", "julia"])
+    @pytest.mark.parametrize("order", [0, 1, 2.9, True, "64"])
+    def test_bad_order_is_a_config_error(self, tmp_path, capsys, command, order):
+        # below order 2 every coefficient (1 - k) q_k of U is 0: -z^2 with
+        # order 0 used to come out Inside with exit 0
+        code, out = run(tmp_path, command, dict(Z_SQUARED[command], order=order))
+        assert code == 4
+        assert "order must be an integer >= 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, expect", [("membership", 2), ("julia", 0)])
+    def test_order_two_accepted(self, tmp_path, command, expect):
+        code, _ = run(tmp_path, command, dict(Z_SQUARED[command], order=2))
+        assert code == expect
 
     def test_missing_config_file(self, tmp_path):
         code = main(["membership", "--config", str(tmp_path / "nope.json")])

@@ -14,7 +14,7 @@ from ulambda.diskfun import (
     schwarz_pick_envelope,
 )
 from ulambda.errors import BasePointOutsideClosedDisk, OutsideDisk, ZeroOnOrOutsideBoundary
-from ulambda.series import series_eval, series_integrate
+from ulambda.series import TruncatedSeries, series_eval, series_integrate, series_mul, series_reciprocal
 from ulambda.bounds import v_of_x
 
 
@@ -97,6 +97,31 @@ class TestBlaschke:
         for k in range(8):
             z = 0.4 * cmath.exp(2j * math.pi * k / 8)
             assert abs(series_eval(t, z) - b.eval(z)) < 1e-12
+
+    @pytest.mark.parametrize("order", [0, 1, 64])
+    def test_taylor_from_closed_form_factors(self, order):
+        b = Blaschke(zeros=(0.2 + 0.1j, 0, -0.5j, 0.8 * cmath.exp(2.3j), 0.6), rotation=0.7)
+        t = b.taylor(order)
+        assert t.order == order
+        ref = reciprocal_blaschke_taylor(b, order)
+        assert np.max(np.abs(t.coeffs - ref.coeffs)) <= 1e-13
+        if order == 64:
+            for k in range(8):
+                z = 0.4 * cmath.exp(2j * math.pi * k / 8)
+                assert abs(series_eval(t, z) - b.eval(z)) <= 1e-13
+
+
+def reciprocal_blaschke_taylor(b, order):
+    """The construction ``Blaschke.taylor`` used before it took each factor's
+    closed-form coefficients: numerator times the series reciprocal of the
+    denominator, factor by factor."""
+    acc = TruncatedSeries.from_coeffs([cmath.exp(1j * b.rotation)], order=order)
+    for zero in b.zeros:
+        acc = series_mul(acc, TruncatedSeries.from_coeffs([-zero, 1.0], order=order))
+        if zero != 0:
+            den = TruncatedSeries.from_coeffs([1.0, -np.conj(zero)], order=order)
+            acc = series_mul(acc, series_reciprocal(den))
+    return acc
 
 
 class TestEnvelope:

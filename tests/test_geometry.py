@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulambda.geometry import LABELS, OUTSIDE, BoundaryRegion
+from ulambda.series import ring
 
 
 def unit_circle(n=256):
@@ -43,6 +44,17 @@ class TestContains:
         pts = np.array([0, 1, 1 + 1j, 1j], dtype=complex)
         with pytest.raises(ValueError):
             BoundaryRegion(pts)
+
+
+class TestFromFunction:
+    @pytest.mark.parametrize("resolution", [4, 64, 257, 4096])
+    def test_samples_ring_closed_with_the_first(self, resolution):
+        region = BoundaryRegion.from_function(lambda z: z * z + 0.5 * z, resolution=resolution)
+        z = ring(1.0, resolution)
+        assert np.array_equal(region.samples[:-1], z * z + 0.5 * z)
+        assert region.samples[-1] == region.samples[0]
+        # the closed grid it used to sample has the same points, bit for bit
+        assert np.array_equal(z, np.exp(1j * np.linspace(0, 2 * np.pi, resolution + 1))[:-1])
 
 
 def reference_contains(region, p):

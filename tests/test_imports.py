@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+module-level private name is used somewhere in the package.
 
 Parses the sources with ``ast`` (no import, standard library only), so the
 check also covers names that only an unused import would bind.  The package
-``__init__`` is left out: re-exporting is its purpose.
+``__init__`` is left out of the import check: re-exporting is its purpose.
 """
 
 import ast
@@ -40,3 +41,41 @@ def test_no_unused_imports(path):
 def test_detects_unused_names():
     source = "from __future__ import annotations\nimport os, sys as system\nfrom x import a, b\nprint(a, system)\n"
     assert unused_imports(source) == [(2, "os"), (3, "b")]
+
+
+def dead_private_names(sources: dict) -> list:
+    """(module, name) for each module-level private function, class or
+    constant (``_x``, not dunder) that no module of ``sources`` reads, as a
+    name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    defined += [(module, n.id) for n in ast.walk(target) if isinstance(n, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        (module, name) for module, name in defined
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    )
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dead_private_names(sources) == []
+
+
+def test_detects_dead_private_names():
+    sources = {
+        "a.py": "_SMALL = 1e-3\n_USED, _PAIR = 1, 2\ndef _helper():\n    return _USED\nclass _Gone:\n    pass\n",
+        "b.py": "from .a import _helper\nimport a\n__all__ = []\nx = _helper() + a._PAIR\n",
+    }
+    assert dead_private_names(sources) == [("a.py", "_Gone"), ("a.py", "_SMALL")]
