@@ -8,9 +8,7 @@ output directory and encodes its verdict in the exit code:
     3  inconclusive (tolerance band, or a precondition estimate failed)
     4  malformed configuration
 
-Identical configs (including the seed) produce byte-identical outputs.  The
-environment variable ULAMBDA_THREADS is an upper bound on internal
-parallelism; sweeps run single-threaded by default, which always complies.
+Identical configs (including the seed) produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import cmath
 import json
 import math
 import numbers
-import os
 import sys
 from pathlib import Path
 
@@ -47,17 +44,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_CONFIG = 4
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("ULAMBDA_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as e:
-        raise ConfigError(f"ULAMBDA_THREADS must be an integer, got {raw!r}") from e
-    if cap < 1:
-        raise ConfigError("ULAMBDA_THREADS must be >= 1")
-    return cap
 
 
 def _write_json(path: Path, obj) -> None:
@@ -89,13 +75,23 @@ def _lam(cfg: dict) -> float:
     return lam
 
 
+def _int(cfg: dict, key: str, default: int, minimum: int | None = None) -> int:
+    # int() would truncate a float and read a bool as 0 or 1
+    value = cfg.get(key, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def _order(cfg: dict) -> int:
     # below order 2 every coefficient (1 - k) q_k of U is 0, so the sweep
-    # would call any candidate Inside; bools and floats are not orders
-    order = cfg.get("order", 64)
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 2:
-        raise ConfigError(f"order must be an integer >= 2, got {order!r}")
-    return int(order)
+    # would call any candidate Inside
+    return _int(cfg, "order", 64, minimum=2)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +140,9 @@ def _random_point(rng: np.random.Generator, radius: float) -> complex:
 
 def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
     lam = _lam(cfg)
-    n_max = int(cfg.get("n_max", 10))
-    samples = int(cfg.get("samples", 100))
-    seed = int(cfg.get("seed", 0))
+    n_max = _int(cfg, "n_max", 10)
+    samples = _int(cfg, "samples", 100)
+    seed = _int(cfg, "seed", 0)
     grid = _grid(cfg)
     order = max(64, n_max)
     rng = np.random.default_rng(seed)
@@ -259,7 +255,8 @@ def cmd_julia(cfg: dict, out: Path) -> int:
 def cmd_region_a2(cfg: dict, out: Path) -> int:
     lam = _lam(cfg)
     omega = diskfun_from_json(cfg["omega"])
-    resolution = int(cfg.get("resolution", 512))
+    # c_omega_curve's own minimum, checked here so it is a config error
+    resolution = _int(cfg, "resolution", 512, minimum=64)
     region = bounds.c_omega_curve(omega, lam, resolution=resolution)
     (out / "region.csv").write_text(region.to_csv())
     (out / "region.svg").write_text(region.to_svg())
@@ -280,11 +277,11 @@ def cmd_region_a2(cfg: dict, out: Path) -> int:
 def cmd_f_roots(cfg: dict, out: Path) -> int:
     lams = cfg.get("lambdas")
     if lams is None:
-        n = int(cfg.get("lambda_count", 50))
+        n = _int(cfg, "lambda_count", 50)
         lams = list(np.linspace(0.02, 0.98, n))
     rs = cfg.get("Rs")
     if rs is None:
-        n = int(cfg.get("R_count", 50))
+        n = _int(cfg, "R_count", 50)
         rs = list(np.linspace(0.02, 0.98, n))
     lines = ["lambda,R,root,r_star"]
     mismatches = 0
@@ -380,7 +377,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        _threads_cap()
         cfg = _load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,13 @@
 """The class U(lambda): membership operator, representations, boundary
-obstruction and numerical subordination testing.
+obstruction and subordination testing.
 
 A candidate member f is carried as q(z) = z/f(z) with q(0) = 1, which keeps
 all series work away from the zero of f at the origin.  The membership
 quantity is q(z) - z q'(z) - 1, whose modulus must stay below lambda on the
-disk.
+disk.  The representation theorem's two majorants, 1 + 2 lam z + lam z^2 and
+(1 - z)(1 - lam z), are quadratics, so subordination to them is decided by
+the closed-form inverse of each (``QuadraticMajorant``), not by a sampled
+boundary curve.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
     OutOfRange,
     OutsideDisk,
 )
-from .geometry import BOUNDARY, OUTSIDE, BoundaryRegion
+from .geometry import BOUNDARY, INSIDE, OUTSIDE
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
@@ -283,21 +286,51 @@ class SubordinationVerdict:
         return out
 
 
+@dataclass(frozen=True)
+class QuadraticMajorant:
+    """The quadratic h(zeta) = 1 + b zeta + lam zeta^2 on the unit disk.
+
+    h is univalent on the disk when its critical point -b/(2 lam) is real
+    with modulus >= 1.  The roots of h(zeta) = w then lie mirrored through
+    that point, so at most one of them is in the open disk, and w lies in
+    h(disk) exactly when the root of smaller modulus does.
+    """
+
+    b: float
+    lam: float
+    tol: float = 1e-7
+
+    def classify(self, w) -> np.ndarray:
+        """OUTSIDE, INSIDE or BOUNDARY for each w, as int8 codes of w's shape.
+
+        The smaller root is -2(1 - w)/(b + s), s = +-sqrt(b^2 - 4 lam (1 - w))
+        with the sign that makes |b + s| the larger (Vieta's product form,
+        which does not cancel).  w is on the curve h(unit circle) when that
+        root's modulus is within tol of 1.
+        """
+        c = 1 - np.asarray(w, dtype=complex)
+        s = np.sqrt(self.b**2 - 4 * self.lam * c)
+        plus, minus = self.b + s, self.b - s
+        r = np.abs(-2 * c / np.where(np.abs(plus) >= np.abs(minus), plus, minus))
+        codes = np.where(r < 1, INSIDE, OUTSIDE)
+        return np.where(np.abs(r - 1) <= self.tol, BOUNDARY, codes).astype(np.int8)
+
+
 def subordination_check(
     g: TruncatedSeries,
-    h_boundary: BoundaryRegion,
+    h_boundary: QuadraticMajorant,
     h_at_0: complex,
     test_radii=(0.3, 0.6, 0.9),
     angles: int = 360,
 ) -> SubordinationVerdict:
-    """Numerical test of g < h for a univalent majorant h.
+    """Numerical test of g < h for a quadratic majorant h.
 
-    Checks g(0) = h(0) and that every sampled g(r e^{i theta}) lies inside
-    the sampled boundary curve of h.  A sample within the containment
-    tolerance of the curve makes the result Inconclusive rather than a
-    verdict either way.  The witness is the first outside sample in
-    (radius, angle) order, else the first on-curve sample, a point of
-    ``series.ring``, which validates ``angles``.
+    Checks g(0) = h(0) and that every sampled g(r e^{i theta}) lies in
+    h(disk), decided by the disk root of h(zeta) = g (``classify``).  A
+    sample whose root lies within the tolerance of the unit circle makes the
+    result Inconclusive rather than a verdict either way.  The witness is the
+    first outside sample in (radius, angle) order, else the first on-curve
+    sample, a point of ``series.ring``, which validates ``angles``.
     """
     radii = tuple(float(r) for r in test_radii)
     if not radii or any(not (0 < r < 1) for r in radii):
@@ -313,22 +346,24 @@ def subordination_check(
     return SubordinationVerdict("Holds")
 
 
-def majorant_h_boundary(lam: float, resolution: int = 4096, tol: float = 1e-7) -> BoundaryRegion:
-    """Boundary curve of h(z) = 1 + 2 lam z + lam z^2 (univalent on the disk:
-    h' vanishes only at z = -1)."""
-    return BoundaryRegion.from_function(
-        lambda z: 1 + 2 * lam * z + lam * z**2, resolution=resolution, tol=tol
-    )
+def majorant_h_boundary(lam: float, resolution: int = 4096, tol: float = 1e-7) -> QuadraticMajorant:
+    """The majorant h(z) = 1 + 2 lam z + lam z^2 (univalent on the disk: h'
+    vanishes only at z = -1).
+
+    ``resolution`` is ignored: containment uses the exact inverse of h, not
+    boundary samples.  The parameter stays so existing callers keep working.
+    """
+    return QuadraticMajorant(2 * lam, lam, tol)
 
 
-def extremal_q_boundary(lam: float, resolution: int = 4096, tol: float = 1e-7) -> BoundaryRegion:
-    """Boundary curve of (1 - z)(1 - lam z), the extremal q.
+def extremal_q_boundary(lam: float, resolution: int = 4096, tol: float = 1e-7) -> QuadraticMajorant:
+    """The extremal q, (1 - z)(1 - lam z) = 1 - (1 + lam) z + lam z^2, whose
+    critical point (1 + lam)/(2 lam) is >= 1.
 
     Used for the second subordination of the representation theorem in its
     reciprocal-equivalent form q < (1 - z)(1 - lam z): since inversion is
     injective and the extremal q omits 0 on the open disk, this is the same
-    range inclusion as f/z < 1/((1 - z)(1 - lam z)) with a bounded curve.
+    range inclusion as f/z < 1/((1 - z)(1 - lam z)) with a bounded region.
+    ``resolution`` is ignored, as for ``majorant_h_boundary``.
     """
-    return BoundaryRegion.from_function(
-        lambda z: (1 - z) * (1 - lam * z), resolution=resolution, tol=tol
-    )
+    return QuadraticMajorant(-(1 + lam), lam, tol)

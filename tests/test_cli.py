@@ -367,6 +367,38 @@ class TestHarness:
         code, _ = run(tmp_path, command, dict(Z_SQUARED[command], order=2))
         assert code == expect
 
+    @pytest.mark.parametrize("command,cfg,key", [
+        # 512.9 used to run at resolution 512, and n_max 6.7 with samples
+        # true at n_max 6 with 1 sample, both with exit 0
+        ("region-a2", {"resolution": 512.9}, "resolution"),
+        ("verify-conjecture", {"n_max": 6.7, "samples": True}, "n_max"),
+        ("verify-conjecture", {"samples": True}, "samples"),
+        ("verify-conjecture", {"seed": "3"}, "seed"),
+        ("f-roots", {"lambda_count": 8.0}, "lambda_count"),
+        ("f-roots", {"R_count": False}, "R_count"),
+    ])
+    def test_non_integral_counts_are_a_config_error(self, tmp_path, capsys, command, cfg, key):
+        base = {"lambda": 0.5, "omega": {"kind": "moebius", "a": 0.3}}
+        code, out = run(tmp_path, command, {**base, **cfg})
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{key} must be an integer" in err and f"got {cfg[key]!r}" in err
+        assert list(out.iterdir()) == []
+
+    def test_region_resolution_below_64_is_a_config_error(self, tmp_path, capsys):
+        # c_omega_curve's OutOfRange used to exit 3, inconclusive
+        code, out = run(tmp_path, "region-a2",
+                        {"lambda": 0.5, "resolution": 32, "omega": {"kind": "moebius", "a": 0.3}})
+        assert code == 4
+        assert "resolution must be an integer >= 64, got 32" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_threads_variable_is_not_read(self, tmp_path, monkeypatch):
+        # it used to be validated (0 exited 4) and then never used
+        monkeypatch.setenv("ULAMBDA_THREADS", "0")
+        code, _ = run(tmp_path, "membership", {"lambda": 0.5, "candidate": {"type": "extremal"}})
+        assert code == 0
+
     def test_missing_config_file(self, tmp_path):
         code = main(["membership", "--config", str(tmp_path / "nope.json")])
         assert code == 4

@@ -6,6 +6,7 @@ import pytest
 
 from ulambda.core import (
     GridSpec,
+    QuadraticMajorant,
     SubordinationVerdict,
     UCandidate,
     count_disk_zeros,
@@ -31,7 +32,7 @@ from ulambda.errors import (
     OutOfRange,
     OutsideDisk,
 )
-from ulambda.geometry import BoundaryRegion
+from ulambda.geometry import BOUNDARY, INSIDE, LABELS, OUTSIDE, BoundaryRegion
 from ulambda.series import TruncatedSeries, ring, series_eval, series_eval_many
 
 EPS = np.finfo(float).eps
@@ -316,8 +317,8 @@ class TestSubordination:
 
 
 def reference_subordination(g, h_boundary, h_at_0, test_radii=(0.3, 0.6, 0.9), angles=360):
-    """The per-sample scan ``subordination_check`` made before it classified
-    all samples in one call."""
+    """The per-sample scan: one ``classify`` call per sample, in (radius,
+    angle) order."""
     g0 = complex(series_eval_many(g, np.asarray(0j))[()])
     if abs(g0 - complex(h_at_0)) > 1e-9:
         return SubordinationVerdict("Fails", witness=0j)
@@ -327,7 +328,7 @@ def reference_subordination(g, h_boundary, h_at_0, test_radii=(0.3, 0.6, 0.9), a
     for r in test_radii:
         pts = series_eval_many(g, r * ring)
         for z, w in zip(r * ring, pts):
-            where = h_boundary.contains(complex(w))
+            where = LABELS[int(h_boundary.classify(w))]
             if where == "outside":
                 return SubordinationVerdict("Fails", witness=complex(z))
             if where == "boundary" and inconclusive is None:
@@ -335,11 +336,6 @@ def reference_subordination(g, h_boundary, h_at_0, test_radii=(0.3, 0.6, 0.9), a
     if inconclusive is not None:
         return SubordinationVerdict("Inconclusive", witness=inconclusive)
     return SubordinationVerdict("Holds")
-
-
-def polygon_circle(n):
-    t = np.linspace(0, 2 * np.pi, n + 1)
-    return BoundaryRegion(np.exp(1j * t))
 
 
 class TestSubordinationWitness:
@@ -356,31 +352,98 @@ class TestSubordinationWitness:
         lam = 0.5
         cand = dilate(extremal(lam, 2.0), 0.8)
         g1 = TruncatedSeries(cand.q.coeffs + np.where(np.arange(65) == 1, cand.a2, 0))
-        self.check("Holds", g1, majorant_h_boundary(lam, resolution=1024), 1.0)
-        self.check("Holds", cand.q, extremal_q_boundary(lam, resolution=1024), 1.0)
+        self.check("Holds", g1, majorant_h_boundary(lam), 1.0)
+        self.check("Holds", cand.q, extremal_q_boundary(lam), 1.0)
 
     def test_nonmembers_fail_at_first_outside_sample(self):
         lam = 0.5
-        h1 = majorant_h_boundary(lam, resolution=1024)
+        h1 = majorant_h_boundary(lam)
         radii = (0.3, 0.6, 0.9, 0.99)
         self.check("Fails", TruncatedSeries.from_coeffs([1, 3 * lam], order=16), h1, 1.0, test_radii=radii)
         q = extremal(lam, 1.0).q.coeffs.copy()
         q[1] -= 6.5 * cmath.exp(0.7j)
         g = TruncatedSeries(q)
-        verdict = self.check("Fails", g, extremal_q_boundary(lam, resolution=1024), 1.0)
+        verdict = self.check("Fails", g, extremal_q_boundary(lam), 1.0)
         assert abs(verdict.witness) == 0.3
 
+    # g(z) = h(2z) for h = (1 - z)(1 - z/2).  The roots of h(zeta) = g(z) are
+    # 2z and 3 - 2z, so g maps the 0.5-circle onto the curve h(unit circle)
+    # and the 0.9-circle outside h(disk)
+    h_of_2z = TruncatedSeries.from_coeffs([1, -3, 2], order=4)
+
     def test_boundary_sample_before_outside_sample_fails(self):
-        # 2z maps the 0.5-circle onto the polygon's vertices, the 0.9-circle
-        # outside it
-        g = TruncatedSeries.from_coeffs([0, 2], order=4)
-        verdict = self.check("Fails", g, polygon_circle(720), 0.0, test_radii=(0.5, 0.9))
+        verdict = self.check("Fails", self.h_of_2z, extremal_q_boundary(0.5), 1.0, test_radii=(0.5, 0.9))
         assert verdict.witness == 0.9
 
     def test_boundary_samples_only_inconclusive(self):
-        g = TruncatedSeries.from_coeffs([0, 2], order=4)
-        verdict = self.check("Inconclusive", g, polygon_circle(720), 0.0, test_radii=(0.3, 0.5))
+        verdict = self.check("Inconclusive", self.h_of_2z, extremal_q_boundary(0.5), 1.0, test_radii=(0.3, 0.5))
         assert verdict.witness == 0.5
+
+
+# each majorant constructor with the map it stands for
+MAJORANTS = {
+    "h1": (majorant_h_boundary, lambda lam, z: 1 + 2 * lam * z + lam * z**2),
+    "extremal_q": (extremal_q_boundary, lambda lam, z: (1 - z) * (1 - lam * z)),
+}
+MAJORANT_LAMBDAS = (0.25, 0.5, 0.9, 1.0)
+
+
+class TestQuadraticMajorant:
+    """The disk root of h(zeta) = w decides where w lies."""
+
+    @pytest.mark.parametrize("name", sorted(MAJORANTS))
+    @pytest.mark.parametrize("lam", MAJORANT_LAMBDAS)
+    def test_at_most_one_root_in_disk(self, name, lam):
+        h = MAJORANTS[name][0](lam)
+        rng = np.random.default_rng(21)
+        w = rng.uniform(-1, 4, 400) + 1j * rng.uniform(-3, 3, 400)
+        codes = h.classify(w)
+        assert codes.shape == w.shape and codes.dtype == np.int8
+        for wk, code in zip(w, codes):
+            moduli = np.abs(np.roots([h.lam, h.b, 1 - wk]))
+            assert np.count_nonzero(moduli < 1) <= 1
+            if np.min(np.abs(moduli - 1)) > 1e-6:
+                assert code == (INSIDE if np.min(moduli) < 1 else OUTSIDE)
+
+    @pytest.mark.parametrize("name", sorted(MAJORANTS))
+    @pytest.mark.parametrize("lam", MAJORANT_LAMBDAS)
+    def test_curve_and_tolerance_band_are_boundary(self, name, lam):
+        make, h_of = MAJORANTS[name]
+        h = make(lam)
+        z = ring(1.0, 720)
+        for r in (1.0, 1 - h.tol / 2, 1 + h.tol / 2):
+            assert np.all(h.classify(h_of(lam, r * z)) == BOUNDARY)
+        assert np.all(h.classify(h_of(lam, 0.999 * z)) == INSIDE)
+
+    @pytest.mark.parametrize("name", sorted(MAJORANTS))
+    @pytest.mark.parametrize("lam", MAJORANT_LAMBDAS)
+    def test_agrees_with_dense_polygon(self, name, lam):
+        make, h_of = MAJORANTS[name]
+        h = make(lam)
+        pts = h_of(lam, ring(1.0, 4096))
+        polygon = BoundaryRegion(np.concatenate([pts, pts[:1]]))
+        rng = np.random.default_rng(8)
+        # near the curve and across its bounding box
+        t = rng.uniform(0, 2 * math.pi, 300)
+        w = np.concatenate([
+            h_of(lam, rng.uniform(0.98, 1.02, 300) * np.exp(1j * t)),
+            rng.uniform(-1, 4, 200) + 1j * rng.uniform(-3, 3, 200),
+        ])
+        far = [wk for wk in w if polygon.distance(wk) > 1e-5]
+        assert len(far) > 400
+        assert [LABELS[c] for c in h.classify(np.array(far))] == [polygon.contains(wk) for wk in far]
+
+    def test_zero_d_and_non_finite(self):
+        h = majorant_h_boundary(0.5)
+        assert h.classify(1.0 + 0j).shape == ()
+        assert h.classify(1.0) == INSIDE
+        with np.errstate(invalid="ignore"):
+            assert h.classify(np.nan + 0j) == OUTSIDE
+
+    def test_resolution_ignored(self):
+        # the frozen benchmark still passes resolution=
+        assert majorant_h_boundary(0.5, resolution=1024) == majorant_h_boundary(0.5) == QuadraticMajorant(1.0, 0.5)
+        assert extremal_q_boundary(0.5, resolution=1024) == QuadraticMajorant(-1.5, 0.5)
 
 
 class TestSubordinationGrid:
