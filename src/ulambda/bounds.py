@@ -5,7 +5,12 @@ finder and both sharpness constructions.
 
 ``b_a`` and ``diskfun.antiderivative`` take a point or an array of points, so
 the sampled curve of ``c_omega_curve`` and the checks inside the sharpness
-constructions each cost one vectorized call.  ``v_of_omega`` and
+constructions each cost one vectorized call.  ``b_a`` guards the branch
+point and evaluates ``diskfun._moebius_mean``, the same B_a that a Moebius
+shift's exact primitive z B_a(z e^{i psi}) uses, so ``v_of_omega`` and the
+fixed-point iteration of a Moebius omega do no quadrature.  The sharpness
+self-checks compare that closed form with ``diskfun.gauss_legendre``; against
+itself they would read 0 by construction.  ``v_of_omega`` and
 ``max_boundary_ba`` share one boundary-max search, ``_circle_max``: one call
 on a ``series.ring`` of the unit circle, then golden-section refinement
 around the best sample.  Only that refinement and the fixed-point iteration
@@ -21,13 +26,20 @@ from functools import partial
 
 import numpy as np
 
-from .diskfun import DiskFunction, MoebiusShift, _any, _by_mask, antiderivative
+from .diskfun import (
+    DiskFunction,
+    MoebiusShift,
+    _any,
+    _disk_points,
+    _moebius_mean,
+    antiderivative,
+    gauss_legendre,
+)
 from .errors import (
     BranchPointSingularity,
     NoConvergence,
     NotContractive,
     OutOfRange,
-    OutsideDisk,
     SelfIntersectionSuspected,
 )
 from .geometry import BoundaryRegion
@@ -101,12 +113,6 @@ def rogosinski_check(w: DiskFunction, lam: float, n: int, order: int | None = No
 # ---------------------------------------------------------------------------
 # v(x) and B_a(z)
 
-# B_a takes its 32-term series for |conj(a) z| below this: the series'
-# truncation error stays below 0.3^32, while the closed form loses accuracy
-# as |conj(a) z| shrinks (log1p rounds 1 + conj(a) z first and the
-# prefactor grows like 1/|conj(a) z|).
-_B_A_SERIES = 0.3
-
 
 def v_of_x(x: float) -> float:
     """v(x) = int_0^1 (x + t)/(1 + x t) dt, the sharp antiderivative bound.
@@ -121,40 +127,22 @@ def v_of_x(x: float) -> float:
     return b_a(x, 1.0).real
 
 
-def _b_a_small(a: complex, z, w):
-    # B_a(z) = a + (1 - |a|^2) z sum_{j>=0} (-w)^j / (j + 2)
-    acc = 0j
-    for j in range(31, -1, -1):
-        acc = acc * (-w) + 1.0 / (j + 2)
-    return a + (1 - abs(a) ** 2) * z * acc
-
-
-def _b_a_closed(a: complex, z, w):
-    return 1 / np.conj(a) - (1 - abs(a) ** 2) / (np.conj(a) ** 2 * z) * np.log1p(w)
-
-
 def b_a(a: complex, z):
     """Majorant B_a(z) of (1/z) int_0^z omega for omega with omega(0) = a,
     at a point or an array of points (same shape out; a 0-d z gives a
     complex).
 
-    Branches: the constant a for |a| = 1, z/2 for a = 0 (covered by the
-    series path), otherwise 1/conj(a) - ((1-|a|^2)/(conj(a)^2 z)) log(1+conj(a) z)
-    with the principal logarithm.  Each element takes the series for
-    |conj(a) z| < 0.3 and the closed form elsewhere; each branch runs only on
-    its own elements.
+    Branches: the constant a for |a| = 1, otherwise ``diskfun._moebius_mean``
+    (a 32-term series for |conj(a) z| < 0.3, the principal-log closed form
+    beyond).  Raises BranchPointSingularity within 1e-9 of conj(a) z = -1.
     """
     a = complex(a)
-    z = np.asarray(z, dtype=complex)[()]  # a 0-d z becomes a fast numpy scalar
-    modulus = abs(z)
-    if _any(modulus > 1 + 1e-12):
-        raise OutsideDisk(f"|z| = {float(np.max(modulus)):.6f} > 1")
+    z = _disk_points(z)
     if abs(abs(a) - 1) <= 1e-12:
         return np.full(z.shape, a) if z.ndim else a
-    w = np.conj(a) * z
-    if _any(abs(1 + w) <= 1e-9):
+    if _any(abs(1 + np.conj(a) * z) <= 1e-9):
         raise BranchPointSingularity("conj(a) z at the branch point -1")
-    out = _by_mask(abs(w) < _B_A_SERIES, partial(_b_a_small, a), partial(_b_a_closed, a), z, w)
+    out = _moebius_mean(a, z)
     return out if z.ndim else complex(out)
 
 
@@ -324,10 +312,10 @@ class RegionA2:
         return self.curve.contains(complex(a2))
 
     def to_csv(self) -> str:
-        lines = ["theta,re,im"]
-        for t, p in zip(self.thetas, self.curve.samples):
-            lines.append(f"{t:.17g},{p.real:.17g},{p.imag:.17g}")
-        return "\n".join(lines) + "\n"
+        pts = self.curve.samples
+        columns = (self.thetas.tolist(), pts.real.tolist(), pts.imag.tolist())
+        rows = map("{:.17g},{:.17g},{:.17g}".format, *columns)
+        return "theta,re,im\n" + "\n".join(rows) + "\n"
 
     def to_svg(self, size: int = 512) -> str:
         pts = self.curve.samples
@@ -336,14 +324,9 @@ class RegionA2:
         span = max(hi.real - lo.real, hi.imag - lo.imag, 1e-9)
         pad = 0.05 * span
         scale = size / (span + 2 * pad)
-
-        def sx(p):
-            return (p.real - lo.real + pad) * scale
-
-        def sy(p):
-            return size - (p.imag - lo.imag + pad) * scale
-
-        path = "M " + " L ".join(f"{sx(p):.3f} {sy(p):.3f}" for p in pts) + " Z"
+        sx = (pts.real - lo.real + pad) * scale
+        sy = size - (pts.imag - lo.imag + pad) * scale
+        path = "M " + " L ".join(map("{:.3f} {:.3f}".format, sx.tolist(), sy.tolist())) + " Z"
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
             f'viewBox="0 0 {size} {size}">\n'
@@ -434,7 +417,8 @@ def sharpness_g_thm5(lam: float, a: float, order: int = DEFAULT_ORDER) -> tuple:
     grid = GridSpec()
     min_abs = float(np.min(np.abs(ring_eval(cand.q, grid.radii, grid.angles))))
 
-    g_at_1 = 1 - 1 - lam * 1 * (v - antiderivative(omega, 1.0))
+    # v = B_a(1) in closed form against the quadrature of omega over [0, 1]
+    g_at_1 = 1 - 1 - lam * 1 * (v - gauss_legendre(omega, 1.0))
 
     report = {
         "a2": a2,
@@ -479,7 +463,9 @@ def sharpness_construction_thm6(lam: float, a: complex, order: int = DEFAULT_ORD
 
     k = np.arange(100)
     z = 0.95 * np.exp(2j * math.pi * k / 100) * (0.2 + 0.8 * ((13 * k) % 100) / 100)
-    ident = float(np.max(np.abs(antiderivative(omega, z) - z * b_a(a, z * cmath.exp(1j * psi)))))
+    # quadrature against the closed form: antiderivative(omega, z) is itself
+    # z B_a(z e^{i psi}), so it would make this 0 by construction
+    ident = float(np.max(np.abs(gauss_legendre(omega, z) - z * b_a(a, z * cmath.exp(1j * psi)))))
 
     report = {
         "t0": t0,

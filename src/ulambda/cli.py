@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import numbers
@@ -364,7 +365,10 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call rather than at import, so importing the
+    # module stays cheap; every later call reuses it
     parser = argparse.ArgumentParser(
         prog="ulambda",
         description="Numerical experiments on the univalence class U(lambda)",
@@ -374,7 +378,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _load_config(args.config)

@@ -5,16 +5,21 @@ transforms, Blaschke products, rotated monomials, polynomials normalized by
 the sum of absolute coefficients), so membership in the class of unit-bounded
 functions never rests on a numerical optimization.
 
-``antiderivative`` integrates a family along [0, z] by Gauss-Legendre
-quadrature at one point or at a whole array of points.  An array costs one
-vectorized ``eval`` on a (points x nodes) matrix per quadrature rule it needs
-(one segment near the origin, two farther out), not one call per point.
+``antiderivative`` integrates a family along [0, z] at one point or at a
+whole array of points.  Moebius shifts, monomials and polynomials have an exact
+primitive and take it; a Moebius shift's is z B_a(z e^{i psi}), where
+``_moebius_mean`` is the one implementation of the majorant B_a that
+``bounds.b_a`` also calls.  Blaschke products take ``gauss_legendre``, a
+16-node rule on one segment near the origin and on two farther out, which
+costs one vectorized ``eval`` on a (points x nodes) matrix per segment count
+it needs, not one call per point.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -56,6 +61,10 @@ class DiskFunction:
     def base_point(self) -> complex:
         """Value at the origin."""
         return complex(self.eval(0j))
+
+    def _primitive(self, z):
+        # int_0^z self for an array or numpy scalar z in the closed disk
+        return gauss_legendre(self, z)
 
     def _check_bounded(self):
         vals = self.eval(ring(1.0, _BOUNDARY_SAMPLES))
@@ -106,6 +115,12 @@ class MoebiusShift(DiskFunction):
         if self._degenerate:
             return TruncatedSeries.from_coeffs([self.a], order=order)
         return TruncatedSeries(_moebius_coeffs(self.a, order, cmath.exp(1j * self.psi)))
+
+    def _primitive(self, z):
+        if self._degenerate:
+            return self.a * z
+        # substituting u = t e^{i psi}: int_0^z omega = z B_a(z e^{i psi})
+        return z * _moebius_mean(self.a, z * cmath.exp(1j * self.psi))
 
 
 def _moebius_coeffs(a: complex, order: int, e: complex = 1.0) -> np.ndarray:
@@ -194,6 +209,9 @@ class Monomial(DiskFunction):
             c[self.k] = cmath.exp(1j * self.theta)
         return TruncatedSeries(c)
 
+    def _primitive(self, z):
+        return cmath.exp(1j * self.theta) * z ** (self.k + 1) / (self.k + 1)
+
 
 @dataclass(frozen=True)
 class ScaledPolynomial(DiskFunction):
@@ -236,12 +254,50 @@ class ScaledPolynomial(DiskFunction):
             [c / self.normalizer for c in self.raw], order=order
         )
 
+    def _primitive(self, z):
+        # Horner on the integrated coefficients 0, p_0, p_1/2, p_2/3, ...
+        acc = np.zeros(z.shape, dtype=complex)
+        for k in range(len(self.raw) - 1, -1, -1):
+            acc = acc * z + self.raw[k] / (k + 1)
+        return acc * z / self.normalizer
+
 
 def schwarz_pick_envelope(a_mod: float, r: float) -> float:
     """Sharp bound (|a| + r) / (1 + |a| r) on |w(z)| when w(0) = a, |z| = r."""
     if not (0 <= a_mod <= 1 and 0 <= r <= 1):
         raise ValueError("arguments must lie in [0, 1]")
     return (a_mod + r) / (1 + a_mod * r)
+
+
+# B_a takes its 32-term series for |conj(a) z| below this: the series'
+# truncation error stays below 0.3^32, while the closed form loses accuracy
+# as |conj(a) z| shrinks (log1p rounds 1 + conj(a) z first and the
+# prefactor grows like 1/|conj(a) z|).
+_B_A_SERIES = 0.3
+
+
+def _b_a_small(a: complex, z, w):
+    # B_a(z) = a + (1 - |a|^2) z sum_{j>=0} (-w)^j / (j + 2)
+    acc = 0j
+    for j in range(31, -1, -1):
+        acc = acc * (-w) + 1.0 / (j + 2)
+    return a + (1 - abs(a) ** 2) * z * acc
+
+
+def _b_a_closed(a: complex, z, w):
+    return 1 / np.conj(a) - (1 - abs(a) ** 2) / (np.conj(a) ** 2 * z) * np.log1p(w)
+
+
+def _moebius_mean(a: complex, z):
+    """B_a(z) = (1/z) int_0^z (a + u)/(1 + conj(a) u) du for |a| < 1, at an
+    array or numpy scalar z with conj(a) z off the branch point -1.
+
+    Each element takes the series for |conj(a) z| < 0.3 and the closed form
+    1/conj(a) - ((1-|a|^2)/(conj(a)^2 z)) log(1+conj(a) z) elsewhere; each
+    branch runs only on its own elements.  a = 0 gives z/2 (series path).
+    """
+    w = np.conj(a) * z
+    return _by_mask(abs(w) < _B_A_SERIES, partial(_b_a_small, a), partial(_b_a_closed, a), z, w)
 
 
 # 16-point Gauss-Legendre rule mapped to [0, 1] (nodes t, weights w), and the
@@ -273,23 +329,45 @@ def _by_mask(mask, on, off, *args):
     return out
 
 
-def antiderivative(fun: DiskFunction, z):
-    """Line integral of fun along [0, z] for a point or an array of points.
-
-    16-point Gauss-Legendre quadrature on one segment where |z| <= 0.5 and on
-    two (halves of [0, z]) elsewhere; the integrands are analytic and bounded
-    by 1.  An array costs one fun.eval call on a (points x nodes) matrix per
-    rule used; the result has the shape of z, and a 0-d z gives a complex.
-    """
-    z = np.asarray(z, dtype=complex)[()]  # a 0-d z becomes a fast numpy scalar
+def _disk_points(z):
+    """z as a complex array (a 0-d z as a fast numpy scalar); raises
+    OutsideDisk unless every point lies in the closed unit disk."""
+    z = np.asarray(z, dtype=complex)[()]
     modulus = abs(z)
     if _any(modulus > 1 + 1e-12):
         raise OutsideDisk(f"|z| = {float(np.max(modulus)):.6f} > 1")
+    return z
+
+
+def antiderivative(fun: DiskFunction, z):
+    """Line integral of fun along [0, z] for a point or an array of points.
+
+    Takes the family's exact primitive where it has one (Moebius shift,
+    monomial, polynomial) and ``gauss_legendre`` otherwise.  The result has
+    the shape of z, and a 0-d z gives a complex.
+    """
+    z = _disk_points(z)
+    out = fun._primitive(z)
+    return out if z.ndim else complex(out)
+
+
+def gauss_legendre(fun: DiskFunction, z):
+    """Line integral of fun along [0, z] by 16-point Gauss-Legendre
+    quadrature, at a point or an array of points, with the shape rules and
+    the OutsideDisk check of ``antiderivative``.
+
+    One segment where |z| <= 0.5 and two (halves of [0, z]) elsewhere; the
+    integrands are analytic and bounded by 1.  An array costs one fun.eval
+    call on a (points x nodes) matrix per rule used.  Independent of every
+    closed form, so it is also the reference the sharpness checks compare
+    them with.
+    """
+    z = _disk_points(z)
 
     def rule(nodes, weights):
         return lambda z: z * (fun.eval(z[..., None] * nodes) @ weights)
 
-    out = _by_mask(modulus > 0.5, rule(*_TWO_SEGMENTS), rule(*_ONE_SEGMENT), z)
+    out = _by_mask(abs(z) > 0.5, rule(*_TWO_SEGMENTS), rule(*_ONE_SEGMENT), z)
     return out if z.ndim else complex(out)
 
 

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from test_diskfun import sample_functions
 
 import ulambda.bounds as bounds_module
+import ulambda.diskfun as diskfun_module
 from ulambda.bounds import (
     BoundTable,
     b_a,
@@ -543,6 +544,43 @@ class TestRegionA2:
         svg = region.to_svg()
         assert svg.startswith("<svg") and "path" in svg
 
+    @pytest.mark.parametrize("resolution", [64, 513, 1024, 4096])
+    @pytest.mark.parametrize(
+        "omega", [ZERO_FUN, MoebiusShift(0.8, 1.0), MoebiusShift(-0.3 + 0.5j, 4.0), Blaschke((0.3j,))], ids=repr
+    )
+    def test_artifacts_match_per_sample_loop(self, omega, resolution):
+        region = c_omega_curve(omega, 0.6, resolution=resolution)
+        assert region.to_csv() == reference_csv(region)
+        for size in (512, 97):
+            assert region.to_svg(size) == reference_svg(region, size)
+
+
+def reference_csv(region):
+    """``RegionA2.to_csv`` as it formatted one numpy sample at a time."""
+    lines = ["theta,re,im"]
+    for t, p in zip(region.thetas, region.curve.samples):
+        lines.append(f"{t:.17g},{p.real:.17g},{p.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_svg(region, size):
+    """``RegionA2.to_svg`` as it mapped one numpy sample at a time."""
+    pts = region.curve.samples
+    lo = complex(np.min(pts.real), np.min(pts.imag))
+    hi = complex(np.max(pts.real), np.max(pts.imag))
+    span = max(hi.real - lo.real, hi.imag - lo.imag, 1e-9)
+    pad = 0.05 * span
+    scale = size / (span + 2 * pad)
+    path = "M " + " L ".join(
+        f"{(p.real - lo.real + pad) * scale:.3f} {size - (p.imag - lo.imag + pad) * scale:.3f}" for p in pts
+    ) + " Z"
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">\n'
+        f'<path d="{path}" fill="none" stroke="black" stroke-width="1"/>\n'
+        "</svg>\n"
+    )
+
 
 class TestSharpnessThm5:
     def test_half_half(self):
@@ -581,6 +619,37 @@ class TestSharpnessThm6:
         assert rep["integral_identity_max_err"] < 1e-9
         assert rep["d_boundary_residual"] < 1e-8
         assert rep["a2_bound_residual"] < 1e-12
+
+
+class TestSharpnessSelfChecks:
+    """The closed-form B_a is checked against quadrature, not against
+    itself: a Moebius shift's primitive is z B_a(z e^{i psi}), so a check
+    through ``antiderivative`` would read 0 whatever B_a computes."""
+
+    @pytest.fixture
+    def shifted_kernel(self, monkeypatch):
+        kernel = diskfun_module._moebius_mean
+
+        def shifted(a, z):
+            return kernel(a, z) + 1e-6
+
+        # every binding of the one B_a implementation
+        monkeypatch.setattr(diskfun_module, "_moebius_mean", shifted)
+        monkeypatch.setattr(bounds_module, "_moebius_mean", shifted)
+
+    def test_exact_kernel_passes(self):
+        _, _, rep5 = sharpness_g_thm5(1.0, 0.5)
+        rep6 = sharpness_construction_thm6(0.4, 0.3 - 0.2j)[5]
+        assert rep5["g_at_1_abs"] < 1e-14
+        assert rep6["integral_identity_max_err"] < 1e-14
+
+    def test_shifted_kernel_shows(self, shifted_kernel):
+        # g(1) = lam (B_a(1) - int_0^1 omega) moves by lam 1e-6; the identity
+        # error by 1e-6 |z|, and the largest |z| of its points is 0.942
+        _, _, rep5 = sharpness_g_thm5(1.0, 0.5)
+        rep6 = sharpness_construction_thm6(0.4, 0.3 - 0.2j)[5]
+        assert rep5["g_at_1_abs"] >= 0.999e-6
+        assert rep6["integral_identity_max_err"] >= 0.94e-6
 
 
 class TestBoundTable:

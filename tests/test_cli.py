@@ -213,6 +213,35 @@ class TestRegionA2:
         assert rep["queries"][0]["distance_to_curve"] < 1e-3
 
 
+class TestNearUnitBasePoint:
+    """A Moebius omega with |a| = 1 - 1e-10 is not degenerate, and its pole
+    -1/conj(a) lies 1e-10 beyond the circle.  The exact primitive guards no
+    branch point, so the configs that integrate omega still finish; b_a keeps
+    its guard, which ends the sharpness scan."""
+
+    OMEGA = {"kind": "moebius", "a": 0.9999999999}
+
+    @pytest.mark.parametrize("psi", [0.0, 2.0])
+    def test_region(self, tmp_path, psi):
+        code, out = run(tmp_path, "region-a2",
+                        {"lambda": 0.5, "omega": {**self.OMEGA, "psi": psi}, "queries": [0.1, 3.0]})
+        assert code == 0
+        where = [q["where"] for q in json.loads((out / "region.json").read_text())["queries"]]
+        assert where == ["inside", "outside"]
+
+    @pytest.mark.parametrize("psi", [0.0, 2.0])
+    def test_fixed_point(self, tmp_path, psi):
+        code, out = run(tmp_path, "fixed-point",
+                        {"lambda": 0.5, "a2": 2.5, "omega": {**self.OMEGA, "psi": psi}})
+        assert code == 0
+        assert json.loads((out / "fixed_point.json").read_text())["q_residual"] < 1e-9
+
+    def test_sharpness_hits_the_branch_point(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "sharpness", {"lambda": 0.5, "a": 0.9999999999})
+        assert code == 3
+        assert "branch point" in capsys.readouterr().err
+
+
 class TestFRoots:
     def test_grid_consistency(self, tmp_path):
         code, out = run(tmp_path, "f-roots", {"lambda_count": 20, "R_count": 20})

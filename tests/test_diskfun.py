@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from ulambda.diskfun import (
     ScaledPolynomial,
     antiderivative,
     diskfun_from_json,
+    gauss_legendre,
     schwarz_pick_envelope,
 )
 from ulambda.errors import BasePointOutsideClosedDisk, OutsideDisk, ZeroOnOrOutsideBoundary
@@ -176,7 +178,7 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def reference_antiderivative(fun, z):
-    """The per-point rule ``antiderivative`` followed before it took arrays:
+    """The per-point rule ``gauss_legendre`` followed before it took arrays:
     16-point Gauss-Legendre on [0, z], split at z/2 when |z| > 0.5."""
 
     def segment(z0, z1):
@@ -200,43 +202,133 @@ def disk_points(rng, n):
 
 
 class TestAntiderivativeBatch:
-    """An array call agrees with the per-point rule and keeps the shape."""
+    """A ``gauss_legendre`` array call agrees with the per-point rule and
+    keeps the shape; ``antiderivative`` keeps the same shape rules."""
 
     FAMILIES = sample_functions() + [MoebiusShift(1.0, 0.0), MoebiusShift(0.95j, 2.0)]
 
     @pytest.mark.parametrize("fun", FAMILIES, ids=repr)
     def test_matches_per_point_rule(self, fun):
         z = disk_points(np.random.default_rng(21), 40)
-        batch = antiderivative(fun, z)
+        batch = gauss_legendre(fun, z)
         ref = np.array([reference_antiderivative(fun, p) for p in z])
         assert batch.shape == z.shape
         assert np.max(np.abs(batch - ref)) <= 1e-15
         for p in z[:9]:
-            assert abs(antiderivative(fun, p) - reference_antiderivative(fun, p)) <= 1e-15
+            assert abs(gauss_legendre(fun, p) - reference_antiderivative(fun, p)) <= 1e-15
 
     def test_only_near_or_only_far_points(self):
         fun = MoebiusShift(0.3 - 0.4j, 1.2)
         for z in (0.4 * np.exp(1j * np.arange(7)), np.exp(1j * np.arange(7))):
             ref = np.array([reference_antiderivative(fun, p) for p in z])
-            assert np.max(np.abs(antiderivative(fun, z) - ref)) <= 1e-15
+            assert np.max(np.abs(gauss_legendre(fun, z) - ref)) <= 1e-15
 
     def test_shapes(self):
-        fun = Blaschke(zeros=(0.2 + 0.1j, -0.5j), rotation=0.7)
-        for z in (0.3 + 0.8j, np.complex128(0.3 + 0.8j), np.asarray(0.3 + 0.8j), 0.25):
-            out = antiderivative(fun, z)
-            assert type(out) is complex
-        assert antiderivative(fun, np.zeros(0)).shape == (0,)
-        grid = disk_points(np.random.default_rng(22), 10).reshape(5, 9)
-        out = antiderivative(fun, grid)
-        assert out.shape == (5, 9)
-        assert np.array_equal(out.ravel(), antiderivative(fun, grid.ravel()))
+        funs = [Blaschke(zeros=(0.2 + 0.1j, -0.5j), rotation=0.7)] + self.FAMILIES[-2:] + self.FAMILIES[6:8]
+        for integrate in (antiderivative, gauss_legendre):
+            for fun in funs:
+                for z in (0.3 + 0.8j, np.complex128(0.3 + 0.8j), np.asarray(0.3 + 0.8j), 0.25):
+                    out = integrate(fun, z)
+                    assert type(out) is complex
+                assert integrate(fun, np.zeros(0)).shape == (0,)
+                grid = disk_points(np.random.default_rng(22), 10).reshape(5, 9)
+                out = integrate(fun, grid)
+                assert out.shape == (5, 9)
+                assert np.array_equal(out.ravel(), integrate(fun, grid.ravel()))
 
     def test_outside_disk_rejected(self):
         z = np.array([0.1, 0.5j, 1.0 + 1e-6, 0.9])
-        with pytest.raises(OutsideDisk):
-            antiderivative(MoebiusShift(0.5, 0.0), z)
-        with pytest.raises(OutsideDisk):
-            antiderivative(MoebiusShift(0.5, 0.0), z.reshape(2, 2))
+        for integrate in (antiderivative, gauss_legendre):
+            for fun in (MoebiusShift(0.5, 0.0), Blaschke(zeros=(0.3,))):
+                with pytest.raises(OutsideDisk):
+                    integrate(fun, z)
+                with pytest.raises(OutsideDisk):
+                    integrate(fun, z.reshape(2, 2))
+
+
+def mp_moebius_integral(a, psi, z):
+    """int_0^z (a + t e^{i psi})/(1 + conj(a) t e^{i psi}) dt at 40 digits:
+    a z where ``MoebiusShift`` is the constant a (|a| >= 1 - 1e-12),
+    otherwise the log closed form (e^{i psi} z^2 / 2 at a = 0)."""
+    with mpmath.workdps(40):
+        a, z = mpmath.mpc(a), mpmath.mpc(z)
+        if z == 0:
+            return 0j
+        if abs(a) >= 1 - 1e-12:
+            return complex(a * z)
+        u = z * mpmath.expj(psi)
+        if a == 0:
+            return complex(z * u / 2)
+        ca = mpmath.conj(a)
+        return complex(z * (1 / ca - (1 - abs(a) ** 2) / (ca**2 * u) * mpmath.log(1 + ca * u)))
+
+
+def mp_polynomial_integral(coeffs, normalizer, z):
+    """sum_k c_k z^{k+1} / (k + 1) / normalizer at 40 digits."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        total = sum(mpmath.mpc(c) * z ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+        return complex(total / mpmath.mpf(normalizer))
+
+
+class TestExactPrimitives:
+    """``antiderivative`` takes each family's exact primitive, checked
+    against 40-digit arithmetic on the batch points."""
+
+    @pytest.mark.parametrize("modulus", [0.0, 0.3, 0.35, 0.9, 0.95, 0.99, 1.0])
+    @pytest.mark.parametrize("phase, psi", [(0.0, 0.0), (2.3, 1.1), (-1.9, 4.0)])
+    def test_moebius(self, modulus, phase, psi):
+        fun = MoebiusShift(modulus * cmath.exp(1j * phase), psi)
+        z = disk_points(np.random.default_rng(23), 40)
+        out = antiderivative(fun, z)
+        ref = np.array([mp_moebius_integral(fun.a, psi, p) for p in z])
+        assert np.max(np.abs(out - ref)) <= 4e-15
+        for p, r in zip(z[:9], ref):
+            assert abs(antiderivative(fun, p) - r) <= 4e-15
+
+    def test_moebius_near_the_pole(self):
+        # the pole -1/conj(a) lies 1e-4 beyond the circle, where the
+        # quadrature rule loses digits and the closed form does not
+        a = 0.9999 * cmath.exp(0.4j)
+        fun = MoebiusShift(a, 0.0)
+        z = -cmath.exp(0.4j) * np.exp(1j * np.linspace(-0.01, 0.01, 21))
+        ref = np.array([mp_moebius_integral(a, 0.0, p) for p in z])
+        assert np.max(np.abs(antiderivative(fun, z) - ref)) <= 4e-15
+        assert np.max(np.abs(gauss_legendre(fun, z) - ref)) > 1e-6
+
+    @pytest.mark.parametrize("theta, k", [(0.0, 1), (2.1, 3), (-0.7, 8)])
+    def test_monomial(self, theta, k):
+        fun = Monomial(theta=theta, k=k)
+        z = disk_points(np.random.default_rng(24), 40)
+        ref = np.array([mp_polynomial_integral([0] * k + [cmath.exp(1j * theta)], 1.0, p) for p in z])
+        assert np.max(np.abs(antiderivative(fun, z) - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("raw, normalizer", [
+        ((0.5,), 1.0),
+        ((0, 1.0), 1.0),
+        ((0.2, 0.3 - 0.1j, 0.5j), 0.0),
+        ((0.1j, -0.4, 0.2 + 0.2j, 0, 0.3, -0.05j, 0.6 - 0.1j, 0.2, 0.1), 3.0),
+    ])
+    def test_polynomial(self, raw, normalizer):
+        fun = ScaledPolynomial(raw=raw, normalizer=normalizer)
+        z = disk_points(np.random.default_rng(25), 40)
+        ref = np.array([mp_polynomial_integral(fun.raw, fun.normalizer, p) for p in z])
+        assert np.max(np.abs(antiderivative(fun, z) - ref)) <= 1e-15
+
+    def test_no_evaluation(self, monkeypatch):
+        # the exact primitives never evaluate the integrand; Blaschke does
+        funs = [MoebiusShift(0.5, 1.0), MoebiusShift(1.0), Monomial(1.0, 2), ScaledPolynomial(raw=(0.2, 0.5j))]
+        blaschke = Blaschke(zeros=(0.3,))
+        calls = []
+        for cls in (MoebiusShift, Monomial, ScaledPolynomial, Blaschke):
+            monkeypatch.setattr(cls, "eval", lambda self, z: calls.append(self) or np.zeros_like(z))
+        z = disk_points(np.random.default_rng(27), 10)
+        for fun in funs:
+            antiderivative(fun, z)
+            antiderivative(fun, z[3])
+        assert calls == []
+        antiderivative(blaschke, z)
+        assert calls == [blaschke, blaschke]
 
 
 class TestTaylorInvariants:
