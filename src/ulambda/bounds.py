@@ -10,11 +10,16 @@ point and evaluates ``diskfun._moebius_mean``, the same B_a that a Moebius
 shift's exact primitive z B_a(z e^{i psi}) uses, so ``v_of_omega`` and the
 fixed-point iteration of a Moebius omega do no quadrature.  The sharpness
 self-checks compare that closed form with ``diskfun.gauss_legendre``; against
-itself they would read 0 by construction.  ``v_of_omega`` and
-``max_boundary_ba`` share one boundary-max search, ``_circle_max``: one call
-on a ``series.ring`` of the unit circle, then golden-section refinement
-around the best sample.  Only that refinement and the fixed-point iteration
-evaluate one point at a time.
+itself they would read 0 by construction.
+
+The boundary maximum of |B_a| is v(|a|), attained at t = arg a: B_a(z) =
+e^{i arg a} B_{|a|}(z e^{-i arg a}), and |(x + w)/(1 + x w)| grows with
+Re w on each circle |w| = u.  So ``max_boundary_ba`` and ``v_of_omega`` take
+that closed form for a Moebius shift (and 1/(k+1) for a monomial) and search
+nothing.  For a Blaschke product or a polynomial ``v_of_omega`` runs
+``_circle_max``: one call on a ``series.ring`` of the unit circle, then
+golden-section refinement around the best sample.  Only that refinement and
+the fixed-point iteration evaluate one point at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 
 from .diskfun import (
     DiskFunction,
+    Monomial,
     MoebiusShift,
     _any,
     _disk_points,
@@ -117,7 +123,7 @@ def rogosinski_check(w: DiskFunction, lam: float, n: int, order: int | None = No
 def v_of_x(x: float) -> float:
     """v(x) = int_0^1 (x + t)/(1 + x t) dt, the sharp antiderivative bound.
 
-    v(x) = B_x(1), so this is ``b_a(x, 1.0)``: its series below x = 0.3
+    v(x) = B_x(1), so this is ``b_a(x, 1.0)``: its series below x = 0.4
     avoids the cancellation of the closed form 1/x - ((1 - x^2)/x^2) log(1 + x)
     near 0.  v(0) = 1/2.
     """
@@ -133,7 +139,7 @@ def b_a(a: complex, z):
     complex).
 
     Branches: the constant a for |a| = 1, otherwise ``diskfun._moebius_mean``
-    (a 32-term series for |conj(a) z| < 0.3, the principal-log closed form
+    (a 40-term series for |conj(a) z| < 0.4, the principal-log closed form
     beyond).  Raises BranchPointSingularity within 1e-9 of conj(a) z = -1.
     """
     a = complex(a)
@@ -175,18 +181,32 @@ def _circle_max(fun, scan: int) -> tuple[float, float]:
     return _golden_max(lambda t: abs(fun(cmath.exp(1j * t))), t0 - step, t0 + step, 1e-10)
 
 
-def max_boundary_ba(a: complex, scan: int = 4096) -> tuple[float, float]:
-    """(t*, max_t |B_a(e^{it})|) by dense scan plus golden-section refinement."""
+def max_boundary_ba(a: complex) -> tuple[float, float]:
+    """(t*, max_t |B_a(e^{it})|) = (arg a mod 2 pi, v(|a|)), in closed form.
+
+    B_a(z) = e^{i beta} B_{|a|}(z e^{-i beta}) with beta = arg a, and for
+    real x in [0, 1) |B_x(e^{is})| <= int_0^1 (x + u)/(1 + x u) du = v(x),
+    with equality at s = 0.  For |a| = 1, B_a is the constant a (t* = 0).
+    """
     a = complex(a)
     if abs(abs(a) - 1) <= 1e-12:
         return 0.0, abs(a)
-    t_star, value = _circle_max(partial(b_a, a), scan)
-    return t_star % (2 * math.pi), value
+    return cmath.phase(a) % (2 * math.pi), v_of_x(abs(a))
 
 
 def v_of_omega(omega: DiskFunction, scan: int = 4096) -> float:
     """max over the closed disk of |int_0^z omega|; the integral is analytic,
-    so the maximum sits on the boundary circle."""
+    so the maximum sits on the boundary circle.
+
+    A Moebius shift's integral is z B_a(z e^{i psi}), whose boundary maximum
+    is ``max_boundary_ba``'s v(|a|) (|a| when degenerate); a monomial's is
+    1/(k+1).  Other families take ``scan`` boundary samples and a
+    golden-section refinement.
+    """
+    if isinstance(omega, MoebiusShift):
+        return max_boundary_ba(omega.a)[1]
+    if isinstance(omega, Monomial):
+        return 1 / (omega.k + 1)
     return _circle_max(partial(antiderivative, omega), scan)[1]
 
 
@@ -441,9 +461,10 @@ def sharpness_construction_thm6(lam: float, a: complex, order: int = DEFAULT_ORD
     a = complex(a)
     if abs(a) >= 1:
         raise OutOfRange("|a| must be < 1")
+    # B_a peaks on the circle at t0 = arg a, where B_a(e^{i t0}) = e^{i t0} v(|a|)
     t0, value = max_boundary_ba(a)
     B = b_a(a, cmath.exp(1j * t0))
-    alpha = cmath.phase(B) if abs(B) > 0 else 0.0
+    alpha = cmath.phase(a)
     theta = -alpha / 2
     psi = t0 - theta
     omega = MoebiusShift(a, psi)

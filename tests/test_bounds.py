@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import mpmath
@@ -26,6 +27,7 @@ from ulambda.bounds import (
     v_of_omega,
     v_of_x,
 )
+from ulambda.cli import main
 from ulambda.core import q_from_phi, q_from_omega, sup_u, dilate
 from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial
 from ulambda.errors import (
@@ -139,6 +141,14 @@ class TestVofX:
             X = mpmath.mpf(x)
             ref = 0.5 if x == 0 else float(1 / X - (1 - X**2) / X**2 * mpmath.log1p(X))
         assert abs(v_of_x(x) - ref) <= 1e-15
+
+    def test_dense_against_40_digits(self):
+        # b_a's closed form used to reach 1.55e-15 just above its old 0.3
+        # series threshold
+        xs = np.linspace(0.0, 0.99, 2001)
+        with mpmath.workdps(40):
+            ref = [0.5] + [float(1 / X - (1 - X**2) / X**2 * mpmath.log1p(X)) for X in map(mpmath.mpf, xs[1:])]
+        assert max(abs(v_of_x(x) - r) for x, r in zip(xs, ref)) <= 1e-15
 
 
 class TestBa:
@@ -276,8 +286,9 @@ class TestBaAccuracy:
 
 
 def reference_circle_max(f_many, f_one, scan=4096):
-    """The scan-then-golden-section code ``v_of_omega`` and
-    ``max_boundary_ba`` each carried before they shared ``_circle_max``."""
+    """The scan-then-golden-section search ``v_of_omega`` and
+    ``max_boundary_ba`` each carried: the code ``_circle_max`` keeps for the
+    sampled families, and the oracle of the closed forms."""
     ts = np.linspace(0.0, 2 * math.pi, scan, endpoint=False)
     vals = np.abs(f_many(np.exp(1j * ts)))
     i = int(np.argmax(vals))
@@ -285,27 +296,74 @@ def reference_circle_max(f_many, f_one, scan=4096):
     return bounds_module._golden_max(lambda t: abs(f_one(cmath.exp(1j * t))), ts[i] - step, ts[i] + step, 1e-10)
 
 
-class TestCircleMax:
-    """One shared boundary-max search, ``==``-identical to the two copies."""
+def circle_gap(s, t):
+    """Distance between two angles on the circle."""
+    return abs((s - t + math.pi) % (2 * math.pi) - math.pi)
 
-    @pytest.mark.parametrize("omega", sample_functions() + [ZERO_FUN, LINEAR_FUN, MoebiusShift(0.95j, 2.0)], ids=repr)
+
+class TestCircleMax:
+    """Moebius shifts and monomials take their boundary maximum in closed
+    form, within 1e-15 of the search; the sampled families run the search
+    itself, ``==``-identical to it."""
+
+    @pytest.mark.parametrize(
+        "omega", sample_functions() + [ZERO_FUN, LINEAR_FUN, MoebiusShift(0.95j, 2.0), MoebiusShift(cmath.exp(0.9j), 0.5)], ids=repr
+    )
     def test_v_of_omega(self, omega):
         ref = reference_circle_max(lambda z: antiderivative(omega, z), lambda z: antiderivative(omega, z))
-        assert v_of_omega(omega) == ref[1]
+        if isinstance(omega, (MoebiusShift, Monomial)):
+            assert abs(v_of_omega(omega) - ref[1]) <= 1e-15
+        else:
+            assert v_of_omega(omega) == ref[1]
 
     def test_max_boundary_ba(self):
         rng = np.random.default_rng(41)
         a = np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(size=40))
         for ak in np.append(a, [0.0, 0.5, -0.999, 1e-4j]):
             ak = complex(ak)
-            t, value = reference_circle_max(lambda z: b_a(ak, z), lambda z: b_a(ak, z))
-            assert max_boundary_ba(ak) == (t % (2 * math.pi), value)
+            t_ref, value_ref = reference_circle_max(lambda z: b_a(ak, z), lambda z: b_a(ak, z))
+            t, value = max_boundary_ba(ak)
+            assert t == cmath.phase(ak) % (2 * math.pi)
+            assert value == v_of_x(abs(ak))
+            assert abs(value - value_ref) <= 1e-15
+            assert abs(b_a(ak, cmath.exp(1j * t))) >= value_ref - 1e-15
+            # |B_a| flattens towards |a| = 0 and 1 (B_a tends to z/2 and to
+            # the constant a), and there the search cannot place its maximum
+            if 0.01 < abs(ak) < 0.99:
+                assert circle_gap(t, t_ref) <= 2.5e-7
+
+    def test_dense_scan_never_exceeds_v(self):
+        # the proof's inequality |B_a(e^{it})| <= v(|a|), sampled densely
+        rng = np.random.default_rng(43)
+        a = 0.98 * np.sqrt(rng.uniform(0, 1, 20)) * np.exp(2j * np.pi * rng.uniform(size=20))
+        z = np.exp(1j * np.linspace(0.0, 2 * math.pi, 20000, endpoint=False))
+        for ak in a:
+            assert np.max(np.abs(b_a(ak, z))) <= v_of_x(abs(ak)) + 2e-15
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_monomial(self, k):
+        assert v_of_omega(Monomial(theta=0.8, k=k)) == 1 / (k + 1)
 
     def test_coarse_scan(self):
-        omega = MoebiusShift(0.3 - 0.4j, 1.2)
+        omega = Blaschke(zeros=(0.3 - 0.4j, 0.5), rotation=1.2)
         for scan in (1, 2, 7, 64):
             ref = reference_circle_max(lambda z: antiderivative(omega, z), lambda z: antiderivative(omega, z), scan)
             assert v_of_omega(omega, scan=scan) == ref[1]
+
+    def test_closed_forms_run_no_search(self, monkeypatch, tmp_path):
+        def no_search(*args):
+            raise AssertionError("boundary search on a closed-form family")
+
+        monkeypatch.setattr(bounds_module, "_circle_max", no_search)
+        assert max_boundary_ba(0.3 - 0.4j)[1] == v_of_x(0.5)
+        assert v_of_omega(MoebiusShift(0.3 - 0.4j, 1.2)) == v_of_x(0.5)
+        assert v_of_omega(Monomial(theta=2.1, k=3)) == 0.25
+        omega = {"kind": "moebius", "a": [0.3, -0.4], "psi": 1.2}
+        for command, cfg in (("fixed-point", {"lambda": 0.5, "a2": 2.5, "omega": omega}),
+                             ("sharpness", {"lambda": 0.5, "a": [0.3, -0.4]})):
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(cfg))
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
 
 
 class TestMaxBoundaryBa:
@@ -614,6 +672,18 @@ class TestSharpnessThm6:
         assert abs(abs(a2) - (1 + 0.6 / 2)) < 1e-10
         assert rep["d_boundary_residual"] < 1e-8
 
+    @pytest.mark.parametrize("a", [0.05, 0.35, -0.5, 0.3 - 0.2j, 0.05 * cmath.exp(2.5j), -0.6 - 0.7j, 0.97j])
+    def test_closed_form_outputs(self, a):
+        # theta = -beta/2, psi = 3 beta/2 (mod 2 pi), a2 = e^{i beta/2}(1 + lam v(|a|))
+        lam = 0.7
+        beta = cmath.phase(a)
+        theta, psi, omega, a2, _, rep = sharpness_construction_thm6(lam, a)
+        assert abs(theta + beta / 2) <= 1e-15
+        assert circle_gap(psi, 1.5 * beta) <= 1e-15
+        assert abs(a2 - cmath.exp(0.5j * beta) * (1 + lam * v_of_x(abs(a)))) <= 1e-15
+        assert omega == MoebiusShift(a, psi)
+        assert rep["a2_bound_residual"] <= 1e-15
+
     def test_complex_a_integral_identity(self):
         theta, psi, omega, a2, D, rep = sharpness_construction_thm6(0.4, 0.3 - 0.2j)
         assert rep["integral_identity_max_err"] < 1e-9
@@ -626,16 +696,20 @@ class TestSharpnessSelfChecks:
     itself: a Moebius shift's primitive is z B_a(z e^{i psi}), so a check
     through ``antiderivative`` would read 0 whatever B_a computes."""
 
-    @pytest.fixture
-    def shifted_kernel(self, monkeypatch):
+    @staticmethod
+    def shift_kernel(monkeypatch, eps):
         kernel = diskfun_module._moebius_mean
 
         def shifted(a, z):
-            return kernel(a, z) + 1e-6
+            return kernel(a, z) + eps
 
         # every binding of the one B_a implementation
         monkeypatch.setattr(diskfun_module, "_moebius_mean", shifted)
         monkeypatch.setattr(bounds_module, "_moebius_mean", shifted)
+
+    @pytest.fixture
+    def shifted_kernel(self, monkeypatch):
+        self.shift_kernel(monkeypatch, 1e-6)
 
     def test_exact_kernel_passes(self):
         _, _, rep5 = sharpness_g_thm5(1.0, 0.5)
@@ -650,6 +724,24 @@ class TestSharpnessSelfChecks:
         rep6 = sharpness_construction_thm6(0.4, 0.3 - 0.2j)[5]
         assert rep5["g_at_1_abs"] >= 0.999e-6
         assert rep6["integral_identity_max_err"] >= 0.94e-6
+
+    def test_a2_bound_residual_checks_the_value(self, monkeypatch):
+        # a2 takes b_a at t0, so a wrong boundary maximum shows in the residual
+        closed_form = bounds_module.max_boundary_ba
+        monkeypatch.setattr(bounds_module, "max_boundary_ba", lambda a: (closed_form(a)[0], closed_form(a)[1] + 1e-6))
+        rep6 = sharpness_construction_thm6(0.4, 0.3 - 0.2j)[5]
+        assert rep6["a2_bound_residual"] >= 0.999 * 0.4e-6
+
+    @pytest.mark.parametrize("a", [0.05 * cmath.exp(0.7j), 0.3 - 0.2j, 0.9j])
+    def test_angles_ignore_rounding_of_the_kernel(self, monkeypatch, a):
+        # near |a| = 0.05 every t within ~1e-7 of arg a maximizes |B_a| to
+        # rounding, so a search moved t0, theta and psi by up to 2.5e-7
+        # when B_a moved by 1e-15
+        exact = sharpness_construction_thm6(0.5, a)
+        self.shift_kernel(monkeypatch, 1e-15)
+        shifted = sharpness_construction_thm6(0.5, a)
+        assert shifted[5]["t0"] == exact[5]["t0"]
+        assert shifted[:2] == exact[:2]
 
 
 class TestBoundTable:

@@ -216,8 +216,9 @@ class TestRegionA2:
 class TestNearUnitBasePoint:
     """A Moebius omega with |a| = 1 - 1e-10 is not degenerate, and its pole
     -1/conj(a) lies 1e-10 beyond the circle.  The exact primitive guards no
-    branch point, so the configs that integrate omega still finish; b_a keeps
-    its guard, which ends the sharpness scan."""
+    branch point, so the configs that integrate omega finish.  b_a keeps its
+    guard, but sharpness evaluates it only at t0 = arg a and inside the
+    disk, far from conj(a) z = -1, so it finishes too."""
 
     OMEGA = {"kind": "moebius", "a": 0.9999999999}
 
@@ -236,10 +237,14 @@ class TestNearUnitBasePoint:
         assert code == 0
         assert json.loads((out / "fixed_point.json").read_text())["q_residual"] < 1e-9
 
-    def test_sharpness_hits_the_branch_point(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "sharpness", {"lambda": 0.5, "a": 0.9999999999})
-        assert code == 3
-        assert "branch point" in capsys.readouterr().err
+    def test_sharpness(self, tmp_path):
+        code, out = run(tmp_path, "sharpness", {"lambda": 0.5, "a": 0.9999999999})
+        assert code == 0
+        rep = json.loads((out / "sharpness.json").read_text())
+        assert rep["refined_a2"]["g_at_1_abs"] <= 1e-8
+        assert rep["refined_a2"]["bound_residual"] <= 1e-8
+        assert rep["region_a2"]["d_boundary_residual"] <= 1e-8
+        assert rep["region_a2"]["a2_bound_residual"] <= 1e-8
 
 
 class TestFRoots:
