@@ -28,10 +28,9 @@ from . import bounds
 from .core import (
     GridSpec,
     UCandidate,
-    count_disk_zeros,
+    generator_verdict,
     q_from_omega,
     q_from_phi,
-    sup_u,
     taylor_of_f,
     l_of_phi,
     julia_quotient,
@@ -90,9 +89,17 @@ def _int(cfg: dict, key: str, default: int, minimum: int | None = None) -> int:
 
 
 def _order(cfg: dict) -> int:
-    # below order 2 every coefficient (1 - k) q_k of U is 0, so the sweep
+    # below order 2 every coefficient (1 - k) q_k of U is 0, so a sweep
     # would call any candidate Inside
     return _int(cfg, "order", 64, minimum=2)
+
+
+def _unused(cfg: dict, *keys: str) -> dict:
+    """The validated value of each of ``keys`` the config gives, for keys
+    that a representation's verdict does not read.  They are checked like
+    used keys, so a malformed one is still a config error."""
+    check = {"grid": lambda: _grid(cfg).describe(), "order": lambda: _order(cfg)}
+    return {key: check[key]() for key in keys if key in cfg}
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +151,7 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
     n_max = _int(cfg, "n_max", 10)
     samples = _int(cfg, "samples", 100)
     seed = _int(cfg, "seed", 0)
-    grid = _grid(cfg)
+    unused = _unused(cfg, "grid")
     order = max(64, n_max)
     rng = np.random.default_rng(seed)
 
@@ -152,18 +159,12 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
     kept = 0
     for _ in range(samples):
         phi = sample_phi(rng)
-        cand = q_from_phi(lam, phi, order=order)
-        if sup_u(cand, grid).verdict == "Inside":
-            candidates.append(("random", cand))
-            kept += 1
         omega = sample_omega(rng)
         a2 = _random_point(rng, 1.0)
-        cand = q_from_omega(a2, lam, omega, order=order)
-        # the operator stays bounded for every (a2, omega) pair, so the
-        # decisive membership question is whether f = z/q has a pole
-        if count_disk_zeros(cand) == 0 and sup_u(cand, grid).verdict == "Inside":
-            candidates.append(("random", cand))
-            kept += 1
+        for cand in (q_from_phi(lam, phi, order=order), q_from_omega(a2, lam, omega, order=order)):
+            if generator_verdict(cand).verdict == "Inside":
+                candidates.append(("random", cand))
+                kept += 1
 
     # one reciprocal per candidate; coefficient k of f(z)/z is a_{k+1}.  The
     # recurrence is triangular, so a_2..a_{n_max} need only q_0..q_{n_max-1}
@@ -185,10 +186,13 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
         )
     table = bounds.BoundTable(rows)
     (out / "bounds.csv").write_text(table.to_csv())
-    _write_json(out / "verify_conjecture.json", {
+    report = {
         "lambda": lam, "n_max": n_max, "samples": samples, "seed": seed,
         "members_kept": kept, "violations": len(table.violations()),
-    })
+    }
+    if unused:
+        report["unused"] = unused
+    _write_json(out / "verify_conjecture.json", report)
     if table.violations():
         print("conjectured bound violated", file=sys.stderr)
         return EXIT_VIOLATION
@@ -200,27 +204,21 @@ def _candidate_from_config(cfg: dict):
     spec = cfg.get("candidate")
     if not isinstance(spec, dict):
         raise ConfigError("config requires a 'candidate' object")
-    order = _order(cfg)
     kind = spec.get("type")
     if kind == "phi":
-        return q_from_phi(lam, diskfun_from_json(spec["phi"]), order=order)
+        return q_from_phi(lam, diskfun_from_json(spec["phi"]))
     if kind == "omega":
-        return q_from_omega(_cplx(spec["a2"]), lam, diskfun_from_json(spec["omega"]), order=order)
+        return q_from_omega(_cplx(spec["a2"]), lam, diskfun_from_json(spec["omega"]))
     if kind == "extremal":
-        return q_from_phi(lam, Monomial(theta=float(spec.get("phase", math.pi)), k=1), order=order)
+        return q_from_phi(lam, Monomial(theta=float(spec.get("phase", math.pi)), k=1))
     raise ConfigError(f"unknown candidate type {kind!r}")
 
 
 def cmd_membership(cfg: dict, out: Path) -> int:
-    cand = _candidate_from_config(cfg)
-    report = sup_u(cand, _grid(cfg))
-    zeros = count_disk_zeros(cand)
-    payload = report.to_json()
-    payload["q_disk_zeros"] = zeros
-    if zeros:
-        # a zero of q is a pole of f, so the candidate is not a member even
-        # when the operator sweep stays below the threshold
-        payload["verdict"] = "Outside"
+    unused = _unused(cfg, "grid", "order")
+    payload = generator_verdict(_candidate_from_config(cfg)).to_json()
+    if unused:
+        payload["unused"] = unused
     _write_json(out / "membership.json", payload)
     if payload["verdict"] == "Inside":
         return EXIT_OK
@@ -231,24 +229,26 @@ def cmd_membership(cfg: dict, out: Path) -> int:
 
 def cmd_julia(cfg: dict, out: Path) -> int:
     lam = _lam(cfg)
-    order = _order(cfg)
+    unused = _unused(cfg, "grid", "order")
     phi = diskfun_from_json(cfg["phi"])
     theta0 = float(cfg.get("theta0", 0.0))
     m = julia_quotient(phi, theta0)
     value = obstruction_value(lam, phi, theta0)
     direct = l_of_phi(lam, phi, cmath.exp(1j * theta0))
-    cand = q_from_phi(lam, phi, order=order)
-    sweep = sup_u(cand, _grid(cfg))
-    _write_json(out / "julia.json", {
+    membership = generator_verdict(q_from_phi(lam, phi))
+    payload = {
         "lambda": lam,
         "theta0": theta0,
         "m": m,
         "obstruction_value": value,
         "l_at_boundary": direct,
-        "membership": sweep.to_json(),
-    })
+        "membership": membership.to_json(),
+    }
+    if unused:
+        payload["unused"] = unused
+    _write_json(out / "julia.json", payload)
     # the theorem says the candidate cannot be a member
-    if value > lam and sweep.verdict == "Inside":
+    if value > lam and membership.verdict == "Inside":
         return EXIT_VIOLATION
     return EXIT_OK
 

@@ -4,7 +4,13 @@ obstruction and subordination testing.
 A candidate member f is carried as q(z) = z/f(z) with q(0) = 1, which keeps
 all series work away from the zero of f at the origin.  The membership
 quantity is q(z) - z q'(z) - 1, whose modulus must stay below lambda on the
-disk.  The representation theorem's two majorants, 1 + 2 lam z + lam z^2 and
+disk.  A candidate built from one of the two representations is decided by
+it (``generator_verdict``): a phi candidate by the maximum of |U| on the
+unit circle (``phi_boundary_max``), an omega candidate by the zeros of q
+(``count_disk_zeros``).  Only a raw q, such as a dilated or perturbed one,
+is swept (``sup_u``) as a truncated series over a grid of circles.
+
+The representation theorem's two majorants, 1 + 2 lam z + lam z^2 and
 (1 - z)(1 - lam z), are quadratics, so subordination to them is decided by
 the closed-form inverse of each (``QuadraticMajorant``), not by a sampled
 boundary curve.
@@ -43,6 +49,11 @@ from .series import (
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGLES = 720
 MEMBERSHIP_TOL = 1e-6
+# unit-circle samples of a phi candidate's boundary maximum
+PHI_BOUNDARY_ANGLES = 4096
+# a phi candidate whose boundary maximum exceeds lambda by at most this is
+# Inside: the extremal function and its rotations reach lambda to 6.7e-16
+PHI_INSIDE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,11 +89,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class UCandidate:
-    """Candidate member of U(lambda), stored via q(z) = z/f(z), q(0) = 1."""
+    """Candidate member of U(lambda), stored via q(z) = z/f(z), q(0) = 1.
+
+    ``generator`` is the phi or omega of the representation that built q
+    (``provenance`` says which), so ``generator_verdict`` can decide
+    membership from it; None for a raw q."""
 
     q: TruncatedSeries
     lam: float
     provenance: str | None = None
+    generator: DiskFunction | None = None
 
     def __post_init__(self):
         if abs(self.q.coeffs[0] - 1) > 1e-12:
@@ -197,7 +213,7 @@ def q_from_phi(lam: float, phi: DiskFunction, order: int = DEFAULT_ORDER) -> UCa
     q[0] = 1.0
     q -= (1 + lam) * p.coeffs
     q += lam * series_mul(p, p).coeffs
-    return UCandidate(TruncatedSeries(q), lam, provenance="phi")
+    return UCandidate(TruncatedSeries(q), lam, provenance="phi", generator=phi)
 
 
 def q_from_omega(
@@ -209,7 +225,7 @@ def q_from_omega(
     q[0] += 1.0
     if order >= 1:
         q[1] -= complex(a2)
-    return UCandidate(TruncatedSeries(q), lam, provenance="omega")
+    return UCandidate(TruncatedSeries(q), lam, provenance="omega", generator=omega)
 
 
 def taylor_of_f(cand: UCandidate) -> TruncatedSeries:
@@ -219,7 +235,8 @@ def taylor_of_f(cand: UCandidate) -> TruncatedSeries:
 
 
 def dilate(cand: UCandidate, R: float) -> UCandidate:
-    """Candidate for f_R(z) = f(Rz)/R, i.e. q_R(z) = q(Rz)."""
+    """Candidate for f_R(z) = f(Rz)/R, i.e. q_R(z) = q(Rz), as a raw q (no
+    generator)."""
     if not (0 < R < 1):
         raise ValueError("R must lie in (0, 1)")
     k = np.arange(len(cand.q.coeffs))
@@ -228,14 +245,81 @@ def dilate(cand: UCandidate, R: float) -> UCandidate:
     )
 
 
-def l_of_phi(lam: float, phi: DiskFunction, z: complex) -> float:
-    """|-(1+lam)(phi - z phi') + lam phi (phi - 2 z phi')| at z, closed disk."""
-    z = complex(z)
-    if abs(z) > 1 + 1e-12:
-        raise OutsideDisk(f"|z| = {abs(z):.6f} > 1")
-    p = complex(phi.eval(z))
-    zdp = z * complex(phi.deriv(z))
-    return abs(-(1 + lam) * (p - zdp) + lam * p * (p - 2 * zdp))
+def l_of_phi(lam: float, phi: DiskFunction, z):
+    """|-(1+lam)(phi - z phi') + lam phi (phi - 2 z phi')| at z, closed disk.
+
+    This is |U| of the phi candidate.  z is a point (the result is a float)
+    or an array of any shape (the result has its shape); a point outside
+    the closed disk anywhere raises OutsideDisk."""
+    z = np.asarray(z, dtype=complex)
+    modulus = np.abs(z)
+    if np.any(modulus > 1 + 1e-12):
+        raise OutsideDisk(f"|z| = {float(np.max(modulus)):.6f} > 1")
+    # one flat array even for a point: numpy's scalar arithmetic rounds
+    # differently from its array loops, and a point must get an array's value
+    flat = z.reshape(-1)
+    p = phi.eval(flat)
+    zdp = flat * phi.deriv(flat)
+    out = np.abs(-(1 + lam) * (p - zdp) + lam * p * (p - 2 * zdp)).reshape(z.shape)
+    return out if z.ndim else float(out)
+
+
+def phi_boundary_max(lam: float, phi: DiskFunction, angles: int = PHI_BOUNDARY_ANGLES) -> tuple:
+    """(t, max |U|) over ``ring(1.0, angles)`` for the phi candidate: the
+    largest sample of ``l_of_phi`` on the unit circle and its angle t, the
+    first maximal one, spaced as ``ring`` spaces them."""
+    vals = l_of_phi(lam, phi, ring(1.0, angles))
+    i = int(np.argmax(vals))
+    return i * (2 * math.pi / angles), float(vals[i])
+
+
+@dataclass(frozen=True)
+class GeneratorVerdict:
+    """Membership of a phi or omega candidate, decided from its
+    representation.  ``path`` is "boundary_max", with ``value`` the largest
+    |U| sampled on the unit circle and ``t`` its angle, or "zero_count", with
+    ``value`` the number of zeros of q in the disk."""
+
+    verdict: str  # Inside | Outside | Inconclusive
+    path: str
+    value: float | int
+    t: float | None = None
+
+    def to_json(self) -> dict:
+        if self.path == "zero_count":
+            return {"path": self.path, "q_disk_zeros": self.value, "verdict": self.verdict}
+        return {"path": self.path, "boundary_max": self.value, "t": self.t, "verdict": self.verdict}
+
+
+def generator_verdict(cand: UCandidate) -> GeneratorVerdict:
+    """Membership of a candidate built by ``q_from_phi`` or ``q_from_omega``,
+    decided by its representation instead of a sweep of the truncated U.
+
+    phi: q = (1 - phi)(1 - lam phi) has no zero in the disk, and U is
+    analytic on the closed disk, so by the maximum principle its maximum on
+    the unit circle decides.  Inside when ``phi_boundary_max`` is at most
+    lam + PHI_INSIDE_SLACK, Outside beyond lam + MEMBERSHIP_TOL, Inconclusive
+    between.
+    omega: U = -lam z^2 omega(z), so |U| < lam for every (a2, omega); the
+    candidate is Outside exactly when ``count_disk_zeros`` finds a zero of q
+    (a pole of f), Inside otherwise.
+
+    A raw q (no generator, such as a ``dilate`` result) raises ValueError:
+    it takes ``sup_u`` and ``count_disk_zeros``.
+    """
+    if cand.generator is None:
+        raise ValueError("a raw q has no representation to decide by; use sup_u and count_disk_zeros")
+    if cand.provenance == "omega":
+        zeros = count_disk_zeros(cand)
+        return GeneratorVerdict("Outside" if zeros else "Inside", "zero_count", zeros)
+    t, best = phi_boundary_max(cand.lam, cand.generator)
+    if best <= cand.lam + PHI_INSIDE_SLACK:
+        verdict = "Inside"
+    elif best > cand.lam + MEMBERSHIP_TOL:
+        verdict = "Outside"
+    else:
+        verdict = "Inconclusive"
+    return GeneratorVerdict(verdict, "boundary_max", best, t)
 
 
 def julia_quotient(phi: DiskFunction, theta0: float) -> float:

@@ -6,13 +6,16 @@ truncates to the minimum order of the operands; no operation extends the
 order, so a result never pretends to more precision than its inputs carry.
 
 ``ring`` is the one open uniform angular grid every circle sweep of the
-package samples.  A series is swept over it by ``ring_eval``, one batched
+package samples.  Its unit circle for each angle count is computed once and
+kept (a small bounded cache of read-only arrays); each call returns a fresh
+grid scaled from it.  A series is swept over it by ``ring_eval``, one batched
 inverse FFT on all circles; ``series_eval_many`` is the Horner loop for
 scattered points, and ``series_eval`` its one-point case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -137,14 +140,21 @@ def _angle_count(angles) -> int:
     return int(angles)
 
 
+@functools.lru_cache(maxsize=16)
+def _circle(angles: int) -> np.ndarray:
+    # shared by every caller, hence read-only
+    circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, angles, endpoint=False))
+    circle.setflags(write=False)
+    return circle
+
+
 def ring(radii, angles: int) -> np.ndarray:
     """r e^{i theta_k} for each radius r, with theta_k = k (2 pi / angles)
     exactly (``np.linspace(..., endpoint=False)``), k = 0..angles-1: shape
-    radii.shape + (angles,), one row per radius.  ``angles`` must be an
-    integer >= 1 (numpy integers included, bools not), else OutOfRange."""
-    _angle_count(angles)
-    circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, angles, endpoint=False))
-    return np.multiply.outer(radii, circle)
+    radii.shape + (angles,), one row per radius, a new array on every call.
+    ``angles`` must be an integer >= 1 (numpy integers included, bools not),
+    else OutOfRange."""
+    return np.multiply.outer(radii, _circle(_angle_count(angles)))
 
 
 def ring_eval(a: TruncatedSeries, radii, angles: int) -> np.ndarray:

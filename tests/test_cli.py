@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from ulambda import bounds, cli
+from ulambda import bounds, cli, core
 from ulambda.cli import main
 from ulambda.diskfun import MoebiusShift
 
@@ -91,12 +92,56 @@ class TestVerifyConjecture:
                          float(obs[best]), "extremal" if best == 0 else "random"))
         assert (out / "bounds.csv").read_text() == bounds.BoundTable(rows).to_csv()
 
+    def test_boundary_excess_draw_dropped(self, tmp_path, monkeypatch):
+        # seed 195 draws the phi of BOUNDARY_EXCESS_PHI, which the sweep kept;
+        # it sets no row's maximum, so the table does not move
+        cfg = {"lambda": 1.0, "n_max": 10, "samples": 16, "seed": 195}
+        code, out = run(tmp_path, "verify-conjecture", cfg, outdir="new")
+        assert code == 0
+        assert json.loads((out / "verify_conjecture.json").read_text())["members_kept"] == 10
+        monkeypatch.setattr(cli, "generator_verdict", sweep_verdict)
+        code, old = run(tmp_path, "verify-conjecture", cfg, outdir="old")
+        assert code == 0
+        assert json.loads((old / "verify_conjecture.json").read_text())["members_kept"] == 11
+        assert (out / "bounds.csv").read_bytes() == (old / "bounds.csv").read_bytes()
+
+    def test_grid_reported_unused(self, tmp_path):
+        cfg = {"lambda": 0.5, "n_max": 6, "samples": 4, "seed": 2}
+        _, plain = run(tmp_path, "verify-conjecture", cfg, outdir="plain")
+        _, gridded = run(tmp_path, "verify-conjecture", {**cfg, "grid": {"radii": [0.5], "angles": 1}},
+                         outdir="gridded")
+        report = json.loads((gridded / "verify_conjecture.json").read_text())
+        assert report.pop("unused") == {"grid": {"radii": [0.5], "angles": 1}}
+        assert report == json.loads((plain / "verify_conjecture.json").read_text())
+        assert (plain / "bounds.csv").read_bytes() == (gridded / "bounds.csv").read_bytes()
+        code, _ = run(tmp_path, "verify-conjecture", {**cfg, "grid": {"angles": 2.5}}, outdir="bad")
+        assert code == 4
+
     @pytest.mark.parametrize("n_max", [1, 0, -2])
     def test_no_rows_below_two(self, tmp_path, n_max):
         code, out = run(tmp_path, "verify-conjecture",
                         {"lambda": 0.5, "n_max": n_max, "samples": 3, "seed": 1})
         assert code == 0
         assert (out / "bounds.csv").read_text() == "n,conjecture,theorem2,observed_max,family\n"
+
+
+# lambda = 1 and a phi whose boundary maximum exceeds 1; verify-conjecture
+# draws it on seed 195
+BOUNDARY_EXCESS_PHI = {
+    "type": "phi",
+    "phi": {"kind": "poly",
+            "coeffs": [0, [-0.9883178170007982, -0.10675812160893149],
+                       [0.21784328856907229, 0.029515181842464832]]},
+}
+
+
+def sweep_verdict(cand):
+    """The rule ``generator_verdict`` replaced: the default order-64 sweep,
+    and for omega candidates the zero count as well."""
+    verdict = core.sup_u(cand).verdict
+    if cand.provenance == "omega" and core.count_disk_zeros(cand):
+        verdict = "Outside"
+    return core.GeneratorVerdict(verdict, "sweep", 0.0)
 
 
 class TestMembership:
@@ -129,20 +174,110 @@ class TestMembership:
     def test_pole_carrying_candidate_outside(self, tmp_path):
         # the operator stays below threshold for every (a2, omega) pair, but
         # this q vanishes inside the disk, so f = z/q has a pole there
-        code, out = run(tmp_path, "membership",
-                        {"lambda": 0.3,
-                         "candidate": {"type": "omega",
-                                       "a2": [0.3007386830957319, 0.8294213293396829],
-                                       "omega": {"kind": "moebius",
-                                                 "a": [0.5268221954758235, -0.09810406994221266],
-                                                 "psi": 5.611645507023389}}})
+        cfg = {"lambda": 0.3,
+               "candidate": {"type": "omega",
+                             "a2": [0.3007386830957319, 0.8294213293396829],
+                             "omega": {"kind": "moebius",
+                                       "a": [0.5268221954758235, -0.09810406994221266],
+                                       "psi": 5.611645507023389}}}
+        code, out = run(tmp_path, "membership", cfg)
         assert code == 2
         rep = json.loads((out / "membership.json").read_text())
         assert rep["verdict"] == "Outside"
+        assert rep["path"] == "zero_count"
         assert rep["q_disk_zeros"] == 1
-        assert rep["sup_estimate"] < 0.3
+        # the sweep, which the zero-count path no longer runs, stays below
+        # the threshold on this candidate
+        assert core.sup_u(cli._candidate_from_config(cfg)).sup_estimate < 0.3
+
+    def test_near_boundary_moebius_omega_inside(self, tmp_path):
+        # U = -lam z^2 omega is below lam everywhere and q has no zero; the
+        # order-64 sweep read 0.796 here and called it Outside
+        code, out = run(tmp_path, "membership",
+                        {"lambda": 0.7,
+                         "candidate": {"type": "omega", "a2": 0.5,
+                                       "omega": {"kind": "moebius", "a": 0.98}}})
+        assert code == 0
+        rep = json.loads((out / "membership.json").read_text())
+        assert rep == {"path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside"}
+
+    def test_z_squared_on_a_one_point_grid_outside(self, tmp_path):
+        # the one-point grid at r = 0.5 used to read 0.469 < 0.5 and exit 0
+        code, out = run(tmp_path, "membership",
+                        {"lambda": 0.5,
+                         "candidate": {"type": "phi",
+                                       "phi": {"kind": "monomial", "theta": math.pi, "k": 2}},
+                         "grid": {"radii": [0.5], "angles": 1}})
+        assert code == 2
+        rep = json.loads((out / "membership.json").read_text())
+        assert rep["verdict"] == "Outside" and rep["path"] == "boundary_max"
+        assert abs(rep["boundary_max"] - 3.0) < 1e-12 and rep["t"] == 0.0
+        assert rep["unused"] == {"grid": {"radii": [0.5], "angles": 1}}
+
+    def test_boundary_excess_outside(self, tmp_path):
+        # the boundary maximum is 1.00232 > lambda, while the sweep's outer
+        # circle, r = 0.999, read 0.99953 and exited 0
+        code, out = run(tmp_path, "membership", {"lambda": 1.0, "candidate": BOUNDARY_EXCESS_PHI})
+        assert code == 2
+        rep = json.loads((out / "membership.json").read_text())
+        assert rep["verdict"] == "Outside" and rep["path"] == "boundary_max"
+        assert 1.0023 < rep["boundary_max"] < 1.0024
+        assert "unused" not in rep
+
+    @pytest.mark.parametrize("extra,unused", [
+        ({"order": 2}, {"order": 2}),
+        ({"grid": {"angles": 90}, "order": 128},
+         {"grid": {"radii": list(core.DEFAULT_RADII), "angles": 90}, "order": 128}),
+    ])
+    @pytest.mark.parametrize("candidate", [
+        {"type": "extremal"},
+        {"type": "omega", "a2": 0.9, "omega": {"kind": "moebius", "a": 0.3}},
+    ])
+    def test_unused_keys_reported(self, tmp_path, candidate, extra, unused):
+        code, out = run(tmp_path, "membership", {"lambda": 0.5, "candidate": candidate, **extra})
+        assert code == 0
+        assert json.loads((out / "membership.json").read_text())["unused"] == unused
 
 
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """``sup_u`` raises wherever the package binds it: the verdicts of phi
+    and omega candidates come from their representations, never a sweep."""
+    def sweep(*args, **kwargs):
+        raise AssertionError("sup_u called")
+
+    bound = [mod for name, mod in sys.modules.items()
+             if (name == "ulambda" or name.startswith("ulambda.")) and hasattr(mod, "sup_u")]
+    assert core in bound and cli not in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "sup_u", sweep)
+
+
+# the README's membership candidates, with their exit codes
+README_MEMBERSHIP = [
+    ({"lambda": 0.5, "candidate": {"type": "extremal"}}, 0),
+    ({"lambda": 0.5, "candidate": {"type": "phi",
+                                   "phi": {"kind": "monomial", "theta": math.pi, "k": 2}}}, 2),
+    ({"lambda": 0.7, "candidate": {"type": "omega", "a2": [0.9, 0.1],
+                                   "omega": {"kind": "moebius", "a": 0.3, "psi": 0.0}}}, 0),
+]
+
+
+@pytest.mark.usefixtures("no_sweep")
+class TestNoSweep:
+    def test_verify_conjecture_readme_config(self, tmp_path):
+        code, out = run(tmp_path, "verify-conjecture",
+                        {"lambda": 0.5, "n_max": 10, "samples": 100, "seed": 7})
+        assert code == 0
+        assert json.loads((out / "verify_conjecture.json").read_text())["violations"] == 0
+
+    @pytest.mark.parametrize("cfg,expect", README_MEMBERSHIP)
+    def test_membership_readme_candidates(self, tmp_path, cfg, expect):
+        code, _ = run(tmp_path, "membership", cfg)
+        assert code == expect
+
+
+@pytest.mark.usefixtures("no_sweep")
 class TestJulia:
     def test_z_squared(self, tmp_path):
         code, out = run(tmp_path, "julia",
@@ -384,7 +519,8 @@ class TestHarness:
         code, out = run(tmp_path, "membership",
                         {"lambda": 0.5, "candidate": {"type": "extremal"}, "grid": {"angles": 720}})
         assert code == 0
-        assert json.loads((out / "membership.json").read_text())["grid"]["angles"] == 720
+        # validated, then reported as not read by the verdict
+        assert json.loads((out / "membership.json").read_text())["unused"]["grid"]["angles"] == 720
 
     @pytest.mark.parametrize("command", ["membership", "julia"])
     @pytest.mark.parametrize("order", [0, 1, 2.9, True, "64"])

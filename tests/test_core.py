@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from ulambda import core
 from ulambda.core import (
+    PHI_INSIDE_SLACK,
     GridSpec,
     QuadraticMajorant,
     SubordinationVerdict,
@@ -12,10 +14,12 @@ from ulambda.core import (
     count_disk_zeros,
     dilate,
     extremal_q_boundary,
+    generator_verdict,
     julia_quotient,
     l_of_phi,
     majorant_h_boundary,
     obstruction_value,
+    phi_boundary_max,
     q_from_omega,
     q_from_phi,
     subordination_check,
@@ -23,7 +27,7 @@ from ulambda.core import (
     taylor_of_f,
     u_of_q,
 )
-from ulambda.cli import sample_omega, sample_phi
+from ulambda.cli import _random_point, sample_omega, sample_phi
 from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial
 from ulambda.errors import (
     BasePointNotZero,
@@ -241,6 +245,117 @@ class TestLofPhi:
             for _ in range(200):
                 z = 0.6 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
                 assert abs(l_of_phi(lam, phi, z) - abs(u_of_q(cand, z))) < 1e-9
+
+
+    PHIS = (
+        Monomial(theta=0.7, k=3),
+        Monomial(theta=math.pi, k=1),
+        Blaschke(zeros=(0, 0.3 + 0.2j, -0.5), rotation=1.0),
+        ScaledPolynomial(raw=(0, 0.5, -0.3j, 0.2)),
+        ScaledPolynomial(raw=(0.0,), normalizer=1.0),
+    )
+
+    @pytest.mark.parametrize("phi", PHIS, ids=lambda phi: type(phi).__name__)
+    def test_array_equals_pointwise(self, phi):
+        rng = np.random.default_rng(3)
+        inner = 0.99 * np.sqrt(rng.uniform(size=60)) * np.exp(2j * math.pi * rng.uniform(size=60))
+        z = np.concatenate([ring((0.3, 1.0), 50).ravel(), inner]).reshape(4, 40)
+        for lam in (0.25, 0.7, 1.0):
+            got = l_of_phi(lam, phi, z)
+            assert got.shape == z.shape and got.dtype == float
+            point = np.array([l_of_phi(lam, phi, complex(w)) for w in z.ravel()]).reshape(z.shape)
+            assert np.array_equal(got, point)
+            one = l_of_phi(lam, phi, complex(z[1, 2]))
+            assert type(one) is float and one == got[1, 2]
+        assert l_of_phi(0.5, phi, np.zeros((0, 3))).shape == (0, 3)
+
+    def test_array_outside_disk(self):
+        z = np.array([0.5, 1 + 1e-9, 0.1j])
+        with pytest.raises(OutsideDisk):
+            l_of_phi(0.5, Monomial(theta=0.0, k=2), z)
+        with pytest.raises(OutsideDisk):
+            l_of_phi(0.5, Monomial(theta=0.0, k=2), 1 + 1e-9)
+        # the closed disk is allowed
+        assert l_of_phi(0.5, Monomial(theta=0.0, k=2), np.array([1.0, 1j])).shape == (2,)
+
+
+class TestPhiBoundaryMax:
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75, 1.0])
+    def test_extremal_rotations_reach_lambda(self, lam):
+        # |U| = lam |z|^2 for every rotation, so the maximum is lam itself
+        for theta in np.linspace(0.0, 2 * math.pi, 13):
+            _, best = phi_boundary_max(lam, Monomial(theta=float(theta), k=1))
+            assert abs(best - lam) <= 6.7e-16
+            assert generator_verdict(q_from_phi(lam, Monomial(theta=float(theta), k=1))).verdict == "Inside"
+
+    def test_z_squared_peaks_at_one(self):
+        # -z^2 reaches 1 + 4 lam at z = 1, the boundary obstruction point
+        t, best = phi_boundary_max(0.5, Monomial(theta=math.pi, k=2))
+        assert t == 0.0 and abs(best - 3.0) < 1e-12
+
+    def test_t_is_a_ring_angle(self):
+        phi = Blaschke(zeros=(0, 0.4 - 0.3j), rotation=0.8)
+        t, best = phi_boundary_max(0.6, phi, angles=720)
+        vals = l_of_phi(0.6, phi, ring(1.0, 720))
+        i = int(np.argmax(vals))
+        assert t == i * (2 * math.pi / 720) and best == vals[i]
+
+
+class TestGeneratorVerdict:
+    @pytest.mark.parametrize("best,verdict", [
+        (0.5, "Inside"),
+        (0.5 + PHI_INSIDE_SLACK, "Inside"),
+        (0.5 + 2e-12, "Inconclusive"),
+        (0.5 + 1e-6, "Inconclusive"),
+        (0.5 + 2e-6, "Outside"),
+    ])
+    def test_phi_bands(self, monkeypatch, best, verdict):
+        monkeypatch.setattr(core, "phi_boundary_max", lambda lam, phi: (1.25, best))
+        got = generator_verdict(extremal(0.5))
+        assert (got.verdict, got.path, got.value, got.t) == (verdict, "boundary_max", best, 1.25)
+        assert got.to_json() == {"path": "boundary_max", "boundary_max": best, "t": 1.25, "verdict": verdict}
+
+    def test_omega_by_zero_count(self):
+        # the pole-carrying candidate of the CLI tests: one zero of q
+        omega = MoebiusShift(a=0.5268221954758235 - 0.09810406994221266j, psi=5.611645507023389)
+        cand = q_from_omega(0.3007386830957319 + 0.8294213293396829j, 0.3, omega)
+        got = generator_verdict(cand)
+        assert got.to_json() == {"path": "zero_count", "q_disk_zeros": 1, "verdict": "Outside"}
+        got = generator_verdict(q_from_omega(0.5, 0.7, MoebiusShift(a=0.98)))
+        assert got.to_json() == {"path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside"}
+
+    def test_raw_q_has_no_representation(self):
+        cand = extremal(0.5)
+        for raw in (UCandidate(cand.q, 0.5), dilate(cand, 0.5)):
+            with pytest.raises(ValueError, match="raw q"):
+                generator_verdict(raw)
+
+    def test_seeded_agreement_with_the_sweep(self):
+        # the draws of verify-conjecture on seeds 0..399, 16 phi and 16
+        # omega each, against the rule they replace (the order-64 sweep of
+        # U, and for omega the zero count as well)
+        phi_changed = []
+        for seed in range(400):
+            lam = (0.25, 0.5, 0.75, 1.0)[seed % 4]
+            rng = np.random.default_rng(seed)
+            for _ in range(16):
+                phi = sample_phi(rng)
+                omega = sample_omega(rng)
+                a2 = _random_point(rng, 1.0)
+                cand = q_from_phi(lam, phi)
+                new = generator_verdict(cand)
+                if (new.verdict == "Inside") != (sup_u(cand).verdict == "Inside"):
+                    phi_changed.append(seed)
+                    # only a true non-member may change: the maximum principle
+                    # puts sup |U| at least at the boundary maximum
+                    assert new.verdict == "Outside" and new.value > lam
+                cand = q_from_omega(a2, lam, omega)
+                new = generator_verdict(cand)
+                if new.verdict == "Inside":
+                    assert sup_u(cand).verdict == "Inside"
+                else:
+                    assert new.value > 0
+        assert phi_changed == [195]
 
 
 class TestJulia:

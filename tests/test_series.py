@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ulambda import series
 from ulambda.errors import NearZeroConstantTerm, OutOfRange, OutsideDisk
 from ulambda.series import (
     TruncatedSeries,
@@ -182,6 +183,40 @@ class TestRing:
     def test_bad_angles_rejected(self, angles):
         with pytest.raises(OutOfRange):
             ring(0.5, angles)
+
+
+def uncached_ring(radii, angles):
+    """``ring`` as it was before its unit circle was cached."""
+    circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, angles, endpoint=False))
+    return np.multiply.outer(radii, circle)
+
+
+class TestRingCache:
+    RADII = (0.5, 1.0, (0.1, 0.5, 0.999), np.array([[0.2, 0.4, 1.0], [0.3, 0.6, 0.9]]))
+
+    @pytest.mark.parametrize("angles", [1, 7, 720, 2048, 4096])
+    @pytest.mark.parametrize("radii", RADII, ids=["scalar", "unit", "tuple", "2-d"])
+    def test_bit_identical_to_uncached(self, radii, angles):
+        expect = uncached_ring(radii, angles)
+        for _ in range(2):  # a cache miss, then a hit
+            got = ring(radii, angles)
+            assert got.shape == expect.shape and got.dtype == expect.dtype
+            assert np.array_equal(got.view(float), expect.view(float))
+
+    @pytest.mark.parametrize("radii", RADII, ids=["scalar", "unit", "tuple", "2-d"])
+    def test_writing_a_grid_leaves_the_next_call(self, radii):
+        grid = ring(radii, 16)
+        assert grid.flags.writeable
+        grid[...] = 7.0
+        assert np.array_equal(ring(radii, 16), uncached_ring(radii, 16))
+
+    def test_cached_circle_is_read_only_and_bounded(self):
+        circle = series._circle(16)
+        assert not circle.flags.writeable
+        with pytest.raises(ValueError):
+            circle[0] = 0.0
+        assert series._circle.cache_info().maxsize == 16
+        assert series._circle(16) is circle
 
 
 def weights(s, radii):
