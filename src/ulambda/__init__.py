@@ -20,16 +20,13 @@ from .diskfun import (
 )
 from .geometry import BoundaryRegion
 from .core import (
-    GeneratorVerdict,
     GridSpec,
     MembershipReport,
     UCandidate,
     dilate,
-    generator_verdict,
     julia_quotient,
     l_of_phi,
     obstruction_value,
-    phi_boundary_max,
     q_from_omega,
     q_from_phi,
     subordination_check,

@@ -29,6 +29,7 @@ from .core import (
     GridSpec,
     UCandidate,
     generator_verdict,
+    phi_verdict,
     q_from_omega,
     q_from_phi,
     taylor_of_f,
@@ -199,30 +200,39 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _candidate_from_config(cfg: dict):
+def _membership_verdict(cfg: dict) -> tuple:
+    """The verdict on the config's candidate, and the given keys that it
+    does not read.  An omega candidate is decided by the zeros of its q
+    truncated at ``order``; a phi or extremal one by phi alone, which reads
+    neither ``order`` nor ``grid``."""
     lam = _lam(cfg)
     spec = cfg.get("candidate")
     if not isinstance(spec, dict):
         raise ConfigError("config requires a 'candidate' object")
     kind = spec.get("type")
-    if kind == "phi":
-        return q_from_phi(lam, diskfun_from_json(spec["phi"]))
     if kind == "omega":
-        return q_from_omega(_cplx(spec["a2"]), lam, diskfun_from_json(spec["omega"]))
-    if kind == "extremal":
-        return q_from_phi(lam, Monomial(theta=float(spec.get("phase", math.pi)), k=1))
-    raise ConfigError(f"unknown candidate type {kind!r}")
+        unused = _unused(cfg, "grid")
+        cand = q_from_omega(_cplx(spec["a2"]), lam, diskfun_from_json(spec["omega"]), order=_order(cfg))
+        return generator_verdict(cand), unused
+    unused = _unused(cfg, "grid", "order")
+    if kind == "phi":
+        phi = diskfun_from_json(spec["phi"])
+    elif kind == "extremal":
+        phi = Monomial(theta=float(spec.get("phase", math.pi)), k=1)
+    else:
+        raise ConfigError(f"unknown candidate type {kind!r}")
+    return phi_verdict(lam, phi), unused
 
 
 def cmd_membership(cfg: dict, out: Path) -> int:
-    unused = _unused(cfg, "grid", "order")
-    payload = generator_verdict(_candidate_from_config(cfg)).to_json()
+    verdict, unused = _membership_verdict(cfg)
+    payload = verdict.to_json()
     if unused:
         payload["unused"] = unused
     _write_json(out / "membership.json", payload)
-    if payload["verdict"] == "Inside":
+    if verdict.verdict == "Inside":
         return EXIT_OK
-    if payload["verdict"] == "Outside":
+    if verdict.verdict == "Outside":
         return EXIT_VIOLATION
     return EXIT_INCONCLUSIVE
 
@@ -235,7 +245,7 @@ def cmd_julia(cfg: dict, out: Path) -> int:
     m = julia_quotient(phi, theta0)
     value = obstruction_value(lam, phi, theta0)
     direct = l_of_phi(lam, phi, cmath.exp(1j * theta0))
-    membership = generator_verdict(q_from_phi(lam, phi))
+    membership = phi_verdict(lam, phi)
     payload = {
         "lambda": lam,
         "theta0": theta0,

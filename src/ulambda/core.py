@@ -6,8 +6,8 @@ all series work away from the zero of f at the origin.  The membership
 quantity is q(z) - z q'(z) - 1, whose modulus must stay below lambda on the
 disk.  A candidate built from one of the two representations is decided by
 it (``generator_verdict``): a phi candidate by the maximum of |U| on the
-unit circle (``phi_boundary_max``), an omega candidate by the zeros of q
-(``count_disk_zeros``).  Only a raw q, such as a dilated or perturbed one,
+unit circle (``phi_verdict``, which needs phi alone), an omega candidate by
+the zeros of q (``count_disk_zeros``).  Only a raw q, such as a dilated or perturbed one,
 is swept (``sup_u``) as a truncated series over a grid of circles.
 
 The representation theorem's two majorants, 1 + 2 lam z + lam z^2 and
@@ -204,10 +204,14 @@ def count_disk_zeros(cand: UCandidate, radius: float = 0.999, samples: int = 819
     return round(float(np.sum(turns)) / (2 * math.pi))
 
 
-def q_from_phi(lam: float, phi: DiskFunction, order: int = DEFAULT_ORDER) -> UCandidate:
-    """Candidate with z/f = 1 - (1+lam) phi + lam phi^2, phi fixing 0."""
+def _check_fixes_origin(phi: DiskFunction) -> None:
     if abs(phi.base_point()) > 1e-9:
         raise BasePointNotZero(f"|phi(0)| = {abs(phi.base_point()):.3e}")
+
+
+def q_from_phi(lam: float, phi: DiskFunction, order: int = DEFAULT_ORDER) -> UCandidate:
+    """Candidate with z/f = 1 - (1+lam) phi + lam phi^2, phi fixing 0."""
+    _check_fixes_origin(phi)
     p = phi.taylor(order)
     q = np.zeros(order + 1, dtype=complex)
     q[0] = 1.0
@@ -264,13 +268,13 @@ def l_of_phi(lam: float, phi: DiskFunction, z):
     return out if z.ndim else float(out)
 
 
-def phi_boundary_max(lam: float, phi: DiskFunction, angles: int = PHI_BOUNDARY_ANGLES) -> tuple:
-    """(t, max |U|) over ``ring(1.0, angles)`` for the phi candidate: the
-    largest sample of ``l_of_phi`` on the unit circle and its angle t, the
-    first maximal one, spaced as ``ring`` spaces them."""
-    vals = l_of_phi(lam, phi, ring(1.0, angles))
+def phi_boundary_max(lam: float, phi: DiskFunction) -> tuple:
+    """(t, max |U|) over ``ring(1.0, PHI_BOUNDARY_ANGLES)`` for the phi
+    candidate: the largest sample of ``l_of_phi`` on the unit circle and its
+    angle t, the first maximal one, spaced as ``ring`` spaces them."""
+    vals = l_of_phi(lam, phi, ring(1.0, PHI_BOUNDARY_ANGLES))
     i = int(np.argmax(vals))
-    return i * (2 * math.pi / angles), float(vals[i])
+    return i * (2 * math.pi / PHI_BOUNDARY_ANGLES), float(vals[i])
 
 
 @dataclass(frozen=True)
@@ -291,18 +295,35 @@ class GeneratorVerdict:
         return {"path": self.path, "boundary_max": self.value, "t": self.t, "verdict": self.verdict}
 
 
+def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
+    """Membership of the phi candidate, from phi alone: no q is built.
+
+    q = (1 - phi)(1 - lam phi) has no zero in the disk, and U is analytic on
+    the closed disk, so by the maximum principle its maximum on the unit
+    circle decides.  Inside when ``phi_boundary_max`` is at most
+    lam + PHI_INSIDE_SLACK, Outside beyond lam + MEMBERSHIP_TOL, Inconclusive
+    between.  A phi that does not fix 0 raises BasePointNotZero, as in
+    ``q_from_phi``.
+    """
+    _check_fixes_origin(phi)
+    t, best = phi_boundary_max(lam, phi)
+    if best <= lam + PHI_INSIDE_SLACK:
+        verdict = "Inside"
+    elif best > lam + MEMBERSHIP_TOL:
+        verdict = "Outside"
+    else:
+        verdict = "Inconclusive"
+    return GeneratorVerdict(verdict, "boundary_max", best, t)
+
+
 def generator_verdict(cand: UCandidate) -> GeneratorVerdict:
     """Membership of a candidate built by ``q_from_phi`` or ``q_from_omega``,
     decided by its representation instead of a sweep of the truncated U.
 
-    phi: q = (1 - phi)(1 - lam phi) has no zero in the disk, and U is
-    analytic on the closed disk, so by the maximum principle its maximum on
-    the unit circle decides.  Inside when ``phi_boundary_max`` is at most
-    lam + PHI_INSIDE_SLACK, Outside beyond lam + MEMBERSHIP_TOL, Inconclusive
-    between.
+    phi: ``phi_verdict`` on the candidate's lambda and phi.
     omega: U = -lam z^2 omega(z), so |U| < lam for every (a2, omega); the
-    candidate is Outside exactly when ``count_disk_zeros`` finds a zero of q
-    (a pole of f), Inside otherwise.
+    candidate is Outside exactly when ``count_disk_zeros`` finds a zero of
+    its truncated q (a pole of f), Inside otherwise.
 
     A raw q (no generator, such as a ``dilate`` result) raises ValueError:
     it takes ``sup_u`` and ``count_disk_zeros``.
@@ -312,14 +333,7 @@ def generator_verdict(cand: UCandidate) -> GeneratorVerdict:
     if cand.provenance == "omega":
         zeros = count_disk_zeros(cand)
         return GeneratorVerdict("Outside" if zeros else "Inside", "zero_count", zeros)
-    t, best = phi_boundary_max(cand.lam, cand.generator)
-    if best <= cand.lam + PHI_INSIDE_SLACK:
-        verdict = "Inside"
-    elif best > cand.lam + MEMBERSHIP_TOL:
-        verdict = "Outside"
-    else:
-        verdict = "Inconclusive"
-    return GeneratorVerdict(verdict, "boundary_max", best, t)
+    return phi_verdict(cand.lam, cand.generator)
 
 
 def julia_quotient(phi: DiskFunction, theta0: float) -> float:

@@ -188,7 +188,10 @@ class TestMembership:
         assert rep["q_disk_zeros"] == 1
         # the sweep, which the zero-count path no longer runs, stays below
         # the threshold on this candidate
-        assert core.sup_u(cli._candidate_from_config(cfg)).sup_estimate < 0.3
+        cand = core.q_from_omega(0.3007386830957319 + 0.8294213293396829j, 0.3,
+                                 MoebiusShift(a=0.5268221954758235 - 0.09810406994221266j,
+                                              psi=5.611645507023389))
+        assert core.sup_u(cand).sup_estimate < 0.3
 
     def test_near_boundary_moebius_omega_inside(self, tmp_path):
         # U = -lam z^2 omega is below lam everywhere and q has no zero; the
@@ -231,12 +234,31 @@ class TestMembership:
     ])
     @pytest.mark.parametrize("candidate", [
         {"type": "extremal"},
-        {"type": "omega", "a2": 0.9, "omega": {"kind": "moebius", "a": 0.3}},
+        {"type": "phi", "phi": {"kind": "monomial", "theta": 1.0, "k": 1}},
     ])
     def test_unused_keys_reported(self, tmp_path, candidate, extra, unused):
         code, out = run(tmp_path, "membership", {"lambda": 0.5, "candidate": candidate, **extra})
         assert code == 0
         assert json.loads((out / "membership.json").read_text())["unused"] == unused
+
+    def test_omega_order_truncates_q(self, tmp_path):
+        # the zeros counted are those of q truncated at the given order: at
+        # order 2 this q is 1 - 1.45 z + 0.35 z^2, with a zero at 0.874; from
+        # order 3 on it has none
+        cfg = {"lambda": 0.7,
+               "candidate": {"type": "omega", "a2": 1.45, "omega": {"kind": "moebius", "a": 0.5}}}
+        code, out = run(tmp_path, "membership", {**cfg, "order": 2, "grid": {"angles": 90}}, outdir="low")
+        assert code == 2
+        rep = json.loads((out / "membership.json").read_text())
+        assert rep["q_disk_zeros"] == 1
+        assert rep["unused"] == {"grid": {"radii": list(core.DEFAULT_RADII), "angles": 90}}
+        for extra in ({}, {"order": 3}):
+            code, out = run(tmp_path, "membership", {**cfg, **extra}, outdir=f"high{len(extra)}")
+            assert code == 0
+            assert json.loads((out / "membership.json").read_text()) == {
+                "path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside"}
+        code, _ = run(tmp_path, "membership", {**cfg, "order": 1}, outdir="bad")
+        assert code == 4
 
 
 @pytest.fixture
@@ -275,6 +297,22 @@ class TestNoSweep:
     def test_membership_readme_candidates(self, tmp_path, cfg, expect):
         code, _ = run(tmp_path, "membership", cfg)
         assert code == expect
+
+
+def test_phi_verdicts_build_no_q(tmp_path, monkeypatch):
+    # a phi or extremal candidate is decided by phi alone in membership and
+    # julia, so neither builds the candidate's truncated q
+    def build(*args, **kwargs):
+        raise AssertionError("q_from_phi called")
+
+    monkeypatch.setattr(cli, "q_from_phi", build)
+    for cfg, expect in README_MEMBERSHIP[:2]:
+        code, _ = run(tmp_path, "membership", cfg)
+        assert code == expect
+    code, out = run(tmp_path, "julia", {"lambda": 0.5, "phi": {"kind": "monomial", "theta": math.pi, "k": 2},
+                                        "theta0": 0.0})
+    assert code == 0
+    assert json.loads((out / "julia.json").read_text())["membership"]["verdict"] == "Outside"
 
 
 @pytest.mark.usefixtures("no_sweep")

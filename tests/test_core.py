@@ -6,6 +6,7 @@ import pytest
 
 from ulambda import core
 from ulambda.core import (
+    PHI_BOUNDARY_ANGLES,
     PHI_INSIDE_SLACK,
     GridSpec,
     QuadraticMajorant,
@@ -20,6 +21,7 @@ from ulambda.core import (
     majorant_h_boundary,
     obstruction_value,
     phi_boundary_max,
+    phi_verdict,
     q_from_omega,
     q_from_phi,
     subordination_check,
@@ -295,10 +297,10 @@ class TestPhiBoundaryMax:
 
     def test_t_is_a_ring_angle(self):
         phi = Blaschke(zeros=(0, 0.4 - 0.3j), rotation=0.8)
-        t, best = phi_boundary_max(0.6, phi, angles=720)
-        vals = l_of_phi(0.6, phi, ring(1.0, 720))
+        t, best = phi_boundary_max(0.6, phi)
+        vals = l_of_phi(0.6, phi, ring(1.0, PHI_BOUNDARY_ANGLES))
         i = int(np.argmax(vals))
-        assert t == i * (2 * math.pi / 720) and best == vals[i]
+        assert t == i * (2 * math.pi / PHI_BOUNDARY_ANGLES) and best == vals[i]
 
 
 class TestGeneratorVerdict:
@@ -314,6 +316,11 @@ class TestGeneratorVerdict:
         got = generator_verdict(extremal(0.5))
         assert (got.verdict, got.path, got.value, got.t) == (verdict, "boundary_max", best, 1.25)
         assert got.to_json() == {"path": "boundary_max", "boundary_max": best, "t": 1.25, "verdict": verdict}
+        assert phi_verdict(0.5, Monomial(theta=math.pi, k=1)) == got
+
+    def test_phi_verdict_needs_an_origin_fixing_phi(self):
+        with pytest.raises(BasePointNotZero):
+            phi_verdict(0.5, MoebiusShift(0.5, 0.0))
 
     def test_omega_by_zero_count(self):
         # the pole-carrying candidate of the CLI tests: one zero of q
