@@ -18,7 +18,6 @@ from .diskfun import (
     diskfun_from_json,
     schwarz_pick_envelope,
 )
-from .geometry import BoundaryRegion
 from .core import (
     GridSpec,
     MembershipReport,

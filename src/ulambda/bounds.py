@@ -4,22 +4,20 @@ region for a2, the F(R, r) root analysis, the contraction-mapping zero
 finder and both sharpness constructions.
 
 ``b_a`` and ``diskfun.antiderivative`` take a point or an array of points, so
-the sampled curve of ``c_omega_curve`` and the checks inside the sharpness
-constructions each cost one vectorized call.  ``b_a`` guards the branch
-point and evaluates ``diskfun._moebius_mean``, the same B_a that a Moebius
-shift's exact primitive z B_a(z e^{i psi}) uses, so ``v_of_omega`` and the
-fixed-point iteration of a Moebius omega do no quadrature.  The sharpness
-self-checks compare that closed form with ``diskfun.gauss_legendre``; against
-itself they would read 0 by construction.
+the curve samples and the sharpness checks each cost one vectorized call.
+``b_a`` guards the branch point and evaluates ``diskfun._moebius_mean``, the
+B_a of a Moebius shift's exact primitive z B_a(z e^{i psi}); the sharpness
+self-checks compare it with ``diskfun.gauss_legendre``, not with itself.
 
-The boundary maximum of |B_a| is v(|a|), attained at t = arg a: B_a(z) =
-e^{i arg a} B_{|a|}(z e^{-i arg a}), and |(x + w)/(1 + x w)| grows with
-Re w on each circle |w| = u.  So ``max_boundary_ba`` and ``v_of_omega`` take
-that closed form for a Moebius shift (and 1/(k+1) for a monomial) and search
-nothing.  For a Blaschke product or a polynomial ``v_of_omega`` runs
-``_circle_max``: one call on a ``series.ring`` of the unit circle, then
-golden-section refinement around the best sample.  Only that refinement and
-the fixed-point iteration evaluate one point at a time.
+max_t |B_a(e^{it})| = v(|a|), at t = arg a, since B_a(z) = e^{i arg a}
+B_{|a|}(z e^{-i arg a}) and |(x + w)/(1 + x w)| grows with Re w on each
+circle |w| = u.  ``v_of_omega`` searches (``_circle_max``: one ``ring``
+call, then golden section) only for a Blaschke product or a polynomial.
+
+a2 is admissible exactly when q = 1 - a2 z + lam z W(z), W = int_0^z omega,
+has no zero in the disk: q(e^{it}) = e^{it} (gamma(t) - a2) with gamma(t) =
+e^{-it} + lam W(e^{it}), so exactly when a2 lies inside gamma.
+``RegionA2.locate`` projects a2 onto gamma itself, from |z| = 1 only.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .errors import (
     OutOfRange,
     SelfIntersectionSuspected,
 )
-from .geometry import BoundaryRegion
+from .geometry import BOUNDARY, INSIDE, LABELS, OUTSIDE, BoundaryRegion
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
@@ -56,7 +54,7 @@ from .series import (
     ring_eval,
     series_reciprocal,
 )
-from .core import GridSpec, q_from_omega
+from .core import GridSpec, _winding, q_from_omega
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -321,15 +319,59 @@ def fixed_point_zero(
 @dataclass(frozen=True)
 class RegionA2:
     """Admissible region for a2 given omega: the bounded component enclosed by
-    the curve 1/z + lam int_0^z omega sampled on the unit circle."""
+    gamma(t) = e^{-it} + lam int_0^{e^{it}} omega, which ``curve`` samples at
+    ``thetas``.  ``orientation`` is gamma's winding about its centroid."""
 
     lam: float
-    omega_descriptor: str
+    omega: DiskFunction
     thetas: np.ndarray
     curve: BoundaryRegion
+    orientation: int
+    tol: float = 1e-7
+
+    def _gamma(self, t):
+        # gamma, gamma' and gamma'' at the angles t, from omega on |z| = 1 only
+        z = np.exp(1j * t)
+        zc, w = z.conj(), self.omega.eval(z)
+        g = zc + self.lam * antiderivative(self.omega, z)
+        return g, 1j * (self.lam * z * w - zc), -zc - self.lam * z * (w + z * self.omega.deriv(z))
+
+    def locate(self, a2) -> tuple:
+        """(codes, distances) of the points a2, flattened: the distance to
+        gamma(t*), the nearest point, and BOUNDARY within ``tol``, else INSIDE
+        or OUTSIDE by the side of gamma'(t*) the point lies on.
+
+        t* starts at the nearest sample's angle and takes Newton steps on
+        Re(conj(gamma') (gamma - a2)) = 0 (descent steps where the distance
+        is not convex in t), each clamped to one sample spacing.  At a cusp
+        (gamma'(t*) = 0: lam = 1, |omega| = 1) the side is taken against
+        gamma'' of a chord across it."""
+        p = np.asarray(a2, dtype=complex).reshape(-1)
+        h = 2 * math.pi / (len(self.curve.samples) - 1)
+        t = h * np.argmin(np.abs(p[:, None] - self.curve.samples[:-1]), axis=1)
+        for _ in range(64):
+            g, g1, g2 = self._gamma(t)
+            slope = np.real(g1.conj() * (g - p))
+            convex = np.abs(g1) ** 2 + np.real(g2.conj() * (g - p))
+            step = np.where(convex > 0, -slope / np.where(convex > 0, convex, 1.0), -np.sign(slope) * h)
+            step = np.clip(step, -h, h)
+            t = t + step
+            if not _any(np.abs(step) > 1e-12):
+                break
+        else:
+            raise NoConvergence("projection onto the a2 curve did not settle in 64 steps")
+        g, g1, g2 = self._gamma(t)
+        side = np.imag(g1.conj() * (p - g))
+        cusp = np.abs(g1) <= 1e-8
+        if _any(cusp):
+            chord = self._gamma(t[cusp] + 1e-4)[0] - self._gamma(t[cusp] - 1e-4)[0]
+            side[cusp] = np.imag(g2[cusp].conj() * chord)
+        dist = np.abs(p - g)
+        codes = np.where(side * self.orientation > 0, INSIDE, OUTSIDE)
+        return np.where(dist <= self.tol, BOUNDARY, codes).astype(np.int8), dist
 
     def contains(self, a2: complex) -> str:
-        return self.curve.contains(complex(a2))
+        return LABELS[self.locate(a2)[0][0]]
 
     def to_csv(self) -> str:
         pts = self.curve.samples
@@ -385,7 +427,9 @@ def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> Reg
     circle and package the containment test for candidate a2 values.
 
     The curve is injective in theory; a numerical check flags samples at
-    angular distance above 4 grid steps that come closer than 1e-6.
+    angular distance above 4 grid steps that come closer than 1e-6, and the
+    samples must wind once about their centroid.  That winding's sign is the
+    region's orientation.
     """
     if resolution < 64:
         raise OutOfRange("resolution must be >= 64")
@@ -395,17 +439,16 @@ def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> Reg
     if pairs:
         raise SelfIntersectionSuspected(f"{pairs} close sample pairs")
 
-    region = RegionA2(
-        lam=lam,
-        omega_descriptor=repr(omega),
-        thetas=np.linspace(0.0, 2 * math.pi, resolution + 1),
-        curve=BoundaryRegion(np.concatenate([open_pts, open_pts[:1]])),
-    )
-    centroid = complex(np.mean(open_pts))
-    wn = region.curve.winding_number(centroid)
+    wn = _winding(open_pts - np.mean(open_pts))
     if abs(wn) != 1:
         raise SelfIntersectionSuspected(f"winding number {wn} around centroid")
-    return region
+    return RegionA2(
+        lam=lam,
+        omega=omega,
+        thetas=np.linspace(0.0, 2 * math.pi, resolution + 1),
+        curve=BoundaryRegion(np.concatenate([open_pts, open_pts[:1]])),
+        orientation=wn,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@ from .core import (
     julia_quotient,
     obstruction_value,
 )
-from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, diskfun_from_json
+from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, antiderivative, diskfun_from_json
 from .errors import ConfigError, NoConvergence, NotContractive, UlambdaError
-from .series import TruncatedSeries, series_eval
+from .geometry import LABELS
+from .series import TruncatedSeries
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -268,17 +269,15 @@ def cmd_region_a2(cfg: dict, out: Path) -> int:
     omega = diskfun_from_json(cfg["omega"])
     # c_omega_curve's own minimum, checked here so it is a config error
     resolution = _int(cfg, "resolution", 512, minimum=64)
+    points = [_cplx(q) for q in cfg.get("queries", [])]
+    if not all(map(cmath.isfinite, points)):
+        raise ConfigError("queries must be finite")
     region = bounds.c_omega_curve(omega, lam, resolution=resolution)
     (out / "region.csv").write_text(region.to_csv())
     (out / "region.svg").write_text(region.to_svg())
-    queries = []
-    for q in cfg.get("queries", []):
-        p = _cplx(q)
-        queries.append({
-            "a2": [p.real, p.imag],
-            "where": region.contains(p),
-            "distance_to_curve": region.curve.distance(p),
-        })
+    codes, distances = region.locate(points)
+    queries = [{"a2": [p.real, p.imag], "where": LABELS[code], "distance_to_curve": d}
+               for p, code, d in zip(points, codes.tolist(), distances.tolist())]
     _write_json(out / "region.json", {
         "lambda": lam, "resolution": resolution, "queries": queries,
     })
@@ -355,12 +354,9 @@ def cmd_fixed_point(cfg: dict, out: Path) -> int:
         # JSON has no infinity; an a2 of 0 gives no radius at all
         _write_json(out / "fixed_point.json", {"error": str(e), "r": r if math.isfinite(r) else None})
         return EXIT_INCONCLUSIVE
-    cand = q_from_omega(a2, lam, omega)
-
-    payload = res.to_json()
-    payload["r"] = r
-    payload["q_residual"] = abs(series_eval(cand.q, res.z0))
-    _write_json(out / "fixed_point.json", payload)
+    # q(z0) = 1 - a2 z0 + lam z0 int_0^z0 omega, from the representation
+    q_residual = abs(1 - a2 * res.z0 + lam * res.z0 * antiderivative(omega, res.z0))
+    _write_json(out / "fixed_point.json", {**res.to_json(), "r": r, "q_residual": q_residual})
     return EXIT_OK
 
 

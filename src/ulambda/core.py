@@ -125,16 +125,6 @@ class MembershipReport:
     grid: dict
     radial_max: tuple = ()
 
-    def to_json(self) -> dict:
-        return {
-            "sup_estimate": self.sup_estimate,
-            "argmax": [self.argmax.real, self.argmax.imag],
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "grid": self.grid,
-            "radial_max": list(self.radial_max),
-        }
-
 
 def _u_series(cand: UCandidate) -> TruncatedSeries:
     # q - z q' - 1 has coefficients (1 - k) q_k, and constant term q_0 - 1 = 0
@@ -194,12 +184,16 @@ def count_disk_zeros(cand: UCandidate, radius: float = 0.999, samples: int = 819
     A zero of q is a pole of f = z/q, so a candidate whose q vanishes in the
     disk does not describe a member no matter what the operator sweep says.
     q(0) = 1, so the winding of the image of the circle about 0 counts the
-    zeros enclosed: the sum of the turning angles arg(v_{j+1} conj(v_j))
-    over consecutive samples, the last back to the first, over 2 pi.
+    zeros enclosed (``_winding``).
     """
     if not (0 < radius < 1):
         raise OutOfRange(f"radius must lie in (0, 1), got {radius}")
-    vals = ring_eval(cand.q, radius, samples)
+    return _winding(ring_eval(cand.q, radius, samples))
+
+
+def _winding(vals: np.ndarray) -> int:
+    """Winding number about 0 of the closed polygon through vals: the turning
+    angles arg(v_{j+1} conj(v_j)), the last back to the first, over 2 pi."""
     turns = np.angle(np.roll(vals, -1) * vals.conj())
     return round(float(np.sum(turns)) / (2 * math.pi))
 
@@ -376,12 +370,6 @@ def obstruction_value(lam: float, phi: DiskFunction, theta0: float) -> float:
 class SubordinationVerdict:
     verdict: str  # Holds | Fails | Inconclusive
     witness: complex | None = None
-
-    def to_json(self) -> dict:
-        out = {"verdict": self.verdict}
-        if self.witness is not None:
-            out["witness"] = [self.witness.real, self.witness.imag]
-        return out
 
 
 @dataclass(frozen=True)

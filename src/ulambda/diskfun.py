@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -195,12 +195,12 @@ class Monomial(DiskFunction):
 
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
-        out = cmath.exp(1j * self.theta) * z**self.k
+        out = cmath.exp(1j * self.theta) * _power(z, self.k)
         return out if z.ndim else complex(out)
 
     def deriv(self, z):
         z = np.asarray(z, dtype=complex)
-        out = cmath.exp(1j * self.theta) * self.k * z ** (self.k - 1)
+        out = cmath.exp(1j * self.theta) * self.k * _power(z, self.k - 1)
         return out if z.ndim else complex(out)
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -210,7 +210,13 @@ class Monomial(DiskFunction):
         return TruncatedSeries(c)
 
     def _primitive(self, z):
-        return cmath.exp(1j * self.theta) * z ** (self.k + 1) / (self.k + 1)
+        return cmath.exp(1j * self.theta) * _power(z, self.k + 1) / (self.k + 1)
+
+
+def _power(z, k: int):
+    # z**k by k - 1 products: numpy's complex power takes a slow per-element
+    # path for every integer k but 2 (z**1 costs about ten times a copy)
+    return reduce(np.multiply, [z] * k) if k else np.ones_like(z)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from test_diskfun import sample_functions
+from test_geometry import polygon_distance, reference_contains
 
 import ulambda.bounds as bounds_module
 import ulambda.diskfun as diskfun_module
@@ -38,6 +39,7 @@ from ulambda.errors import (
     SelfIntersectionSuspected,
 )
 from ulambda.diskfun import antiderivative
+from ulambda.geometry import BOUNDARY, LABELS
 from ulambda.series import series_eval
 
 ZERO_FUN = ScaledPolynomial(raw=(0.0,), normalizer=1.0)
@@ -611,6 +613,121 @@ class TestRegionA2:
         assert region.to_csv() == reference_csv(region)
         for size in (512, 97):
             assert region.to_svg(size) == reference_svg(region, size)
+
+
+# the near-curve families at lam = 0.7, resolution 512
+NEAR_LAM = 0.7
+NEAR_OMEGAS = {
+    "moebius-0.5": MoebiusShift(0.5),
+    "moebius-0.9": MoebiusShift(0.9),
+    "moebius-0.98": MoebiusShift(0.98),
+    "blaschke": Blaschke(zeros=(0.3 - 0.4j, 0.5)),
+    "cubic": ScaledPolynomial(raw=(0.2, -0.5j, 0.3, 0.4 + 0.1j)),
+}
+
+
+def curve_points(omega, lam, t):
+    """gamma(t) = e^{-it} + lam int_0^{e^{it}} omega and its unit left normal,
+    the tangent taken by a central difference."""
+    def gamma(t):
+        z = np.exp(1j * t)
+        return z.conj() + lam * antiderivative(omega, z)
+
+    chord = gamma(t + 1e-6) - gamma(t - 1e-6)
+    return gamma(t), 1j * chord / np.abs(chord)
+
+
+def mp_curve_distance(omega, lam, p, t0):
+    """Distance from p to gamma at 40 digits: the root of
+    Re(conj(gamma'(t)) (gamma(t) - p)) next to t0, for a real-a Moebius
+    shift (psi = 0) or a polynomial."""
+    with mpmath.workdps(40):
+        lam, p = mpmath.mpf(lam), mpmath.mpc(p)
+        if isinstance(omega, MoebiusShift):
+            a = mpmath.mpf(omega.a.real)
+            om = lambda z: (a + z) / (1 + a * z)
+            prim = lambda z: z / a - (1 - a**2) / a**2 * mpmath.log(1 + a * z)
+        else:
+            c = [mpmath.mpc(x) / mpmath.mpf(omega.normalizer) for x in omega.raw]
+            om = lambda z: sum(ck * z**k for k, ck in enumerate(c))
+            prim = lambda z: sum(ck * z ** (k + 1) / (k + 1) for k, ck in enumerate(c))
+
+        def slope(t):
+            z = mpmath.expj(t)
+            g = 1 / z + lam * prim(z)
+            dg = 1j * (lam * z * om(z) - 1 / z)
+            return mpmath.re(mpmath.conj(dg) * (g - p))
+
+        t = mpmath.findroot(slope, mpmath.mpf(t0))
+        return float(abs(1 / mpmath.expj(t) + lam * prim(mpmath.expj(t)) - p))
+
+
+class TestRegionProjection:
+    """``RegionA2.locate`` projects each query onto the true curve gamma.  The
+    sampled polygon it replaced mislabelled 44-91 of these 400 points at
+    1e-5 per family (its chords sag up to 1.2e-3 off gamma)."""
+
+    @pytest.mark.parametrize("name", sorted(NEAR_OMEGAS))
+    def test_labels_follow_the_side(self, name):
+        omega = NEAR_OMEGAS[name]
+        region = c_omega_curve(omega, NEAR_LAM, resolution=512)
+        g, left = curve_points(omega, NEAR_LAM, np.random.default_rng(13).uniform(0, 2 * math.pi, 200))
+        # |lam omega| < 1, so gamma' turns with e^{-it}: gamma runs clockwise
+        # and its interior lies to the right
+        codes, dist = region.locate(np.concatenate([g + 1e-5 * left, g - 1e-5 * left]))
+        assert [LABELS[c] for c in codes] == ["outside"] * 200 + ["inside"] * 200
+        assert np.max(np.abs(dist - 1e-5)) < 1e-12
+        codes, dist = region.locate(np.concatenate([g + 1e-9 * left, g - 1e-9 * left]))
+        assert np.all(codes == BOUNDARY) and np.max(dist) < 2e-9
+        assert region.contains(g[0] + 1e-5 * left[0]) == "outside"
+        assert region.contains(g[0] - 1e-9 * left[0]) == "boundary"
+
+    @pytest.mark.parametrize("omega", [MoebiusShift(0.9), NEAR_OMEGAS["cubic"]], ids=repr)
+    def test_distance_matches_40_digits(self, omega):
+        region = c_omega_curve(omega, NEAR_LAM, resolution=512)
+        rng = np.random.default_rng(14)
+        t = rng.uniform(0, 2 * math.pi, 6)
+        g, left = curve_points(omega, NEAR_LAM, t)
+        pts = np.concatenate([g + 1e-5 * left, g - 1e-5 * left, [0.1 + 0.2j, -0.3j, 2.0, -1.5 + 1.5j]])
+        starts = np.concatenate([t, t, np.zeros(4)])
+        dense_t = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
+        dense = curve_points(omega, NEAR_LAM, dense_t)[0]
+        for k in range(len(t) * 2, len(pts)):
+            starts[k] = dense_t[np.argmin(np.abs(dense - pts[k]))]
+        _, dist = region.locate(pts)
+        ref = [mp_curve_distance(omega, NEAR_LAM, p, t0) for p, t0 in zip(pts, starts)]
+        assert np.max(np.abs(dist - ref)) < 1e-14
+
+    @pytest.mark.parametrize("omega, lam", [
+        *((omega, NEAR_LAM) for omega in NEAR_OMEGAS.values()),
+        # lam = 1 with |omega| = 1 on the circle: gamma has cusps
+        (Monomial(0.0, 1), 1.0),
+        (Blaschke(zeros=(0.3 - 0.4j, 0.5)), 1.0),
+        (MoebiusShift(0.9), 1.0),
+    ], ids=repr)
+    def test_far_points_agree_with_dense_polygon(self, omega, lam):
+        region = c_omega_curve(omega, lam, resolution=512)
+        dense_t = np.linspace(0, 2 * math.pi, 8192, endpoint=False)
+        dense = curve_points(omega, lam, dense_t)[0]
+        polygon = np.concatenate([dense, dense[:1]])
+        rng = np.random.default_rng(15)
+        pts = rng.uniform(-2.2, 2.2, 600) + 1j * rng.uniform(-2.2, 2.2, 600)
+        far = np.array([p for p in pts if polygon_distance(polygon, p) > 1e-3])
+        assert len(far) > 550
+        codes, dist = region.locate(far)
+        assert [LABELS[c] for c in codes] == [reference_contains(polygon, p) for p in far]
+        # the projection is the global nearest point: never farther than the
+        # nearest dense sample, and nearer by no more than the sample spacing
+        nearest = np.min(np.abs(far[:, None] - dense), axis=1)
+        assert np.all(dist <= nearest + 1e-15) and np.all(nearest - dist < 1e-3)
+
+    def test_empty_and_point_queries(self):
+        region = c_omega_curve(ZERO_FUN, 0.5, resolution=64)
+        codes, dist = region.locate([])
+        assert codes.shape == dist.shape == (0,)
+        # omega = 0 makes gamma the unit circle, whatever the resolution
+        codes, dist = region.locate(0.9)
+        assert codes.tolist() == [1] and abs(dist[0] - 0.1) < 1e-15
 
 
 def reference_csv(region):

@@ -7,7 +7,7 @@ import pytest
 
 from ulambda import bounds, cli, core
 from ulambda.cli import main
-from ulambda.diskfun import MoebiusShift
+from ulambda.diskfun import MoebiusShift, gauss_legendre
 
 
 def run(tmp_path, command, cfg, outdir="out"):
@@ -369,6 +369,9 @@ class TestRegionA2:
         rep = json.loads((out / "region.json").read_text())
         assert rep["queries"][0]["where"] == "inside"
         assert rep["queries"][1]["where"] == "outside"
+        # omega = 0 makes the curve the unit circle: the distance is to it,
+        # not to the 128-gon, which lies up to 3e-4 inside
+        assert [abs(q["distance_to_curve"] - 0.1) < 1e-15 for q in rep["queries"]] == [True, True]
         assert (out / "region.csv").read_text().startswith("theta,re,im")
         assert (out / "region.svg").read_text().startswith("<svg")
 
@@ -469,6 +472,20 @@ class TestFixedPoint:
         rep = json.loads((out / "fixed_point.json").read_text())
         assert rep["q_residual"] < 1e-9
         assert len(rep["residuals"]) == rep["iterations"]
+
+    def test_q_residual_from_the_representation(self, tmp_path, monkeypatch):
+        # q(z0) = 1 - a2 z0 + lam z0 int_0^z0 omega; no truncated q is built
+        def build(*args, **kwargs):
+            raise AssertionError("q_from_omega called")
+
+        monkeypatch.setattr(cli, "q_from_omega", build)
+        omega = {"kind": "moebius", "a": [0.3, 0.4], "psi": 1.0}
+        code, out = run(tmp_path, "fixed-point", {"lambda": 0.6, "a2": [2.0, 1.0], "omega": omega})
+        assert code == 0
+        rep = json.loads((out / "fixed_point.json").read_text())
+        z0 = complex(*rep["z0"])
+        q = 1 - (2 + 1j) * z0 + 0.6 * z0 * gauss_legendre(MoebiusShift(0.3 + 0.4j, 1.0), z0)
+        assert abs(rep["q_residual"] - abs(q)) < 1e-15 and rep["q_residual"] < 1e-12
 
     def test_not_contractive_inconclusive(self, tmp_path):
         code, out = run(tmp_path, "fixed-point",
@@ -599,6 +616,15 @@ class TestHarness:
                         {"lambda": 0.5, "resolution": 32, "omega": {"kind": "moebius", "a": 0.3}})
         assert code == 4
         assert "resolution must be an integer >= 64, got 32" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("query", [[float("nan"), 0.0], [0.5, float("inf")]])
+    def test_region_non_finite_query_is_a_config_error(self, tmp_path, capsys, query):
+        # it used to exit 0 with "outside" and a NaN distance
+        code, out = run(tmp_path, "region-a2",
+                        {"lambda": 0.5, "omega": {"kind": "moebius", "a": 0.3}, "queries": [[0.1, 0.0], query]})
+        assert code == 4
+        assert "queries must be finite" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_threads_variable_is_not_read(self, tmp_path, monkeypatch):

@@ -303,6 +303,19 @@ class TestExactPrimitives:
         ref = np.array([mp_polynomial_integral([0] * k + [cmath.exp(1j * theta)], 1.0, p) for p in z])
         assert np.max(np.abs(antiderivative(fun, z) - ref)) <= 1e-15
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_monomial_powers_by_products(self, k):
+        # eval, deriv and the primitive multiply z out rather than take
+        # numpy's complex power, and stay within a few ulps of it
+        fun = Monomial(theta=0.0, k=k)
+        z = np.concatenate([np.exp(2j * np.pi * np.arange(4096) / 4096), disk_points(np.random.default_rng(26), 40)])
+        ulp = np.spacing(1.0)
+        assert np.max(np.abs(fun.eval(z) - z**k)) <= 4 * ulp
+        assert np.max(np.abs(fun.deriv(z) - k * z ** (k - 1))) <= 4 * k * ulp
+        assert np.max(np.abs(antiderivative(fun, z) - z ** (k + 1) / (k + 1))) <= 4 * ulp
+        assert isinstance(fun.eval(0.5j), complex) and isinstance(fun.deriv(0.5j), complex)
+        assert fun.deriv(0.5j) == pytest.approx(k * 0.5j ** (k - 1), abs=4 * k * ulp)
+
     @pytest.mark.parametrize("raw, normalizer", [
         ((0.5,), 1.0),
         ((0, 1.0), 1.0),
