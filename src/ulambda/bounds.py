@@ -227,9 +227,7 @@ def f_root_in_unit_interval(lam: float, R: float) -> float | None:
     """
     if f_quadratic(lam, R, 1.0) >= 0:
         return None
-    a = lam * R * R
-    b = -(R * (1 + lam) + 1 - lam)
-    c = lam
+    a, b, c = lam * R * R, -(R * (1 + lam) + 1 - lam), lam
     disc = b * b - 4 * a * c
     return (-b - math.sqrt(disc)) / (2 * a)
 
@@ -291,9 +289,7 @@ def fixed_point_zero(
     into = (1 + lam * r * v) / abs(a2)
     lip = lam * (r + v) / abs(a2)
     if into > r + 1e-9 or lip >= 1:
-        raise NotContractive(
-            f"map radius {into:.6f} vs r = {r}, Lipschitz constant {lip:.6f}"
-        )
+        raise NotContractive(f"map radius {into:.6f} vs r = {r}, Lipschitz constant {lip:.6f}")
     z = 0j
     residuals = []
     for it in range(1, max_iter + 1):
@@ -302,18 +298,15 @@ def fixed_point_zero(
         residuals.append(step)
         z = z_next
         if step < tol:
-            return FixedPointResult(
-                z0=z,
-                iterations=it,
-                residuals=tuple(residuals),
-                contraction_constant=lip,
-                v=v,
-            )
+            return FixedPointResult(z0=z, iterations=it, residuals=tuple(residuals),
+                                    contraction_constant=lip, v=v)
     raise NoConvergence(f"no convergence after {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------
 # admissible region for a2
+
+REGION_TOL = 1e-7  # the boundary band of RegionA2.locate
 
 
 @dataclass(frozen=True)
@@ -327,7 +320,6 @@ class RegionA2:
     thetas: np.ndarray
     curve: BoundaryRegion
     orientation: int
-    tol: float = 1e-7
 
     def _gamma(self, t):
         # gamma, gamma' and gamma'' at the angles t, from omega on |z| = 1 only
@@ -338,37 +330,49 @@ class RegionA2:
 
     def locate(self, a2) -> tuple:
         """(codes, distances) of the points a2, flattened: the distance to
-        gamma(t*), the nearest point, and BOUNDARY within ``tol``, else INSIDE
-        or OUTSIDE by the side of gamma'(t*) the point lies on.
+        gamma(t*), the nearest point, and BOUNDARY within ``REGION_TOL``, else
+        INSIDE or OUTSIDE by the side of gamma'(t*) the point lies on.
 
-        t* starts at the nearest sample's angle and takes Newton steps on
-        Re(conj(gamma') (gamma - a2)) = 0 (descent steps where the distance
-        is not convex in t), each clamped to one sample spacing.  At a cusp
-        (gamma'(t*) = 0: lam = 1, |omega| = 1) the side is taken against
-        gamma'' of a chord across it."""
+        Newton steps on Re(conj(gamma') (gamma - a2)) = 0 (descent steps where
+        the distance is not convex in t), each clamped to one sample spacing,
+        start at every local minimum of the sample distances; the nearest
+        settled point is t*.  At a cusp (gamma'(t*) = 0: lam = 1,
+        |omega| = 1) the side is taken against gamma'' of a chord across it."""
         p = np.asarray(a2, dtype=complex).reshape(-1)
-        h = 2 * math.pi / (len(self.curve.samples) - 1)
-        t = h * np.argmin(np.abs(p[:, None] - self.curve.samples[:-1]), axis=1)
+        s = self.curve.samples[:-1]
+        h = 2 * math.pi / len(s)
+        starts = [np.zeros((2, 0), dtype=np.intp)]
+        chunk = max(1, 2**20 // len(s))  # bounds the (queries x samples) distances
+        for lo in range(0, len(p), chunk):
+            d = np.abs(p[lo:lo + chunk, None] - s)
+            low = (d <= np.roll(d, 1, axis=1)) & (d < np.roll(d, -1, axis=1))
+            low[np.arange(len(d)), np.argmin(d, axis=1)] = True
+            starts.append(np.array(np.nonzero(low)) + [[lo], [0]])
+        row, k = np.concatenate(starts, axis=1)
+        t, q = h * k, p[row]
         for _ in range(64):
             g, g1, g2 = self._gamma(t)
-            slope = np.real(g1.conj() * (g - p))
-            convex = np.abs(g1) ** 2 + np.real(g2.conj() * (g - p))
+            slope = np.real(g1.conj() * (g - q))
+            convex = np.abs(g1) ** 2 + np.real(g2.conj() * (g - q))
             step = np.where(convex > 0, -slope / np.where(convex > 0, convex, 1.0), -np.sign(slope) * h)
             step = np.clip(step, -h, h)
             t = t + step
             if not _any(np.abs(step) > 1e-12):
                 break
-        else:
-            raise NoConvergence("projection onto the a2 curve did not settle in 64 steps")
         g, g1, g2 = self._gamma(t)
+        dist = np.where(np.abs(step) <= 1e-12, np.abs(q - g), np.inf)
+        # rows are sorted, so each query's nearest settled start heads its run
+        pick = np.lexsort((dist, row))[np.searchsorted(row, np.arange(len(p)))]
+        t, g, g1, g2, dist = t[pick], g[pick], g1[pick], g2[pick], dist[pick]
+        if not np.all(np.isfinite(dist)):
+            raise NoConvergence("projection onto the a2 curve did not settle in 64 steps")
         side = np.imag(g1.conj() * (p - g))
         cusp = np.abs(g1) <= 1e-8
         if _any(cusp):
             chord = self._gamma(t[cusp] + 1e-4)[0] - self._gamma(t[cusp] - 1e-4)[0]
             side[cusp] = np.imag(g2[cusp].conj() * chord)
-        dist = np.abs(p - g)
         codes = np.where(side * self.orientation > 0, INSIDE, OUTSIDE)
-        return np.where(dist <= self.tol, BOUNDARY, codes).astype(np.int8), dist
+        return np.where(dist <= REGION_TOL, BOUNDARY, codes).astype(np.int8), dist
 
     def contains(self, a2: complex) -> str:
         return LABELS[self.locate(a2)[0][0]]

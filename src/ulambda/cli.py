@@ -37,7 +37,7 @@ from .core import (
     julia_quotient,
     obstruction_value,
 )
-from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, antiderivative, diskfun_from_json
+from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, diskfun_from_json, gauss_legendre
 from .errors import ConfigError, NoConvergence, NotContractive, UlambdaError
 from .geometry import LABELS
 from .series import TruncatedSeries
@@ -80,11 +80,8 @@ def _lam(cfg: dict) -> float:
 def _int(cfg: dict, key: str, default: int, minimum: int | None = None) -> int:
     # int() would truncate a float and read a bool as 0 or 1
     value = cfg.get(key, default)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or (minimum is not None and value < minimum)
-    ):
+    bad = isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    if bad or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
     return int(value)
@@ -115,9 +112,7 @@ def sample_phi(rng: np.random.Generator):
         return Monomial(theta=float(rng.uniform(0, 2 * math.pi)), k=int(rng.integers(1, 4)))
     if kind == 1:
         deg = int(rng.integers(2, 5))
-        zeros = [0j]  # keep the origin fixed
-        for _ in range(deg - 1):
-            zeros.append(_random_point(rng, 0.8))
+        zeros = [0j] + [_random_point(rng, 0.8) for _ in range(deg - 1)]  # keep the origin fixed
         return Blaschke(zeros=tuple(zeros), rotation=float(rng.uniform(0, 2 * math.pi)))
     deg = int(rng.integers(2, 9))
     raw = [0j] + [_random_point(rng, 1.0) for _ in range(deg)]
@@ -278,9 +273,7 @@ def cmd_region_a2(cfg: dict, out: Path) -> int:
     codes, distances = region.locate(points)
     queries = [{"a2": [p.real, p.imag], "where": LABELS[code], "distance_to_curve": d}
                for p, code, d in zip(points, codes.tolist(), distances.tolist())]
-    _write_json(out / "region.json", {
-        "lambda": lam, "resolution": resolution, "queries": queries,
-    })
+    _write_json(out / "region.json", {"lambda": lam, "resolution": resolution, "queries": queries})
     return EXIT_OK
 
 
@@ -354,8 +347,9 @@ def cmd_fixed_point(cfg: dict, out: Path) -> int:
         # JSON has no infinity; an a2 of 0 gives no radius at all
         _write_json(out / "fixed_point.json", {"error": str(e), "r": r if math.isfinite(r) else None})
         return EXIT_INCONCLUSIVE
-    # q(z0) = 1 - a2 z0 + lam z0 int_0^z0 omega, from the representation
-    q_residual = abs(1 - a2 * res.z0 + lam * res.z0 * antiderivative(omega, res.z0))
+    # q(z0) = 1 - a2 z0 + lam z0 int_0^z0 omega, by quadrature: fixed_point_zero
+    # iterates on antiderivative, which would check itself
+    q_residual = abs(1 - a2 * res.z0 + lam * res.z0 * gauss_legendre(omega, res.z0))
     _write_json(out / "fixed_point.json", {**res.to_json(), "r": r, "q_residual": q_residual})
     return EXIT_OK
 

@@ -721,6 +721,29 @@ class TestRegionProjection:
         nearest = np.min(np.abs(far[:, None] - dense), axis=1)
         assert np.all(dist <= nearest + 1e-15) and np.all(nearest - dist < 1e-3)
 
+    def test_global_nearest_where_samples_are_sparse(self):
+        # near a = 0.999 gamma runs about 6 apart between samples; Newton from
+        # the nearest sample alone settled at a local nearest point (t 5.23,
+        # distance 1.4e-3) and read the wrong side
+        omega = MoebiusShift(0.999, 0.3)
+        region = c_omega_curve(omega, 1.0, resolution=2048)
+        p = 0.99225 - 0.00122j
+        dense_t = np.linspace(0, 2 * math.pi, 2_000_000, endpoint=False)
+        dense = curve_points(omega, 1.0, dense_t)[0]
+        codes, dist = region.locate(p)
+        assert LABELS[codes[0]] == reference_contains(np.append(dense, dense[:1]), p) == "outside"
+        assert 0 <= np.min(np.abs(dense - p)) - dist[0] < 1e-8  # the wrong point was 3.8e-4 farther
+
+    def test_chunked_queries_match_point_queries(self):
+        # 2**20 distances per chunk: 16 queries at 65536 samples
+        region = c_omega_curve(MoebiusShift(0.5, 0.2), NEAR_LAM, resolution=65536)
+        rng = np.random.default_rng(16)
+        pts = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-1.5, 1.5, 40)
+        codes, dist = region.locate(pts)
+        one = [region.locate(p) for p in pts]
+        assert codes.tolist() == [c[0] for c, _ in one]
+        assert np.array_equal(dist, [d[0] for _, d in one])
+
     def test_empty_and_point_queries(self):
         region = c_omega_curve(ZERO_FUN, 0.5, resolution=64)
         codes, dist = region.locate([])

@@ -474,7 +474,7 @@ class TestFixedPoint:
         assert len(rep["residuals"]) == rep["iterations"]
 
     def test_q_residual_from_the_representation(self, tmp_path, monkeypatch):
-        # q(z0) = 1 - a2 z0 + lam z0 int_0^z0 omega; no truncated q is built
+        # q(z0) = 1 - a2 z0 + lam z0 int_0^z0 omega by quadrature; no truncated q is built
         def build(*args, **kwargs):
             raise AssertionError("q_from_omega called")
 
@@ -486,6 +486,16 @@ class TestFixedPoint:
         z0 = complex(*rep["z0"])
         q = 1 - (2 + 1j) * z0 + 0.6 * z0 * gauss_legendre(MoebiusShift(0.3 + 0.4j, 1.0), z0)
         assert abs(rep["q_residual"] - abs(q)) < 1e-15 and rep["q_residual"] < 1e-12
+
+    def test_q_residual_catches_a_wrong_primitive(self, tmp_path, monkeypatch):
+        # fixed_point_zero iterates on the family's primitive; q_residual
+        # integrates omega by quadrature, so it does not read 0 regardless
+        primitive = MoebiusShift._primitive
+        monkeypatch.setattr(MoebiusShift, "_primitive", lambda self, z: primitive(self, z) + 1e-6)
+        omega = {"kind": "moebius", "a": [0.3, 0.4], "psi": 1.0}
+        code, out = run(tmp_path, "fixed-point", {"lambda": 0.6, "a2": [2.0, 1.0], "omega": omega})
+        assert code == 0
+        assert json.loads((out / "fixed_point.json").read_text())["q_residual"] > 1e-7
 
     def test_not_contractive_inconclusive(self, tmp_path):
         code, out = run(tmp_path, "fixed-point",
