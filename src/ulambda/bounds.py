@@ -1,7 +1,7 @@
 """Closed-form coefficient bounds, the refined a2 analysis and its
 constructive objects: v(x), B_a(z), the forbidden-value curve and admissible
 region for a2, the F(R, r) root analysis, the contraction-mapping zero
-finder and both sharpness constructions.
+finder and the sharpness witness.
 
 ``b_a`` and ``diskfun.antiderivative`` take a point or an array of points, so
 the curve samples and the sharpness checks each cost one vectorized call.
@@ -18,6 +18,10 @@ a2 is admissible exactly when q = 1 - a2 z + lam z W(z), W = int_0^z omega,
 has no zero in the disk: q(e^{it}) = e^{it} (gamma(t) - a2) with gamma(t) =
 e^{-it} + lam W(e^{it}), so exactly when a2 lies inside gamma.
 ``RegionA2.locate`` projects a2 onto gamma itself, from |z| = 1 only.
+
+Theorem 5's bound 1 + lam v(a) is Theorem 6's at real a in (0, 1), attained
+by the same f: ``sharpness_g_thm5`` is a view of the one witness that
+``sharpness_construction_thm6`` builds, and neither sweeps a series.
 """
 
 from __future__ import annotations
@@ -46,15 +50,9 @@ from .errors import (
     OutOfRange,
     SelfIntersectionSuspected,
 )
-from .geometry import BOUNDARY, INSIDE, LABELS, OUTSIDE, BoundaryRegion
-from .series import (
-    DEFAULT_ORDER,
-    TruncatedSeries,
-    ring,
-    ring_eval,
-    series_reciprocal,
-)
-from .core import GridSpec, _winding, q_from_omega
+from .geometry import BOUNDARY, BOUNDARY_TOL, INSIDE, LABELS, OUTSIDE, BoundaryRegion
+from .series import DEFAULT_ORDER, TruncatedSeries, ring, series_reciprocal
+from .core import GridSpec, UCandidate, _winding, q_from_omega
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -262,14 +260,12 @@ class FixedPointResult:
         }
 
 
+FIXED_POINT_TOL = 1e-12  # the step below which fixed_point_zero stops
+FIXED_POINT_MAX_ITER = 10000
+
+
 def fixed_point_zero(
-    a2: complex,
-    lam: float,
-    omega: DiskFunction,
-    r: float,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-    v: float | None = None,
+    a2: complex, lam: float, omega: DiskFunction, r: float, v: float | None = None
 ) -> FixedPointResult:
     """Zero of q(z) = 1 - a2 z + lam z int_0^z omega inside |z| <= r, by
     iterating the contraction F(z) = (1 + lam z int_0^z omega) / a2 from 0.
@@ -292,21 +288,19 @@ def fixed_point_zero(
         raise NotContractive(f"map radius {into:.6f} vs r = {r}, Lipschitz constant {lip:.6f}")
     z = 0j
     residuals = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
         z_next = (1 + lam * z * antiderivative(omega, z)) / a2
         step = abs(z_next - z)
         residuals.append(step)
         z = z_next
-        if step < tol:
+        if step < FIXED_POINT_TOL:
             return FixedPointResult(z0=z, iterations=it, residuals=tuple(residuals),
                                     contraction_constant=lip, v=v)
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
+    raise NoConvergence(f"no convergence after {FIXED_POINT_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------
 # admissible region for a2
-
-REGION_TOL = 1e-7  # the boundary band of RegionA2.locate
 
 
 @dataclass(frozen=True)
@@ -330,7 +324,7 @@ class RegionA2:
 
     def locate(self, a2) -> tuple:
         """(codes, distances) of the points a2, flattened: the distance to
-        gamma(t*), the nearest point, and BOUNDARY within ``REGION_TOL``, else
+        gamma(t*), the nearest point, and BOUNDARY within ``BOUNDARY_TOL``, else
         INSIDE or OUTSIDE by the side of gamma'(t*) the point lies on.
 
         Newton steps on Re(conj(gamma') (gamma - a2)) = 0 (descent steps where
@@ -372,7 +366,7 @@ class RegionA2:
             chord = self._gamma(t[cusp] + 1e-4)[0] - self._gamma(t[cusp] - 1e-4)[0]
             side[cusp] = np.imag(g2[cusp].conj() * chord)
         codes = np.where(side * self.orientation > 0, INSIDE, OUTSIDE)
-        return np.where(dist <= REGION_TOL, BOUNDARY, codes).astype(np.int8), dist
+        return np.where(dist <= BOUNDARY_TOL, BOUNDARY, codes).astype(np.int8), dist
 
     def contains(self, a2: complex) -> str:
         return LABELS[self.locate(a2)[0][0]]
@@ -459,20 +453,19 @@ def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> Reg
 # sharpness constructions
 
 
-def sharpness_g_thm5(lam: float, a: float, order: int = DEFAULT_ORDER) -> tuple:
+def sharpness_g_thm5(lam: float, a: float, witness: tuple | None = None) -> tuple:
     """Extremal candidate attaining |a2| = 1 + lam v(a) for real a in (0, 1).
 
-    Uses omega(z) = (z + a)/(1 + a z) and verifies that the two expressions
-    for the denominator G agree, that G has no interior zero on the grid, and
-    that G vanishes at z = 1 (which is why the bound is attained only in the
-    boundary limit).
+    A view of ``sharpness_construction_thm6``'s witness at a (theta = psi = 0),
+    passed by a caller that holds it; v, the bound residual and G's interior
+    minimum are thm6's.  Checked here: the two expressions for G agree, and
+    G vanishes at z = 1 (so the bound is attained only in the boundary limit).
     """
     if not (0 < a < 1):
         raise OutOfRange("a must lie in (0, 1)")
-    v = v_of_x(a)
-    a2 = 1 + lam * v
-    omega = MoebiusShift(a, 0.0)
-    cand = q_from_omega(a2, lam, omega, order=order)
+    _, _, omega, a2, D, rep6 = sharpness_construction_thm6(lam, a) if witness is None else witness
+    a2, v = a2.real, rep6["max_boundary_ba"]
+    cand = UCandidate(D, lam, provenance="omega", generator=omega)
 
     k = np.arange(100)
     z = 0.97 * np.exp(2j * math.pi * k / 100) * (0.3 + 0.7 * ((7 * k) % 100) / 100)
@@ -481,9 +474,6 @@ def sharpness_g_thm5(lam: float, a: float, order: int = DEFAULT_ORDER) -> tuple:
     expr2 = 1 - z - lam * z * (v - om)
     disagree = float(np.max(np.abs(expr1 - expr2)))
 
-    grid = GridSpec()
-    min_abs = float(np.min(np.abs(ring_eval(cand.q, grid.radii, grid.angles))))
-
     # v = B_a(1) in closed form against the quadrature of omega over [0, 1]
     g_at_1 = 1 - 1 - lam * 1 * (v - gauss_legendre(omega, 1.0))
 
@@ -491,14 +481,14 @@ def sharpness_g_thm5(lam: float, a: float, order: int = DEFAULT_ORDER) -> tuple:
         "a2": a2,
         "v": v,
         "expr_disagreement": disagree,
-        "min_interior_abs_g": min_abs,
+        "min_interior_abs_g": rep6["min_interior_abs_d"],
         "g_at_1_abs": abs(g_at_1),
-        "bound_residual": abs(abs(a2) - (1 + lam * v)),
+        "bound_residual": rep6["a2_bound_residual"],
     }
     return a2, cand, report
 
 
-def sharpness_construction_thm6(lam: float, a: complex, order: int = DEFAULT_ORDER) -> tuple:
+def sharpness_construction_thm6(lam: float, a: complex) -> tuple:
     """Sharpness witness for |a2| <= 1 + lam max_t |B_a(e^{it})|, |a| < 1.
 
     Returns (theta, psi, omega, a2, D, report) where D is the series of the
@@ -518,7 +508,7 @@ def sharpness_construction_thm6(lam: float, a: complex, order: int = DEFAULT_ORD
     a2 = cmath.exp(-1j * theta) + lam * cmath.exp(1j * theta) * B
 
     # 1 - a2 z + lam z int_0^z omega, and int_0^z omega = z B_a(z e^{i psi})
-    D = q_from_omega(a2, lam, omega, order=order).q
+    D = q_from_omega(a2, lam, omega).q
 
     zb = cmath.exp(1j * theta)
     d_boundary = 1 - a2 * zb + lam * zb * zb * b_a(a, zb * cmath.exp(1j * psi))
@@ -550,6 +540,8 @@ def sharpness_construction_thm6(lam: float, a: complex, order: int = DEFAULT_ORD
 # ---------------------------------------------------------------------------
 # bound table
 
+VIOLATION_TOL = 1e-9  # observed |a_n| beyond the conjectured bound by more is a violation
+
 
 @dataclass
 class BoundTable:
@@ -568,5 +560,5 @@ class BoundTable:
             lines.append(f"{n},{conj:.17g},{th2:.17g},{obs:.17g},{fam}")
         return "\n".join(lines) + "\n"
 
-    def violations(self, tol: float = 1e-9) -> list:
-        return [row for row in self.rows if row[3] > row[1] + tol]
+    def violations(self) -> list:
+        return [row for row in self.rows if row[3] > row[1] + VIOLATION_TOL]

@@ -310,20 +310,19 @@ def cmd_f_roots(cfg: dict, out: Path) -> int:
 def cmd_sharpness(cfg: dict, out: Path) -> int:
     lam = _lam(cfg)
     a = _cplx(cfg.get("a", 0.5))
+    if not abs(a) < 1:
+        raise ConfigError(f"sharpness needs |a| < 1, got {abs(a)}")
     result = {"lambda": lam, "a": [a.real, a.imag]}
-    worst = 0.0
-    if abs(a.imag) < 1e-15 and 0 < a.real < 1:
-        a2, _, rep5 = bounds.sharpness_g_thm5(lam, a.real)
+    # one witness; at a real a it is also thm5's, so both sections describe one f
+    real = abs(a.imag) < 1e-15 and 0 < a.real < 1
+    witness = bounds.sharpness_construction_thm6(lam, a.real if real else a)
+    theta, psi, _, a2c, _, rep6 = witness
+    result["region_a2"] = {**rep6, "theta": theta, "psi": psi, "a2": [a2c.real, a2c.imag]}
+    worst = max(rep6["d_boundary_residual"], rep6["a2_bound_residual"])
+    if real:
+        _, _, rep5 = bounds.sharpness_g_thm5(lam, a.real, witness)
         result["refined_a2"] = rep5
         worst = max(worst, rep5["expr_disagreement"], rep5["g_at_1_abs"], rep5["bound_residual"])
-    if abs(a) < 1:
-        theta, psi, _, a2c, _, rep6 = bounds.sharpness_construction_thm6(lam, a)
-        rep6 = dict(rep6)
-        rep6["theta"] = theta
-        rep6["psi"] = psi
-        rep6["a2"] = [a2c.real, a2c.imag]
-        result["region_a2"] = rep6
-        worst = max(worst, rep6["d_boundary_residual"], rep6["a2_bound_residual"])
     _write_json(out / "sharpness.json", result)
     return EXIT_VIOLATION if worst > 1e-8 else EXIT_OK
 

@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     OutsideDisk,
 )
-from .geometry import BOUNDARY, INSIDE, OUTSIDE
+from .geometry import BOUNDARY, BOUNDARY_TOL, INSIDE, OUTSIDE
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
@@ -149,22 +149,22 @@ def _ring_point(radii: tuple, angles: int, i: int) -> complex:
     return complex(ring(radii[row], angles)[col])
 
 
-def sup_u(cand: UCandidate, grid: GridSpec = GridSpec(), tol: float = MEMBERSHIP_TOL) -> MembershipReport:
+def sup_u(cand: UCandidate, grid: GridSpec = GridSpec()) -> MembershipReport:
     """Estimate sup |U_f| over the grid, in one evaluation on all its circles.
 
     The quantity is analytic, so per-radius maxima are nondecreasing in the
     radius and the outermost circle decides the estimate; the argmax is the
     first maximal sample in (radius, angle) order, a point of ``ring``.  The
     verdict is a numerical report, not a proof: Inside / Outside when the
-    margin exceeds tol, Inconclusive otherwise.
+    margin exceeds MEMBERSHIP_TOL, Inconclusive otherwise.
     """
     vals = np.abs(ring_eval(_u_series(cand), grid.radii, grid.angles))
     i = int(np.argmax(vals))
     best = float(vals.flat[i])
     margin = cand.lam - best
-    if best > cand.lam + tol:
+    if best > cand.lam + MEMBERSHIP_TOL:
         verdict = "Outside"
-    elif best < cand.lam - tol:
+    elif best < cand.lam - MEMBERSHIP_TOL:
         verdict = "Inside"
     else:
         verdict = "Inconclusive"
@@ -384,7 +384,6 @@ class QuadraticMajorant:
 
     b: float
     lam: float
-    tol: float = 1e-7
 
     def classify(self, w) -> np.ndarray:
         """OUTSIDE, INSIDE or BOUNDARY for each w, as int8 codes of w's shape.
@@ -392,14 +391,14 @@ class QuadraticMajorant:
         The smaller root is -2(1 - w)/(b + s), s = +-sqrt(b^2 - 4 lam (1 - w))
         with the sign that makes |b + s| the larger (Vieta's product form,
         which does not cancel).  w is on the curve h(unit circle) when that
-        root's modulus is within tol of 1.
+        root's modulus is within ``BOUNDARY_TOL`` of 1.
         """
         c = 1 - np.asarray(w, dtype=complex)
         s = np.sqrt(self.b**2 - 4 * self.lam * c)
         plus, minus = self.b + s, self.b - s
         r = np.abs(-2 * c / np.where(np.abs(plus) >= np.abs(minus), plus, minus))
         codes = np.where(r < 1, INSIDE, OUTSIDE)
-        return np.where(np.abs(r - 1) <= self.tol, BOUNDARY, codes).astype(np.int8)
+        return np.where(np.abs(r - 1) <= BOUNDARY_TOL, BOUNDARY, codes).astype(np.int8)
 
 
 def subordination_check(
@@ -432,17 +431,17 @@ def subordination_check(
     return SubordinationVerdict("Holds")
 
 
-def majorant_h_boundary(lam: float, resolution: int = 4096, tol: float = 1e-7) -> QuadraticMajorant:
+def majorant_h_boundary(lam: float, resolution: int = 4096) -> QuadraticMajorant:
     """The majorant h(z) = 1 + 2 lam z + lam z^2 (univalent on the disk: h'
     vanishes only at z = -1).
 
     ``resolution`` is ignored: containment uses the exact inverse of h, not
     boundary samples.  The parameter stays so existing callers keep working.
     """
-    return QuadraticMajorant(2 * lam, lam, tol)
+    return QuadraticMajorant(2 * lam, lam)
 
 
-def extremal_q_boundary(lam: float, resolution: int = 4096, tol: float = 1e-7) -> QuadraticMajorant:
+def extremal_q_boundary(lam: float, resolution: int = 4096) -> QuadraticMajorant:
     """The extremal q, (1 - z)(1 - lam z) = 1 - (1 + lam) z + lam z^2, whose
     critical point (1 + lam)/(2 lam) is >= 1.
 
@@ -452,4 +451,4 @@ def extremal_q_boundary(lam: float, resolution: int = 4096, tol: float = 1e-7) -
     range inclusion as f/z < 1/((1 - z)(1 - lam z)) with a bounded region.
     ``resolution`` is ignored, as for ``majorant_h_boundary``.
     """
-    return QuadraticMajorant(-(1 + lam), lam, tol)
+    return QuadraticMajorant(-(1 + lam), lam)

@@ -18,6 +18,7 @@ it needs, not one call per point.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
@@ -390,7 +391,11 @@ def diskfun_from_json(obj: dict) -> DiskFunction:
         {"kind": "poly", "coeffs": [<complex>, ...], "normalizer": <float, optional>}
 
     Complex numbers are written as a [re, im] pair or a bare real number.
+    Any other shape, or a parameter outside its family's range, raises a
+    ValueError.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a disk function must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "moebius":
         return MoebiusShift(a=_cplx(obj["a"]), psi=float(obj.get("psi", 0.0)))
@@ -410,6 +415,9 @@ def diskfun_from_json(obj: dict) -> DiskFunction:
 
 
 def _cplx(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(float(v[0]), float(v[1]))
-    return complex(float(v))
+    """A complex number from a [re, im] pair or a real; ValueError otherwise
+    (JSON true and false are not numbers here)."""
+    parts = v if isinstance(v, (list, tuple)) else [v, 0.0]
+    if len(parts) != 2 or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in parts):
+        raise ValueError(f"expected a real number or a [re, im] pair, got {v!r}")
+    return complex(float(parts[0]), float(parts[1]))

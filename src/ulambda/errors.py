@@ -13,12 +13,12 @@ class OutsideDisk(UlambdaError):
     """Evaluation point outside the allowed disk."""
 
 
-class BasePointOutsideClosedDisk(UlambdaError):
-    """Moebius base point must satisfy |a| <= 1."""
+class BasePointOutsideClosedDisk(UlambdaError, ValueError):
+    """Moebius base point must satisfy |a| <= 1 (an invalid argument)."""
 
 
-class ZeroOnOrOutsideBoundary(UlambdaError):
-    """Blaschke zeros must lie strictly inside the unit disk."""
+class ZeroOnOrOutsideBoundary(UlambdaError, ValueError):
+    """Blaschke zeros must lie strictly inside the unit disk (an invalid argument)."""
 
 
 class BasePointNotZero(UlambdaError):

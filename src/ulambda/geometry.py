@@ -1,4 +1,4 @@
-"""Containment label codes, and the validated samples of a closed curve.
+"""Containment label codes, their boundary band, and closed-curve samples.
 
 Nothing here decides containment: ``bounds.RegionA2`` projects onto its true
 curve and ``core.QuadraticMajorant`` inverts its curve in closed form.
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 OUTSIDE, INSIDE, BOUNDARY = 0, 1, 2
+BOUNDARY_TOL = 1e-7  # labels BOUNDARY: distance to the a2 curve, or ||root| - 1| of a majorant
 LABELS = ("outside", "inside", "boundary")
 
 

@@ -29,7 +29,7 @@ from ulambda.bounds import (
     v_of_x,
 )
 from ulambda.cli import main
-from ulambda.core import q_from_phi, q_from_omega, sup_u, dilate
+from ulambda.core import GridSpec, q_from_phi, q_from_omega, sup_u, dilate
 from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial
 from ulambda.errors import (
     BranchPointSingularity,
@@ -38,9 +38,9 @@ from ulambda.errors import (
     OutsideDisk,
     SelfIntersectionSuspected,
 )
-from ulambda.diskfun import antiderivative
+from ulambda.diskfun import antiderivative, gauss_legendre
 from ulambda.geometry import BOUNDARY, LABELS
-from ulambda.series import series_eval
+from ulambda.series import ring, series_eval
 
 ZERO_FUN = ScaledPolynomial(raw=(0.0,), normalizer=1.0)
 LINEAR_FUN = ScaledPolynomial(raw=(0, 1.0), normalizer=1.0)
@@ -796,6 +796,28 @@ class TestSharpnessThm5:
     def test_membership_of_witness(self):
         _, cand, _ = sharpness_g_thm5(0.5, 0.5)
         assert sup_u(cand).verdict in ("Inside", "Inconclusive")
+
+    def test_is_thm6_at_real_a(self):
+        witness = sharpness_construction_thm6(0.7, 0.4)
+        _, _, omega, a2c, D, rep6 = witness
+        a2, cand, rep = sharpness_g_thm5(0.7, 0.4)
+        assert sharpness_g_thm5(0.7, 0.4, witness)[2] == rep
+        assert a2 == rep["a2"] == a2c.real and a2c.imag == 0
+        assert omega == MoebiusShift(0.4, 0.0) and cand.generator == omega
+        assert np.array_equal(cand.q.coeffs, D.coeffs)
+        assert rep["v"] == rep6["max_boundary_ba"] == v_of_x(0.4)
+        assert rep["min_interior_abs_g"] == rep6["min_interior_abs_d"]
+        assert rep["bound_residual"] == rep6["a2_bound_residual"]
+
+    def test_interior_minimum_is_not_truncated(self):
+        # thm6's grid: every 4th of GridSpec's 720 angles on each circle.  A
+        # sweep of the order-64 series of q used to be off by 2.9e-9 here
+        lam, a = 1.0, 0.8
+        a2, _, rep = sharpness_g_thm5(lam, a)
+        grid = GridSpec()
+        z = ring(grid.radii, grid.angles)[:, ::4].ravel()
+        g = 1 - a2 * z + lam * z * gauss_legendre(MoebiusShift(a, 0.0), z)
+        assert abs(rep["min_interior_abs_g"] - float(np.min(np.abs(g)))) <= 1e-12
 
 
 class TestSharpnessThm6:

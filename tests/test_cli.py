@@ -462,6 +462,31 @@ class TestSharpness:
         a2 = complex(*rep["region_a2"]["a2"])
         assert abs(abs(a2) - (1 + 0.6 / 2)) < 1e-9
 
+    def test_one_witness(self, tmp_path, monkeypatch):
+        # thm5 and thm6 used to build a q_from_omega series each
+        calls = []
+        build = bounds.q_from_omega
+        monkeypatch.setattr(bounds, "q_from_omega", lambda *a, **k: calls.append(a) or build(*a, **k))
+        code, _ = run(tmp_path, "sharpness", {"lambda": 0.5, "a": 0.5})
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("a", [0.5, [0.3, 0.0], [0.8, 1e-16]])
+    def test_real_a_sections_describe_one_f(self, tmp_path, a):
+        # an imaginary part below 1e-15 used to give thm6 a witness of its own
+        code, out = run(tmp_path, "sharpness", {"lambda": 1.0, "a": a})
+        assert code == 0
+        rep = json.loads((out / "sharpness.json").read_text())
+        refined, region = rep["refined_a2"], rep["region_a2"]
+        assert region["a2"] == [refined["a2"], 0.0]
+        assert region["theta"] == region["psi"] == 0.0
+        assert refined["min_interior_abs_g"] == region["min_interior_abs_d"]
+
+    def test_complex_a_has_no_refined_section(self, tmp_path):
+        code, out = run(tmp_path, "sharpness", {"lambda": 0.5, "a": [0.3, -0.2]})
+        assert code == 0
+        assert set(json.loads((out / "sharpness.json").read_text())) == {"lambda", "a", "region_a2"}
+
 
 class TestFixedPoint:
     def test_trace_and_zero(self, tmp_path):
@@ -635,6 +660,29 @@ class TestHarness:
                         {"lambda": 0.5, "omega": {"kind": "moebius", "a": 0.3}, "queries": [[0.1, 0.0], query]})
         assert code == 4
         assert "queries must be finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command,cfg", [
+        # each used to escape main as a traceback (exit 1)
+        ("fixed-point", {"a2": None}),
+        ("fixed-point", {"a2": [2.5]}),
+        ("region-a2", {"queries": [[1]]}),
+        ("julia", {"phi": {"kind": "blaschke", "zeros": [0, [0.5]]}}),
+        ("sharpness", {"a": {"re": 0.5}}),
+        ("sharpness", {"a": [0.5]}),
+        ("membership", {"candidate": {"type": "omega", "a2": 2.5, "omega": "moebius"}}),
+        # each used to exit 3, inconclusive
+        ("fixed-point", {"omega": {"kind": "moebius", "a": 1.5}}),
+        ("region-a2", {"omega": {"kind": "blaschke", "zeros": [0.5, [0.0, 1.0]]}}),
+        # each used to exit 0 and write sharpness.json with no construction
+        ("sharpness", {"a": 1.5}),
+        ("sharpness", {"a": 1.0}),
+        ("sharpness", {"a": [0, 1]}),
+    ])
+    def test_malformed_input_is_a_config_error(self, tmp_path, command, cfg):
+        base = {"lambda": 0.5, "a2": 2.5, "omega": {"kind": "moebius", "a": 0.3}}
+        code, out = run(tmp_path, command, {**base, **cfg})
+        assert code == 4
         assert list(out.iterdir()) == []
 
     def test_threads_variable_is_not_read(self, tmp_path, monkeypatch):

@@ -38,7 +38,7 @@ from ulambda.errors import (
     OutOfRange,
     OutsideDisk,
 )
-from ulambda.geometry import BOUNDARY, INSIDE, LABELS, OUTSIDE
+from ulambda.geometry import BOUNDARY, BOUNDARY_TOL, INSIDE, LABELS, OUTSIDE
 from ulambda.series import TruncatedSeries, ring, series_eval, series_eval_many
 
 from test_geometry import polygon_distance, reference_contains
@@ -535,7 +535,7 @@ class TestQuadraticMajorant:
         make, h_of = MAJORANTS[name]
         h = make(lam)
         z = ring(1.0, 720)
-        for r in (1.0, 1 - h.tol / 2, 1 + h.tol / 2):
+        for r in (1.0, 1 - BOUNDARY_TOL / 2, 1 + BOUNDARY_TOL / 2):
             assert np.all(h.classify(h_of(lam, r * z)) == BOUNDARY)
         assert np.all(h.classify(h_of(lam, 0.999 * z)) == INSIDE)
 
