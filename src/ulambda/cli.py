@@ -37,7 +37,7 @@ from .core import (
     julia_quotient,
     obstruction_value,
 )
-from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, diskfun_from_json, gauss_legendre
+from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, _real, diskfun_from_json, gauss_legendre
 from .errors import ConfigError, NoConvergence, NotContractive, UlambdaError
 from .geometry import LABELS
 from .series import TruncatedSeries
@@ -69,7 +69,7 @@ def _grid(cfg: dict) -> GridSpec:
 
 def _lam(cfg: dict) -> float:
     try:
-        lam = float(cfg["lambda"])
+        lam = _real(cfg["lambda"], "lambda")
     except KeyError as e:
         raise ConfigError("config requires 'lambda'") from e
     if not (0 < lam <= 1):
@@ -150,22 +150,28 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
     seed = _int(cfg, "seed", 0)
     unused = _unused(cfg, "grid")
     order = max(64, n_max)
+    # coefficient k of f(z)/z is a_{k+1}, and the reciprocal's recurrence is
+    # triangular, so a_2..a_{n_max} need only q_0..q_{n_max-1}: a phi
+    # candidate, decided from phi alone, is built at that order once kept
+    head = max(n_max, 1)
     rng = np.random.default_rng(seed)
 
-    candidates = [("extremal", q_from_phi(lam, Monomial(theta=math.pi, k=1), order=order))]
+    candidates = [("extremal", q_from_phi(lam, Monomial(theta=math.pi, k=1), order=head - 1))]
     kept = 0
     for _ in range(samples):
         phi = sample_phi(rng)
         omega = sample_omega(rng)
         a2 = _random_point(rng, 1.0)
-        for cand in (q_from_phi(lam, phi, order=order), q_from_omega(a2, lam, omega, order=order)):
-            if generator_verdict(cand).verdict == "Inside":
-                candidates.append(("random", cand))
-                kept += 1
+        if phi_verdict(lam, phi).verdict == "Inside":
+            candidates.append(("random", q_from_phi(lam, phi, order=head - 1)))
+            kept += 1
+        # an omega candidate's zero count reads its q at the full order
+        cand = q_from_omega(a2, lam, omega, order=order)
+        if generator_verdict(cand).verdict == "Inside":
+            candidates.append(("random", cand))
+            kept += 1
 
-    # one reciprocal per candidate; coefficient k of f(z)/z is a_{k+1}.  The
-    # recurrence is triangular, so a_2..a_{n_max} need only q_0..q_{n_max-1}
-    head = max(n_max, 1)
+    # one reciprocal per candidate, of q_0..q_{n_max-1}
     coeffs = [
         (fam, taylor_of_f(UCandidate(TruncatedSeries(cand.q.coeffs[:head]), lam)).coeffs)
         for fam, cand in candidates
@@ -214,7 +220,7 @@ def _membership_verdict(cfg: dict) -> tuple:
     if kind == "phi":
         phi = diskfun_from_json(spec["phi"])
     elif kind == "extremal":
-        phi = Monomial(theta=float(spec.get("phase", math.pi)), k=1)
+        phi = Monomial(theta=_real(spec.get("phase", math.pi), "phase"), k=1)
     else:
         raise ConfigError(f"unknown candidate type {kind!r}")
     return phi_verdict(lam, phi), unused
@@ -237,7 +243,7 @@ def cmd_julia(cfg: dict, out: Path) -> int:
     lam = _lam(cfg)
     unused = _unused(cfg, "grid", "order")
     phi = diskfun_from_json(cfg["phi"])
-    theta0 = float(cfg.get("theta0", 0.0))
+    theta0 = _real(cfg.get("theta0", 0.0), "theta0")
     m = julia_quotient(phi, theta0)
     value = obstruction_value(lam, phi, theta0)
     direct = l_of_phi(lam, phi, cmath.exp(1j * theta0))
@@ -289,10 +295,10 @@ def cmd_f_roots(cfg: dict, out: Path) -> int:
     lines = ["lambda,R,root,r_star"]
     mismatches = 0
     for lam in lams:
-        lam = float(lam)
+        lam = _real(lam, "lambdas")
         thr = bounds.r_star(lam) if 0.5 < lam < 1 else 0.0
         for R in rs:
-            R = float(R)
+            R = _real(R, "Rs")
             root = bounds.f_root_in_unit_interval(lam, R)
             # theorem criterion, away from the threshold band
             expected = lam <= 0.5 or R > thr
@@ -335,7 +341,7 @@ def cmd_fixed_point(cfg: dict, out: Path) -> int:
     v = bounds.v_of_omega(omega)
     try:
         if "r" in cfg:
-            r = float(cfg["r"])
+            r = _real(cfg["r"], "r")
         else:
             r = (1 + lam * v) / abs(a2) if a2 else math.inf
             if not r < 1:

@@ -10,6 +10,11 @@ unit circle (``phi_verdict``, which needs phi alone), an omega candidate by
 the zeros of q (``count_disk_zeros``).  Only a raw q, such as a dilated or perturbed one,
 is swept (``sup_u``) as a truncated series over a grid of circles.
 
+``count_disk_zeros`` proves its count on a 256-point circle when the
+samples stay farther from 0 than q can move between them (a bound from the
+coefficients, plus rounding), and takes its full sample count only
+otherwise.
+
 The representation theorem's two majorants, 1 + 2 lam z + lam z^2 and
 (1 - z)(1 - lam z), are quadratics, so subordination to them is decided by
 the closed-form inverse of each (``QuadraticMajorant``), not by a sampled
@@ -54,6 +59,10 @@ PHI_BOUNDARY_ANGLES = 4096
 # a phi candidate whose boundary maximum exceeds lambda by at most this is
 # Inside: the extremal function and its rotations reach lambda to 6.7e-16
 PHI_INSIDE_SLACK = 1e-12
+# circle samples of count_disk_zeros' first pass, and the rounding its
+# certificate allows per unit of S + h D (see there)
+ZERO_COUNT_COARSE = 256
+ZERO_COUNT_ROUNDING = 1024 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -185,10 +194,36 @@ def count_disk_zeros(cand: UCandidate, radius: float = 0.999, samples: int = 819
     disk does not describe a member no matter what the operator sweep says.
     q(0) = 1, so the winding of the image of the circle about 0 counts the
     zeros enclosed (``_winding``).
+
+    The count is first taken on ``ring(radius, n)``, n = min(ZERO_COUNT_COARSE,
+    samples), and returned when the samples prove it:
+
+        min_j |q(z_j)| > h D + eps_r,   h = 2 pi / n,   D = sum_k k |c_k| r^k.
+
+    D / r bounds |q'| on the circle, so on the arc from z_j to z_{j+1}
+    |q(z) - q(z_j)| <= h D.  ``ring_eval`` is within e of each q(z_j), and
+    eps_r = ZERO_COUNT_ROUNDING (S + h D) = 1024 eps (S + h D), with
+    S = sum_k |c_k| r^k, exceeds twice e (a few tens of eps S on at most 256
+    points; Bornemann, FoCM 2011) plus the rounding of the two sums.  So the
+    arc's image and both computed samples lie in a disk about the computed
+    q(z_j) that misses 0; each turn of ``_winding`` is the change of a
+    continuous argument along the arc, up to errors that cancel around the
+    circle, and the angle sum is the zero count.  Otherwise (a zero near the
+    circle, or a q too steep for n samples) the count is the ``samples``-point
+    winding, as without the certificate.
     """
     if not (0 < radius < 1):
         raise OutOfRange(f"radius must lie in (0, 1), got {radius}")
-    return _winding(ring_eval(cand.q, radius, samples))
+    samples = _angle_count(samples)
+    n = min(ZERO_COUNT_COARSE, samples)
+    vals = ring_eval(cand.q, radius, n)
+    if n < samples:
+        weights = np.abs(cand.q.coeffs) * radius ** np.arange(len(cand.q.coeffs))
+        drift = 2 * math.pi / n * float(np.sum(np.arange(len(weights)) * weights))
+        rounding = ZERO_COUNT_ROUNDING * (float(np.sum(weights)) + drift)
+        if not float(np.min(np.abs(vals))) > drift + rounding:
+            vals = ring_eval(cand.q, radius, samples)
+    return _winding(vals)
 
 
 def _winding(vals: np.ndarray) -> int:

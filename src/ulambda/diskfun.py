@@ -390,34 +390,50 @@ def diskfun_from_json(obj: dict) -> DiskFunction:
         {"kind": "monomial", "theta": <float>, "k": <int>}
         {"kind": "poly", "coeffs": [<complex>, ...], "normalizer": <float, optional>}
 
-    Complex numbers are written as a [re, im] pair or a bare real number.
-    Any other shape, or a parameter outside its family's range, raises a
+    Complex numbers are written as a [re, im] pair or a bare real number,
+    and <float> is a real number, not a bool or a string.  Any other shape,
+    a non-integral k, or a parameter outside its family's range, raises a
     ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a disk function must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "moebius":
-        return MoebiusShift(a=_cplx(obj["a"]), psi=float(obj.get("psi", 0.0)))
+        return MoebiusShift(a=_cplx(obj["a"]), psi=_real(obj.get("psi", 0.0), "psi"))
     if kind == "blaschke":
         return Blaschke(
             zeros=tuple(_cplx(b) for b in obj["zeros"]),
-            rotation=float(obj.get("rotation", 0.0)),
+            rotation=_real(obj.get("rotation", 0.0), "rotation"),
         )
     if kind == "monomial":
-        return Monomial(theta=float(obj.get("theta", 0.0)), k=int(obj.get("k", 1)))
+        k = obj.get("k", 1)
+        # int() would truncate a float and read a bool as 0 or 1
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        return Monomial(theta=_real(obj.get("theta", 0.0), "theta"), k=int(k))
     if kind == "poly":
         return ScaledPolynomial(
             raw=tuple(_cplx(c) for c in obj["coeffs"]),
-            normalizer=float(obj.get("normalizer", 0.0)),
+            normalizer=_real(obj.get("normalizer", 0.0), "normalizer"),
         )
     raise ValueError(f"unknown disk-function kind: {kind!r}")
 
 
+def _is_real(v) -> bool:
+    # JSON true and false are not numbers here
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _real(v, name: str) -> float:
+    """A real number as a float; ValueError naming ``name`` otherwise."""
+    if not _is_real(v):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
 def _cplx(v) -> complex:
-    """A complex number from a [re, im] pair or a real; ValueError otherwise
-    (JSON true and false are not numbers here)."""
+    """A complex number from a [re, im] pair or a real; ValueError otherwise."""
     parts = v if isinstance(v, (list, tuple)) else [v, 0.0]
-    if len(parts) != 2 or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in parts):
+    if len(parts) != 2 or not all(map(_is_real, parts)):
         raise ValueError(f"expected a real number or a [re, im] pair, got {v!r}")
     return complex(float(parts[0]), float(parts[1]))

@@ -7,7 +7,7 @@ import pytest
 
 from ulambda import bounds, cli, core
 from ulambda.cli import main
-from ulambda.diskfun import MoebiusShift, gauss_legendre
+from ulambda.diskfun import Monomial, MoebiusShift, gauss_legendre
 
 
 def run(tmp_path, command, cfg, outdir="out"):
@@ -100,10 +100,27 @@ class TestVerifyConjecture:
         assert code == 0
         assert json.loads((out / "verify_conjecture.json").read_text())["members_kept"] == 10
         monkeypatch.setattr(cli, "generator_verdict", sweep_verdict)
+        monkeypatch.setattr(cli, "phi_verdict", lambda lam, phi: sweep_verdict(core.q_from_phi(lam, phi)))
         code, old = run(tmp_path, "verify-conjecture", cfg, outdir="old")
         assert code == 0
         assert json.loads((old / "verify_conjecture.json").read_text())["members_kept"] == 11
         assert (out / "bounds.csv").read_bytes() == (old / "bounds.csv").read_bytes()
+
+    def test_phi_q_built_only_once_kept(self, tmp_path, monkeypatch):
+        # a phi draw is decided from phi alone; only the extremal candidate
+        # and each kept draw get a q, and only at the order the table reads
+        n_max = 7
+        decided, built = [], []
+        verdict, make = cli.phi_verdict, cli.q_from_phi
+        monkeypatch.setattr(cli, "phi_verdict", lambda lam, phi: decided.append((phi, verdict(lam, phi))) or decided[-1][1])
+        monkeypatch.setattr(cli, "q_from_phi", lambda lam, phi, order: built.append((phi, order)) or make(lam, phi, order))
+        code, _ = run(tmp_path, "verify-conjecture", {"lambda": 0.5, "n_max": n_max, "samples": 24, "seed": 3})
+        assert code == 0
+        kept = [phi for phi, v in decided if v.verdict == "Inside"]
+        assert len(decided) == 24 and 0 < len(kept) < 24
+        assert built[0][0] == Monomial(theta=math.pi, k=1) and len(built) == 1 + len(kept)
+        assert all(phi is draw for (phi, _), draw in zip(built[1:], kept))
+        assert all(order == n_max - 1 for _, order in built)
 
     def test_grid_reported_unused(self, tmp_path):
         cfg = {"lambda": 0.5, "n_max": 6, "samples": 4, "seed": 2}
@@ -678,6 +695,16 @@ class TestHarness:
         ("sharpness", {"a": 1.5}),
         ("sharpness", {"a": 1.0}),
         ("sharpness", {"a": [0, 1]}),
+        # each used to run after a silent coercion, with exit 0: lambda true
+        # as 1.0, k 1.9 as 1, a string psi, r, theta0 or R as its number,
+        # and phase true as 1.0
+        ("sharpness", {"lambda": True, "a": 0.5}),
+        ("julia", {"phi": {"kind": "monomial", "theta": math.pi, "k": 1.9}}),
+        ("fixed-point", {"omega": {"kind": "moebius", "a": 0.3, "psi": "1.2"}}),
+        ("fixed-point", {"r": "0.5"}),
+        ("julia", {"phi": {"kind": "monomial", "theta": math.pi, "k": 2}, "theta0": "0"}),
+        ("membership", {"candidate": {"type": "extremal", "phase": True}}),
+        ("f-roots", {"lambdas": [0.3], "Rs": ["0.5"]}),
     ])
     def test_malformed_input_is_a_config_error(self, tmp_path, command, cfg):
         base = {"lambda": 0.5, "a2": 2.5, "omega": {"kind": "moebius", "a": 0.3}}

@@ -47,7 +47,7 @@ EPS = np.finfo(float).eps
 
 
 def extremal(lam, phase=math.pi, order=64):
-    """Candidate with q = (1 - e^{i(phase+pi)} z)(1 - lam e^{i(phase+pi)} z)."""
+    """Candidate with q = (1 - e^{i phase} z)(1 - lam e^{i phase} z)."""
     return q_from_phi(lam, Monomial(theta=phase, k=1), order=order)
 
 
@@ -652,6 +652,59 @@ class TestCountDiskZeros:
         cand = q_from_phi(0.5, Monomial(theta=math.pi, k=1))
         with pytest.raises(OutOfRange):
             count_disk_zeros(cand, samples=samples)
+
+    @staticmethod
+    def passes(monkeypatch) -> list:
+        """The angle count of each ``ring_eval`` pass of ``count_disk_zeros``."""
+        counts = []
+        sweep = core.ring_eval
+        monkeypatch.setattr(core, "ring_eval", lambda a, radii, angles: counts.append(angles) or sweep(a, radii, angles))
+        return counts
+
+    def test_aliased_coarse_circle_not_trusted(self, monkeypatch):
+        # q = 1 + 2 z^257 has its 257 zeros on |z| = 2^(-1/257) ~ 0.99731;
+        # on 256 samples z^257 aliases to z, which winds once
+        q = np.zeros(258, dtype=complex)
+        q[0], q[257] = 1, 2
+        cand = UCandidate(TruncatedSeries(q), lam=0.5)
+        assert core._winding(core.ring_eval(cand.q, 0.999, 256)) == 1
+        passes = self.passes(monkeypatch)
+        assert count_disk_zeros(cand) == 257
+        assert passes == [256, 8192]
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
+    def test_zero_on_the_circle_takes_the_full_pass(self, monkeypatch, lam):
+        # the extremal q = (1 - z)(1 - lam z) vanishes at z = 1
+        passes = self.passes(monkeypatch)
+        assert count_disk_zeros(extremal(lam, phase=0.0)) == 0
+        assert passes == [256, 8192]
+
+    @pytest.mark.parametrize("coeffs,zeros", [([1], 0), ([1, -2], 1), ([1, -4, 4], 2), ([1, -0.5], 0)])
+    def test_far_zeros_proven_on_the_coarse_circle(self, monkeypatch, coeffs, zeros):
+        passes = self.passes(monkeypatch)
+        assert count_disk_zeros(UCandidate(TruncatedSeries.from_coeffs(coeffs, order=64), lam=0.5)) == zeros
+        assert passes == [256]
+
+    def test_at_most_256_samples_take_one_pass(self, monkeypatch):
+        passes = self.passes(monkeypatch)
+        assert count_disk_zeros(extremal(0.5, phase=0.0), samples=200) == 0
+        assert passes == [200]
+
+    def test_verify_conjecture_omega_draws(self, monkeypatch):
+        # the omega candidates of verify-conjecture, drawn as it draws them:
+        # both passes occur, and every count is the reference's
+        passes = self.passes(monkeypatch)
+        rng = np.random.default_rng(11)
+        counts = []
+        for k in range(200):
+            lam = (0.25, 0.5, 0.75, 1.0)[k % 4]
+            sample_phi(rng)
+            omega = sample_omega(rng)
+            cand = q_from_omega(_random_point(rng, 1.0), lam, omega)
+            counts.append(count_disk_zeros(cand))
+            assert counts[-1] == reference_count_disk_zeros(cand)
+        assert passes.count(256) == 200 and 0 < passes.count(8192) < 100
+        assert 0 < np.count_nonzero(counts) < 200
 
 
 class TestGridSpec:

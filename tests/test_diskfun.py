@@ -378,3 +378,23 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             diskfun_from_json({"kind": "mystery"})
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            # each used to be coerced: "1.2" to 1.2, true to 1.0, 1.9 to 1
+            ({"kind": "moebius", "a": 0.3, "psi": "1.2"}, "psi must be a real number"),
+            ({"kind": "blaschke", "zeros": [0.5], "rotation": True}, "rotation must be a real number"),
+            ({"kind": "monomial", "theta": None}, "theta must be a real number"),
+            ({"kind": "monomial", "k": 1.9}, "k must be an integer"),
+            ({"kind": "monomial", "k": True}, "k must be an integer"),
+            ({"kind": "poly", "coeffs": [0.2, 0.3], "normalizer": "2"}, "normalizer must be a real number"),
+        ],
+    )
+    def test_non_numeric_parameters_rejected(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            diskfun_from_json(obj)
+
+    def test_integral_and_numpy_values_accepted(self):
+        assert diskfun_from_json({"kind": "monomial", "theta": 1, "k": np.int64(2)}) == Monomial(theta=1.0, k=2)
+        assert diskfun_from_json({"kind": "moebius", "a": 0.3, "psi": np.float64(0.5)}).psi == 0.5
