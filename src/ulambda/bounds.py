@@ -52,7 +52,7 @@ from .errors import (
 )
 from .geometry import BOUNDARY, BOUNDARY_TOL, INSIDE, LABELS, OUTSIDE, BoundaryRegion
 from .series import DEFAULT_ORDER, TruncatedSeries, ring, series_reciprocal
-from .core import GridSpec, UCandidate, _winding, q_from_omega
+from .core import DEFAULT_ANGLES, DEFAULT_RADII, UCandidate, _winding, q_from_omega
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -465,7 +465,7 @@ def sharpness_g_thm5(lam: float, a: float, witness: tuple | None = None) -> tupl
         raise OutOfRange("a must lie in (0, 1)")
     _, _, omega, a2, D, rep6 = sharpness_construction_thm6(lam, a) if witness is None else witness
     a2, v = a2.real, rep6["max_boundary_ba"]
-    cand = UCandidate(D, lam, provenance="omega", generator=omega)
+    cand = UCandidate(D, lam)
 
     k = np.arange(100)
     z = 0.97 * np.exp(2j * math.pi * k / 100) * (0.3 + 0.7 * ((7 * k) % 100) / 100)
@@ -513,9 +513,8 @@ def sharpness_construction_thm6(lam: float, a: complex) -> tuple:
     zb = cmath.exp(1j * theta)
     d_boundary = 1 - a2 * zb + lam * zb * zb * b_a(a, zb * cmath.exp(1j * psi))
 
-    grid = GridSpec()
     # every 4th angle of the default 720, i.e. 180 per circle
-    z = ring(grid.radii, grid.angles)[:, :: max(1, grid.angles // 180)]
+    z = ring(DEFAULT_RADII, DEFAULT_ANGLES)[:, :: DEFAULT_ANGLES // 180]
     val = 1 - a2 * z + lam * z * z * b_a(a, z * cmath.exp(1j * psi))
     min_abs = float(np.min(np.abs(val)))
 

@@ -27,8 +27,7 @@ import numpy as np
 from . import bounds
 from .core import (
     GridSpec,
-    UCandidate,
-    generator_verdict,
+    omega_verdict,
     phi_verdict,
     q_from_omega,
     q_from_phi,
@@ -40,7 +39,6 @@ from .core import (
 from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, _real, diskfun_from_json, gauss_legendre
 from .errors import ConfigError, NoConvergence, NotContractive, UlambdaError
 from .geometry import LABELS
-from .series import TruncatedSeries
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -151,8 +149,8 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
     unused = _unused(cfg, "grid")
     order = max(64, n_max)
     # coefficient k of f(z)/z is a_{k+1}, and the reciprocal's recurrence is
-    # triangular, so a_2..a_{n_max} need only q_0..q_{n_max-1}: a phi
-    # candidate, decided from phi alone, is built at that order once kept
+    # triangular, so a_2..a_{n_max} need only q_0..q_{n_max-1}: a candidate,
+    # decided from its representation, is built at that order once kept
     head = max(n_max, 1)
     rng = np.random.default_rng(seed)
 
@@ -166,16 +164,12 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
             candidates.append(("random", q_from_phi(lam, phi, order=head - 1)))
             kept += 1
         # an omega candidate's zero count reads its q at the full order
-        cand = q_from_omega(a2, lam, omega, order=order)
-        if generator_verdict(cand).verdict == "Inside":
-            candidates.append(("random", cand))
+        if omega_verdict(lam, a2, omega, order=order).verdict == "Inside":
+            candidates.append(("random", q_from_omega(a2, lam, omega, order=head - 1)))
             kept += 1
 
     # one reciprocal per candidate, of q_0..q_{n_max-1}
-    coeffs = [
-        (fam, taylor_of_f(UCandidate(TruncatedSeries(cand.q.coeffs[:head]), lam)).coeffs)
-        for fam, cand in candidates
-    ]
+    coeffs = [(fam, taylor_of_f(cand).coeffs) for fam, cand in candidates]
     rows = []
     for n in range(2, n_max + 1):
         best = -1.0
@@ -214,8 +208,8 @@ def _membership_verdict(cfg: dict) -> tuple:
     kind = spec.get("type")
     if kind == "omega":
         unused = _unused(cfg, "grid")
-        cand = q_from_omega(_cplx(spec["a2"]), lam, diskfun_from_json(spec["omega"]), order=_order(cfg))
-        return generator_verdict(cand), unused
+        a2, omega = _cplx(spec["a2"]), diskfun_from_json(spec["omega"])
+        return omega_verdict(lam, a2, omega, order=_order(cfg)), unused
     unused = _unused(cfg, "grid", "order")
     if kind == "phi":
         phi = diskfun_from_json(spec["phi"])

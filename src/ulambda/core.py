@@ -5,9 +5,10 @@ A candidate member f is carried as q(z) = z/f(z) with q(0) = 1, which keeps
 all series work away from the zero of f at the origin.  The membership
 quantity is q(z) - z q'(z) - 1, whose modulus must stay below lambda on the
 disk.  A candidate built from one of the two representations is decided by
-it (``generator_verdict``): a phi candidate by the maximum of |U| on the
-unit circle (``phi_verdict``, which needs phi alone), an omega candidate by
-the zeros of q (``count_disk_zeros``).  Only a raw q, such as a dilated or perturbed one,
+the representation its caller holds: a phi candidate by the maximum of |U|
+on the unit circle (``phi_verdict``, which needs phi alone), an omega
+candidate by the zeros of its q (``omega_verdict``, by
+``count_disk_zeros``).  Only a raw q, such as a dilated or perturbed one,
 is swept (``sup_u``) as a truncated series over a grid of circles.
 
 ``count_disk_zeros`` proves its count on a 256-point circle when the
@@ -45,10 +46,8 @@ from .series import (
     ring,
     ring_eval,
     series_eval,
-    series_integrate,
     series_mul,
     series_reciprocal,
-    series_shift,
 )
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
@@ -98,16 +97,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class UCandidate:
-    """Candidate member of U(lambda), stored via q(z) = z/f(z), q(0) = 1.
-
-    ``generator`` is the phi or omega of the representation that built q
-    (``provenance`` says which), so ``generator_verdict`` can decide
-    membership from it; None for a raw q."""
+    """Candidate member of U(lambda), stored via q(z) = z/f(z), q(0) = 1."""
 
     q: TruncatedSeries
     lam: float
-    provenance: str | None = None
-    generator: DiskFunction | None = None
 
     def __post_init__(self):
         if abs(self.q.coeffs[0] - 1) > 1e-12:
@@ -229,7 +222,7 @@ def count_disk_zeros(cand: UCandidate, radius: float = 0.999, samples: int = 819
 def _winding(vals: np.ndarray) -> int:
     """Winding number about 0 of the closed polygon through vals: the turning
     angles arg(v_{j+1} conj(v_j)), the last back to the first, over 2 pi."""
-    turns = np.angle(np.roll(vals, -1) * vals.conj())
+    turns = np.angle(np.concatenate((vals[1:], vals[:1])) * vals.conj())
     return round(float(np.sum(turns)) / (2 * math.pi))
 
 
@@ -246,19 +239,23 @@ def q_from_phi(lam: float, phi: DiskFunction, order: int = DEFAULT_ORDER) -> UCa
     q[0] = 1.0
     q -= (1 + lam) * p.coeffs
     q += lam * series_mul(p, p).coeffs
-    return UCandidate(TruncatedSeries(q), lam, provenance="phi", generator=phi)
+    return UCandidate(TruncatedSeries(q), lam)
 
 
 def q_from_omega(
     a2: complex, lam: float, omega: DiskFunction, order: int = DEFAULT_ORDER
 ) -> UCandidate:
-    """Candidate with z/f = 1 - a2 z + lam z * int_0^z omega."""
-    integ = series_integrate(omega.taylor(order))
-    q = series_shift(integ).coeffs * lam
-    q[0] += 1.0
+    """Candidate with z/f = 1 - a2 z + lam z * int_0^z omega.
+
+    Coefficient k + 2 of q is (omega_k / (k + 1)) lam, divided before it is
+    scaled, so that tail is bit for bit lam z times ``series_integrate`` of
+    omega's series."""
+    q = np.zeros(order + 1, dtype=complex)
+    q[0] = 1.0
     if order >= 1:
         q[1] -= complex(a2)
-    return UCandidate(TruncatedSeries(q), lam, provenance="omega", generator=omega)
+    q[2:] = omega.taylor(order).coeffs[: order - 1] / np.arange(1, order) * lam
+    return UCandidate(TruncatedSeries(q), lam)
 
 
 def taylor_of_f(cand: UCandidate) -> TruncatedSeries:
@@ -268,14 +265,11 @@ def taylor_of_f(cand: UCandidate) -> TruncatedSeries:
 
 
 def dilate(cand: UCandidate, R: float) -> UCandidate:
-    """Candidate for f_R(z) = f(Rz)/R, i.e. q_R(z) = q(Rz), as a raw q (no
-    generator)."""
+    """Candidate for f_R(z) = f(Rz)/R, i.e. q_R(z) = q(Rz)."""
     if not (0 < R < 1):
         raise ValueError("R must lie in (0, 1)")
     k = np.arange(len(cand.q.coeffs))
-    return UCandidate(
-        TruncatedSeries(cand.q.coeffs * R**k), cand.lam, provenance=cand.provenance
-    )
+    return UCandidate(TruncatedSeries(cand.q.coeffs * R**k), cand.lam)
 
 
 def l_of_phi(lam: float, phi: DiskFunction, z):
@@ -345,24 +339,17 @@ def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
     return GeneratorVerdict(verdict, "boundary_max", best, t)
 
 
-def generator_verdict(cand: UCandidate) -> GeneratorVerdict:
-    """Membership of a candidate built by ``q_from_phi`` or ``q_from_omega``,
-    decided by its representation instead of a sweep of the truncated U.
+def omega_verdict(
+    lam: float, a2: complex, omega: DiskFunction, order: int = DEFAULT_ORDER
+) -> GeneratorVerdict:
+    """Membership of the omega candidate 1 - a2 z + lam z int_0^z omega.
 
-    phi: ``phi_verdict`` on the candidate's lambda and phi.
-    omega: U = -lam z^2 omega(z), so |U| < lam for every (a2, omega); the
-    candidate is Outside exactly when ``count_disk_zeros`` finds a zero of
-    its truncated q (a pole of f), Inside otherwise.
-
-    A raw q (no generator, such as a ``dilate`` result) raises ValueError:
-    it takes ``sup_u`` and ``count_disk_zeros``.
+    U = -lam z^2 omega(z), so |U| < lam for every (a2, omega); the candidate
+    is Outside exactly when ``count_disk_zeros`` finds a zero of its q,
+    truncated at ``order`` (a pole of f), Inside otherwise.
     """
-    if cand.generator is None:
-        raise ValueError("a raw q has no representation to decide by; use sup_u and count_disk_zeros")
-    if cand.provenance == "omega":
-        zeros = count_disk_zeros(cand)
-        return GeneratorVerdict("Outside" if zeros else "Inside", "zero_count", zeros)
-    return phi_verdict(cand.lam, cand.generator)
+    zeros = count_disk_zeros(q_from_omega(a2, lam, omega, order))
+    return GeneratorVerdict("Outside" if zeros else "Inside", "zero_count", zeros)
 
 
 def julia_quotient(phi: DiskFunction, theta0: float) -> float:

@@ -81,14 +81,6 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(full[: n + 1])
 
 
-def series_shift(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiply by z, keeping the order (top coefficient drops off)."""
-    c = np.empty_like(a.coeffs)
-    c[0] = 0.0
-    c[1:] = a.coeffs[:-1]
-    return TruncatedSeries(c)
-
-
 def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     """Series r with a*r = 1 up to the order, by the standard recurrence."""
     a0 = complex(a.coeffs[0])

@@ -63,13 +63,15 @@ class TestVerifyConjecture:
         assert len({id(c) for c in calls}) == len(calls)
 
     def test_truncated_reciprocal_is_the_full_one(self, tmp_path, monkeypatch):
-        # each candidate is inverted from q_0..q_{n_max-1} only; the table
-        # and the coefficients equal those of the full-order reciprocal
+        # each candidate is built and inverted at order n_max - 1 only; the
+        # table and the coefficients equal those of the order-64 reciprocal
+        # of the same candidate, which ``built`` records
         n_max, lam = 10, 0.5
         built, inverted = [], []
         for name in ("q_from_phi", "q_from_omega"):
             make = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *a, make=make, **k: built.append(make(*a, **k)) or built[-1])
+            monkeypatch.setattr(cli, name, lambda *a, make=make, **k: built.append(
+                make(*a, **{**k, "order": 64})) or make(*a, **k))
         taylor_of_f = cli.taylor_of_f
         monkeypatch.setattr(cli, "taylor_of_f", lambda cand: inverted.append((cand, taylor_of_f(cand))) or inverted[-1][1])
         code, out = run(tmp_path, "verify-conjecture",
@@ -99,7 +101,6 @@ class TestVerifyConjecture:
         code, out = run(tmp_path, "verify-conjecture", cfg, outdir="new")
         assert code == 0
         assert json.loads((out / "verify_conjecture.json").read_text())["members_kept"] == 10
-        monkeypatch.setattr(cli, "generator_verdict", sweep_verdict)
         monkeypatch.setattr(cli, "phi_verdict", lambda lam, phi: sweep_verdict(core.q_from_phi(lam, phi)))
         code, old = run(tmp_path, "verify-conjecture", cfg, outdir="old")
         assert code == 0
@@ -120,6 +121,24 @@ class TestVerifyConjecture:
         assert len(decided) == 24 and 0 < len(kept) < 24
         assert built[0][0] == Monomial(theta=math.pi, k=1) and len(built) == 1 + len(kept)
         assert all(phi is draw for (phi, _), draw in zip(built[1:], kept))
+        assert all(order == n_max - 1 for _, order in built)
+
+    def test_omega_q_built_only_once_kept(self, tmp_path, monkeypatch):
+        # an omega draw is decided by the zeros of its order-64 q; only each
+        # kept draw gets the q the table reads, at that order
+        n_max = 7
+        decided, built = [], []
+        verdict, make = cli.omega_verdict, cli.q_from_omega
+        monkeypatch.setattr(cli, "omega_verdict", lambda lam, a2, omega, order: decided.append(
+            (omega, order, verdict(lam, a2, omega, order=order))) or decided[-1][2])
+        monkeypatch.setattr(cli, "q_from_omega", lambda a2, lam, omega, order: built.append(
+            (omega, order)) or make(a2, lam, omega, order))
+        code, _ = run(tmp_path, "verify-conjecture", {"lambda": 0.5, "n_max": n_max, "samples": 24, "seed": 4})
+        assert code == 0
+        assert len(decided) == 24 and all(order == 64 for _, order, _ in decided)
+        kept = [omega for omega, _, v in decided if v.verdict == "Inside"]
+        assert 0 < len(kept) < 24 and len(built) == len(kept)
+        assert all(omega is draw for (omega, _), draw in zip(built, kept))
         assert all(order == n_max - 1 for _, order in built)
 
     def test_grid_reported_unused(self, tmp_path):
@@ -153,12 +172,8 @@ BOUNDARY_EXCESS_PHI = {
 
 
 def sweep_verdict(cand):
-    """The rule ``generator_verdict`` replaced: the default order-64 sweep,
-    and for omega candidates the zero count as well."""
-    verdict = core.sup_u(cand).verdict
-    if cand.provenance == "omega" and core.count_disk_zeros(cand):
-        verdict = "Outside"
-    return core.GeneratorVerdict(verdict, "sweep", 0.0)
+    """The rule ``phi_verdict`` replaced: the default order-64 sweep."""
+    return core.GeneratorVerdict(core.sup_u(cand).verdict, "sweep", 0.0)
 
 
 class TestMembership:
@@ -705,6 +720,11 @@ class TestHarness:
         ("julia", {"phi": {"kind": "monomial", "theta": math.pi, "k": 2}, "theta0": "0"}),
         ("membership", {"candidate": {"type": "extremal", "phase": True}}),
         ("f-roots", {"lambdas": [0.3], "Rs": ["0.5"]}),
+        # JSON's NaN and Infinity are read as floats; none is a parameter
+        ("julia", {"phi": {"kind": "moebius", "a": math.nan}}),
+        ("fixed-point", {"omega": {"kind": "moebius", "a": 0.3, "psi": math.inf}}),
+        ("julia", {"phi": {"kind": "blaschke", "zeros": [0, math.nan]}}),
+        ("julia", {"phi": {"kind": "blaschke", "zeros": [0], "rotation": math.nan}}),
     ])
     def test_malformed_input_is_a_config_error(self, tmp_path, command, cfg):
         base = {"lambda": 0.5, "a2": 2.5, "omega": {"kind": "moebius", "a": 0.3}}

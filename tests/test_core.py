@@ -15,11 +15,11 @@ from ulambda.core import (
     count_disk_zeros,
     dilate,
     extremal_q_boundary,
-    generator_verdict,
     julia_quotient,
     l_of_phi,
     majorant_h_boundary,
     obstruction_value,
+    omega_verdict,
     phi_boundary_max,
     phi_verdict,
     q_from_omega,
@@ -39,7 +39,7 @@ from ulambda.errors import (
     OutsideDisk,
 )
 from ulambda.geometry import BOUNDARY, BOUNDARY_TOL, INSIDE, LABELS, OUTSIDE
-from ulambda.series import TruncatedSeries, ring, series_eval, series_eval_many
+from ulambda.series import TruncatedSeries, ring, series_eval, series_eval_many, series_integrate
 
 from test_geometry import polygon_distance, reference_contains
 
@@ -167,6 +167,26 @@ class TestQFromOmega:
             g = 1 - z - lam * z * (v - antiderivative(omega, z))
             assert abs(series_eval(cand.q, z) - g) < 1e-10
 
+    @pytest.mark.parametrize("omega", [
+        MoebiusShift(0.3 - 0.4j, 1.2),
+        Blaschke(zeros=(0.2 + 0.1j, 0, -0.5j), rotation=0.7),
+        Monomial(theta=2.1, k=3),
+        ScaledPolynomial(raw=(0.2, 0.3 - 0.1j, 0.5j)),
+    ])
+    @pytest.mark.parametrize("order", [0, 1, 2, 9, 64])
+    def test_integrate_then_shift_bit_for_bit(self, omega, order):
+        # the construction by series_integrate and a shift by z, sign bits
+        # of zeros included; a real a2 leaves a zero imaginary part in q_1
+        for a2 in (0.9, -0.3 + 0.8j):
+            integ = series_integrate(omega.taylor(order)).coeffs
+            ref = np.concatenate(([0j], integ[:-1])) * 0.7
+            ref[0] += 1.0
+            if order >= 1:
+                ref[1] -= complex(a2)
+            got = q_from_omega(a2, 0.7, omega, order).q.coeffs
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
 
 class TestTaylorOfF:
     def test_extremal_partial_geometric(self):
@@ -290,7 +310,7 @@ class TestPhiBoundaryMax:
         for theta in np.linspace(0.0, 2 * math.pi, 13):
             _, best = phi_boundary_max(lam, Monomial(theta=float(theta), k=1))
             assert abs(best - lam) <= 6.7e-16
-            assert generator_verdict(q_from_phi(lam, Monomial(theta=float(theta), k=1))).verdict == "Inside"
+            assert phi_verdict(lam, Monomial(theta=float(theta), k=1)).verdict == "Inside"
 
     def test_z_squared_peaks_at_one(self):
         # -z^2 reaches 1 + 4 lam at z = 1, the boundary obstruction point
@@ -315,10 +335,9 @@ class TestGeneratorVerdict:
     ])
     def test_phi_bands(self, monkeypatch, best, verdict):
         monkeypatch.setattr(core, "phi_boundary_max", lambda lam, phi: (1.25, best))
-        got = generator_verdict(extremal(0.5))
+        got = phi_verdict(0.5, Monomial(theta=math.pi, k=1))
         assert (got.verdict, got.path, got.value, got.t) == (verdict, "boundary_max", best, 1.25)
         assert got.to_json() == {"path": "boundary_max", "boundary_max": best, "t": 1.25, "verdict": verdict}
-        assert phi_verdict(0.5, Monomial(theta=math.pi, k=1)) == got
 
     def test_phi_verdict_needs_an_origin_fixing_phi(self):
         with pytest.raises(BasePointNotZero):
@@ -327,17 +346,10 @@ class TestGeneratorVerdict:
     def test_omega_by_zero_count(self):
         # the pole-carrying candidate of the CLI tests: one zero of q
         omega = MoebiusShift(a=0.5268221954758235 - 0.09810406994221266j, psi=5.611645507023389)
-        cand = q_from_omega(0.3007386830957319 + 0.8294213293396829j, 0.3, omega)
-        got = generator_verdict(cand)
+        got = omega_verdict(0.3, 0.3007386830957319 + 0.8294213293396829j, omega)
         assert got.to_json() == {"path": "zero_count", "q_disk_zeros": 1, "verdict": "Outside"}
-        got = generator_verdict(q_from_omega(0.5, 0.7, MoebiusShift(a=0.98)))
+        got = omega_verdict(0.7, 0.5, MoebiusShift(a=0.98))
         assert got.to_json() == {"path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside"}
-
-    def test_raw_q_has_no_representation(self):
-        cand = extremal(0.5)
-        for raw in (UCandidate(cand.q, 0.5), dilate(cand, 0.5)):
-            with pytest.raises(ValueError, match="raw q"):
-                generator_verdict(raw)
 
     def test_seeded_agreement_with_the_sweep(self):
         # the draws of verify-conjecture on seeds 0..399, 16 phi and 16
@@ -352,14 +364,14 @@ class TestGeneratorVerdict:
                 omega = sample_omega(rng)
                 a2 = _random_point(rng, 1.0)
                 cand = q_from_phi(lam, phi)
-                new = generator_verdict(cand)
+                new = phi_verdict(lam, phi)
                 if (new.verdict == "Inside") != (sup_u(cand).verdict == "Inside"):
                     phi_changed.append(seed)
                     # only a true non-member may change: the maximum principle
                     # puts sup |U| at least at the boundary maximum
                     assert new.verdict == "Outside" and new.value > lam
                 cand = q_from_omega(a2, lam, omega)
-                new = generator_verdict(cand)
+                new = omega_verdict(lam, a2, omega)
                 if new.verdict == "Inside":
                     assert sup_u(cand).verdict == "Inside"
                 else:

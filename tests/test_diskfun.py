@@ -52,6 +52,14 @@ class TestMoebius:
         with pytest.raises(BasePointOutsideClosedDisk):
             MoebiusShift(1.5, 0.0)
 
+    def test_rejects_non_finite_parameters(self):
+        for a in (complex(math.nan, 0), complex(0, math.nan), math.inf):
+            with pytest.raises(BasePointOutsideClosedDisk):
+                MoebiusShift(a, 0.0)
+        for psi in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="psi must be finite"):
+                MoebiusShift(0.3, psi)
+
     def test_taylor_geometric_tail(self):
         a = 0.4 - 0.2j
         w = MoebiusShift(a, 0.0)
@@ -93,6 +101,13 @@ class TestBlaschke:
         with pytest.raises(ZeroOnOrOutsideBoundary):
             Blaschke(zeros=(1.0,), rotation=0.0)
 
+    def test_rejects_non_finite_parameters(self):
+        with pytest.raises(ZeroOnOrOutsideBoundary):
+            Blaschke(zeros=(0, math.nan), rotation=0.0)
+        for rot in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="rotation must be finite"):
+                Blaschke(zeros=(0,), rotation=rot)
+
     def test_taylor_matches_pointwise(self):
         b = Blaschke(zeros=(0, 0.5), rotation=math.pi)
         t = b.taylor(48)
@@ -111,6 +126,43 @@ class TestBlaschke:
             for k in range(8):
                 z = 0.4 * cmath.exp(2j * math.pi * k / 8)
                 assert abs(series_eval(t, z) - b.eval(z)) <= 1e-13
+
+    @pytest.mark.parametrize("zeros", [
+        (0,),
+        (0, 0),
+        (0, 0.5),
+        (0.2 + 0.1j, -0.5j, 0.6),
+        (0, 0.9 * cmath.exp(0.4j), 0.2 + 0.1j, 0.2 + 0.1j, -0.7),
+    ])
+    def test_deriv_matches_pairwise_product_rule(self, zeros):
+        # at every zero, at 0, inside the disk and on the circle
+        b = Blaschke(zeros=zeros, rotation=0.7)
+        rng = np.random.default_rng(5)
+        inner = 0.99 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * math.pi * rng.uniform(size=200))
+        z = np.concatenate([np.array(zeros, dtype=complex), [0j], inner, np.exp(2j * math.pi * np.arange(64) / 64)])
+        ref = pairwise_blaschke_deriv(b, z)
+        got = b.deriv(z)
+        assert got.shape == z.shape
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1))
+        for p in z[: len(zeros) + 1]:
+            assert b.deriv(complex(p)) == pytest.approx(pairwise_blaschke_deriv(b, p), rel=1e-13, abs=1e-15)
+        if zeros.count(0) > 1:
+            assert b.deriv(0j) == 0
+
+
+def pairwise_blaschke_deriv(b, z):
+    """The derivative of a Blaschke product by the pairwise product rule,
+    sum_k f_k' prod_{j != k} f_j: O(n^2) products per point."""
+    z = np.asarray(z, dtype=complex)
+    factors = [(z - c) / (1 - np.conj(c) * z) for c in b.zeros]
+    out = np.zeros(z.shape, dtype=complex)
+    for k, c in enumerate(b.zeros):
+        term = (1 - abs(c) ** 2) / (1 - np.conj(c) * z) ** 2
+        for j, f in enumerate(factors):
+            if j != k:
+                term = term * f
+        out = out + term
+    return out * cmath.exp(1j * b.rotation)
 
 
 def reciprocal_blaschke_taylor(b, order):
