@@ -55,6 +55,7 @@ from .series import DEFAULT_ORDER, TruncatedSeries, ring, series_reciprocal
 from .core import DEFAULT_ANGLES, DEFAULT_RADII, UCandidate, _winding, q_from_omega
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
+CIRCLE_SCAN = 4096  # boundary samples of ``_circle_max``, before its golden section
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +82,16 @@ def theorem2_bound(n: int, lam: float) -> float:
     return 1 + lam * math.sqrt((n - 1) * s)
 
 
-def rogosinski_check(w: DiskFunction, lam: float, n: int, order: int | None = None) -> dict:
+def rogosinski_check(w: DiskFunction, lam: float, n: int) -> dict:
     """Coefficient inequalities for g1 = 1/(1 - lam w) and g2 = 1/(1 - w),
     w a self-map of the disk fixing 0.
 
-    For every m <= n the partial sums must satisfy
-    sum_{k=1}^m |b_k|^2 <= sum_{k=1}^m lam^{2k}, and |c_m| <= 1.
+    For every m <= n the partial sums must satisfy sum_{k=1}^m |b_k|^2 <=
+    sum_{k=1}^m lam^{2k}, and |c_m| <= 1; the series are of order max(n, 64).
     """
     if abs(w.base_point()) > 1e-9:
         raise OutOfRange("w must fix the origin")
-    order = max(n, DEFAULT_ORDER) if order is None else order
+    order = max(n, DEFAULT_ORDER)
     t = w.taylor(order)
     one_minus = TruncatedSeries.from_coeffs([1.0], order=order)
 
@@ -167,12 +168,12 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return t, f(t)
 
 
-def _circle_max(fun, scan: int) -> tuple[float, float]:
+def _circle_max(fun) -> tuple[float, float]:
     """(t*, max_t |fun(e^{it})|) for fun taking a point or an array: one call
-    on ``scan`` equally spaced boundary points, then golden-section
+    on CIRCLE_SCAN equally spaced boundary points, then golden-section
     refinement within one grid step of the first largest sample."""
-    vals = np.abs(fun(ring(1.0, scan)))
-    step = 2 * math.pi / scan
+    vals = np.abs(fun(ring(1.0, CIRCLE_SCAN)))
+    step = 2 * math.pi / CIRCLE_SCAN
     t0 = int(np.argmax(vals)) * step  # the sample's angle, as ring spaces them
     return _golden_max(lambda t: abs(fun(cmath.exp(1j * t))), t0 - step, t0 + step, 1e-10)
 
@@ -190,20 +191,20 @@ def max_boundary_ba(a: complex) -> tuple[float, float]:
     return cmath.phase(a) % (2 * math.pi), v_of_x(abs(a))
 
 
-def v_of_omega(omega: DiskFunction, scan: int = 4096) -> float:
+def v_of_omega(omega: DiskFunction) -> float:
     """max over the closed disk of |int_0^z omega|; the integral is analytic,
     so the maximum sits on the boundary circle.
 
     A Moebius shift's integral is z B_a(z e^{i psi}), whose boundary maximum
     is ``max_boundary_ba``'s v(|a|) (|a| when degenerate); a monomial's is
-    1/(k+1).  Other families take ``scan`` boundary samples and a
-    golden-section refinement.
+    1/(k+1).  Other families take CIRCLE_SCAN boundary samples and a
+    golden-section refinement (``_circle_max``).
     """
     if isinstance(omega, MoebiusShift):
         return max_boundary_ba(omega.a)[1]
     if isinstance(omega, Monomial):
         return 1 / (omega.k + 1)
-    return _circle_max(partial(antiderivative, omega), scan)[1]
+    return _circle_max(partial(antiderivative, omega))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +378,8 @@ class RegionA2:
         rows = map("{:.17g},{:.17g},{:.17g}".format, *columns)
         return "theta,re,im\n" + "\n".join(rows) + "\n"
 
-    def to_svg(self, size: int = 512) -> str:
-        pts = self.curve.samples
+    def to_svg(self) -> str:
+        pts, size = self.curve.samples, 512  # the picture is size x size
         lo = complex(np.min(pts.real), np.min(pts.imag))
         hi = complex(np.max(pts.real), np.max(pts.imag))
         span = max(hi.real - lo.real, hi.imag - lo.imag, 1e-9)

@@ -86,8 +86,8 @@ def _int(cfg: dict, key: str, default: int, minimum: int | None = None) -> int:
 
 
 def _order(cfg: dict) -> int:
-    # below order 2 every coefficient (1 - k) q_k of U is 0, so a sweep
-    # would call any candidate Inside
+    # below order 2 the truncated omega q is 1 - a2 z, which reads neither
+    # omega nor lambda
     return _int(cfg, "order", 64, minimum=2)
 
 
@@ -144,7 +144,7 @@ def _random_point(rng: np.random.Generator, radius: float) -> complex:
 def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
     lam = _lam(cfg)
     n_max = _int(cfg, "n_max", 10)
-    samples = _int(cfg, "samples", 100)
+    samples = _int(cfg, "samples", 100, minimum=0)
     seed = _int(cfg, "seed", 0)
     unused = _unused(cfg, "grid")
     order = max(64, n_max)
@@ -208,7 +208,7 @@ def _membership_verdict(cfg: dict) -> tuple:
     kind = spec.get("type")
     if kind == "omega":
         unused = _unused(cfg, "grid")
-        a2, omega = _cplx(spec["a2"]), diskfun_from_json(spec["omega"])
+        a2, omega = _cplx(spec["a2"], "a2"), diskfun_from_json(spec["omega"])
         return omega_verdict(lam, a2, omega, order=_order(cfg)), unused
     unused = _unused(cfg, "grid", "order")
     if kind == "phi":
@@ -264,9 +264,7 @@ def cmd_region_a2(cfg: dict, out: Path) -> int:
     omega = diskfun_from_json(cfg["omega"])
     # c_omega_curve's own minimum, checked here so it is a config error
     resolution = _int(cfg, "resolution", 512, minimum=64)
-    points = [_cplx(q) for q in cfg.get("queries", [])]
-    if not all(map(cmath.isfinite, points)):
-        raise ConfigError("queries must be finite")
+    points = [_cplx(q, "queries") for q in cfg.get("queries", [])]
     region = bounds.c_omega_curve(omega, lam, resolution=resolution)
     (out / "region.csv").write_text(region.to_csv())
     (out / "region.svg").write_text(region.to_svg())
@@ -309,7 +307,7 @@ def cmd_f_roots(cfg: dict, out: Path) -> int:
 
 def cmd_sharpness(cfg: dict, out: Path) -> int:
     lam = _lam(cfg)
-    a = _cplx(cfg.get("a", 0.5))
+    a = _cplx(cfg.get("a", 0.5), "a")
     if not abs(a) < 1:
         raise ConfigError(f"sharpness needs |a| < 1, got {abs(a)}")
     result = {"lambda": lam, "a": [a.real, a.imag]}
@@ -330,7 +328,7 @@ def cmd_sharpness(cfg: dict, out: Path) -> int:
 def cmd_fixed_point(cfg: dict, out: Path) -> int:
     lam = _lam(cfg)
     omega = diskfun_from_json(cfg["omega"])
-    a2 = _cplx(cfg["a2"])
+    a2 = _cplx(cfg["a2"], "a2")
     # one boundary scan serves both the default radius and the contraction test
     v = bounds.v_of_omega(omega)
     try:

@@ -58,9 +58,11 @@ PHI_BOUNDARY_ANGLES = 4096
 # a phi candidate whose boundary maximum exceeds lambda by at most this is
 # Inside: the extremal function and its rotations reach lambda to 6.7e-16
 PHI_INSIDE_SLACK = 1e-12
-# circle samples of count_disk_zeros' first pass, and the rounding its
-# certificate allows per unit of S + h D (see there)
+# count_disk_zeros' circle radius, the samples of its first and full pass,
+# and the rounding its certificate allows per unit of S + h D (see there)
+ZERO_COUNT_RADIUS = 0.999
 ZERO_COUNT_COARSE = 256
+ZERO_COUNT_SAMPLES = 8192
 ZERO_COUNT_ROUNDING = 1024 * float(np.finfo(float).eps)
 
 
@@ -180,16 +182,17 @@ def sup_u(cand: UCandidate, grid: GridSpec = GridSpec()) -> MembershipReport:
     )
 
 
-def count_disk_zeros(cand: UCandidate, radius: float = 0.999, samples: int = 8192) -> int:
-    """Number of zeros of q inside |z| < radius, by the argument principle.
+def count_disk_zeros(cand: UCandidate) -> int:
+    """Zeros of q inside |z| < r = ZERO_COUNT_RADIUS, by the argument principle.
 
     A zero of q is a pole of f = z/q, so a candidate whose q vanishes in the
     disk does not describe a member no matter what the operator sweep says.
     q(0) = 1, so the winding of the image of the circle about 0 counts the
-    zeros enclosed (``_winding``).
+    zeros enclosed (``_winding``).  A smaller disk's count is that of a
+    ``dilate``d candidate.
 
-    The count is first taken on ``ring(radius, n)``, n = min(ZERO_COUNT_COARSE,
-    samples), and returned when the samples prove it:
+    The count is first taken on ``ring(r, n)``, n = ZERO_COUNT_COARSE, and
+    returned when the samples prove it:
 
         min_j |q(z_j)| > h D + eps_r,   h = 2 pi / n,   D = sum_k k |c_k| r^k.
 
@@ -202,20 +205,16 @@ def count_disk_zeros(cand: UCandidate, radius: float = 0.999, samples: int = 819
     q(z_j) that misses 0; each turn of ``_winding`` is the change of a
     continuous argument along the arc, up to errors that cancel around the
     circle, and the angle sum is the zero count.  Otherwise (a zero near the
-    circle, or a q too steep for n samples) the count is the ``samples``-point
-    winding, as without the certificate.
+    circle, or a q too steep for n samples) the count is the
+    ZERO_COUNT_SAMPLES-point winding, as without the certificate.
     """
-    if not (0 < radius < 1):
-        raise OutOfRange(f"radius must lie in (0, 1), got {radius}")
-    samples = _angle_count(samples)
-    n = min(ZERO_COUNT_COARSE, samples)
-    vals = ring_eval(cand.q, radius, n)
-    if n < samples:
-        weights = np.abs(cand.q.coeffs) * radius ** np.arange(len(cand.q.coeffs))
-        drift = 2 * math.pi / n * float(np.sum(np.arange(len(weights)) * weights))
-        rounding = ZERO_COUNT_ROUNDING * (float(np.sum(weights)) + drift)
-        if not float(np.min(np.abs(vals))) > drift + rounding:
-            vals = ring_eval(cand.q, radius, samples)
+    n = ZERO_COUNT_COARSE
+    vals = ring_eval(cand.q, ZERO_COUNT_RADIUS, n)
+    weights = np.abs(cand.q.coeffs) * ZERO_COUNT_RADIUS ** np.arange(len(cand.q.coeffs))
+    drift = 2 * math.pi / n * float(np.sum(np.arange(len(weights)) * weights))
+    rounding = ZERO_COUNT_ROUNDING * (float(np.sum(weights)) + drift)
+    if not float(np.min(np.abs(vals))) > drift + rounding:
+        vals = ring_eval(cand.q, ZERO_COUNT_RADIUS, ZERO_COUNT_SAMPLES)
     return _winding(vals)
 
 

@@ -44,9 +44,6 @@ class DiskFunction:
     exact Taylor coefficients about 0.
     """
 
-    def __call__(self, z):
-        return self.eval(z)
-
     def eval(self, z):
         raise NotImplementedError
 
@@ -116,7 +113,10 @@ class MoebiusShift(DiskFunction):
 
 
 def _finite(v, name: str) -> float:
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf if v > 0 else -math.inf
     if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {v!r}")
     return v
@@ -395,10 +395,10 @@ def diskfun_from_json(obj: dict) -> DiskFunction:
         raise ValueError(f"a disk function must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "moebius":
-        return MoebiusShift(a=_cplx(obj["a"]), psi=_real(obj.get("psi", 0.0), "psi"))
+        return MoebiusShift(a=_cplx(obj["a"], "a"), psi=_real(obj.get("psi", 0.0), "psi"))
     if kind == "blaschke":
         return Blaschke(
-            zeros=tuple(_cplx(b) for b in obj["zeros"]),
+            zeros=tuple(_cplx(b, "zeros") for b in obj["zeros"]),
             rotation=_real(obj.get("rotation", 0.0), "rotation"),
         )
     if kind == "monomial":
@@ -409,7 +409,7 @@ def diskfun_from_json(obj: dict) -> DiskFunction:
         return Monomial(theta=_real(obj.get("theta", 0.0), "theta"), k=int(k))
     if kind == "poly":
         return ScaledPolynomial(
-            raw=tuple(_cplx(c) for c in obj["coeffs"]),
+            raw=tuple(_cplx(c, "coeffs") for c in obj["coeffs"]),
             normalizer=_real(obj.get("normalizer", 0.0), "normalizer"),
         )
     raise ValueError(f"unknown disk-function kind: {kind!r}")
@@ -421,15 +421,15 @@ def _is_real(v) -> bool:
 
 
 def _real(v, name: str) -> float:
-    """A real number as a float; ValueError naming ``name`` otherwise."""
+    """A finite real number as a float; ValueError naming ``name`` otherwise."""
     if not _is_real(v):
         raise ValueError(f"{name} must be a real number, got {v!r}")
-    return float(v)
+    return _finite(v, name)
 
 
-def _cplx(v) -> complex:
-    """A complex number from a [re, im] pair or a real; ValueError otherwise."""
+def _cplx(v, name: str) -> complex:
+    """A finite complex number from a [re, im] pair or a real, as ``_real``."""
     parts = v if isinstance(v, (list, tuple)) else [v, 0.0]
     if len(parts) != 2 or not all(map(_is_real, parts)):
-        raise ValueError(f"expected a real number or a [re, im] pair, got {v!r}")
-    return complex(float(parts[0]), float(parts[1]))
+        raise ValueError(f"{name} must be a real number or a [re, im] pair, got {v!r}")
+    return complex(_finite(parts[0], name), _finite(parts[1], name))

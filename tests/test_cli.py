@@ -725,6 +725,25 @@ class TestHarness:
         ("fixed-point", {"omega": {"kind": "moebius", "a": 0.3, "psi": math.inf}}),
         ("julia", {"phi": {"kind": "blaschke", "zeros": [0, math.nan]}}),
         ("julia", {"phi": {"kind": "blaschke", "zeros": [0], "rotation": math.nan}}),
+        # each used to exit 3, inconclusive; membership wrote a NaN
+        # boundary_max
+        ("membership", {"candidate": {"type": "phi", "phi": {"kind": "monomial", "theta": math.nan}}}),
+        ("membership", {"candidate": {"type": "phi", "phi": {"kind": "poly", "coeffs": [0, [math.nan, 0]]}}}),
+        ("membership", {"candidate": {"type": "extremal", "phase": math.nan}}),
+        ("fixed-point", {"a2": [math.nan, 0]}),
+        ("fixed-point", {"r": math.nan}),
+        ("f-roots", {"lambdas": [math.nan], "Rs": [0.5]}),
+        ("f-roots", {"lambdas": [0.3], "Rs": [math.inf]}),
+        # each used to exit 0: Inside, or NaN m, obstruction_value and
+        # l_at_boundary
+        ("membership", {"candidate": {"type": "phi", "phi": {"kind": "poly", "coeffs": [0, 0.5],
+                                                              "normalizer": math.inf}}}),
+        ("julia", {"phi": {"kind": "monomial", "theta": math.pi, "k": 2}, "theta0": math.nan}),
+        ("julia", {"phi": {"kind": "monomial", "theta": math.nan, "k": 1}}),
+        # used to end in an OverflowError traceback (exit 1)
+        ("membership", {"candidate": {"type": "extremal", "phase": 10**400}}),
+        # used to exit 0 and write "samples": -5
+        ("verify-conjecture", {"samples": -5}),
     ])
     def test_malformed_input_is_a_config_error(self, tmp_path, command, cfg):
         base = {"lambda": 0.5, "a2": 2.5, "omega": {"kind": "moebius", "a": 0.3}}
