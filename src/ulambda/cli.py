@@ -27,7 +27,6 @@ import numpy as np
 from . import bounds
 from .core import (
     GridSpec,
-    omega_verdict,
     phi_verdict,
     q_from_omega,
     q_from_phi,
@@ -36,7 +35,7 @@ from .core import (
     julia_quotient,
     obstruction_value,
 )
-from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, _real, diskfun_from_json, gauss_legendre
+from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, _list, _real, diskfun_from_json, gauss_legendre
 from .errors import ConfigError, NoConvergence, NotContractive, UlambdaError
 from .geometry import LABELS
 
@@ -85,17 +84,13 @@ def _int(cfg: dict, key: str, default: int, minimum: int | None = None) -> int:
     return int(value)
 
 
-def _order(cfg: dict) -> int:
-    # below order 2 the truncated omega q is 1 - a2 z, which reads neither
-    # omega nor lambda
-    return _int(cfg, "order", 64, minimum=2)
-
-
 def _unused(cfg: dict, *keys: str) -> dict:
     """The validated value of each of ``keys`` the config gives, for keys
     that a representation's verdict does not read.  They are checked like
     used keys, so a malformed one is still a config error."""
-    check = {"grid": lambda: _grid(cfg).describe(), "order": lambda: _order(cfg)}
+    # no verdict reads order; it keeps the rule it had when a truncated q
+    # did (an integer >= 2), so every config keeps its exit code
+    check = {"grid": lambda: _grid(cfg).describe(), "order": lambda: _int(cfg, "order", 64, minimum=2)}
     return {key: check[key]() for key in keys if key in cfg}
 
 
@@ -147,7 +142,6 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
     samples = _int(cfg, "samples", 100, minimum=0)
     seed = _int(cfg, "seed", 0)
     unused = _unused(cfg, "grid")
-    order = max(64, n_max)
     # coefficient k of f(z)/z is a_{k+1}, and the reciprocal's recurrence is
     # triangular, so a_2..a_{n_max} need only q_0..q_{n_max-1}: a candidate,
     # decided from its representation, is built at that order once kept
@@ -163,8 +157,7 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
         if phi_verdict(lam, phi).verdict == "Inside":
             candidates.append(("random", q_from_phi(lam, phi, order=head - 1)))
             kept += 1
-        # an omega candidate's zero count reads its q at the full order
-        if omega_verdict(lam, a2, omega, order=order).verdict == "Inside":
+        if bounds.omega_verdict(lam, a2, omega).verdict == "Inside":
             candidates.append(("random", q_from_omega(a2, lam, omega, order=head - 1)))
             kept += 1
 
@@ -198,19 +191,18 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
 
 def _membership_verdict(cfg: dict) -> tuple:
     """The verdict on the config's candidate, and the given keys that it
-    does not read.  An omega candidate is decided by the zeros of its q
-    truncated at ``order``; a phi or extremal one by phi alone, which reads
-    neither ``order`` nor ``grid``."""
+    does not read.  An omega candidate is decided by the zeros of its q on
+    |z| = 1 (``bounds.omega_verdict``), a phi or extremal one by phi alone;
+    neither reads ``order`` or ``grid``."""
     lam = _lam(cfg)
     spec = cfg.get("candidate")
     if not isinstance(spec, dict):
         raise ConfigError("config requires a 'candidate' object")
     kind = spec.get("type")
-    if kind == "omega":
-        unused = _unused(cfg, "grid")
-        a2, omega = _cplx(spec["a2"], "a2"), diskfun_from_json(spec["omega"])
-        return omega_verdict(lam, a2, omega, order=_order(cfg)), unused
     unused = _unused(cfg, "grid", "order")
+    if kind == "omega":
+        a2, omega = _cplx(spec["a2"], "a2"), diskfun_from_json(spec["omega"])
+        return bounds.omega_verdict(lam, a2, omega), unused
     if kind == "phi":
         phi = diskfun_from_json(spec["phi"])
     elif kind == "extremal":
@@ -264,7 +256,7 @@ def cmd_region_a2(cfg: dict, out: Path) -> int:
     omega = diskfun_from_json(cfg["omega"])
     # c_omega_curve's own minimum, checked here so it is a config error
     resolution = _int(cfg, "resolution", 512, minimum=64)
-    points = [_cplx(q, "queries") for q in cfg.get("queries", [])]
+    points = [_cplx(q, "queries") for q in _list(cfg.get("queries", []), "queries")]
     region = bounds.c_omega_curve(omega, lam, resolution=resolution)
     (out / "region.csv").write_text(region.to_csv())
     (out / "region.svg").write_text(region.to_svg())
@@ -280,10 +272,12 @@ def cmd_f_roots(cfg: dict, out: Path) -> int:
     if lams is None:
         n = _int(cfg, "lambda_count", 50)
         lams = list(np.linspace(0.02, 0.98, n))
+    lams = _list(lams, "lambdas")
     rs = cfg.get("Rs")
     if rs is None:
         n = _int(cfg, "R_count", 50)
         rs = list(np.linspace(0.02, 0.98, n))
+    rs = _list(rs, "Rs")
     lines = ["lambda,R,root,r_star"]
     mismatches = 0
     for lam in lams:

@@ -7,14 +7,16 @@ quantity is q(z) - z q'(z) - 1, whose modulus must stay below lambda on the
 disk.  A candidate built from one of the two representations is decided by
 the representation its caller holds: a phi candidate by the maximum of |U|
 on the unit circle (``phi_verdict``, which needs phi alone), an omega
-candidate by the zeros of its q (``omega_verdict``, by
-``count_disk_zeros``).  Only a raw q, such as a dilated or perturbed one,
-is swept (``sup_u``) as a truncated series over a grid of circles.
+candidate by the zeros of its q on |z| = 1 (``bounds.omega_verdict``,
+beside ``RegionA2``, which answers the same question).  Only a raw q, such
+as a dilated or perturbed one, is swept (``sup_u``) as a truncated series
+over a grid of circles, and has its zeros counted by ``count_disk_zeros``.
 
-``count_disk_zeros`` proves its count on a 256-point circle when the
-samples stay farther from 0 than q can move between them (a bound from the
-coefficients, plus rounding), and takes its full sample count only
-otherwise.
+``count_disk_zeros`` and ``bounds.omega_verdict`` share one certificate
+(``_proven_winding``): a winding is proven on a 256-point circle when
+neighbouring samples stay farther from 0 than the curve can move between
+them (a slope bound, plus rounding), and the full sample count is taken
+only otherwise.
 
 The representation theorem's two majorants, 1 + 2 lam z + lam z^2 and
 (1 - z)(1 - lam z), are quadratics, so subordination to them is decided by
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,8 +60,9 @@ PHI_BOUNDARY_ANGLES = 4096
 # a phi candidate whose boundary maximum exceeds lambda by at most this is
 # Inside: the extremal function and its rotations reach lambda to 6.7e-16
 PHI_INSIDE_SLACK = 1e-12
-# count_disk_zeros' circle radius, the samples of its first and full pass,
-# and the rounding its certificate allows per unit of S + h D (see there)
+# count_disk_zeros' circle radius, and the samples of the first and full
+# pass of _proven_winding and the rounding it allows per unit of size + h
+# slope (see there)
 ZERO_COUNT_RADIUS = 0.999
 ZERO_COUNT_COARSE = 256
 ZERO_COUNT_SAMPLES = 8192
@@ -188,34 +191,60 @@ def count_disk_zeros(cand: UCandidate) -> int:
     A zero of q is a pole of f = z/q, so a candidate whose q vanishes in the
     disk does not describe a member no matter what the operator sweep says.
     q(0) = 1, so the winding of the image of the circle about 0 counts the
-    zeros enclosed (``_winding``).  A smaller disk's count is that of a
-    ``dilate``d candidate.
+    zeros enclosed.  A smaller disk's count is that of a ``dilate``d
+    candidate.
 
-    The count is first taken on ``ring(r, n)``, n = ZERO_COUNT_COARSE, and
-    returned when the samples prove it:
-
-        min_j |q(z_j)| > h D + eps_r,   h = 2 pi / n,   D = sum_k k |c_k| r^k.
-
-    D / r bounds |q'| on the circle, so on the arc from z_j to z_{j+1}
-    |q(z) - q(z_j)| <= h D.  ``ring_eval`` is within e of each q(z_j), and
-    eps_r = ZERO_COUNT_ROUNDING (S + h D) = 1024 eps (S + h D), with
-    S = sum_k |c_k| r^k, exceeds twice e (a few tens of eps S on at most 256
-    points; Bornemann, FoCM 2011) plus the rounding of the two sums.  So the
-    arc's image and both computed samples lie in a disk about the computed
-    q(z_j) that misses 0; each turn of ``_winding`` is the change of a
-    continuous argument along the arc, up to errors that cancel around the
-    circle, and the angle sum is the zero count.  Otherwise (a zero near the
-    circle, or a q too steep for n samples) the count is the
-    ZERO_COUNT_SAMPLES-point winding, as without the certificate.
+    The winding is that of ``ring_eval``'s samples of q on the circle,
+    proven by ``_proven_winding`` with S = sum_k |c_k| r^k and the slope
+    D = sum_k k |c_k| r^k, which bounds |d/dt q(r e^{it})|.  When neither
+    pass proves it (a zero near the circle, or a q too steep for the
+    samples) the count is the ZERO_COUNT_SAMPLES-point winding, as without
+    the certificate.
     """
-    n = ZERO_COUNT_COARSE
-    vals = ring_eval(cand.q, ZERO_COUNT_RADIUS, n)
     weights = np.abs(cand.q.coeffs) * ZERO_COUNT_RADIUS ** np.arange(len(cand.q.coeffs))
-    drift = 2 * math.pi / n * float(np.sum(np.arange(len(weights)) * weights))
-    rounding = ZERO_COUNT_ROUNDING * (float(np.sum(weights)) + drift)
-    if not float(np.min(np.abs(vals))) > drift + rounding:
-        vals = ring_eval(cand.q, ZERO_COUNT_RADIUS, ZERO_COUNT_SAMPLES)
-    return _winding(vals)
+    slope = float(np.sum(np.arange(len(weights)) * weights))
+    zeros, _, _ = _proven_winding(lambda n: ring_eval(cand.q, ZERO_COUNT_RADIUS, n),
+                                  float(np.sum(weights)), slope)
+    return zeros
+
+
+def _proven_winding(sample, size: float, slope: float, error: float = 0.0) -> tuple:
+    """(winding, proven, budget) of a closed curve g(t) about 0 from its
+    samples g_j at t_j = j h, h = 2 pi / n: ``sample(n)``, first at n =
+    ZERO_COUNT_COARSE, then at ZERO_COUNT_SAMPLES.
+
+    A pass proves its winding (``_winding``) when
+
+        min_j (|g_j| + |g_{j+1}|) / 2 > h slope / 2 + error + eps,
+
+    with slope >= |g'|, each computed sample within error of g(t_j) besides
+    rounding, and eps = ZERO_COUNT_ROUNDING (size + h slope) = 1024 eps
+    (size + h slope) for size a bound on the terms summed into a sample.
+    That exceeds twice the rounding of a sample (a few tens of eps times
+    size for ``ring_eval`` on at most 8192 points, Bornemann, FoCM 2011, or
+    for a closed form) plus that of the test.  At t_j + s on the arc to
+    t_{j+1}, g lies within slope s + e of the computed g_j and within
+    slope (h - s) + e of the computed g_{j+1}, e = error plus rounding, and
+    the two radii sum to less than |g_j| + |g_{j+1}|: the arc lies in the
+    disk of radius |g_j| about g_j or in that of radius |g_{j+1}| about
+    g_{j+1}.  Those disks miss 0 and overlap, so their union, which holds
+    the chord too, is simply connected: the arc turns about 0 by the chord's
+    angle, and the angles sum to g's winding.
+
+    Otherwise ``proven`` is False and the winding is the last pass's.
+    ``budget`` holds the last pass's ``samples``, ``min_mean_abs_q`` (the
+    least mean of |g| over two neighbouring samples) and ``threshold``.
+    """
+    for n in (ZERO_COUNT_COARSE, ZERO_COUNT_SAMPLES):
+        vals = sample(n)
+        drift = 2 * math.pi / n * slope
+        threshold = drift / 2 + error + ZERO_COUNT_ROUNDING * (size + drift)
+        mod = np.abs(vals)
+        low = float(np.min(mod + np.concatenate((mod[1:], mod[:1])))) / 2
+        if low > threshold:
+            break
+    budget = {"samples": n, "min_mean_abs_q": low, "threshold": threshold}
+    return _winding(vals), low > threshold, budget
 
 
 def _winding(vals: np.ndarray) -> int:
@@ -303,18 +332,24 @@ def phi_boundary_max(lam: float, phi: DiskFunction) -> tuple:
 class GeneratorVerdict:
     """Membership of a phi or omega candidate, decided from its
     representation.  ``path`` is "boundary_max", with ``value`` the largest
-    |U| sampled on the unit circle and ``t`` its angle, or "zero_count", with
-    ``value`` the number of zeros of q in the disk."""
+    |U| sampled on the unit circle and ``t`` its angle; "zero_count", with
+    ``value`` the number of zeros of q in the disk; or "curve_distance", with
+    ``value`` the distance of a2 to the curve gamma (None when gamma could
+    not be projected on).  ``budget`` holds the numbers an omega verdict's
+    last circle pass was judged by (``_proven_winding``, with the ``tail``
+    of ``bounds.omega_verdict``)."""
 
     verdict: str  # Inside | Outside | Inconclusive
     path: str
-    value: float | int
+    value: float | int | None
     t: float | None = None
+    budget: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        if self.path == "zero_count":
-            return {"path": self.path, "q_disk_zeros": self.value, "verdict": self.verdict}
-        return {"path": self.path, "boundary_max": self.value, "t": self.t, "verdict": self.verdict}
+        if self.path == "boundary_max":
+            return {"path": self.path, "boundary_max": self.value, "t": self.t, "verdict": self.verdict}
+        key = "q_disk_zeros" if self.path == "zero_count" else "distance_to_curve"
+        return {"path": self.path, key: self.value, **self.budget, "verdict": self.verdict}
 
 
 def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
@@ -336,19 +371,6 @@ def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
     else:
         verdict = "Inconclusive"
     return GeneratorVerdict(verdict, "boundary_max", best, t)
-
-
-def omega_verdict(
-    lam: float, a2: complex, omega: DiskFunction, order: int = DEFAULT_ORDER
-) -> GeneratorVerdict:
-    """Membership of the omega candidate 1 - a2 z + lam z int_0^z omega.
-
-    U = -lam z^2 omega(z), so |U| < lam for every (a2, omega); the candidate
-    is Outside exactly when ``count_disk_zeros`` finds a zero of its q,
-    truncated at ``order`` (a pole of f), Inside otherwise.
-    """
-    zeros = count_disk_zeros(q_from_omega(a2, lam, omega, order))
-    return GeneratorVerdict("Outside" if zeros else "Inside", "zero_count", zeros)
 
 
 def julia_quotient(phi: DiskFunction, theta0: float) -> float:

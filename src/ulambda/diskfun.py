@@ -387,7 +387,8 @@ def diskfun_from_json(obj: dict) -> DiskFunction:
         {"kind": "poly", "coeffs": [<complex>, ...], "normalizer": <float, optional>}
 
     Complex numbers are written as a [re, im] pair or a bare real number,
-    and <float> is a real number, not a bool or a string.  Any other shape,
+    and <float> is a real number, not a bool or a string.  Any other shape
+    (a scalar for ``zeros`` or ``coeffs`` among them),
     a non-integral k, or a parameter outside its family's range, raises a
     ValueError.
     """
@@ -398,7 +399,7 @@ def diskfun_from_json(obj: dict) -> DiskFunction:
         return MoebiusShift(a=_cplx(obj["a"], "a"), psi=_real(obj.get("psi", 0.0), "psi"))
     if kind == "blaschke":
         return Blaschke(
-            zeros=tuple(_cplx(b, "zeros") for b in obj["zeros"]),
+            zeros=tuple(_cplx(b, "zeros") for b in _list(obj["zeros"], "zeros")),
             rotation=_real(obj.get("rotation", 0.0), "rotation"),
         )
     if kind == "monomial":
@@ -409,7 +410,7 @@ def diskfun_from_json(obj: dict) -> DiskFunction:
         return Monomial(theta=_real(obj.get("theta", 0.0), "theta"), k=int(k))
     if kind == "poly":
         return ScaledPolynomial(
-            raw=tuple(_cplx(c, "coeffs") for c in obj["coeffs"]),
+            raw=tuple(_cplx(c, "coeffs") for c in _list(obj["coeffs"], "coeffs")),
             normalizer=_real(obj.get("normalizer", 0.0), "normalizer"),
         )
     raise ValueError(f"unknown disk-function kind: {kind!r}")
@@ -425,6 +426,15 @@ def _real(v, name: str) -> float:
     if not _is_real(v):
         raise ValueError(f"{name} must be a real number, got {v!r}")
     return _finite(v, name)
+
+
+def _list(v, name: str) -> list | tuple:
+    """A list (or tuple) as given; ValueError naming ``name`` for anything
+    else, which iterating would turn into a TypeError or read element-wise
+    (a string)."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {v!r}")
+    return v
 
 
 def _cplx(v, name: str) -> complex:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from ulambda.bounds import (
     f_root_in_unit_interval,
     fixed_point_zero,
     max_boundary_ba,
+    omega_verdict,
     r_star,
     rogosinski_check,
     sharpness_construction_thm6,
@@ -28,19 +30,20 @@ from ulambda.bounds import (
     v_of_omega,
     v_of_x,
 )
-from ulambda.cli import main
-from ulambda.core import GridSpec, q_from_phi, q_from_omega, sup_u, dilate
+from ulambda.cli import _random_point, main, sample_omega, sample_phi
+from ulambda.core import GridSpec, _winding, q_from_phi, q_from_omega, sup_u, dilate
 from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial
 from ulambda.errors import (
     BranchPointSingularity,
+    NoConvergence,
     NotContractive,
     OutOfRange,
     OutsideDisk,
     SelfIntersectionSuspected,
 )
 from ulambda.diskfun import antiderivative, gauss_legendre
-from ulambda.geometry import BOUNDARY, LABELS
-from ulambda.series import ring, series_eval
+from ulambda.geometry import BOUNDARY, BOUNDARY_TOL, INSIDE, LABELS, OUTSIDE
+from ulambda.series import ring, ring_eval, series_eval
 
 ZERO_FUN = ScaledPolynomial(raw=(0.0,), normalizer=1.0)
 LINEAR_FUN = ScaledPolynomial(raw=(0, 1.0), normalizer=1.0)
@@ -911,3 +914,128 @@ class TestBoundTable:
     def test_violations(self):
         table = BoundTable([(2, 1.5, 1.6, 1.7, "x")])
         assert len(table.violations()) == 1
+
+
+def mp_omega(omega):
+    """omega at 40 digits, as an mpmath function, for the four families."""
+    if isinstance(omega, MoebiusShift):
+        a, e = mpmath.mpc(omega.a), mpmath.expj(omega.psi)
+        return lambda z: (a + z * e) / (1 + mpmath.conj(a) * z * e)
+    if isinstance(omega, Blaschke):
+        zeros, e = [mpmath.mpc(b) for b in omega.zeros], mpmath.expj(omega.rotation)
+        return lambda z: e * mpmath.fprod((z - b) / (1 - mpmath.conj(b) * z) for b in zeros)
+    if isinstance(omega, Monomial):
+        return lambda z: mpmath.expj(omega.theta) * z**omega.k
+    c = [mpmath.mpc(x) / mpmath.mpf(omega.normalizer) for x in omega.raw]
+    return lambda z: mpmath.polyval(c[::-1], z)
+
+
+def mp_pole(lam, a2, omega):
+    """The zero of q = 1 - a2 z + lam z int_0^z omega nearest the unit
+    circle, by mpmath ``findroot`` at 40 digits from the minimum of |q_N| on
+    8192 circle points, with the integral by ``mpmath.quad``."""
+    q = q_from_omega(a2, lam, omega).q
+    z = np.exp(2j * math.pi * np.arange(8192) / 8192)
+    start = complex(z[np.argmin(np.abs(np.polyval(q.coeffs[::-1], z)))])
+    om = mp_omega(omega)
+    with mpmath.workdps(40):
+        lam, a2 = mpmath.mpf(lam), mpmath.mpc(a2)
+
+        def exact(z):
+            return 1 - a2 * z + lam * z * mpmath.quad(lambda s: om(s * z) * z, [0, 1])
+
+        return complex(mpmath.findroot(exact, mpmath.mpc(start) * mpmath.mpf("0.9999")))
+
+
+def sampled_omega_draw(seed, draw):
+    """(omega, a2) of ``verify-conjecture``'s omega draw number ``draw`` on
+    ``seed``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draw + 1):
+        sample_phi(rng)
+        omega, a2 = sample_omega(rng), _random_point(rng, 1.0)
+    return omega, a2
+
+
+class TestOmegaVerdict:
+    """``omega_verdict`` decides a2 on |z| = 1: the winding of the order-64
+    q_N where the samples prove it, else ``RegionA2.locate``."""
+
+    def test_chord_between_samples_not_trusted(self):
+        # omega = 0 makes gamma the unit circle.  a2 = R e^{-i h/2}, h = 2 pi
+        # / 256, with 1 < R < 1/cos(h/2) puts the zero 1/a2 of q inside the
+        # disk, but the 256-gon of q's samples, whose chords sag by h^2/8,
+        # leaves 0 outside and winds 0.  The two samples beside the zero
+        # have |q| ~ h/2, below h (1 + lam) / 2 only: without that term the
+        # coarse pass would return Inside
+        h = 2 * math.pi / 256
+        a2 = (1 + 3e-5) * cmath.exp(-0.5j * h)
+        q = q_from_omega(a2, 0.5, ZERO_FUN).q
+        assert _winding(ring_eval(q, 1.0, 256)) == 0
+        got = omega_verdict(0.5, a2, ZERO_FUN)
+        assert (got.verdict, got.path) == ("Outside", "curve_distance")
+        assert got.value == pytest.approx(3e-5, rel=1e-6)
+        assert got.budget["samples"] == 8192 and got.budget["tail"] == 0.0
+
+    def test_truncation_tail_not_ignored(self):
+        # omega = z^63, as a Blaschke product with 63 zeros at 0, lies
+        # wholly beyond q_64, which is 1 - a2 z; gamma(t) = e^{-it} + lam
+        # e^{64 it}/64 bulges out to 1 + lam/64 at t = 0, so a2 = 1 + lam/128
+        # is inside it although q_64 has its zero 1/a2 in the disk.  The
+        # 8192 samples of q_64 stay lam/128 from 0, above h (1 + lam) / 2:
+        # only tau_N = lam/sqrt(63) keeps them from deciding
+        lam, omega = 0.7, Blaschke(zeros=(0,) * 63)
+        a2 = 1 + lam / 128
+        got = omega_verdict(lam, a2, omega)
+        assert got.budget["tail"] == pytest.approx(lam / math.sqrt(63), rel=1e-9)
+        assert lam / 128 < got.budget["min_mean_abs_q"] < 1.01 * lam / 128
+        assert got.budget["min_mean_abs_q"] > 2 * math.pi / 8192 * (1 + lam) / 2
+        assert (got.verdict, got.path) == ("Inside", "curve_distance")
+        assert 1e-3 < got.value < lam / 128
+
+    @pytest.mark.parametrize("error", [SelfIntersectionSuspected, NoConvergence])
+    def test_unprojectable_curve_is_inconclusive(self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("no projection")
+
+        monkeypatch.setattr(bounds_module, "c_omega_curve", fail)
+        h = 2 * math.pi / 256
+        got = omega_verdict(0.5, (1 + 3e-5) * cmath.exp(-0.5j * h), ZERO_FUN)
+        assert (got.verdict, got.path, got.value) == ("Inconclusive", "curve_distance", None)
+        assert got.budget["error"] == "no projection"
+        assert got.to_json()["distance_to_curve"] is None
+
+    def test_on_the_curve_is_inconclusive(self):
+        # a2 = gamma(t) exactly: q vanishes on the circle
+        got = omega_verdict(0.5, cmath.exp(-0.3j), ZERO_FUN)
+        assert (got.verdict, got.path) == ("Inconclusive", "curve_distance")
+        assert got.value <= BOUNDARY_TOL
+
+    @pytest.mark.parametrize("seed,draw,lam", [(165, 6, 0.5), (23, 0, 1.0), (222, 9, 0.75)])
+    def test_verify_conjecture_pole_draws_outside(self, seed, draw, lam):
+        # draws that verify-conjecture kept although f has a pole in
+        # 0.999 < |z| < 1, where the old count on |z| < 0.999 did not look
+        omega, a2 = sampled_omega_draw(seed, draw)
+        assert omega_verdict(lam, a2, omega).verdict == "Outside"
+        assert 0.999 < abs(mp_pole(lam, a2, omega)) < 1
+
+    def test_seeded_agreement_with_locate(self):
+        # verify-conjecture's omega draws, with a2 moved to 1e-4..1e-1 from a
+        # random point of gamma: every a2 farther than 1e-4 from gamma gets
+        # the side ``locate`` gives it, by whichever path
+        rng = np.random.default_rng(21)
+        paths = Counter()
+        for k in range(120):
+            lam = (0.25, 0.5, 0.75, 1.0)[k % 4]
+            sample_phi(rng)
+            omega = sample_omega(rng)
+            g, _ = curve_points(omega, lam, rng.uniform(0, 2 * math.pi))
+            a2 = complex(g) + 10 ** rng.uniform(-4, -1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            codes, dist = c_omega_curve(omega, lam).locate([a2])
+            if dist[0] <= 1e-4:
+                continue
+            got = omega_verdict(lam, a2, omega)
+            assert got.verdict == {INSIDE: "Inside", OUTSIDE: "Outside"}[int(codes[0])]
+            paths[got.path, got.budget["samples"]] += 1
+        assert set(paths) == {("zero_count", 256), ("zero_count", 8192), ("curve_distance", 8192)}
+        assert sum(paths.values()) > 80

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import sys
@@ -7,7 +8,9 @@ import pytest
 
 from ulambda import bounds, cli, core
 from ulambda.cli import main
-from ulambda.diskfun import Monomial, MoebiusShift, gauss_legendre
+from ulambda.diskfun import Monomial, MoebiusShift, antiderivative, diskfun_from_json, gauss_legendre
+from ulambda.errors import SelfIntersectionSuspected
+from ulambda.geometry import INSIDE
 
 
 def run(tmp_path, command, cfg, outdir="out"):
@@ -124,19 +127,20 @@ class TestVerifyConjecture:
         assert all(order == n_max - 1 for _, order in built)
 
     def test_omega_q_built_only_once_kept(self, tmp_path, monkeypatch):
-        # an omega draw is decided by the zeros of its order-64 q; only each
-        # kept draw gets the q the table reads, at that order
+        # an omega draw is decided on |z| = 1 by bounds.omega_verdict, which
+        # takes no order (the stand-in below accepts none); only each kept
+        # draw gets a q of the CLI's own, the one the table reads
         n_max = 7
         decided, built = [], []
-        verdict, make = cli.omega_verdict, cli.q_from_omega
-        monkeypatch.setattr(cli, "omega_verdict", lambda lam, a2, omega, order: decided.append(
-            (omega, order, verdict(lam, a2, omega, order=order))) or decided[-1][2])
+        verdict, make = bounds.omega_verdict, cli.q_from_omega
+        monkeypatch.setattr(bounds, "omega_verdict", lambda lam, a2, omega: decided.append(
+            (omega, verdict(lam, a2, omega))) or decided[-1][1])
         monkeypatch.setattr(cli, "q_from_omega", lambda a2, lam, omega, order: built.append(
             (omega, order)) or make(a2, lam, omega, order))
         code, _ = run(tmp_path, "verify-conjecture", {"lambda": 0.5, "n_max": n_max, "samples": 24, "seed": 4})
         assert code == 0
-        assert len(decided) == 24 and all(order == 64 for _, order, _ in decided)
-        kept = [omega for omega, _, v in decided if v.verdict == "Inside"]
+        assert len(decided) == 24
+        kept = [omega for omega, v in decided if v.verdict == "Inside"]
         assert 0 < len(kept) < 24 and len(built) == len(kept)
         assert all(omega is draw for (omega, _), draw in zip(built, kept))
         assert all(order == n_max - 1 for _, order in built)
@@ -152,6 +156,29 @@ class TestVerifyConjecture:
         assert (plain / "bounds.csv").read_bytes() == (gridded / "bounds.csv").read_bytes()
         code, _ = run(tmp_path, "verify-conjecture", {**cfg, "grid": {"angles": 2.5}}, outdir="bad")
         assert code == 4
+
+    def test_unprojectable_draw_rejected(self, tmp_path, monkeypatch):
+        # seed 35's sixth omega draw at lambda 1, a polynomial, lies 3.4e-4
+        # outside gamma and is decided by locate; a curve that cannot be
+        # projected on makes it Inconclusive, which rejects the draw as
+        # Outside does, never exit 3
+        cfg = {"lambda": 1.0, "n_max": 6, "samples": 16, "seed": 35}
+        code, plain = run(tmp_path, "verify-conjecture", cfg, outdir="plain")
+        assert code == 0
+        verdicts = []
+        verdict = bounds.omega_verdict
+        monkeypatch.setattr(bounds, "omega_verdict", lambda *a: verdicts.append(verdict(*a)) or verdicts[-1])
+
+        def fail(*args, **kwargs):
+            raise SelfIntersectionSuspected("3 close sample pairs")
+
+        monkeypatch.setattr(bounds, "c_omega_curve", fail)
+        code, out = run(tmp_path, "verify-conjecture", cfg, outdir="failing")
+        assert code == 0
+        assert [v.path for v in verdicts].count("curve_distance") == 1
+        assert verdicts[5].verdict == "Inconclusive"
+        for name in ("bounds.csv", "verify_conjecture.json"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
 
     @pytest.mark.parametrize("n_max", [1, 0, -2])
     def test_no_rows_below_two(self, tmp_path, n_max):
@@ -225,16 +252,28 @@ class TestMembership:
                                               psi=5.611645507023389))
         assert core.sup_u(cand).sup_estimate < 0.3
 
-    def test_near_boundary_moebius_omega_inside(self, tmp_path):
+    @pytest.mark.parametrize("lam,a2,samples", [(0.7, 0.5, 256), (1.0, 0.5, 256), (1.0, 1.45, 8192)])
+    def test_near_boundary_moebius_omega_inside(self, tmp_path, lam, a2, samples):
         # U = -lam z^2 omega is below lam everywhere and q has no zero; the
-        # order-64 sweep read 0.796 here and called it Outside
+        # order-64 sweep read 0.796 at lambda 0.7 and called it Outside.
+        # Samples of the exact q prove the count.  At lambda 1, min |q| on
+        # the circle is 7.0e-3 and 1.4e-3: the tail of q's order-64
+        # truncation, 7.2e-3, would hide both, and gamma comes closer than
+        # 1e-6 to itself, so locate cannot decide either
         code, out = run(tmp_path, "membership",
-                        {"lambda": 0.7,
-                         "candidate": {"type": "omega", "a2": 0.5,
+                        {"lambda": lam,
+                         "candidate": {"type": "omega", "a2": a2,
                                        "omega": {"kind": "moebius", "a": 0.98}}})
         assert code == 0
         rep = json.loads((out / "membership.json").read_text())
-        assert rep == {"path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside"}
+        assert rep == {"path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside",
+                       "samples": samples, "tail": 0.0,
+                       "threshold": pytest.approx(2 * math.pi / samples * (1 + lam) / 2, rel=1e-6),
+                       "min_mean_abs_q": rep["min_mean_abs_q"]}
+        assert rep["min_mean_abs_q"] > rep["threshold"]
+        if lam == 1.0:
+            with pytest.raises(SelfIntersectionSuspected):
+                bounds.c_omega_curve(MoebiusShift(0.98), lam)
 
     def test_z_squared_on_a_one_point_grid_outside(self, tmp_path):
         # the one-point grid at r = 0.5 used to read 0.469 < 0.5 and exit 0
@@ -259,6 +298,63 @@ class TestMembership:
         assert 1.0023 < rep["boundary_max"] < 1.0024
         assert "unused" not in rep
 
+    @pytest.mark.parametrize("radius", [0.9995, 0.99999])
+    @pytest.mark.parametrize("omega", [
+        {"kind": "moebius", "a": 0.5},
+        {"kind": "moebius", "a": 0.9},
+        {"kind": "blaschke", "zeros": [[0.6, 0.3], [-0.5, 0.2]]},
+    ], ids=["moebius-0.5", "moebius-0.9", "blaschke"])
+    def test_pole_next_to_the_circle_outside(self, tmp_path, omega, radius):
+        # a2 = 1/z* + lam W(z*) puts a zero of q, a pole of f, at z*; the
+        # zero count on |z| < 0.999 of q truncated at 64 called each Inside
+        lam, zs = 0.7, radius * cmath.exp(0.7j)
+        a2 = 1 / zs + lam * antiderivative(diskfun_from_json(omega), zs)
+        if omega == {"kind": "moebius", "a": 0.5} and radius == 0.9995:
+            assert a2 == pytest.approx(1.1002301497359797 - 0.22364822742507573j, abs=1e-15)
+        cfg = {"lambda": lam, "candidate": {"type": "omega", "a2": [a2.real, a2.imag], "omega": omega}}
+        code, out = run(tmp_path, "membership", cfg)
+        assert code == 2
+        rep = json.loads((out / "membership.json").read_text())
+        assert rep["verdict"] == "Outside"
+        # what region-a2 says of the same a2
+        _, where = run(tmp_path, "region-a2", {"lambda": lam, "omega": omega, "queries": [[a2.real, a2.imag]]},
+                       outdir="region")
+        query = json.loads((where / "region.json").read_text())["queries"][0]
+        assert query["where"] == "outside"
+        if rep["path"] == "curve_distance":
+            assert rep["distance_to_curve"] == query["distance_to_curve"] > 1e-7
+
+    @pytest.mark.parametrize("omega", [
+        {"kind": "moebius", "a": [0.5, 0.2], "psi": 1.0},
+        {"kind": "poly", "coeffs": [0.3, [0.2, 0.4], -0.1]},
+    ], ids=["moebius", "poly"])
+    def test_zero_just_beyond_the_circle_inside(self, tmp_path, omega):
+        # q's zero at |z*| = 1 + 1e-4: f has no pole in the disk.  Each
+        # omega's primitive extends past the circle
+        lam, zs = 0.7, (1 + 1e-4) * cmath.exp(0.7j)
+        a2 = 1 / zs + lam * complex(diskfun_from_json(omega)._primitive(np.asarray(zs)))
+        cfg = {"lambda": lam, "candidate": {"type": "omega", "a2": [a2.real, a2.imag], "omega": omega}}
+        code, out = run(tmp_path, "membership", cfg)
+        assert code == 0
+        rep = json.loads((out / "membership.json").read_text())
+        assert (rep["verdict"], rep["path"]) == ("Inside", "curve_distance")
+        assert 1e-5 < rep["distance_to_curve"] < 1e-3
+        assert rep["samples"] == 8192 and rep["min_mean_abs_q"] <= rep["threshold"]
+
+    def test_unprojectable_curve_exits_3(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SelfIntersectionSuspected("3 close sample pairs")
+
+        monkeypatch.setattr(bounds, "c_omega_curve", fail)
+        zs = 0.99999 * cmath.exp(0.7j)
+        a2 = 1 / zs + 0.7 * antiderivative(MoebiusShift(0.5), zs)
+        code, out = run(tmp_path, "membership", {"lambda": 0.7, "candidate": {
+            "type": "omega", "a2": [a2.real, a2.imag], "omega": {"kind": "moebius", "a": 0.5}}})
+        assert code == 3
+        rep = json.loads((out / "membership.json").read_text())
+        assert rep["verdict"] == "Inconclusive" and rep["distance_to_curve"] is None
+        assert rep["error"] == "3 close sample pairs"
+
     @pytest.mark.parametrize("extra,unused", [
         ({"order": 2}, {"order": 2}),
         ({"grid": {"angles": 90}, "order": 128},
@@ -273,22 +369,27 @@ class TestMembership:
         assert code == 0
         assert json.loads((out / "membership.json").read_text())["unused"] == unused
 
-    def test_omega_order_truncates_q(self, tmp_path):
-        # the zeros counted are those of q truncated at the given order: at
-        # order 2 this q is 1 - 1.45 z + 0.35 z^2, with a zero at 0.874; from
-        # order 3 on it has none
+    def test_omega_order_unused(self, tmp_path):
+        # order 2 used to truncate this q to 1 - 1.45 z + 0.35 z^2, with a
+        # zero at 0.874, and exit 2; the true q has none, as a2 lies inside
+        # gamma, 0.084 from it.  No omega verdict reads order now: it is
+        # validated and listed under unused, as for phi
         cfg = {"lambda": 0.7,
                "candidate": {"type": "omega", "a2": 1.45, "omega": {"kind": "moebius", "a": 0.5}}}
-        code, out = run(tmp_path, "membership", {**cfg, "order": 2, "grid": {"angles": 90}}, outdir="low")
-        assert code == 2
-        rep = json.loads((out / "membership.json").read_text())
-        assert rep["q_disk_zeros"] == 1
-        assert rep["unused"] == {"grid": {"radii": list(core.DEFAULT_RADII), "angles": 90}}
-        for extra in ({}, {"order": 3}):
-            code, out = run(tmp_path, "membership", {**cfg, **extra}, outdir=f"high{len(extra)}")
+        grid = {"grid": {"radii": list(core.DEFAULT_RADII), "angles": 90}}
+        reps = []
+        for extra in ({}, {"order": 2}, {"order": 3}):
+            code, out = run(tmp_path, "membership", {**cfg, **extra, "grid": {"angles": 90}},
+                            outdir=f"order{len(reps)}")
             assert code == 0
-            assert json.loads((out / "membership.json").read_text()) == {
-                "path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside"}
+            rep = json.loads((out / "membership.json").read_text())
+            assert rep.pop("unused") == {**grid, **extra}
+            reps.append(rep)
+        assert reps[0] == reps[1] == reps[2]
+        assert (reps[0]["path"], reps[0]["q_disk_zeros"], reps[0]["verdict"]) == ("zero_count", 0, "Inside")
+        assert (reps[0]["samples"], reps[0]["tail"]) == (256, 0.0)
+        codes, distances = bounds.c_omega_curve(MoebiusShift(0.5), 0.7).locate([1.45])
+        assert codes.tolist() == [INSIDE] and 0.083 < distances[0] < 0.085
         code, _ = run(tmp_path, "membership", {**cfg, "order": 1}, outdir="bad")
         assert code == 4
 
@@ -744,6 +845,13 @@ class TestHarness:
         ("membership", {"candidate": {"type": "extremal", "phase": 10**400}}),
         # used to exit 0 and write "samples": -5
         ("verify-conjecture", {"samples": -5}),
+        # each used to end in a TypeError traceback (exit 1): a list given
+        # as a scalar
+        ("f-roots", {"lambdas": 0.5}),
+        ("f-roots", {"lambdas": [0.3], "Rs": 0.5}),
+        ("region-a2", {"queries": 5}),
+        ("julia", {"phi": {"kind": "blaschke", "zeros": 0.5}}),
+        ("membership", {"candidate": {"type": "phi", "phi": {"kind": "poly", "coeffs": 0.5}}}),
     ])
     def test_malformed_input_is_a_config_error(self, tmp_path, command, cfg):
         base = {"lambda": 0.5, "a2": 2.5, "omega": {"kind": "moebius", "a": 0.3}}

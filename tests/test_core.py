@@ -19,7 +19,6 @@ from ulambda.core import (
     l_of_phi,
     majorant_h_boundary,
     obstruction_value,
-    omega_verdict,
     phi_boundary_max,
     phi_verdict,
     q_from_omega,
@@ -29,8 +28,9 @@ from ulambda.core import (
     taylor_of_f,
     u_of_q,
 )
+from ulambda.bounds import omega_verdict
 from ulambda.cli import _random_point, sample_omega, sample_phi
-from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial
+from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, antiderivative
 from ulambda.errors import (
     BasePointNotZero,
     HypothesisViolated,
@@ -343,13 +343,29 @@ class TestGeneratorVerdict:
         with pytest.raises(BasePointNotZero):
             phi_verdict(0.5, MoebiusShift(0.5, 0.0))
 
+    @staticmethod
+    def circle_budget(lam, a2, omega):
+        """The budget of a Moebius omega's verdict proven on 256 samples of
+        the exact q, with no tail: the least mean of |q| over two
+        neighbouring samples, held to h (1 + lam) / 2 plus rounding."""
+        z = ring(1.0, 256)
+        mod = np.abs(1 - a2 * z + lam * z * antiderivative(omega, z))
+        low = float(np.min(mod + np.roll(mod, -1))) / 2
+        return {"samples": 256, "tail": 0.0,
+                "min_mean_abs_q": pytest.approx(low, abs=1e-12),
+                "threshold": pytest.approx(2 * math.pi / 256 * (1 + lam) / 2, abs=1e-11)}
+
     def test_omega_by_zero_count(self):
         # the pole-carrying candidate of the CLI tests: one zero of q
         omega = MoebiusShift(a=0.5268221954758235 - 0.09810406994221266j, psi=5.611645507023389)
-        got = omega_verdict(0.3, 0.3007386830957319 + 0.8294213293396829j, omega)
-        assert got.to_json() == {"path": "zero_count", "q_disk_zeros": 1, "verdict": "Outside"}
+        a2 = 0.3007386830957319 + 0.8294213293396829j
+        got = omega_verdict(0.3, a2, omega)
+        assert got.to_json() == {"path": "zero_count", "q_disk_zeros": 1, "verdict": "Outside",
+                                 **self.circle_budget(0.3, a2, omega)}
         got = omega_verdict(0.7, 0.5, MoebiusShift(a=0.98))
-        assert got.to_json() == {"path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside"}
+        assert got.to_json() == {"path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside",
+                                 **self.circle_budget(0.7, 0.5, MoebiusShift(a=0.98))}
+        assert got.budget["min_mean_abs_q"] > got.budget["threshold"]
 
     def test_seeded_agreement_with_the_sweep(self):
         # the draws of verify-conjecture on seeds 0..399, 16 phi and 16
@@ -375,7 +391,9 @@ class TestGeneratorVerdict:
                 if new.verdict == "Inside":
                     assert sup_u(cand).verdict == "Inside"
                 else:
-                    assert new.value > 0
+                    # a proven count has found a pole; locate puts a2 outside
+                    assert new.verdict == "Outside"
+                    assert new.value > 0 if new.path == "zero_count" else new.path == "curve_distance"
         assert phi_changed == [195]
 
 

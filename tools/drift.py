@@ -1,0 +1,178 @@
+"""Compare the CLI's exit codes and artifacts between two checkouts.
+
+Runs a fixed set of configs through ``ulambda.cli.main`` in-process, once
+on this checkout and once on another one (each in its own child process,
+importing ulambda from that checkout's ``src``), and prints every config
+whose exit code, stderr or artifact sha256 differs::
+
+    python tools/drift.py ../other-checkout
+
+The set: 384 ``verify-conjecture`` configs (n_max -1..70 in steps of 3,
+lambda 0.25/0.5/0.8/1, seeds 1/2/3/195, 16 samples), 1008 omega
+``membership`` configs (8 omega x 7 a2 x lambda 0.3/0.7/1 x order
+absent/2/3/9/64/128), 16 ``region-a2``, 40 ``fixed-point``, 8 ``sharpness``,
+8 phi and 3 extremal ``membership``, 8 ``julia``, 4 malformed configs and
+the README examples.  Standard library only; exit status 1 when anything
+differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+
+OMEGAS = [
+    {"kind": "moebius", "a": 0.3},
+    {"kind": "moebius", "a": [0.5268221954758235, -0.09810406994221266], "psi": 5.611645507023389},
+    {"kind": "moebius", "a": 0.5},
+    {"kind": "moebius", "a": 0.98},
+    {"kind": "blaschke", "zeros": [[0.6, 0.3], [-0.5, 0.2]]},
+    {"kind": "blaschke", "zeros": [[0.3, -0.4], 0.5], "rotation": 1.0},
+    {"kind": "poly", "coeffs": [0.3, [0.2, 0.4], -0.1]},
+    {"kind": "poly", "coeffs": [0.0], "normalizer": 1.0},
+]
+A2S = [1.45, [0.3007386830957319, 0.8294213293396829], [1.1002301497359797, -0.22364822742507573],
+       0.5, [0.9, 0.1], -1.2, [0.2, -1.05]]
+PHIS = [
+    {"kind": "monomial", "theta": 3.141592653589793, "k": 1},
+    {"kind": "monomial", "theta": 3.141592653589793, "k": 2},
+    {"kind": "monomial", "theta": 0.4, "k": 3},
+    {"kind": "blaschke", "zeros": [0, [0.5, 0]], "rotation": 3.141592653589793},
+    {"kind": "blaschke", "zeros": [0, [0.3, 0.2], [-0.4, 0.1]]},
+    {"kind": "poly", "coeffs": [0, [-0.9883178170007982, -0.10675812160893149],
+                                [0.21784328856907229, 0.029515181842464832]]},
+    {"kind": "poly", "coeffs": [0, 1.0]},
+    {"kind": "poly", "coeffs": [0, 0.7, [0.1, 0.2]]},
+]
+README = [
+    ("verify-conjecture", {"lambda": 0.5, "n_max": 10, "samples": 100, "seed": 7}),
+    ("membership", {"lambda": 0.5, "candidate": {"type": "extremal"}}),
+    ("membership", {"lambda": 0.5, "candidate": {"type": "phi", "phi": PHIS[1]}}),
+    ("membership", {"lambda": 0.7, "candidate": {"type": "omega", "a2": [0.9, 0.1],
+                                                 "omega": {"kind": "moebius", "a": 0.3, "psi": 0.0}}}),
+    ("julia", {"lambda": 0.5, "phi": PHIS[1], "theta0": 0.0}),
+    ("region-a2", {"lambda": 0.5, "resolution": 512, "omega": {"kind": "moebius", "a": 0.5, "psi": 0.0},
+                   "queries": [[0.9, 0.0], [1.4, 0.0]]}),
+    ("f-roots", {"lambdas": [0.3, 0.75], "Rs": [0.3, 0.34, 0.5]}),
+    ("sharpness", {"lambda": 0.5, "a": 0.5}),
+    ("fixed-point", {"lambda": 0.5, "a2": 1.5625, "omega": {"kind": "poly", "coeffs": [0.0, 1.0], "normalizer": 1.0}}),
+]
+
+
+def configs() -> list:
+    """(name, command, config) for every config of the set."""
+    out = []
+
+    def add(group, command, cfg):
+        out.append((f"{group}#{len(out)}", command, cfg))
+
+    for n_max in range(-1, 71, 3):
+        for lam in (0.25, 0.5, 0.8, 1.0):
+            for seed in (1, 2, 3, 195):
+                add("verify-conjecture", "verify-conjecture",
+                    {"lambda": lam, "n_max": n_max, "samples": 16, "seed": seed})
+    for omega in OMEGAS:
+        for a2 in A2S:
+            for lam in (0.3, 0.7, 1.0):
+                for order in (None, 2, 3, 9, 64, 128):
+                    cfg = {"lambda": lam, "candidate": {"type": "omega", "a2": a2, "omega": omega}}
+                    add("membership-omega", "membership", cfg if order is None else {**cfg, "order": order})
+    for omega in OMEGAS:
+        for lam in (0.5, 1.0):
+            add("region-a2", "region-a2",
+                {"lambda": lam, "omega": omega, "queries": [[0.9, 0], [1.4, 0], [0, 0.5], [-1.2, 0.3]]})
+        for a2 in (1.5625, 2.5, [2.0, 1.0], 1.1, 0):
+            add("fixed-point", "fixed-point", {"lambda": 0.5, "a2": a2, "omega": omega})
+    for a in (0.3, 0.7, [0.4, 0.5], 0.5):
+        for lam in (0.5, 1.0):
+            add("sharpness", "sharpness", {"lambda": lam, "a": a})
+    for phi in PHIS:
+        add("membership-phi", "membership", {"lambda": 0.5, "candidate": {"type": "phi", "phi": phi}})
+        add("julia", "julia", {"lambda": 0.5, "phi": phi, "theta0": 0.0})
+    for phase in (3.141592653589793, 0.0, 1.0):
+        add("membership-phi", "membership", {"lambda": 0.7, "candidate": {"type": "extremal", "phase": phase}})
+    for command, cfg in (("f-roots", {"lambdas": 0.5}),
+                         ("region-a2", {"lambda": 0.5, "omega": OMEGAS[0], "queries": 5}),
+                         ("julia", {"lambda": 0.5, "phi": {"kind": "blaschke", "zeros": 0.5}}),
+                         ("membership", {"lambda": 0.5})):
+        add("malformed", command, cfg)
+    for command, cfg in README:
+        add("readme", command, cfg)
+    return out
+
+
+def run_tree(src: str) -> None:
+    """Child process: run the configs on the ulambda under ``src`` and print
+    one JSON line per config (exit code, stderr, sha256 per artifact)."""
+    sys.path.insert(0, src)
+    import ulambda.cli
+
+    if not Path(ulambda.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"imported {ulambda.cli.__file__}, not the one under {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command, cfg in configs():
+            work = Path(tmp) / name.replace("#", "-")
+            work.mkdir()
+            (work / "config.json").write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = ulambda.cli.main([command, "--config", str(work / "config.json"),
+                                             "--out", str(work / "out")])
+                except Exception as e:  # a traceback is an outcome to compare too
+                    code = f"{type(e).__name__}: {e}"
+            out = work / "out"
+            files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(out.iterdir())} if out.exists() else {}
+            print(json.dumps({"name": name, "code": code, "stderr": err.getvalue(), "files": files}))
+
+
+def collect(tree: Path) -> dict:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--run", str(tree / "src")]
+    lines = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout.splitlines()
+    return {rec["name"]: rec for rec in map(json.loads, lines)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", nargs="?", help="the checkout to compare this one with")
+    parser.add_argument("--run", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run:
+        run_tree(args.run)
+        return 0
+    if not args.other:
+        parser.error("give the other checkout")
+    mine, theirs = collect(HERE), collect(Path(args.other).resolve())
+    given = {name: (command, cfg) for name, command, cfg in configs()}
+    differ = 0
+    for name, a in theirs.items():
+        b = mine[name]
+        lines = []
+        if a["code"] != b["code"]:
+            lines.append(f"  exit {a['code']} -> {b['code']}")
+        if a["stderr"] != b["stderr"]:
+            lines.append(f"  stderr {a['stderr'].strip()!r} -> {b['stderr'].strip()!r}")
+        for file in sorted(set(a["files"]) | set(b["files"])):
+            old, new = a["files"].get(file), b["files"].get(file)
+            if old != new:
+                lines.append(f"  {file} {old and old[:16]} -> {new and new[:16]}")
+        if lines:
+            differ += 1
+            command, cfg = given[name]
+            print(f"{name} {command} {json.dumps(cfg)}", *lines, sep="\n")
+    print(f"{differ} of {len(theirs)} configs differ ({args.other} -> this checkout)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
