@@ -466,6 +466,9 @@ def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> Reg
 
 OMEGA_ORDER = 64  # the order of the truncated q that decides a Blaschke omega
 _OMEGA_INDEX = np.arange(1, OMEGA_ORDER)  # k + 1 for the coefficients omega_k of q_N
+# circle points per piece of a closed-form omega's samples: the primitive's
+# temporaries then stay at this size, not at the 8192 of the full pass
+_OMEGA_CHUNK = 1024
 
 
 def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerdict:
@@ -513,7 +516,11 @@ def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerd
 
         def sample(n):
             z = ring(1.0, n)
-            return z.conj() + lam * antiderivative(omega, z) - a2
+            out = np.empty(n, dtype=complex)
+            for i in range(0, n, _OMEGA_CHUNK):
+                piece = z[i:i + _OMEGA_CHUNK]
+                out[i:i + _OMEGA_CHUNK] = piece.conj() + lam * antiderivative(omega, piece) - a2
+            return out
     turns, proven, budget = _proven_winding(sample, size, 1 + lam, tail)
     budget["tail"] = tail
     if proven:

@@ -12,6 +12,14 @@ beside ``RegionA2``, which answers the same question).  Only a raw q, such
 as a dilated or perturbed one, is swept (``sup_u``) as a truncated series
 over a grid of circles, and has its zeros counted by ``count_disk_zeros``.
 
+``phi_verdict`` decides each family by an exact rule: a monomial by the
+closed form of the maximum, a Blaschke product by the paper's obstruction
+at the points where phi = -1 (Outside, with Clark's measure bounding the
+largest boundary quotient from below), and a polynomial by samples that
+Bernstein's inequality turns into an upper bound.  Only a phi without a
+rule is sampled without a bound, and can then be Outside or Inconclusive,
+never Inside.
+
 ``count_disk_zeros`` and ``bounds.omega_verdict`` share one certificate
 (``_proven_winding``): a winding is proven on a 256-point circle when
 neighbouring samples stay farther from 0 than the curve can move between
@@ -32,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diskfun import DiskFunction
+from .diskfun import Blaschke, DiskFunction, MoebiusShift, Monomial, ScaledPolynomial
 from .errors import (
     BasePointNotZero,
     HypothesisViolated,
@@ -55,11 +63,9 @@ from .series import (
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGLES = 720
 MEMBERSHIP_TOL = 1e-6
-# unit-circle samples of a phi candidate's boundary maximum
+# unit-circle samples of a phi candidate's boundary maximum: the full pass
+# of a polynomial phi's Bernstein certificate, and the sampled fallback
 PHI_BOUNDARY_ANGLES = 4096
-# a phi candidate whose boundary maximum exceeds lambda by at most this is
-# Inside: the extremal function and its rotations reach lambda to 6.7e-16
-PHI_INSIDE_SLACK = 1e-12
 # count_disk_zeros' circle radius, and the samples of the first and full
 # pass of _proven_winding and the rounding it allows per unit of size + h
 # slope (see there)
@@ -250,13 +256,18 @@ def _proven_winding(sample, size: float, slope: float, error: float = 0.0) -> tu
 def _winding(vals: np.ndarray) -> int:
     """Winding number about 0 of the closed polygon through vals: the turning
     angles arg(v_{j+1} conj(v_j)), the last back to the first, over 2 pi."""
-    turns = np.angle(np.concatenate((vals[1:], vals[:1])) * vals.conj())
-    return round(float(np.sum(turns)) / (2 * math.pi))
+    # the product in place: one temporary of vals' size fewer
+    turns = np.concatenate((vals[1:], vals[:1]))
+    turns *= vals.conj()
+    return round(float(np.sum(np.angle(turns))) / (2 * math.pi))
 
 
-def _check_fixes_origin(phi: DiskFunction) -> None:
-    if abs(phi.base_point()) > 1e-9:
-        raise BasePointNotZero(f"|phi(0)| = {abs(phi.base_point()):.3e}")
+def _check_fixes_origin(phi: DiskFunction) -> complex:
+    """phi(0); BasePointNotZero unless it is within 1e-9 of 0."""
+    base = phi.base_point()
+    if abs(base) > 1e-9:
+        raise BasePointNotZero(f"|phi(0)| = {abs(base):.3e}")
+    return base
 
 
 def q_from_phi(lam: float, phi: DiskFunction, order: int = DEFAULT_ORDER) -> UCandidate:
@@ -323,21 +334,37 @@ def phi_boundary_max(lam: float, phi: DiskFunction) -> tuple:
     """(t, max |U|) over ``ring(1.0, PHI_BOUNDARY_ANGLES)`` for the phi
     candidate: the largest sample of ``l_of_phi`` on the unit circle and its
     angle t, the first maximal one, spaced as ``ring`` spaces them."""
-    vals = l_of_phi(lam, phi, ring(1.0, PHI_BOUNDARY_ANGLES))
+    return _boundary_max(lam, phi, PHI_BOUNDARY_ANGLES)
+
+
+def _boundary_max(lam: float, phi: DiskFunction, n: int) -> tuple:
+    # phi_boundary_max on ring(1.0, n)
+    vals = l_of_phi(lam, phi, ring(1.0, n))
     i = int(np.argmax(vals))
-    return i * (2 * math.pi / PHI_BOUNDARY_ANGLES), float(vals[i])
+    return i * (2 * math.pi / n), float(vals[i])
 
 
 @dataclass(frozen=True)
 class GeneratorVerdict:
     """Membership of a phi or omega candidate, decided from its
-    representation.  ``path`` is "boundary_max", with ``value`` the largest
-    |U| sampled on the unit circle and ``t`` its angle; "zero_count", with
-    ``value`` the number of zeros of q in the disk; or "curve_distance", with
-    ``value`` the distance of a2 to the curve gamma (None when gamma could
-    not be projected on).  ``budget`` holds the numbers an omega verdict's
-    last circle pass was judged by (``_proven_winding``, with the ``tail``
-    of ``bounds.omega_verdict``)."""
+    representation.  ``path`` names the rule that decided it:
+
+    - for a phi candidate (``phi_verdict``), "closed_form", with ``value``
+      the maximum of |U| on the unit circle; "obstruction", with ``value``
+      the paper's obstruction at phi's largest boundary quotient, a lower
+      bound of that maximum; "bernstein", with ``value`` the largest of the
+      samples of |U| that Bernstein's inequality certified; or
+      "boundary_max", with ``value`` the largest of PHI_BOUNDARY_ANGLES
+      samples.  ``t`` is the angle at which ``value`` is taken;
+    - for an omega candidate (``bounds.omega_verdict``), "zero_count", with
+      ``value`` the number of zeros of q in the disk, or "curve_distance",
+      with ``value`` the distance of a2 to the curve gamma (None when gamma
+      could not be projected on).
+
+    ``budget`` holds the rule's other numbers: ``m`` for "obstruction";
+    ``samples``, ``bernstein_factor`` and ``bound`` for "bernstein"; and for
+    an omega verdict those its last circle pass was judged by
+    (``_proven_winding``, with the ``tail`` of ``bounds.omega_verdict``)."""
 
     verdict: str  # Inside | Outside | Inconclusive
     path: str
@@ -346,10 +373,15 @@ class GeneratorVerdict:
     budget: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        if self.path == "boundary_max":
-            return {"path": self.path, "boundary_max": self.value, "t": self.t, "verdict": self.verdict}
-        key = "q_disk_zeros" if self.path == "zero_count" else "distance_to_curve"
-        return {"path": self.path, key: self.value, **self.budget, "verdict": self.verdict}
+        key = _VALUE_KEYS.get(self.path, "boundary_max")
+        where = {} if self.t is None else {"t": self.t}
+        return {"path": self.path, key: self.value, **where, **self.budget, "verdict": self.verdict}
+
+
+# the name of GeneratorVerdict.value in to_json, by path; "boundary_max"
+# for the other phi paths
+_VALUE_KEYS = {"obstruction": "obstruction_value", "zero_count": "q_disk_zeros",
+               "curve_distance": "distance_to_curve"}
 
 
 def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
@@ -357,20 +389,135 @@ def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
 
     q = (1 - phi)(1 - lam phi) has no zero in the disk, and U is analytic on
     the closed disk, so by the maximum principle its maximum on the unit
-    circle decides.  Inside when ``phi_boundary_max`` is at most
-    lam + PHI_INSIDE_SLACK, Outside beyond lam + MEMBERSHIP_TOL, Inconclusive
-    between.  A phi that does not fix 0 raises BasePointNotZero, as in
+    circle decides: Inside when it is at most lam, Outside when it exceeds
+    lam + MEMBERSHIP_TOL.  A phi with phi(0) = 0 is decided by its family's
+    exact rule:
+
+    - a monomial e^{i theta} z^k, and every phi that is one exactly (a
+      polynomial with one nonzero coefficient c_k and normalizer |c_k|, a
+      Blaschke product with zeros (0,), a Moebius shift with a = 0), by the
+      closed form of the maximum (``_monomial_verdict``);
+    - any other Blaschke product, Outside by the paper's obstruction
+      (``_blaschke_verdict``);
+    - any other polynomial, by samples and Bernstein's inequality
+      (``_bernstein_verdict``).
+
+    Any other phi, and one with 0 < |phi(0)| <= 1e-9, takes the largest
+    ``phi_boundary_max`` sample: Outside beyond lam + MEMBERSHIP_TOL and
+    Inconclusive otherwise, since a sample bounds the maximum from below
+    only.  A phi that does not fix 0 raises BasePointNotZero, as in
     ``q_from_phi``.
     """
-    _check_fixes_origin(phi)
+    if _check_fixes_origin(phi) == 0:
+        monomial = _as_monomial(phi)
+        if monomial is not None:
+            return _monomial_verdict(lam, monomial)
+        if isinstance(phi, Blaschke):
+            return _blaschke_verdict(lam, phi)
+        if isinstance(phi, ScaledPolynomial):
+            return _bernstein_verdict(lam, phi)
     t, best = phi_boundary_max(lam, phi)
-    if best <= lam + PHI_INSIDE_SLACK:
-        verdict = "Inside"
-    elif best > lam + MEMBERSHIP_TOL:
-        verdict = "Outside"
-    else:
-        verdict = "Inconclusive"
-    return GeneratorVerdict(verdict, "boundary_max", best, t)
+    return GeneratorVerdict(_verdict(lam, math.inf, best), "boundary_max", best, t)
+
+
+def _verdict(lam: float, upper: float, lower: float) -> str:
+    """Inside when the boundary maximum's upper bound is at most lam,
+    Outside when its lower bound exceeds lam + MEMBERSHIP_TOL."""
+    if upper <= lam:
+        return "Inside"
+    if lower > lam + MEMBERSHIP_TOL:
+        return "Outside"
+    return "Inconclusive"
+
+
+def _as_monomial(phi: DiskFunction) -> Monomial | None:
+    """The monomial e^{i theta} z^k that phi, with phi(0) = 0, equals
+    exactly, or None."""
+    if isinstance(phi, Monomial):
+        return phi
+    if isinstance(phi, MoebiusShift) and phi.a == 0:
+        return Monomial(theta=phi.psi, k=1)
+    if isinstance(phi, Blaschke) and phi.zeros == (0,):
+        return Monomial(theta=phi.rotation, k=1)
+    if isinstance(phi, ScaledPolynomial):
+        terms = [(k, c) for k, c in enumerate(phi.raw) if c != 0]
+        if len(terms) == 1 and phi.normalizer == abs(terms[0][1]):
+            k, c = terms[0]
+            return Monomial(theta=cmath.phase(c), k=k)
+    return None
+
+
+def _monomial_verdict(lam: float, phi: Monomial) -> GeneratorVerdict:
+    """phi = e^{i theta} z^k has z phi' = k phi, so U = (1 + lam)(k - 1) phi
+    + lam (1 - 2k) phi^2, and on the circle |U| = |(1 + lam)(k - 1) -
+    lam (2k - 1) phi| is largest, (1 + lam)(k - 1) + lam (2k - 1), where
+    phi = -1: at t = (pi - theta)/k modulo 2 pi/k.  For k = 1 (the extremal
+    function and its rotations) that is lam exactly, so Inside; for k >= 2
+    it exceeds lam by (1 + 3 lam)(k - 1), so Outside."""
+    k = phi.k
+    best = (1 + lam) * (k - 1) + lam * (2 * k - 1)
+    t = ((math.pi - phi.theta) / k) % (2 * math.pi / k)
+    return GeneratorVerdict(_verdict(lam, best, best), "closed_form", best, t)
+
+
+def _blaschke_verdict(lam: float, phi: Blaschke) -> GeneratorVerdict:
+    """A Blaschke product of degree n >= 2 with phi(0) = 0 is Outside.
+
+    phi = -1 at n points zeta_j of the circle, the roots of
+    e^{i rho} prod_k (z - b_k) + prod_k (1 - conj(b_k) z), and there its
+    boundary quotient is m_j = zeta_j phi'(zeta_j)/phi(zeta_j)
+    = sum_k (1 - |b_k|^2)/|zeta_j - b_k|^2 > 0.  The Clark measure of phi
+    at -1 (D. N. Clark, J. Anal. Math. 25, 1972) has point masses 1/m_j and
+    total mass (1 - |phi(0)|^2)/|1 + phi(0)|^2 = 1, so max m_j >= n, and the
+    paper's obstruction (``obstruction_value``) gives |U(zeta_j)| = lam +
+    (1 + 3 lam)(m_j - 1) >= lam + (1 + 3 lam)(n - 1) > lam.
+
+    So the verdict needs no sample.  Its witness is the largest m_j, with
+    the angle t of its zeta_j, from the roots of that polynomial (one
+    ``np.roots`` call), each projected onto the circle.
+    """
+    num, den = [cmath.exp(1j * phi.rotation)], [1.0]
+    for b in phi.zeros:
+        # times z - b and times 1 - conj(b) z, coefficients highest first
+        num = [x - b * y for x, y in zip(num + [0], [0] + num)]
+        den = [y - b.conjugate() * x for x, y in zip(den + [0], [0] + den)]
+    quotients = []
+    for root in np.roots([x + y for x, y in zip(num, den)]).tolist():
+        zeta = root / abs(root)
+        quotients.append((sum((1 - abs(b) ** 2) / abs(zeta - b) ** 2 for b in phi.zeros), zeta))
+    m, zeta = max(quotients, key=lambda pair: pair[0])
+    value = lam + (1 + 3 * lam) * (m - 1)
+    t = cmath.phase(zeta) % (2 * math.pi)
+    return GeneratorVerdict(_verdict(lam, math.inf, value), "obstruction", value, t, {"m": m})
+
+
+def _bernstein_verdict(lam: float, phi: ScaledPolynomial) -> GeneratorVerdict:
+    """A polynomial phi of degree d makes U a polynomial of degree at most
+    2d, so by Bernstein's inequality |d/dt U(e^{it})| <= 2d max |U| on the
+    circle.  Every point of the circle lies within pi/n of one of n
+    equispaced samples, so max |U| <= M_n/(1 - 2 pi d/n), with M_n the
+    largest sample, when 2 pi d < n.  M_n is raised by the rounding that
+    ``_proven_winding`` allows, for terms of |U| of size (1 + lam)(1 + d)
+    + lam (1 + 2d) (|phi| <= 1 and |z phi'| <= d on the circle).
+
+    Takes ZERO_COUNT_COARSE samples, then PHI_BOUNDARY_ANGLES: Inside when
+    the bound is at most lam, Outside when M_n exceeds lam + MEMBERSHIP_TOL
+    (a sample bounds the maximum from below), Inconclusive when neither
+    pass decides.  ``bernstein_factor`` and ``bound`` are None when 2 pi d
+    >= n.
+    """
+    d = max((k for k, c in enumerate(phi.raw) if c != 0), default=0)
+    rounding = ZERO_COUNT_ROUNDING * ((1 + lam) * (1 + d) + lam * (1 + 2 * d))
+    for n in (ZERO_COUNT_COARSE, PHI_BOUNDARY_ANGLES):
+        t, best = _boundary_max(lam, phi, n)
+        slack = 1 - 2 * math.pi * d / n
+        factor = 1 / slack if slack > 0 else None
+        bound = None if factor is None else factor * (best + rounding)
+        verdict = _verdict(lam, math.inf if bound is None else bound, best)
+        if verdict != "Inconclusive":
+            break
+    budget = {"samples": n, "bernstein_factor": factor, "bound": bound}
+    return GeneratorVerdict(verdict, "bernstein", best, t, budget)
 
 
 def julia_quotient(phi: DiskFunction, theta0: float) -> float:

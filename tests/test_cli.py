@@ -284,8 +284,8 @@ class TestMembership:
                          "grid": {"radii": [0.5], "angles": 1}})
         assert code == 2
         rep = json.loads((out / "membership.json").read_text())
-        assert rep["verdict"] == "Outside" and rep["path"] == "boundary_max"
-        assert abs(rep["boundary_max"] - 3.0) < 1e-12 and rep["t"] == 0.0
+        assert rep["verdict"] == "Outside" and rep["path"] == "closed_form"
+        assert rep["boundary_max"] == 3.0 and rep["t"] == 0.0
         assert rep["unused"] == {"grid": {"radii": [0.5], "angles": 1}}
 
     def test_boundary_excess_outside(self, tmp_path):
@@ -294,9 +294,24 @@ class TestMembership:
         code, out = run(tmp_path, "membership", {"lambda": 1.0, "candidate": BOUNDARY_EXCESS_PHI})
         assert code == 2
         rep = json.loads((out / "membership.json").read_text())
-        assert rep["verdict"] == "Outside" and rep["path"] == "boundary_max"
-        assert 1.0023 < rep["boundary_max"] < 1.0024
+        # 256 samples decide it: their largest, 1.00230, exceeds lambda + 1e-6
+        assert rep["verdict"] == "Outside" and rep["path"] == "bernstein"
+        assert rep["samples"] == 256 and 1.0022 < rep["boundary_max"] < 1.0024
+        assert rep["bound"] > rep["boundary_max"] * rep["bernstein_factor"]
         assert "unused" not in rep
+
+    @pytest.mark.parametrize("phi", [
+        {"kind": "poly", "coeffs": [0, 1.0]},
+        {"kind": "blaschke", "zeros": [0], "rotation": 2.0},
+        {"kind": "moebius", "a": 0, "psi": 1.0},
+    ], ids=lambda phi: phi["kind"])
+    def test_exact_rotation_inside(self, tmp_path, phi):
+        # phi = e^{i theta} z in another family's form reaches lambda on the
+        # whole circle, which no sample bound can certify; the closed form does
+        code, out = run(tmp_path, "membership", {"lambda": 0.5, "candidate": {"type": "phi", "phi": phi}})
+        assert code == 0
+        rep = json.loads((out / "membership.json").read_text())
+        assert (rep["verdict"], rep["path"], rep["boundary_max"]) == ("Inside", "closed_form", 0.5)
 
     @pytest.mark.parametrize("radius", [0.9995, 0.99999])
     @pytest.mark.parametrize("omega", [

@@ -6,8 +6,8 @@ import pytest
 
 from ulambda import core
 from ulambda.core import (
+    MEMBERSHIP_TOL,
     PHI_BOUNDARY_ANGLES,
-    PHI_INSIDE_SLACK,
     GridSpec,
     QuadraticMajorant,
     SubordinationVerdict,
@@ -327,15 +327,16 @@ class TestPhiBoundaryMax:
 
 class TestGeneratorVerdict:
     @pytest.mark.parametrize("best,verdict", [
-        (0.5, "Inside"),
-        (0.5 + PHI_INSIDE_SLACK, "Inside"),
-        (0.5 + 2e-12, "Inconclusive"),
+        (0.4, "Inconclusive"),
+        (0.5, "Inconclusive"),
         (0.5 + 1e-6, "Inconclusive"),
         (0.5 + 2e-6, "Outside"),
     ])
     def test_phi_bands(self, monkeypatch, best, verdict):
+        # a phi with 0 < |phi(0)| <= 1e-9 has no exact rule and takes the
+        # sampled maximum, which bounds the true one from below only
         monkeypatch.setattr(core, "phi_boundary_max", lambda lam, phi: (1.25, best))
-        got = phi_verdict(0.5, Monomial(theta=math.pi, k=1))
+        got = phi_verdict(0.5, MoebiusShift(a=1e-10))
         assert (got.verdict, got.path, got.value, got.t) == (verdict, "boundary_max", best, 1.25)
         assert got.to_json() == {"path": "boundary_max", "boundary_max": best, "t": 1.25, "verdict": verdict}
 
@@ -395,6 +396,128 @@ class TestGeneratorVerdict:
                     assert new.verdict == "Outside"
                     assert new.value > 0 if new.path == "zero_count" else new.path == "curve_distance"
         assert phi_changed == [195]
+
+
+def reference_max(lam, phi):
+    """The largest of 2^16 samples of ``l_of_phi`` on the unit circle,
+    taken 4096 at a time."""
+    return max(float(np.max(l_of_phi(lam, phi, row))) for row in ring(1.0, 2**16).reshape(16, 4096))
+
+
+class TestPhiVerdict:
+    @pytest.mark.parametrize("phi", [
+        ScaledPolynomial(raw=(0, 1.0)),
+        ScaledPolynomial(raw=(0, 0.6 - 0.8j)),
+        Blaschke(zeros=(0,), rotation=2.0),
+        MoebiusShift(a=0, psi=1.0),
+    ], ids=lambda phi: type(phi).__name__)
+    def test_exact_rotations_are_inside(self, phi):
+        # no sample bound certifies a maximum equal to lambda; the closed form
+        # of e^{i theta} z does, and these are that function exactly
+        for lam in (0.25, 0.5, 0.75, 1.0):
+            got = phi_verdict(lam, phi)
+            assert (got.verdict, got.path, got.value) == ("Inside", "closed_form", lam)
+            assert abs(complex(phi.eval(cmath.exp(1j * got.t))) + 1) < 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75, 1.0])
+    def test_monomial_closed_form(self, lam, k):
+        phi = Monomial(theta=2.3, k=k)
+        got = phi_verdict(lam, phi)
+        best = (1 + lam) * (k - 1) + lam * (2 * k - 1)
+        assert (got.verdict, got.path, got.value) == ("Inside" if k == 1 else "Outside", "closed_form", best)
+        assert 0 <= got.t < 2 * math.pi / k
+        z = cmath.exp(1j * got.t)
+        assert abs(complex(phi.eval(z)) + 1) < 1e-12 and abs(l_of_phi(lam, phi, z) - best) < 1e-12
+        # 2^16 samples reach the maximum, within Bernstein's gap for degree 2k
+        sampled = reference_max(lam, phi)
+        assert best * (1 - 2 * math.pi * k / 2**16) <= sampled <= best + 1e-12
+
+    @pytest.mark.parametrize("zeros,rotation,m", [
+        ((0, 0.5), math.pi, 4.0),
+        ((0, 0), 0.0, 2.0),
+        ((0, 0.3 + 0.2j, -0.4 + 0.1j, 0.5j), 1.0, None),
+    ])
+    def test_blaschke_obstruction(self, zeros, rotation, m):
+        phi = Blaschke(zeros=zeros, rotation=rotation)
+        for lam in (0.25, 0.5, 1.0):
+            got = phi_verdict(lam, phi)
+            assert (got.verdict, got.path) == ("Outside", "obstruction")
+            assert got.value == pytest.approx(lam + (1 + 3 * lam) * (got.budget["m"] - 1), abs=1e-15)
+            assert got.budget["m"] >= len(zeros) - 1e-12
+            if m is not None:
+                assert got.budget["m"] == pytest.approx(m, abs=1e-12)
+            assert obstruction_value(lam, phi, got.t) == pytest.approx(got.value, abs=1e-12)
+            assert got.to_json() == {"path": "obstruction", "obstruction_value": got.value, "t": got.t,
+                                     "m": got.budget["m"], "verdict": "Outside"}
+
+    @pytest.mark.parametrize("c,verdict,samples", [
+        # c z with |c| below the normalizer is no rotation
+        (0.9, "Inside", 256),
+        # lam c^2 (1 - 2 pi/256)^-1 > lam, lam c^2 (1 - 2 pi/4096)^-1 <= lam
+        (0.99, "Inside", 4096),
+        # lam c^2 < lam < lam c^2 (1 - 2 pi/4096)^-1: the Bernstein band
+        (0.9997, "Inconclusive", 4096),
+    ])
+    def test_bernstein_passes(self, c, verdict, samples):
+        lam = 0.5
+        got = phi_verdict(lam, ScaledPolynomial(raw=(0, c), normalizer=1.0))
+        factor = 1 / (1 - 2 * math.pi / samples)
+        assert (got.verdict, got.path, got.budget["samples"]) == (verdict, "bernstein", samples)
+        assert got.value == pytest.approx(lam * c**2, abs=1e-15)
+        assert got.budget["bernstein_factor"] == pytest.approx(factor, rel=1e-15)
+        assert got.value * factor <= got.budget["bound"] <= got.value * factor + 1e-11
+        assert got.to_json() == {"path": "bernstein", "boundary_max": got.value, "t": got.t, "samples": samples,
+                                 "bernstein_factor": got.budget["bernstein_factor"],
+                                 "bound": got.budget["bound"], "verdict": verdict}
+
+    def test_degree_beyond_the_samples_is_never_inside(self):
+        # max |U| is about lam / 4, but 2 pi d >= n on both passes, so no
+        # bound exists; at degree 41 only the 256-sample pass lacks one
+        lam = 0.5
+        raw = (0, 0.5) + (0,) * 698 + (1e-9,)
+        got = phi_verdict(lam, ScaledPolynomial(raw=raw, normalizer=1.0))
+        assert (got.verdict, got.path) == ("Inconclusive", "bernstein")
+        assert got.budget == {"samples": 4096, "bernstein_factor": None, "bound": None}
+        assert got.value < lam / 4 + 1e-5
+        got = phi_verdict(lam, ScaledPolynomial(raw=(0, 0.5) + (0,) * 39 + (1e-9,), normalizer=1.0))
+        assert (got.verdict, got.budget["samples"]) == ("Inside", 4096)
+
+    def test_fallback_is_never_inside(self):
+        # phi(0) = 1e-10: a rotation to 1e-10, sampled, with no exact rule
+        got = phi_verdict(0.5, MoebiusShift(a=1e-10, psi=0.3))
+        assert (got.verdict, got.path) == ("Inconclusive", "boundary_max")
+        assert abs(got.value - 0.5) < 1e-9
+
+    def test_seeded_agreement_with_dense_samples(self):
+        # 2000 sample_phi draws, lambda cycling through four values, against
+        # the verdict of 2^16 samples (Inside within 1e-12 of lambda, as the
+        # extremal rotations reach it)
+        lams = (0.25, 0.5, 0.75, 1.0)
+        rng = np.random.default_rng(2026)
+        paths = set()
+        for i in range(2000):
+            lam, phi = lams[i % 4], sample_phi(rng)
+            got = phi_verdict(lam, phi)
+            sampled = reference_max(lam, phi)
+            if sampled > lam + MEMBERSHIP_TOL:
+                expect = "Outside"
+            elif sampled <= lam + 1e-12:
+                expect = "Inside"
+            else:
+                expect = "Inconclusive"
+            assert got.verdict == expect
+            paths.add(got.path)
+            if got.path == "closed_form":
+                assert sampled <= got.value + 1e-12
+            elif got.path == "obstruction":
+                n = len(phi.zeros)
+                assert got.value >= lam + (1 + 3 * lam) * (n - 1) - 1e-12
+                assert obstruction_value(lam, phi, got.t) == pytest.approx(got.value, abs=1e-12)
+            else:
+                # the Bernstein bound holds the dense samples too
+                assert got.value <= sampled + 1e-12 and sampled <= got.budget["bound"]
+        assert paths == {"closed_form", "obstruction", "bernstein"}
 
 
 class TestJulia:

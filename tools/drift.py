@@ -11,9 +11,10 @@ The set: 384 ``verify-conjecture`` configs (n_max -1..70 in steps of 3,
 lambda 0.25/0.5/0.8/1, seeds 1/2/3/195, 16 samples), 1008 omega
 ``membership`` configs (8 omega x 7 a2 x lambda 0.3/0.7/1 x order
 absent/2/3/9/64/128), 16 ``region-a2``, 40 ``fixed-point``, 8 ``sharpness``,
-8 phi and 3 extremal ``membership``, 8 ``julia``, 4 malformed configs and
-the README examples.  Standard library only; exit status 1 when anything
-differs.
+11 phi and 3 extremal ``membership``, 11 ``julia`` (a phi of each family,
+and each phi that is e^{i theta} z in another family's form), 4 malformed
+configs and the README examples.  Standard library only; exit status 1 when
+anything differs.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ PHIS = [
                                 [0.21784328856907229, 0.029515181842464832]]},
     {"kind": "poly", "coeffs": [0, 1.0]},
     {"kind": "poly", "coeffs": [0, 0.7, [0.1, 0.2]]},
+    {"kind": "blaschke", "zeros": [0, 0]},
+    {"kind": "poly", "coeffs": [0, 0.8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.005], "normalizer": 1.0},
+    {"kind": "moebius", "a": 0},
 ]
 README = [
     ("verify-conjecture", {"lambda": 0.5, "n_max": 10, "samples": 100, "seed": 7}),
