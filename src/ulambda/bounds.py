@@ -22,6 +22,9 @@ of gamma - a2 from samples on |z| = 1 (exact ones, or for a Blaschke
 product those of q's order-64 truncation, held to the truncation's tail)
 against the bound 1 + lam on |gamma'|, and otherwise asks
 ``RegionA2.locate``, which projects a2 onto gamma itself, from |z| = 1 only.
+Every f in U(lam) is univalent, so gamma runs clockwise around the admissible
+set (``c_omega_curve`` gives the proof), and ``locate`` takes a2's side from
+that, with no sampled check of gamma's shape.
 
 Theorem 5's bound 1 + lam v(a) is Theorem 6's at real a in (0, 1), attained
 by the same f: ``sharpness_g_thm5`` is a view of the one witness that
@@ -53,7 +56,6 @@ from .errors import (
     NoConvergence,
     NotContractive,
     OutOfRange,
-    SelfIntersectionSuspected,
 )
 from .geometry import BOUNDARY, BOUNDARY_TOL, INSIDE, LABELS, OUTSIDE, BoundaryRegion
 from .series import DEFAULT_ORDER, TruncatedSeries, ring, ring_eval, series_reciprocal
@@ -64,7 +66,6 @@ from .core import (
     GeneratorVerdict,
     UCandidate,
     _proven_winding,
-    _winding,
     q_from_omega,
 )
 
@@ -77,7 +78,13 @@ CIRCLE_SCAN = 4096  # boundary samples of ``_circle_max``, before its golden sec
 
 
 def conjecture_bound(n: int, lam: float) -> float:
-    """Conjectured sharp bound sum_{k=0}^{n-1} lam^k on |a_n|, n >= 2."""
+    """Conjectured sharp bound sum_{k=0}^{n-1} lam^k on |a_n|, n >= 2.
+
+    Only a conjecture, and it fails for small lam already at n = 3: the
+    member of U(0.1) with a2 = 1.0775 and omega the Moebius shift a = 0.5
+    has a3 = a2^2 - lam omega(0) = 1.11100625 > conjecture_bound(3, 0.1) =
+    1.11.
+    """
     if n < 2:
         raise OutOfRange("n must be >= 2")
     if not (0 < lam <= 1):
@@ -320,15 +327,14 @@ def fixed_point_zero(
 
 @dataclass(frozen=True)
 class RegionA2:
-    """Admissible region for a2 given omega: the bounded component enclosed by
-    gamma(t) = e^{-it} + lam int_0^{e^{it}} omega, which ``curve`` samples at
-    ``thetas``.  ``orientation`` is gamma's winding about its centroid."""
+    """Admissible region for a2 given omega: the set that gamma(t) = e^{-it}
+    + lam int_0^{e^{it}} omega runs clockwise around (``c_omega_curve``), with
+    ``curve`` its samples at ``thetas``."""
 
     lam: float
     omega: DiskFunction
     thetas: np.ndarray
     curve: BoundaryRegion
-    orientation: int
 
     def _gamma(self, t):
         # gamma, gamma' and gamma'' at the angles t, from omega on |z| = 1 only
@@ -340,13 +346,20 @@ class RegionA2:
     def locate(self, a2) -> tuple:
         """(codes, distances) of the points a2, flattened: the distance to
         gamma(t*), the nearest point, and BOUNDARY within ``BOUNDARY_TOL``, else
-        INSIDE or OUTSIDE by the side of gamma'(t*) the point lies on.
+        INSIDE or OUTSIDE by the side of gamma'(t*) the point lies on: gamma
+        runs clockwise, so the exterior lies to the left of gamma'.
 
         Newton steps on Re(conj(gamma') (gamma - a2)) = 0 (descent steps where
         the distance is not convex in t), each clamped to one sample spacing,
         start at every local minimum of the sample distances; the nearest
-        settled point is t*.  At a cusp (gamma'(t*) = 0: lam = 1,
-        |omega| = 1) the side is taken against gamma'' of a chord across it."""
+        settled point is t*.  Where several settled points tie for nearest
+        (to a relative 1e-12), the point is OUTSIDE if any of them reads the
+        exterior side.  G is conformal on |zeta| > 1, so the exterior side of
+        gamma always has exterior points next to it, but at lam = 1 gamma can
+        fold onto itself and leave its interior side empty: omega = 1 makes
+        gamma(t) = 2 cos t, a slit traced twice.  At a cusp (gamma'(t*) = 0:
+        lam = 1, |omega| = 1) the side is taken against gamma'' of a chord
+        across it."""
         p = np.asarray(a2, dtype=complex).reshape(-1)
         s = self.curve.samples[:-1]
         h = 2 * math.pi / len(s)
@@ -370,18 +383,21 @@ class RegionA2:
                 break
         g, g1, g2 = self._gamma(t)
         dist = np.where(np.abs(step) <= 1e-12, np.abs(q - g), np.inf)
-        # rows are sorted, so each query's nearest settled start heads its run
-        pick = np.lexsort((dist, row))[np.searchsorted(row, np.arange(len(p)))]
-        t, g, g1, g2, dist = t[pick], g[pick], g1[pick], g2[pick], dist[pick]
-        if not np.all(np.isfinite(dist)):
+        best = np.full(len(p), np.inf)
+        np.minimum.at(best, row, dist)
+        if not np.all(np.isfinite(best)):
             raise NoConvergence("projection onto the a2 curve did not settle in 64 steps")
-        side = np.imag(g1.conj() * (p - g))
+        tie = dist <= best[row] * (1 + 1e-12)
+        row, t, q, g, g1, g2 = row[tie], t[tie], q[tie], g[tie], g1[tie], g2[tie]
+        side = np.imag(g1.conj() * (q - g))
         cusp = np.abs(g1) <= 1e-8
         if _any(cusp):
             chord = self._gamma(t[cusp] + 1e-4)[0] - self._gamma(t[cusp] - 1e-4)[0]
             side[cusp] = np.imag(g2[cusp].conj() * chord)
-        codes = np.where(side * self.orientation > 0, INSIDE, OUTSIDE)
-        return np.where(dist <= BOUNDARY_TOL, BOUNDARY, codes).astype(np.int8), dist
+        outside = np.zeros(len(p), dtype=bool)
+        outside[row[side >= 0]] = True
+        codes = np.where(outside, OUTSIDE, INSIDE)
+        return np.where(best <= BOUNDARY_TOL, BOUNDARY, codes).astype(np.int8), best
 
     def contains(self, a2: complex) -> str:
         return LABELS[self.locate(a2)[0][0]]
@@ -410,57 +426,25 @@ class RegionA2:
         )
 
 
-def _close_sample_pairs(pts: np.ndarray) -> int:
-    """Number of sample pairs more than 4 steps apart (cyclically) and closer
-    than 1e-6.
-
-    |dx| <= |dz|, so every such pair lies within 1e-6 in real part: sort by
-    real part, take each sample's band of successors with one binary search,
-    and test only those pairs.  The band is padded by a few ulps of the
-    curve's scale so rounding cannot drop a pair.
-    """
-    close = 1e-6
-    n = len(pts)
-    order = np.argsort(pts.real)
-    xs = pts.real[order]
-    pad = 8 * np.spacing(np.max(np.abs(pts.view(float))))
-    last = np.searchsorted(xs, xs + close + pad, side="right")
-    count = last - np.arange(n) - 1
-    lo = np.repeat(np.arange(n), count)
-    start = np.cumsum(count) - count
-    hi = np.arange(len(lo)) - np.repeat(start, count) + lo + 1
-    i, j = order[lo], order[hi]
-    sep = np.abs(i - j)
-    sep = np.minimum(sep, n - sep)
-    return int(np.count_nonzero((sep > 4) & (np.abs(pts[i] - pts[j]) < close)))
-
-
 def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> RegionA2:
-    """Sample the forbidden-value curve 1/z + lam int_0^z omega on the unit
-    circle and package the containment test for candidate a2 values.
+    """Sample the forbidden-value curve gamma(t) = e^{-it} + lam int_0^{e^{it}}
+    omega at ``ring(1.0, resolution)`` and package the containment test for
+    candidate a2 values.
 
-    The curve is injective in theory; a numerical check flags samples at
-    angular distance above 4 grid steps that come closer than 1e-6, and the
-    samples must wind once about their centroid.  That winding's sign is the
-    region's orientation.
+    No shape check is needed: G(zeta) = zeta - a2 + lam W(1/zeta) has |G' - 1|
+    = lam |omega(1/zeta)| / |zeta|^2 < 1 on |zeta| > 1, so by Aksent'ev's
+    criterion G maps the exterior of the disk conformally onto the complement
+    of the admissible set, and gamma runs clockwise around it.
     """
     if resolution < 64:
         raise OutOfRange("resolution must be >= 64")
     z = ring(1.0, resolution)
     open_pts = z.conj() + lam * antiderivative(omega, z)
-    pairs = _close_sample_pairs(open_pts)
-    if pairs:
-        raise SelfIntersectionSuspected(f"{pairs} close sample pairs")
-
-    wn = _winding(open_pts - np.mean(open_pts))
-    if abs(wn) != 1:
-        raise SelfIntersectionSuspected(f"winding number {wn} around centroid")
     return RegionA2(
         lam=lam,
         omega=omega,
         thetas=np.linspace(0.0, 2 * math.pi, resolution + 1),
         curve=BoundaryRegion(np.concatenate([open_pts, open_pts[:1]])),
-        orientation=wn,
     )
 
 
@@ -496,8 +480,8 @@ def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerd
 
     When neither pass proves the winding, a2 lies within about h (1 + lam)
     + tau_N of gamma, and ``RegionA2.locate`` decides: Inside or Outside by
-    the side of gamma, Inconclusive within ``BOUNDARY_TOL`` or when gamma
-    cannot be projected on (SelfIntersectionSuspected, NoConvergence).
+    the side of gamma, Inconclusive within ``BOUNDARY_TOL`` or when the
+    projection onto gamma does not settle (NoConvergence).
     ``budget`` records the last pass's ``samples``, ``min_mean_abs_q`` and
     ``threshold``, and the ``tail`` (0 for a closed form).
     """
@@ -528,7 +512,7 @@ def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerd
         return GeneratorVerdict("Outside" if zeros else "Inside", "zero_count", zeros, budget=budget)
     try:
         code, dist = c_omega_curve(omega, lam).locate([a2])
-    except (SelfIntersectionSuspected, NoConvergence) as e:
+    except NoConvergence as e:
         return GeneratorVerdict("Inconclusive", "curve_distance", None, budget={**budget, "error": str(e)})
     verdict = {INSIDE: "Inside", OUTSIDE: "Outside"}.get(int(code[0]), "Inconclusive")
     return GeneratorVerdict(verdict, "curve_distance", float(dist[0]), budget=budget)

@@ -45,10 +45,6 @@ class NoConvergence(UlambdaError):
     """Iteration did not converge within the cap."""
 
 
-class SelfIntersectionSuspected(UlambdaError):
-    """Sampled curve appears to self-intersect."""
-
-
 class OutOfRange(UlambdaError):
     """Scalar argument outside its admissible interval."""
 

@@ -9,7 +9,7 @@ import pytest
 from ulambda import bounds, cli, core
 from ulambda.cli import main
 from ulambda.diskfun import Monomial, MoebiusShift, antiderivative, diskfun_from_json, gauss_legendre
-from ulambda.errors import SelfIntersectionSuspected
+from ulambda.errors import NoConvergence
 from ulambda.geometry import INSIDE
 
 
@@ -170,7 +170,7 @@ class TestVerifyConjecture:
         monkeypatch.setattr(bounds, "omega_verdict", lambda *a: verdicts.append(verdict(*a)) or verdicts[-1])
 
         def fail(*args, **kwargs):
-            raise SelfIntersectionSuspected("3 close sample pairs")
+            raise NoConvergence("no projection")
 
         monkeypatch.setattr(bounds, "c_omega_curve", fail)
         code, out = run(tmp_path, "verify-conjecture", cfg, outdir="failing")
@@ -258,8 +258,9 @@ class TestMembership:
         # order-64 sweep read 0.796 at lambda 0.7 and called it Outside.
         # Samples of the exact q prove the count.  At lambda 1, min |q| on
         # the circle is 7.0e-3 and 1.4e-3: the tail of q's order-64
-        # truncation, 7.2e-3, would hide both, and gamma comes closer than
-        # 1e-6 to itself, so locate cannot decide either
+        # truncation, 7.2e-3, would hide both.  gamma has a cusp there, which
+        # a sampled self-intersection check took for a crossing; locate
+        # agrees on both
         code, out = run(tmp_path, "membership",
                         {"lambda": lam,
                          "candidate": {"type": "omega", "a2": a2,
@@ -272,8 +273,7 @@ class TestMembership:
                        "min_mean_abs_q": rep["min_mean_abs_q"]}
         assert rep["min_mean_abs_q"] > rep["threshold"]
         if lam == 1.0:
-            with pytest.raises(SelfIntersectionSuspected):
-                bounds.c_omega_curve(MoebiusShift(0.98), lam)
+            assert bounds.c_omega_curve(MoebiusShift(0.98), lam).locate([0.5, 1.45])[0].tolist() == [INSIDE] * 2
 
     def test_z_squared_on_a_one_point_grid_outside(self, tmp_path):
         # the one-point grid at r = 0.5 used to read 0.469 < 0.5 and exit 0
@@ -358,7 +358,7 @@ class TestMembership:
 
     def test_unprojectable_curve_exits_3(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
-            raise SelfIntersectionSuspected("3 close sample pairs")
+            raise NoConvergence("no projection")
 
         monkeypatch.setattr(bounds, "c_omega_curve", fail)
         zs = 0.99999 * cmath.exp(0.7j)
@@ -368,7 +368,7 @@ class TestMembership:
         assert code == 3
         rep = json.loads((out / "membership.json").read_text())
         assert rep["verdict"] == "Inconclusive" and rep["distance_to_curve"] is None
-        assert rep["error"] == "3 close sample pairs"
+        assert rep["error"] == "no projection"
 
     @pytest.mark.parametrize("extra,unused", [
         ({"order": 2}, {"order": 2}),
@@ -522,6 +522,25 @@ class TestRegionA2:
         assert [abs(q["distance_to_curve"] - 0.1) < 1e-15 for q in rep["queries"]] == [True, True]
         assert (out / "region.csv").read_text().startswith("theta,re,im")
         assert (out / "region.svg").read_text().startswith("<svg")
+
+    def test_cusp_labels_match_membership(self, tmp_path):
+        # Moebius a = 0.98 at lambda 1: gamma has a cusp at t = 0, where a
+        # sampled self-intersection check found 2 close sample pairs and
+        # exited 3
+        omega = {"kind": "moebius", "a": 0.98}
+        queries = [[0.9, 0], [1.4, 0], [0, 0.5], [-1.2, 0.3]]
+        code, out = run(tmp_path, "region-a2", {"lambda": 1.0, "omega": omega, "queries": queries})
+        assert code == 0
+        where = [q["where"] for q in json.loads((out / "region.json").read_text())["queries"]]
+        proven = []
+        for k, a2 in enumerate(queries):
+            _, member = run(tmp_path, "membership",
+                            {"lambda": 1.0, "candidate": {"type": "omega", "a2": a2, "omega": omega}},
+                            outdir=f"member-{k}")
+            rep = json.loads((member / "membership.json").read_text())
+            assert rep["path"] == "zero_count"
+            proven.append(rep["verdict"].lower())
+        assert where == proven == ["inside", "inside", "outside", "outside"]
 
     def test_moebius_bound_query(self, tmp_path):
         from ulambda.bounds import v_of_x

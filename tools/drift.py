@@ -10,7 +10,8 @@ whose exit code, stderr or artifact sha256 differs::
 The set: 384 ``verify-conjecture`` configs (n_max -1..70 in steps of 3,
 lambda 0.25/0.5/0.8/1, seeds 1/2/3/195, 16 samples), 1008 omega
 ``membership`` configs (8 omega x 7 a2 x lambda 0.3/0.7/1 x order
-absent/2/3/9/64/128), 16 ``region-a2``, 40 ``fixed-point``, 8 ``sharpness``,
+absent/2/3/9/64/128), 18 ``region-a2`` (each omega at lambda 0.5 and 1, and
+the slit omega = 1 at both), 40 ``fixed-point``, 8 ``sharpness``,
 11 phi and 3 extremal ``membership``, 11 ``julia`` (a phi of each family,
 and each phi that is e^{i theta} z in another family's form), 4 malformed
 configs and the README examples.  Standard library only; exit status 1 when
@@ -96,6 +97,11 @@ def configs() -> list:
                 {"lambda": lam, "omega": omega, "queries": [[0.9, 0], [1.4, 0], [0, 0.5], [-1.2, 0.3]]})
         for a2 in (1.5625, 2.5, [2.0, 1.0], 1.1, 0):
             add("fixed-point", "fixed-point", {"lambda": 0.5, "a2": a2, "omega": omega})
+    for lam in (0.5, 1.0):
+        # omega = 1 makes gamma an ellipse at lambda 0.5 and the slit 2 cos t at 1
+        add("region-a2", "region-a2",
+            {"lambda": lam, "omega": {"kind": "poly", "coeffs": [1.0], "normalizer": 1.0},
+             "queries": [[0.9, 0], [1.4, 0], [0, 0.5], [-1.2, 0.3], [0.5, 0.001], [0.5, -0.001], [2.5, 0]]})
     for a in (0.3, 0.7, [0.4, 0.5], 0.5):
         for lam in (0.5, 1.0):
             add("sharpness", "sharpness", {"lambda": lam, "a": a})
