@@ -351,15 +351,18 @@ class RegionA2:
 
         Newton steps on Re(conj(gamma') (gamma - a2)) = 0 (descent steps where
         the distance is not convex in t), each clamped to one sample spacing,
-        start at every local minimum of the sample distances; the nearest
-        settled point is t*.  Where several settled points tie for nearest
-        (to a relative 1e-12), the point is OUTSIDE if any of them reads the
-        exterior side.  G is conformal on |zeta| > 1, so the exterior side of
-        gamma always has exterior points next to it, but at lam = 1 gamma can
-        fold onto itself and leave its interior side empty: omega = 1 makes
-        gamma(t) = 2 cos t, a slit traced twice.  At a cusp (gamma'(t*) = 0:
-        lam = 1, |omega| = 1) the side is taken against gamma'' of a chord
-        across it."""
+        start at every local minimum of the sample distances, and at both
+        neighbours of the nearest sample, since the two nearest points on
+        either side of a fold's tip can share it; the nearest settled point
+        is t*.  Where several settled points tie for nearest
+        (to a relative 1e-12, plus 1e-12 for the rounding of gamma), the point
+        is OUTSIDE if any of them reads the exterior side.  G is conformal on
+        |zeta| > 1, so the exterior side of gamma always has exterior points
+        next to it, but at lam = 1 gamma can fold onto itself and leave its
+        interior side empty: omega = 1 makes gamma(t) = 2 cos t, a slit traced
+        twice.  A cusp (gamma'(t*) = 0: lam = 1, |omega| = 1) reads the
+        exterior side: G' vanishes there, so the interior angle is 0 and no
+        interior point has the cusp as its nearest point."""
         p = np.asarray(a2, dtype=complex).reshape(-1)
         s = self.curve.samples[:-1]
         h = 2 * math.pi / len(s)
@@ -368,7 +371,8 @@ class RegionA2:
         for lo in range(0, len(p), chunk):
             d = np.abs(p[lo:lo + chunk, None] - s)
             low = (d <= np.roll(d, 1, axis=1)) & (d < np.roll(d, -1, axis=1))
-            low[np.arange(len(d)), np.argmin(d, axis=1)] = True
+            near, rows = np.argmin(d, axis=1), np.arange(len(d))
+            low[rows, near - 1] = low[rows, near] = low[rows, (near + 1) % len(s)] = True
             starts.append(np.array(np.nonzero(low)) + [[lo], [0]])
         row, k = np.concatenate(starts, axis=1)
         t, q = h * k, p[row]
@@ -387,15 +391,11 @@ class RegionA2:
         np.minimum.at(best, row, dist)
         if not np.all(np.isfinite(best)):
             raise NoConvergence("projection onto the a2 curve did not settle in 64 steps")
-        tie = dist <= best[row] * (1 + 1e-12)
-        row, t, q, g, g1, g2 = row[tie], t[tie], q[tie], g[tie], g1[tie], g2[tie]
-        side = np.imag(g1.conj() * (q - g))
-        cusp = np.abs(g1) <= 1e-8
-        if _any(cusp):
-            chord = self._gamma(t[cusp] + 1e-4)[0] - self._gamma(t[cusp] - 1e-4)[0]
-            side[cusp] = np.imag(g2[cusp].conj() * chord)
+        tie = dist <= best[row] * (1 + 1e-12) + 1e-12
+        row, q, g, g1 = row[tie], q[tie], g[tie], g1[tie]
+        exterior = (np.imag(g1.conj() * (q - g)) >= 0) | (np.abs(g1) <= 1e-8)
         outside = np.zeros(len(p), dtype=bool)
-        outside[row[side >= 0]] = True
+        outside[row[exterior]] = True
         codes = np.where(outside, OUTSIDE, INSIDE)
         return np.where(best <= BOUNDARY_TOL, BOUNDARY, codes).astype(np.int8), best
 

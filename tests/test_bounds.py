@@ -680,6 +680,20 @@ class TestRegionProjection:
         assert LABELS[codes[0]] == reference_contains(np.append(dense, dense[:1]), p) == "outside"
         assert 0 <= np.min(np.abs(dense - p)) - dist[0] < 1e-8  # the wrong point was 3.8e-4 farther
 
+    def test_both_arms_of_a_near_cusp(self):
+        # a drawn Blaschke omega at lam = 1, with |gamma'| down to 1.3e-6: the
+        # nearest points on the two arms share one sample minimum, and Newton
+        # from it alone settled on the far arm, 6.4e-8 farther, and read inside
+        omega = Blaschke(zeros=(-0.5808761388604876 - 0.05755493637660788j,
+                                0.2500003779935126 + 0.11642287076365095j), rotation=4.388896575605329)
+        p = 1.1131339611596414 - 0.6445125880176767j
+        codes, dist = c_omega_curve(omega, 1.0, resolution=1024).locate(p)
+        dense = ring(1.0, 200_000).conj() + antiderivative(omega, ring(1.0, 200_000))
+        assert LABELS[codes[0]] == "outside" and _winding(dense - p) == 0
+        assert 0 <= np.min(np.abs(dense - p)) - dist[0] < 1e-10
+        got = omega_verdict(1.0, p, omega)
+        assert (got.verdict, got.path) == ("Outside", "zero_count")
+
     def test_slit_has_no_inside(self):
         # omega = 1 at lam = 1 makes gamma(t) = 2 cos t, a slit traced twice:
         # every point off it is outside, though one of the two passes reads
@@ -711,6 +725,102 @@ class TestRegionProjection:
         # omega = 0 makes gamma the unit circle, whatever the resolution
         codes, dist = region.locate(0.9)
         assert codes.tolist() == [1] and abs(dist[0] - 0.1) < 1e-15
+
+
+def polynomial_q_inside(omega, lam, a2):
+    """(inside, margin) for a polynomial omega, from the roots of the exact
+    q = 1 - a2 z + lam z W, W = int_0^z omega: a2 is admissible when every
+    root lies outside the closed disk; margin is min ||root| - 1|."""
+    c = np.array(omega.raw) / omega.normalizer
+    coeffs = np.zeros(len(c) + 2, dtype=complex)
+    coeffs[0], coeffs[1] = 1.0, -a2
+    coeffs[2:] = lam * c / np.arange(1, len(c) + 1)
+    radii = np.abs(np.roots(np.trim_zeros(coeffs[::-1], "f")))
+    return bool(np.all(radii > 1)), float(np.min(np.abs(radii - 1)))
+
+
+class TestCurveShape:
+    """gamma's shape comes from the univalence theorem, not from samples:
+    G(zeta) = 1/f(1/zeta) has |G' - 1| < 1 on |zeta| > 1, so gamma runs
+    clockwise about the admissible set and its exterior side is never empty.
+    Only the interior side can be, where gamma folds onto itself at lam = 1."""
+
+    @pytest.mark.parametrize("omega, lam", [
+        (ZERO_FUN, 0.5),
+        (MoebiusShift(0.9, 0.4), 0.75),
+        (Blaschke(zeros=(0.3 - 0.4j, 0.5)), 0.99),
+        (NEAR_OMEGAS["cubic"], 1.0),
+        (Monomial(0.0, 1), 1.0),
+        (MoebiusShift(0.98), 1.0),
+    ], ids=repr)
+    def test_winds_clockwise_about_zero(self, omega, lam):
+        # a2 = 0 is always admissible: |lam z W(z)| <= lam |z|^2 < 1 in the disk
+        region = c_omega_curve(omega, lam, resolution=1024)
+        assert _winding(region.curve.samples[:-1]) == -1
+        assert region.contains(0.0) == "inside"
+
+    @pytest.mark.parametrize("lam", [0.5, 0.9, 0.99, 0.999, 1.0])
+    def test_ellipse_labels_match_roots_of_q(self, lam):
+        # omega = 1: gamma(t) = (1 + lam) cos t - i (1 - lam) sin t, an ellipse
+        # that thins to the slit [-2, 2] at lam = 1.  A point on its major
+        # axis ties for nearest between the two arcs, and both read inside
+        omega = ScaledPolynomial(raw=(1.0,), normalizer=1.0)
+        region = c_omega_curve(omega, lam)
+        rng = np.random.default_rng(18)
+        t = rng.uniform(0, 2 * math.pi, 200)
+        g, left = curve_points(omega, lam, t)
+        off = 10 ** rng.uniform(-6, -1, 200)
+        pts = np.concatenate([
+            g + off * left, g - off * left,
+            rng.uniform(-0.9, 0.9, 50) * (1 + lam),
+            rng.uniform(-2.5, 2.5, 200) + 1j * rng.uniform(-1, 1, 200),
+        ])
+        truth = [polynomial_q_inside(omega, lam, p) for p in pts]
+        keep = np.array([margin > 1e-9 for _, margin in truth])
+        assert np.count_nonzero(keep) >= 600
+        codes, dist = region.locate(pts[keep])
+        assert np.all(dist > BOUNDARY_TOL)
+        expect = [INSIDE if inside else OUTSIDE for (inside, _), k in zip(truth, keep) if k]
+        assert codes.tolist() == expect
+        assert (INSIDE in expect) == (lam < 1)
+
+    @pytest.mark.parametrize("omega, lam", [
+        (LINEAR_FUN, 1.0),
+        (ScaledPolynomial(raw=(0.5, 0.5)), 1.0),
+        (ScaledPolynomial(raw=(0.2, -0.5j, 0.3, 0.4 + 0.1j)), 1.0),
+        (ScaledPolynomial(raw=(0.6, 0.0, -0.4j)), 0.8),
+    ], ids=repr)
+    def test_polynomial_labels_match_roots_of_q(self, omega, lam):
+        region = c_omega_curve(omega, lam)
+        rng = np.random.default_rng(19)
+        g, left = curve_points(omega, lam, rng.uniform(0, 2 * math.pi, 150))
+        off = 10 ** rng.uniform(-5, -1, 150)
+        pts = np.concatenate([
+            g + off * left, g - off * left,
+            rng.uniform(-2.2, 2.2, 300) + 1j * rng.uniform(-2.2, 2.2, 300),
+        ])
+        truth = [polynomial_q_inside(omega, lam, p) for p in pts]
+        keep = np.array([margin > 1e-9 for _, margin in truth])
+        assert np.count_nonzero(keep) > 500
+        codes, dist = region.locate(pts[keep])
+        assert np.all(dist > BOUNDARY_TOL)
+        expect = [INSIDE if inside else OUTSIDE for (inside, _), k in zip(truth, keep) if k]
+        assert codes.tolist() == expect
+        assert INSIDE in expect and OUTSIDE in expect
+
+    @pytest.mark.parametrize("psi", [0.7, math.pi / 2, 2.5])
+    def test_rotated_slit_has_no_inside(self, psi):
+        # omega = e^{i psi} at lam = 1: gamma(t) = 2 e^{i psi/2} cos(t + psi/2),
+        # a slit along e^{i psi/2}, so its samples tie off the real axis too
+        region = c_omega_curve(ScaledPolynomial(raw=(cmath.exp(1j * psi),), normalizer=1.0), 1.0)
+        rng = np.random.default_rng(20)
+        x = rng.uniform(-2.5, 2.5, 300)
+        y = rng.choice([-1, 1], 300) * 10 ** rng.uniform(-6, 0, 300)
+        codes, dist = region.locate(cmath.exp(0.5j * psi) * (x + 1j * y))
+        assert np.all(codes == OUTSIDE)
+        assert np.max(np.abs(dist - np.hypot(np.maximum(np.abs(x) - 2, 0), y))) < 1e-12
+        codes, dist = region.locate(cmath.exp(0.5j * psi) * np.array([-1.5, 0.0, 1.2]))
+        assert np.all(codes == BOUNDARY) and np.max(dist) < 1e-12
 
 
 def reference_csv(region):
