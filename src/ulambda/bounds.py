@@ -18,10 +18,10 @@ a2 is admissible exactly when q = 1 - a2 z + lam z W(z), W = int_0^z omega,
 has no zero in the disk: q(e^{it}) = e^{it} (gamma(t) - a2) with gamma(t) =
 e^{-it} + lam W(e^{it}), so exactly when a2 lies inside gamma.  This module
 is the one place that decides it.  ``omega_verdict`` proves the winding
-of gamma - a2 from samples on |z| = 1 (exact ones, or for a Blaschke
-product those of q's order-64 truncation, held to the truncation's tail)
-against the bound 1 + lam on |gamma'|, and otherwise asks
-``RegionA2.locate``, which projects a2 onto gamma itself, from |z| = 1 only.
+of gamma - a2 from samples on |z| = 1, each taken from omega's exact
+primitive (``diskfun.antiderivative``, for every family), against the bound
+1 + lam on |gamma'|, and otherwise asks ``RegionA2.locate``, which projects
+a2 onto the same gamma, from |z| = 1 only.
 Every f in U(lam) is univalent, so gamma runs clockwise around the admissible
 set (``c_omega_curve`` gives the proof), and ``locate`` takes a2's side from
 that, with no sampled check of gamma's shape.
@@ -41,7 +41,6 @@ from functools import partial
 import numpy as np
 
 from .diskfun import (
-    Blaschke,
     DiskFunction,
     Monomial,
     MoebiusShift,
@@ -58,11 +57,10 @@ from .errors import (
     OutOfRange,
 )
 from .geometry import BOUNDARY, BOUNDARY_TOL, INSIDE, LABELS, OUTSIDE, BoundaryRegion
-from .series import DEFAULT_ORDER, TruncatedSeries, ring, ring_eval, series_reciprocal
+from .series import DEFAULT_ORDER, TruncatedSeries, ring, series_reciprocal
 from .core import (
     DEFAULT_ANGLES,
     DEFAULT_RADII,
-    ZERO_COUNT_ROUNDING,
     GeneratorVerdict,
     UCandidate,
     _proven_winding,
@@ -448,10 +446,8 @@ def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> Reg
     )
 
 
-OMEGA_ORDER = 64  # the order of the truncated q that decides a Blaschke omega
-_OMEGA_INDEX = np.arange(1, OMEGA_ORDER)  # k + 1 for the coefficients omega_k of q_N
-# circle points per piece of a closed-form omega's samples: the primitive's
-# temporaries then stay at this size, not at the 8192 of the full pass
+# circle points per piece of omega's samples: the primitive's temporaries
+# then stay at this size, not at the 8192 of the full pass
 _OMEGA_CHUNK = 1024
 
 
@@ -464,49 +460,28 @@ def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerd
     of f = z/q): when a2 lies inside gamma.  On the circle e^{-it} q(e^{it})
     = gamma(t) - a2, so q's zero count is 1 plus the winding of gamma - a2,
     which ``_proven_winding`` proves from samples at |z| = 1 with the slope
-    |gamma'| = |lam e^{it} omega - e^{-it}| <= 1 + lam:
-
-    - a family with a closed-form primitive (Moebius shift, monomial,
-      polynomial) is sampled exactly, gamma - a2 = conj(z) + lam W(z) - a2,
-      each term at most 1, 1 and |a2|;
-    - a Blaschke product, whose primitive takes quadrature, through q_N, q
-      truncated at N = OMEGA_ORDER (``q_from_omega``, ``ring_eval``).
-      q - q_N = lam sum_{k >= N-1} omega_k z^{k+2} / (k + 1), so by
-      Cauchy-Schwarz, sum_{m >= N} 1/m^2 < 1/(N - 1) and sum_k |omega_k|^2
-      = 1 (an inner function), |q - q_N| is at most the tail tau_N = lam
-      sqrt((1 - sum_{k <= N-2} |omega_k|^2) / (N - 1)) on the closed disk;
-      ZERO_COUNT_ROUNDING lam^2 is added under the root for the rounding of
-      the difference.
+    |gamma'| = |lam e^{it} omega - e^{-it}| <= 1 + lam.  Every family is
+    sampled from its exact primitive, gamma - a2 = conj(z) + lam W(z) - a2,
+    whose terms are at most 1, max(1, lam S) and |a2|, S the bound on the
+    terms that W sums (``_primitive_size``): 2 + |a2| for a closed form
+    (S = 1), more for a Blaschke product with large residue terms.
 
     When neither pass proves the winding, a2 lies within about h (1 + lam)
-    + tau_N of gamma, and ``RegionA2.locate`` decides: Inside or Outside by
-    the side of gamma, Inconclusive within ``BOUNDARY_TOL`` or when the
-    projection onto gamma does not settle (NoConvergence).
-    ``budget`` records the last pass's ``samples``, ``min_mean_abs_q`` and
-    ``threshold``, and the ``tail`` (0 for a closed form).
+    of gamma, and ``RegionA2.locate`` decides: Inside or Outside by the side
+    of gamma, Inconclusive within ``BOUNDARY_TOL`` or when the projection
+    onto gamma does not settle (NoConvergence).  ``budget`` records the last
+    pass's ``samples``, ``min_mean_abs_q`` and ``threshold``.
     """
-    if isinstance(omega, Blaschke):
-        q = q_from_omega(a2, lam, omega, OMEGA_ORDER).q
-        # lam omega_k = (k + 1) q_{k+2}, k = 0..N-2
-        lam_omega = q.coeffs[2:] * _OMEGA_INDEX
-        head = np.vdot(lam_omega, lam_omega).real
-        tail = math.sqrt((max(lam**2 - head, 0.0) + ZERO_COUNT_ROUNDING * lam**2) / (OMEGA_ORDER - 1))
-        size = float(np.abs(q.coeffs).sum())
+    size = 1 + max(1.0, lam * omega._primitive_size()) + abs(a2)
 
-        def sample(n):
-            return ring_eval(q, 1.0, n) * ring(1.0, n).conj()
-    else:
-        tail, size = 0.0, 2 + abs(a2)
-
-        def sample(n):
-            z = ring(1.0, n)
-            out = np.empty(n, dtype=complex)
-            for i in range(0, n, _OMEGA_CHUNK):
-                piece = z[i:i + _OMEGA_CHUNK]
-                out[i:i + _OMEGA_CHUNK] = piece.conj() + lam * antiderivative(omega, piece) - a2
-            return out
-    turns, proven, budget = _proven_winding(sample, size, 1 + lam, tail)
-    budget["tail"] = tail
+    def sample(n):
+        z = ring(1.0, n)
+        out = np.empty(n, dtype=complex)
+        for i in range(0, n, _OMEGA_CHUNK):
+            piece = z[i:i + _OMEGA_CHUNK]
+            out[i:i + _OMEGA_CHUNK] = piece.conj() + lam * antiderivative(omega, piece) - a2
+        return out
+    turns, proven, budget = _proven_winding(sample, size, 1 + lam)
     if proven:
         zeros = turns + 1
         return GeneratorVerdict("Outside" if zeros else "Inside", "zero_count", zeros, budget=budget)

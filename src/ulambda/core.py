@@ -63,9 +63,12 @@ from .series import (
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGLES = 720
 MEMBERSHIP_TOL = 1e-6
-# unit-circle samples of a phi candidate's boundary maximum: the full pass
-# of a polynomial phi's Bernstein certificate, and the sampled fallback
+# unit-circle samples of a phi candidate's boundary maximum: the second
+# pass of a polynomial phi's Bernstein certificate, and the sampled fallback
 PHI_BOUNDARY_ANGLES = 4096
+# the Bernstein certificate's last pass, for a maximum within 2 pi d / 4096
+# of lam relative, where the second pass can neither prove nor refute it
+_BERNSTEIN_LAST = 16384
 # count_disk_zeros' circle radius, and the samples of the first and full
 # pass of _proven_winding and the rounding it allows per unit of size + h
 # slope (see there)
@@ -214,23 +217,23 @@ def count_disk_zeros(cand: UCandidate) -> int:
     return zeros
 
 
-def _proven_winding(sample, size: float, slope: float, error: float = 0.0) -> tuple:
+def _proven_winding(sample, size: float, slope: float) -> tuple:
     """(winding, proven, budget) of a closed curve g(t) about 0 from its
     samples g_j at t_j = j h, h = 2 pi / n: ``sample(n)``, first at n =
     ZERO_COUNT_COARSE, then at ZERO_COUNT_SAMPLES.
 
     A pass proves its winding (``_winding``) when
 
-        min_j (|g_j| + |g_{j+1}|) / 2 > h slope / 2 + error + eps,
+        min_j (|g_j| + |g_{j+1}|) / 2 > h slope / 2 + eps,
 
-    with slope >= |g'|, each computed sample within error of g(t_j) besides
-    rounding, and eps = ZERO_COUNT_ROUNDING (size + h slope) = 1024 eps
+    with slope >= |g'|, each g_j a value of g(t_j) in which only rounding
+    errs, and eps = ZERO_COUNT_ROUNDING (size + h slope) = 1024 eps
     (size + h slope) for size a bound on the terms summed into a sample.
     That exceeds twice the rounding of a sample (a few tens of eps times
     size for ``ring_eval`` on at most 8192 points, Bornemann, FoCM 2011, or
-    for a closed form) plus that of the test.  At t_j + s on the arc to
+    for an exact primitive) plus that of the test.  At t_j + s on the arc to
     t_{j+1}, g lies within slope s + e of the computed g_j and within
-    slope (h - s) + e of the computed g_{j+1}, e = error plus rounding, and
+    slope (h - s) + e of the computed g_{j+1}, e the rounding, and
     the two radii sum to less than |g_j| + |g_{j+1}|: the arc lies in the
     disk of radius |g_j| about g_j or in that of radius |g_{j+1}| about
     g_{j+1}.  Those disks miss 0 and overlap, so their union, which holds
@@ -244,7 +247,7 @@ def _proven_winding(sample, size: float, slope: float, error: float = 0.0) -> tu
     for n in (ZERO_COUNT_COARSE, ZERO_COUNT_SAMPLES):
         vals = sample(n)
         drift = 2 * math.pi / n * slope
-        threshold = drift / 2 + error + ZERO_COUNT_ROUNDING * (size + drift)
+        threshold = drift / 2 + ZERO_COUNT_ROUNDING * (size + drift)
         mod = np.abs(vals)
         low = float(np.min(mod + np.concatenate((mod[1:], mod[:1])))) / 2
         if low > threshold:
@@ -364,7 +367,7 @@ class GeneratorVerdict:
     ``budget`` holds the rule's other numbers: ``m`` for "obstruction";
     ``samples``, ``bernstein_factor`` and ``bound`` for "bernstein"; and for
     an omega verdict those its last circle pass was judged by
-    (``_proven_winding``, with the ``tail`` of ``bounds.omega_verdict``)."""
+    (``_proven_winding``)."""
 
     verdict: str  # Inside | Outside | Inconclusive
     path: str
@@ -500,15 +503,15 @@ def _bernstein_verdict(lam: float, phi: ScaledPolynomial) -> GeneratorVerdict:
     ``_proven_winding`` allows, for terms of |U| of size (1 + lam)(1 + d)
     + lam (1 + 2d) (|phi| <= 1 and |z phi'| <= d on the circle).
 
-    Takes ZERO_COUNT_COARSE samples, then PHI_BOUNDARY_ANGLES: Inside when
-    the bound is at most lam, Outside when M_n exceeds lam + MEMBERSHIP_TOL
-    (a sample bounds the maximum from below), Inconclusive when neither
-    pass decides.  ``bernstein_factor`` and ``bound`` are None when 2 pi d
-    >= n.
+    Takes ZERO_COUNT_COARSE samples, then PHI_BOUNDARY_ANGLES, then 16384:
+    Inside when the bound is at most lam, Outside when M_n exceeds lam +
+    MEMBERSHIP_TOL (a sample bounds the maximum from below), Inconclusive
+    when no pass decides.  ``bernstein_factor`` and ``bound`` are None when
+    2 pi d >= n.
     """
     d = max((k for k, c in enumerate(phi.raw) if c != 0), default=0)
     rounding = ZERO_COUNT_ROUNDING * ((1 + lam) * (1 + d) + lam * (1 + 2 * d))
-    for n in (ZERO_COUNT_COARSE, PHI_BOUNDARY_ANGLES):
+    for n in (ZERO_COUNT_COARSE, PHI_BOUNDARY_ANGLES, _BERNSTEIN_LAST):
         t, best = _boundary_max(lam, phi, n)
         slack = 1 - 2 * math.pi * d / n
         factor = 1 / slack if slack > 0 else None

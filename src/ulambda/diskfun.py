@@ -6,13 +6,14 @@ the sum of absolute coefficients), so membership in the class of unit-bounded
 functions never rests on a numerical optimization.
 
 ``antiderivative`` integrates a family along [0, z] at one point or at a
-whole array of points.  Moebius shifts, monomials and polynomials have an exact
-primitive and take it; a Moebius shift's is z B_a(z e^{i psi}), where
-``_moebius_mean`` is the one implementation of the majorant B_a that
-``bounds.b_a`` also calls.  Blaschke products take ``gauss_legendre``, a
-16-node rule on one segment near the origin and on two farther out, which
-costs one vectorized ``eval`` on a (points x nodes) matrix per segment count
-it needs, not one call per point.
+whole array of points, by the family's exact primitive.  A Moebius shift's is
+z B_a(z e^{i psi}), where ``_moebius_mean`` is the one implementation of the
+majorant B_a that ``bounds.b_a`` also calls.  A Blaschke product's is a sum
+of residue terms (``Blaschke._primitive``), each at a simple zero again a
+``_moebius_mean``.  ``gauss_legendre``, a 16-node rule on one segment near
+the origin and on two farther out, shares no code with them: it is the
+independent reference that the tests and the sharpness checks compare them
+with.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -59,7 +61,13 @@ class DiskFunction:
 
     def _primitive(self, z):
         # int_0^z self for an array or numpy scalar z in the closed disk
-        return gauss_legendre(self, z)
+        raise NotImplementedError
+
+    def _primitive_size(self) -> float:
+        """A bound on the moduli of the terms that ``_primitive`` sums on the
+        closed disk, the scale its rounding is relative to: 1 for the closed
+        forms, whose primitive is itself at most 1 there."""
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -175,6 +183,113 @@ class Blaschke(DiskFunction):
         for b in self.zeros:
             acc = series_mul(acc, TruncatedSeries(_moebius_coeffs(-b, order)))
         return acc
+
+    @cached_property
+    def _residues(self) -> tuple:
+        """(P, simple, repeated) of the partial fractions of B e^{-i rot} in
+        w = 1/z, where (z - b)/(1 - conj(b) z) = (1 - b w)/(w - c), c =
+        conj(b):
+
+            B e^{-i rot} = P + sum_k sum_{m <= mu_k} G_{k, mu_k - m} (z/(1 - c_k z))^m,
+
+        with P = prod_j (-b_j), c_k the distinct conj(b_k), mu_k their
+        multiplicities and G_k the Taylor coefficients at c_k of
+        prod_j (1 - b_j w) / prod_{i != k} (w - c_i)^{mu_i}.
+
+        ``simple`` holds (b_k, r_k) for each zero with mu_k = 1, r_k =
+        G_{k,0}/(1 - |b_k|^2) = prod_{j != k} (1 - b_j c_k)/(c_k - c_j), the
+        weight of z (B_{-b_k}(z) + b_k) = (1 - |b_k|^2) int_0^z t/(1 - c_k t)
+        dt; ``repeated`` holds (c_k, (G_{k,mu_k-1}, ..., G_{k,0})) for the
+        others, coefficient n the weight of ``_k_n(n, c_k, z)``."""
+        mult = Counter(self.zeros)
+        simple, repeated = [], []
+        for b, mu in mult.items():
+            c = b.conjugate()
+            if mu == 1:
+                r = 1
+                for other in self.zeros:
+                    if other != b:
+                        r = r * (1 - other * c) / (c - other.conjugate())
+                simple.append((b, r))
+                continue
+            # Taylor series in u = w - c, truncated after u^{mu-1}:
+            # 1 - b_j w = (1 - b_j c) - b_j u and 1/(w - c_i) = sum_l (-u)^l / (c - c_i)^{l+1}
+            g = np.eye(1, mu, dtype=complex)[0]
+            for other in self.zeros:
+                g = np.convolve(g, [1 - other * c, -other])[:mu]
+            for other, m in mult.items():
+                if other != b:
+                    d = c - other.conjugate()
+                    inverse = [(-1) ** l / d ** (l + 1) for l in range(mu)]
+                    for _ in range(m):
+                        g = np.convolve(g, inverse)[:mu]
+            repeated.append((c, tuple(g[::-1].tolist())))
+        return math.prod(-b for b in self.zeros), simple, repeated
+
+    def _primitive(self, z):
+        # int_0^z of the partial fractions of ``_residues``, term by term
+        const, simple, repeated = self._residues
+        out = const * z
+        for b, r in simple:
+            out = out + r * (z * (_moebius_mean(-b, z) + b))
+        for c, weights in repeated:
+            for n, g in enumerate(weights):
+                # a lone multiple zero at 0 weighs only its last K_n
+                if g:
+                    out = out + g * _k_n(n, c, z)
+        return cmath.exp(1j * self.rotation) * out
+
+    def _primitive_size(self) -> float:
+        # |P z| <= |P|; a simple zero's term sums r_k z B_{-b_k} and r_k z b_k,
+        # each below |r_k| as |B_a| <= 1; and |K_n(c, z)| <= K_n(|c|, 1)
+        const, simple, repeated = self._residues
+        one = np.complex128(1.0)
+        size = abs(const) + sum(2 * abs(r) for _, r in simple)
+        for c, weights in repeated:
+            size += sum(abs(g) * _k_n(n, abs(c), one).real for n, g in enumerate(weights))
+        return float(size)
+
+
+# K_n(c, z) takes its series for |c z| below this; the closed form's
+# binomial sum cancels as |c z| shrinks, and against 40 digits kept within
+# 15 eps of K_n(|c|, 1) from here on for n <= 5
+_K_N_SERIES = 0.75
+
+
+def _k_n_small(n: int, z, w):
+    # K_n = z^{n+2} sum_{m < M} C(m + n, n) w^m / (m + n + 2), w = c z, up to
+    # the first M > n with C(M + n, n) 0.75^M < 1e-17: the terms then fall
+    # by (m + n + 1)/(m + 1) 0.75 < 0.9 per step, as that M exceeds 5n
+    terms = n + 1
+    while math.comb(terms + n, n) * _K_N_SERIES**terms >= 1e-17:
+        terms += 1
+    acc = 0j
+    for m in range(terms - 1, -1, -1):
+        acc = acc * w + math.comb(m + n, n) / (m + n + 2)
+    return _power(z, n + 2) * acc
+
+
+def _k_n_closed(n: int, c: complex, z, w):
+    # t/(1 - ct) = (y - 1)/c with y = 1/(1 - ct), expanded binomially:
+    # K_n = c^{-n-2} sum_j C(n+1, j) (-1)^{n+1-j} L_j, L_0 = w,
+    # L_1 = -log(1 - w) and L_j = ((1 - w)^{1-j} - 1)/(j - 1)
+    y = 1 / (1 - w)
+    acc = (-1) ** (n + 1) * (w + (n + 1) * np.log1p(-w))
+    power = y
+    for j in range(2, n + 2):
+        acc = acc + (math.comb(n + 1, j) * (-1) ** (n + 1 - j) / (j - 1)) * (power - 1)
+        power = power * y
+    return acc / c ** (n + 2)
+
+
+def _k_n(n: int, c: complex, z):
+    """K_n(c, z) = int_0^z t^{n+1}/(1 - ct)^{n+1} dt for |c| < 1, at an array
+    or numpy scalar z in the closed disk: z^{n+2}/(n+2) at c = 0, else the
+    series where |cz| < 0.75 and the closed form elsewhere, each branch on
+    its own elements."""
+    if c == 0:
+        return _power(z, n + 2) / (n + 2)
+    return _by_mask(abs(c * z) < _K_N_SERIES, partial(_k_n_small, n), partial(_k_n_closed, n, c), z, c * z)
 
 
 @dataclass(frozen=True)
@@ -347,9 +462,9 @@ def _disk_points(z):
 def antiderivative(fun: DiskFunction, z):
     """Line integral of fun along [0, z] for a point or an array of points.
 
-    Takes the family's exact primitive where it has one (Moebius shift,
-    monomial, polynomial) and ``gauss_legendre`` otherwise.  The result has
-    the shape of z, and a 0-d z gives a complex.
+    Takes the family's exact primitive: closed forms for a Moebius shift, a
+    monomial and a polynomial, residue terms for a Blaschke product.  The
+    result has the shape of z, and a 0-d z gives a complex.
     """
     z = _disk_points(z)
     out = fun._primitive(z)

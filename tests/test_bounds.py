@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from test_diskfun import sample_functions
+from test_diskfun import mp_blaschke_integral, sample_functions
 from test_geometry import polygon_distance, reference_contains
 
 import ulambda.bounds as bounds_module
@@ -1070,23 +1070,52 @@ class TestOmegaVerdict:
         got = omega_verdict(0.5, a2, ZERO_FUN)
         assert (got.verdict, got.path) == ("Outside", "curve_distance")
         assert got.value == pytest.approx(3e-5, rel=1e-6)
-        assert got.budget["samples"] == 8192 and got.budget["tail"] == 0.0
+        assert set(got.budget) == {"samples", "min_mean_abs_q", "threshold"}
+        assert got.budget["samples"] == 8192
 
-    def test_truncation_tail_not_ignored(self):
+    def test_blaschke_power_is_the_monomial(self):
         # omega = z^63, as a Blaschke product with 63 zeros at 0, lies
-        # wholly beyond q_64, which is 1 - a2 z; gamma(t) = e^{-it} + lam
-        # e^{64 it}/64 bulges out to 1 + lam/64 at t = 0, so a2 = 1 + lam/128
-        # is inside it although q_64 has its zero 1/a2 in the disk.  The
-        # 8192 samples of q_64 stay lam/128 from 0, above h (1 + lam) / 2:
-        # only tau_N = lam/sqrt(63) keeps them from deciding
+        # wholly beyond an order-64 truncation of q, 1 - a2 z; gamma(t) =
+        # e^{-it} + lam e^{64 it}/64 bulges out to 1 + lam/64 at t = 0, so
+        # a2 = 1 + lam/128 is inside it although 1 - a2 z has its zero in
+        # the disk.  The residue form's one term is z^64/64 exactly, so the
+        # samples, the budget and the verdict are those of the monomial
         lam, omega = 0.7, Blaschke(zeros=(0,) * 63)
         a2 = 1 + lam / 128
         got = omega_verdict(lam, a2, omega)
-        assert got.budget["tail"] == pytest.approx(lam / math.sqrt(63), rel=1e-9)
-        assert lam / 128 < got.budget["min_mean_abs_q"] < 1.01 * lam / 128
-        assert got.budget["min_mean_abs_q"] > 2 * math.pi / 8192 * (1 + lam) / 2
-        assert (got.verdict, got.path) == ("Inside", "curve_distance")
-        assert 1e-3 < got.value < lam / 128
+        assert (got.verdict, got.path, got.value) == ("Inside", "zero_count", 0)
+        assert got == omega_verdict(lam, a2, Monomial(k=63))
+
+    @pytest.mark.parametrize("b", [0.95, 0.995, 0.999])
+    @pytest.mark.parametrize("lam", [0.5, 0.7])
+    def test_near_circle_blaschke_is_its_moebius_shift(self, b, lam):
+        # (z - b)/(1 - b z) is the Moebius shift with a = -b, whose gamma is
+        # exact; near the pole 1/b the 16-node quadrature of the Blaschke
+        # primitive was off by up to 2.7e-4, more than these a2 lie from
+        # gamma, and an order-64 q of either is far off there
+        blaschke, moebius = Blaschke(zeros=(b,)), MoebiusShift(-b)
+        for t in (0.0, 0.003, -0.02, 0.4, 2.5):
+            g, normal = curve_points(moebius, lam, t)
+            for d in (-1e-4, -3e-5, -4e-6, 4e-6, 3e-5, 1e-4):
+                a2 = complex(g + d * normal)
+                got, want = omega_verdict(lam, a2, blaschke), omega_verdict(lam, a2, moebius)
+                assert got.verdict == want.verdict == ("Outside" if d > 0 else "Inside")
+
+    def test_clustered_zeros_within_the_rounding_allowed(self):
+        # zeros 1e-6 apart weigh their residue terms by about 7.5e5, and the
+        # primitive loses digits in proportion; the rounding the certificate
+        # allows counts those terms, and covers the error measured against
+        # 40 digits
+        lam, omega = 0.7, Blaschke(zeros=(0.5, 0.5 + 1e-6))
+        z = np.exp(2j * math.pi * np.arange(16) / 16 + 0.1j)
+        ref = np.array([mp_blaschke_integral(omega, p) for p in z])
+        error = float(np.max(np.abs(antiderivative(omega, z) - ref)))
+        assert error > 1e-11
+        got = omega_verdict(lam, 1.2, omega)
+        assert got.budget["threshold"] > error
+        h = 2 * math.pi / got.budget["samples"]
+        rounding = got.budget["threshold"] - h * (1 + lam) / 2
+        assert rounding > 100 * lam * error
 
     def test_unprojectable_curve_is_inconclusive(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_diskfun import mp_blaschke_integral
 
 from ulambda import bounds, cli, core
 from ulambda.cli import main
@@ -256,11 +257,11 @@ class TestMembership:
     def test_near_boundary_moebius_omega_inside(self, tmp_path, lam, a2, samples):
         # U = -lam z^2 omega is below lam everywhere and q has no zero; the
         # order-64 sweep read 0.796 at lambda 0.7 and called it Outside.
-        # Samples of the exact q prove the count.  At lambda 1, min |q| on
-        # the circle is 7.0e-3 and 1.4e-3: the tail of q's order-64
-        # truncation, 7.2e-3, would hide both.  gamma has a cusp there, which
-        # a sampled self-intersection check took for a crossing; locate
-        # agrees on both
+        # Samples of the exact q prove the count, and the budget has no
+        # truncation tail.  At lambda 1, min |q| on the circle is 7.0e-3 and
+        # 1.4e-3: the tail of q's order-64 truncation, 7.2e-3, would hide
+        # both.  gamma has a cusp there, which a sampled self-intersection
+        # check took for a crossing; locate agrees on both
         code, out = run(tmp_path, "membership",
                         {"lambda": lam,
                          "candidate": {"type": "omega", "a2": a2,
@@ -268,12 +269,28 @@ class TestMembership:
         assert code == 0
         rep = json.loads((out / "membership.json").read_text())
         assert rep == {"path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside",
-                       "samples": samples, "tail": 0.0,
+                       "samples": samples,
                        "threshold": pytest.approx(2 * math.pi / samples * (1 + lam) / 2, rel=1e-6),
                        "min_mean_abs_q": rep["min_mean_abs_q"]}
         assert rep["min_mean_abs_q"] > rep["threshold"]
         if lam == 1.0:
             assert bounds.c_omega_curve(MoebiusShift(0.98), lam).locate([0.5, 1.45])[0].tolist() == [INSIDE] * 2
+
+    def test_near_circle_blaschke_omega_inside(self, tmp_path):
+        # the zero 0.995 puts a pole 0.005 beyond the circle; the quadrature
+        # of gamma was off by 5.5e-5 there and this a2, 2.76e-5 inside
+        # gamma, exited 2.  The same function as a Moebius shift was Inside
+        omega = {"kind": "blaschke", "zeros": [0.995]}
+        code, out = run(tmp_path, "membership",
+                        {"lambda": 0.7, "candidate": {"type": "omega", "a2": [0.3338230352176687, 0.0],
+                                                      "omega": omega}})
+        assert code == 0
+        rep = json.loads((out / "membership.json").read_text())
+        assert rep["verdict"] == "Inside"
+        assert 2.7e-5 < rep["distance_to_curve"] < 2.8e-5
+        same = bounds.omega_verdict(0.7, 0.3338230352176687, MoebiusShift(-0.995))
+        assert (same.verdict, same.path) == ("Inside", rep["path"])
+        assert same.value == pytest.approx(rep["distance_to_curve"], rel=1e-6)
 
     def test_z_squared_on_a_one_point_grid_outside(self, tmp_path):
         # the one-point grid at r = 0.5 used to read 0.469 < 0.5 and exit 0
@@ -299,6 +316,19 @@ class TestMembership:
         assert rep["samples"] == 256 and 1.0022 < rep["boundary_max"] < 1.0024
         assert rep["bound"] > rep["boundary_max"] * rep["bernstein_factor"]
         assert "unused" not in rep
+
+    def test_bernstein_band_decided_on_the_last_pass(self, tmp_path):
+        # max |U| is within 2 pi d / 4096 (d = 12) of lambda relative: 4096
+        # samples bound it by 0.50175 only, and this exited 3; 16384 bound
+        # it by 0.49479 < 0.5
+        phi = {"kind": "poly", "coeffs": [0, 0.7] + [0] * 10 + [0.01], "normalizer": 1.0}
+        code, out = run(tmp_path, "membership", {"lambda": 0.5, "candidate": {"type": "phi", "phi": phi}})
+        assert code == 0
+        rep = json.loads((out / "membership.json").read_text())
+        assert (rep["verdict"], rep["path"], rep["samples"]) == ("Inside", "bernstein", 16384)
+        assert rep["bernstein_factor"] == pytest.approx(1 / (1 - 2 * math.pi * 12 / 16384), rel=1e-15)
+        assert 0.4947 < rep["bound"] < 0.4949
+        assert rep["boundary_max"] * rep["bernstein_factor"] <= rep["bound"]
 
     @pytest.mark.parametrize("phi", [
         {"kind": "poly", "coeffs": [0, 1.0]},
@@ -402,7 +432,7 @@ class TestMembership:
             reps.append(rep)
         assert reps[0] == reps[1] == reps[2]
         assert (reps[0]["path"], reps[0]["q_disk_zeros"], reps[0]["verdict"]) == ("zero_count", 0, "Inside")
-        assert (reps[0]["samples"], reps[0]["tail"]) == (256, 0.0)
+        assert reps[0]["samples"] == 256 and "tail" not in reps[0]
         codes, distances = bounds.c_omega_curve(MoebiusShift(0.5), 0.7).locate([1.45])
         assert codes.tolist() == [INSIDE] and 0.083 < distances[0] < 0.085
         code, _ = run(tmp_path, "membership", {**cfg, "order": 1}, outdir="bad")
@@ -541,6 +571,24 @@ class TestRegionA2:
             assert rep["path"] == "zero_count"
             proven.append(rep["verdict"].lower())
         assert where == proven == ["inside", "inside", "outside", "outside"]
+
+    def test_near_circle_blaschke_query_outside(self, tmp_path):
+        # zeros 0.99i and -0.5 at lambda 1: at t = pi/2, where the pole
+        # -i/0.99 lies just beyond the circle, the 16-node quadrature of
+        # gamma was off by 1.1e-5 and read a point 2.6e-6 outside as inside.
+        # gamma(pi/2) = -i + W(i) takes W at 40 digits; the exterior lies to
+        # the left of gamma'
+        omega = {"kind": "blaschke", "zeros": [[0, 0.99], -0.5]}
+        fun = diskfun_from_json(omega)
+        w = mp_blaschke_integral(fun, 1j)
+        assert abs(gauss_legendre(fun, 1j) - w) > 1e-5
+        tangent = 1j * (1j * fun.eval(1j) + 1j)
+        a2 = -1j + w + 2.6e-6 * 1j * tangent / abs(tangent)
+        code, out = run(tmp_path, "region-a2", {"lambda": 1.0, "omega": omega, "queries": [[a2.real, a2.imag]]})
+        assert code == 0
+        (query,) = json.loads((out / "region.json").read_text())["queries"]
+        assert query["where"] == "outside"
+        assert query["distance_to_curve"] == pytest.approx(2.6e-6, rel=1e-3)
 
     def test_moebius_bound_query(self, tmp_path):
         from ulambda.bounds import v_of_x

@@ -347,12 +347,12 @@ class TestGeneratorVerdict:
     @staticmethod
     def circle_budget(lam, a2, omega):
         """The budget of a Moebius omega's verdict proven on 256 samples of
-        the exact q, with no tail: the least mean of |q| over two
-        neighbouring samples, held to h (1 + lam) / 2 plus rounding."""
+        the exact q: the least mean of |q| over two neighbouring samples,
+        held to h (1 + lam) / 2 plus rounding, and no other key."""
         z = ring(1.0, 256)
         mod = np.abs(1 - a2 * z + lam * z * antiderivative(omega, z))
         low = float(np.min(mod + np.roll(mod, -1))) / 2
-        return {"samples": 256, "tail": 0.0,
+        return {"samples": 256,
                 "min_mean_abs_q": pytest.approx(low, abs=1e-12),
                 "threshold": pytest.approx(2 * math.pi / 256 * (1 + lam) / 2, abs=1e-11)}
 
@@ -456,8 +456,10 @@ class TestPhiVerdict:
         (0.9, "Inside", 256),
         # lam c^2 (1 - 2 pi/256)^-1 > lam, lam c^2 (1 - 2 pi/4096)^-1 <= lam
         (0.99, "Inside", 4096),
-        # lam c^2 < lam < lam c^2 (1 - 2 pi/4096)^-1: the Bernstein band
-        (0.9997, "Inconclusive", 4096),
+        # lam c^2 (1 - 2 pi/4096)^-1 > lam, lam c^2 (1 - 2 pi/16384)^-1 <= lam
+        (0.9997, "Inside", 16384),
+        # lam c^2 < lam < lam c^2 (1 - 2 pi/16384)^-1: the Bernstein band
+        (0.9999, "Inconclusive", 16384),
     ])
     def test_bernstein_passes(self, c, verdict, samples):
         lam = 0.5
@@ -472,16 +474,19 @@ class TestPhiVerdict:
                                  "bound": got.budget["bound"], "verdict": verdict}
 
     def test_degree_beyond_the_samples_is_never_inside(self):
-        # max |U| is about lam / 4, but 2 pi d >= n on both passes, so no
-        # bound exists; at degree 41 only the 256-sample pass lacks one
+        # max |U| is about lam / 4, but 2 pi d >= n on every pass, so no
+        # bound exists; at degree 700 only the 16384-sample pass has one,
+        # and at degree 41 only the 256-sample pass lacks one
         lam = 0.5
-        raw = (0, 0.5) + (0,) * 698 + (1e-9,)
+        raw = (0, 0.5) + (0,) * 2698 + (1e-9,)
         got = phi_verdict(lam, ScaledPolynomial(raw=raw, normalizer=1.0))
         assert (got.verdict, got.path) == ("Inconclusive", "bernstein")
-        assert got.budget == {"samples": 4096, "bernstein_factor": None, "bound": None}
+        assert got.budget == {"samples": 16384, "bernstein_factor": None, "bound": None}
         assert got.value < lam / 4 + 1e-5
-        got = phi_verdict(lam, ScaledPolynomial(raw=(0, 0.5) + (0,) * 39 + (1e-9,), normalizer=1.0))
-        assert (got.verdict, got.budget["samples"]) == ("Inside", 4096)
+        for degree, samples in ((700, 16384), (41, 4096)):
+            raw = (0, 0.5) + (0,) * (degree - 2) + (1e-9,)
+            got = phi_verdict(lam, ScaledPolynomial(raw=raw, normalizer=1.0))
+            assert (got.verdict, got.budget["samples"]) == ("Inside", samples)
 
     def test_fallback_is_never_inside(self):
         # phi(0) = 1e-10: a rotation to 1e-10, sampled, with no exact rule

@@ -1,10 +1,12 @@
 import cmath
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 
+from ulambda.cli import sample_omega
 from ulambda.diskfun import (
     Blaschke,
     Monomial,
@@ -381,9 +383,10 @@ class TestExactPrimitives:
         assert np.max(np.abs(antiderivative(fun, z) - ref)) <= 1e-15
 
     def test_no_evaluation(self, monkeypatch):
-        # the exact primitives never evaluate the integrand; Blaschke does
-        funs = [MoebiusShift(0.5, 1.0), MoebiusShift(1.0), Monomial(1.0, 2), ScaledPolynomial(raw=(0.2, 0.5j))]
-        blaschke = Blaschke(zeros=(0.3,))
+        # the exact primitives, a Blaschke product's residue terms among
+        # them, never evaluate the integrand
+        funs = [MoebiusShift(0.5, 1.0), MoebiusShift(1.0), Monomial(1.0, 2), ScaledPolynomial(raw=(0.2, 0.5j)),
+                Blaschke(zeros=(0.3,)), Blaschke(zeros=(0.5, 0.5, 0, -0.2j), rotation=1.0)]
         calls = []
         for cls in (MoebiusShift, Monomial, ScaledPolynomial, Blaschke):
             monkeypatch.setattr(cls, "eval", lambda self, z: calls.append(self) or np.zeros_like(z))
@@ -392,8 +395,93 @@ class TestExactPrimitives:
             antiderivative(fun, z)
             antiderivative(fun, z[3])
         assert calls == []
-        antiderivative(blaschke, z)
-        assert calls == [blaschke, blaschke]
+
+
+def mp_blaschke_integral(fun, z):
+    """int_0^z of the Blaschke product at 40 digits by ``mpmath.quad``, on
+    [0, z] split where a pole just beyond the circle would crowd the nodes."""
+    with mpmath.workdps(40):
+        zeros = [(mpmath.mpc(b), m) for b, m in Counter(fun.zeros).items()]
+        e, z = mpmath.expj(fun.rotation), mpmath.mpc(z)
+
+        def integrand(s):
+            t = s * z
+            return e * mpmath.fprod(((t - b) / (1 - mpmath.conj(b) * t)) ** m for b, m in zeros) * z
+
+        return complex(mpmath.quad(integrand, [0, 0.5, 0.9, 0.99, 0.999, 1]))
+
+
+def blaschke_draws():
+    """The first six Blaschke omegas that ``cli.sample_omega`` draws on seed 5."""
+    rng, draws = np.random.default_rng(5), []
+    while len(draws) < 6:
+        omega = sample_omega(rng)
+        if isinstance(omega, Blaschke):
+            draws.append(omega)
+    return draws
+
+
+class TestBlaschkePrimitive:
+    """A Blaschke product's primitive, in residue form, against 40 digits at
+    points on and inside the circle: the zeros' own directions on the
+    circle, where a pole lies just beyond it, and four other points."""
+
+    @staticmethod
+    def points(fun):
+        rng = np.random.default_rng(len(fun.zeros))
+        toward = [b / abs(b) for b in fun.zeros[:3] if b != 0]
+        rest = [cmath.exp(2.1j), -1j, 0.6 * cmath.exp(1j * rng.uniform(0, 2 * math.pi)), 0.95j]
+        return np.array(toward + rest, dtype=complex)
+
+    def check(self, fun, tol):
+        z = self.points(fun)
+        ref = np.array([mp_blaschke_integral(fun, p) for p in z])
+        assert np.max(np.abs(antiderivative(fun, z) - ref)) <= tol
+        assert abs(antiderivative(fun, z[-1]) - ref[-1]) <= tol
+        return ref
+
+    @pytest.mark.parametrize("fun", blaschke_draws(), ids=lambda f: f"draw-{len(f.zeros)}")
+    def test_sampler_draws(self, fun):
+        self.check(fun, 1e-13)
+
+    @pytest.mark.parametrize("zeros", [
+        (0.99,), (0.995,), (0.999 * cmath.exp(2.1j),), (0.99j, -0.5), (0.995, 0.3j),
+    ])
+    def test_near_the_circle(self, zeros):
+        # the 16-node quadrature is off by 1e-5 to 5e-4 at these points
+        fun = Blaschke(zeros=zeros, rotation=0.4)
+        ref = self.check(fun, 1e-13)
+        assert np.max(np.abs(gauss_legendre(fun, self.points(fun)) - ref)) > 1e-6
+
+    @pytest.mark.parametrize("zeros", [
+        (0.5, 0.5), (0.6j, 0.6j, 0.6j, -0.3), (0.9, 0.9, 0.2j), (0.8j,) * 5, (0.995, 0.995),
+    ])
+    def test_repeated_zeros(self, zeros):
+        self.check(Blaschke(zeros=zeros, rotation=-1.1), 1e-13)
+
+    @pytest.mark.parametrize("zeros", [
+        (0, 0.5), (0, 0, 0.5j), (0, 0, 0, 0.3 - 0.4j, 0.6), (0,) * 63, (1e-8,),
+    ])
+    def test_zeros_at_or_near_the_origin(self, zeros):
+        self.check(Blaschke(zeros=zeros, rotation=2.0), 1e-13)
+
+    def test_close_small_zeros(self):
+        # the pair +-1e-4 weighs its two terms by -+5000, and they cancel to
+        # about z^3/3: the error is some 1000 eps, inside the 2 * 5000 * 2
+        # that ``_primitive_size`` counts for the certificate's rounding
+        fun = Blaschke(zeros=(1e-4, -1e-4), rotation=0.3)
+        assert fun._primitive_size() == pytest.approx(2e4, rel=1e-6)
+        self.check(fun, 1e-12)
+
+    def test_no_zeros(self):
+        # the constant e^{i rot}, which eval gives for an empty product
+        fun = Blaschke(zeros=(), rotation=0.5)
+        z = disk_points(np.random.default_rng(28), 10)
+        assert np.max(np.abs(antiderivative(fun, z) - cmath.exp(0.5j) * z)) <= 1e-16
+
+    def test_z63_is_the_monomial_bit_for_bit(self):
+        z = np.concatenate([np.exp(2j * np.pi * np.arange(256) / 256), disk_points(np.random.default_rng(29), 10)])
+        assert np.array_equal(antiderivative(Blaschke(zeros=(0,) * 63), z), antiderivative(Monomial(k=63), z))
 
 
 class TestTaylorInvariants:
