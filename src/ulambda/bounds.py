@@ -61,6 +61,7 @@ from .series import DEFAULT_ORDER, TruncatedSeries, ring, series_reciprocal
 from .core import (
     DEFAULT_ANGLES,
     DEFAULT_RADII,
+    ZERO_COUNT_ROUNDING,
     GeneratorVerdict,
     UCandidate,
     _proven_winding,
@@ -343,9 +344,12 @@ class RegionA2:
 
     def locate(self, a2) -> tuple:
         """(codes, distances) of the points a2, flattened: the distance to
-        gamma(t*), the nearest point, and BOUNDARY within ``BOUNDARY_TOL``, else
-        INSIDE or OUTSIDE by the side of gamma'(t*) the point lies on: gamma
-        runs clockwise, so the exterior lies to the left of gamma'.
+        gamma(t*), the nearest point, and BOUNDARY within ``BOUNDARY_TOL``
+        (or within lam ZERO_COUNT_ROUNDING S, the rounding of gamma that
+        ``omega_verdict`` allows, S = ``omega._primitive_size()``, if that is
+        larger), else INSIDE or OUTSIDE by the side of gamma'(t*) the point
+        lies on: gamma runs clockwise, so the exterior lies to the left of
+        gamma'.
 
         Newton steps on Re(conj(gamma') (gamma - a2)) = 0 (descent steps where
         the distance is not convex in t), each clamped to one sample spacing,
@@ -395,7 +399,8 @@ class RegionA2:
         outside = np.zeros(len(p), dtype=bool)
         outside[row[exterior]] = True
         codes = np.where(outside, OUTSIDE, INSIDE)
-        return np.where(best <= BOUNDARY_TOL, BOUNDARY, codes).astype(np.int8), best
+        band = max(BOUNDARY_TOL, self.lam * ZERO_COUNT_ROUNDING * self.omega._primitive_size())
+        return np.where(best <= band, BOUNDARY, codes).astype(np.int8), best
 
     def contains(self, a2: complex) -> str:
         return LABELS[self.locate(a2)[0][0]]
@@ -468,8 +473,9 @@ def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerd
 
     When neither pass proves the winding, a2 lies within about h (1 + lam)
     of gamma, and ``RegionA2.locate`` decides: Inside or Outside by the side
-    of gamma, Inconclusive within ``BOUNDARY_TOL`` or when the projection
-    onto gamma does not settle (NoConvergence).  ``budget`` records the last
+    of gamma, Inconclusive within its band (``BOUNDARY_TOL``, or gamma's
+    rounding if larger) or when the projection onto gamma does not settle
+    (NoConvergence).  ``budget`` records the last
     pass's ``samples``, ``min_mean_abs_q`` and ``threshold``.
     """
     size = 1 + max(1.0, lam * omega._primitive_size()) + abs(a2)

@@ -9,8 +9,7 @@ functions never rests on a numerical optimization.
 whole array of points, by the family's exact primitive.  A Moebius shift's is
 z B_a(z e^{i psi}), where ``_moebius_mean`` is the one implementation of the
 majorant B_a that ``bounds.b_a`` also calls.  A Blaschke product's is a sum
-of residue terms (``Blaschke._primitive``), each at a simple zero again a
-``_moebius_mean``.  ``gauss_legendre``, a 16-node rule on one segment near
+of residue terms (``Blaschke._residues``).  ``gauss_legendre``, a 16-node rule on one segment near
 the origin and on two farther out, shares no code with them: it is the
 independent reference that the tests and the sharpness checks compare them
 with.
@@ -186,53 +185,93 @@ class Blaschke(DiskFunction):
 
     @cached_property
     def _residues(self) -> tuple:
-        """(P, simple, repeated) of the partial fractions of B e^{-i rot} in
-        w = 1/z, where (z - b)/(1 - conj(b) z) = (1 - b w)/(w - c), c =
-        conj(b):
+        """(P, simple, clusters): the primitive's residue terms.
 
-            B e^{-i rot} = P + sum_k sum_{m <= mu_k} G_{k, mu_k - m} (z/(1 - c_k z))^m,
+        In w = 1/z each factor (z - b)/(1 - conj(b) z) is (1 - b w)/(w - c),
+        c = conj(b), so B e^{-i rot} = F(w)/prod_j (w - c_j) with F(w) =
+        prod_j (1 - b_j w): the constant P = prod_j (-b_j) plus the principal
+        parts at the c_j.  As 1/(w - c)^m = (z/(1 - cz))^m, whose primitive is
+        K_{m-1}(c, z) (``_k_n``), and d^n K_0/dc^n = n! K_n, the principal
+        parts at a group of the c_j integrate to the divided difference over
+        the group of c -> H(c) K_0(c, z), H = F/prod_{j outside} (c - c_j);
+        a repeated c counts as often as it repeats.
 
-        with P = prod_j (-b_j), c_k the distinct conj(b_k), mu_k their
-        multiplicities and G_k the Taylor coefficients at c_k of
-        prod_j (1 - b_j w) / prod_{i != k} (w - c_i)^{mu_i}.
-
-        ``simple`` holds (b_k, r_k) for each zero with mu_k = 1, r_k =
-        G_{k,0}/(1 - |b_k|^2) = prod_{j != k} (1 - b_j c_k)/(c_k - c_j), the
-        weight of z (B_{-b_k}(z) + b_k) = (1 - |b_k|^2) int_0^z t/(1 - c_k t)
-        dt; ``repeated`` holds (c_k, (G_{k,mu_k-1}, ..., G_{k,0})) for the
-        others, coefficient n the weight of ``_k_n(n, c_k, z)``."""
-        mult = Counter(self.zeros)
-        simple, repeated = [], []
-        for b, mu in mult.items():
-            c = b.conjugate()
-            if mu == 1:
+        ``simple`` holds (b, r) for each lone zero b: r = prod_{j != k} (1 -
+        b_j c)/(c - c_j) weighs z (B_{-b}(z) + b) = (1 - |b|^2) K_0(c, z).
+        ``clusters`` holds (c0, weights) for each group of zeros within
+        ``_CLUSTER`` of one another, or repeated, with weights[n] the weight
+        of K_n(c0, z) in the group's divided difference, taken about the
+        group's centre c0: with u_i = c_i - c0 for its p nodes, the divided
+        difference of (c - c0)^m is the complete symmetric polynomial
+        h_{m-p+1}(u), so weights[n] = sum_m h_{m-p+1}(u) H_{m-n}, H_l the
+        Taylor coefficients of H at c0, until h's terms fall below rounding.
+        Distinct zeros close together would otherwise weigh their terms by
+        about 1/|c_k - c_j| each, and lose as many digits.  A group whose
+        spread is not within an eighth of the distance from c0 to the other
+        poles and to 1/z is split into its repeated zeros."""
+        groups = []
+        for b in self.zeros:
+            near = [g for g in groups if any(abs(b - x) < _CLUSTER for x in g)]
+            groups = [g for g in groups if all(g is not h for h in near)]
+            groups.append([b] + [x for g in near for x in g])
+        simple, clusters = [], []
+        for group in groups:
+            parts = [group]
+            if len(group) > 1:
+                _, spread, room = self._centre(group)
+                if spread > room / 8:
+                    parts = [[b] * m for b, m in Counter(group).items()]
+            for part in parts:
+                if len(part) > 1:
+                    clusters.append(self._cluster(part))
+                    continue
+                b = part[0]
                 r = 1
                 for other in self.zeros:
                     if other != b:
-                        r = r * (1 - other * c) / (c - other.conjugate())
+                        r = r * (1 - other * b.conjugate()) / (b.conjugate() - other.conjugate())
                 simple.append((b, r))
-                continue
-            # Taylor series in u = w - c, truncated after u^{mu-1}:
-            # 1 - b_j w = (1 - b_j c) - b_j u and 1/(w - c_i) = sum_l (-u)^l / (c - c_i)^{l+1}
-            g = np.eye(1, mu, dtype=complex)[0]
-            for other in self.zeros:
-                g = np.convolve(g, [1 - other * c, -other])[:mu]
-            for other, m in mult.items():
-                if other != b:
-                    d = c - other.conjugate()
-                    inverse = [(-1) ** l / d ** (l + 1) for l in range(mu)]
-                    for _ in range(m):
-                        g = np.convolve(g, inverse)[:mu]
-            repeated.append((c, tuple(g[::-1].tolist())))
-        return math.prod(-b for b in self.zeros), simple, repeated
+        return math.prod(-b for b in self.zeros), simple, clusters
+
+    def _centre(self, group: list) -> tuple:
+        # (c0, spread, distance from c0 to the other poles and to 1/z)
+        c = [b.conjugate() for b in group]
+        # an offset from c[0], so that a repeated zero is its own centre exactly
+        c0 = c[0] + sum(x - c[0] for x in c) / len(c)
+        others = [abs(c0 - b.conjugate()) for b in self.zeros if b not in group]
+        return c0, max(abs(x - c0) for x in c), min([1 - abs(c0)] + others)
+
+    def _cluster(self, group: list) -> tuple:
+        c0, spread, room = self._centre(group)
+        u, p = [b.conjugate() - c0 for b in group], len(group)
+        # h_k(u) is at most C(k + p - 1, p - 1) spread^k, and H_l about room^-l
+        terms = 1
+        while spread and math.comb(terms + p - 1, p - 1) * (spread / room) ** terms >= 1e-17:
+            terms += 1
+        order = p + terms - 1
+        # Taylor series in c - c0, truncated after order - 1: 1 - b_j c =
+        # (1 - b_j c0) - b_j (c - c0) and 1/(c - c_j) = sum_l (-(c - c0))^l / (c0 - c_j)^{l+1}
+        taylor = np.eye(1, order, dtype=complex)[0]
+        for other in self.zeros:
+            taylor = np.convolve(taylor, [1 - other * c0, -other])[:order]
+        for other in self.zeros:
+            if other not in group:
+                d = c0 - other.conjugate()
+                taylor = np.convolve(taylor, [(-1) ** l / d ** (l + 1) for l in range(order)])[:order]
+        h = np.eye(1, terms, dtype=complex)[0]
+        for x in u:
+            for k in range(1, terms):
+                h[k] += x * h[k - 1]
+        weights = [sum(h[m - p + 1] * taylor[m - n] for m in range(max(p - 1, n), order)) for n in range(order)]
+        return c0, tuple(complex(g) for g in weights)
 
     def _primitive(self, z):
         # int_0^z of the partial fractions of ``_residues``, term by term
-        const, simple, repeated = self._residues
+        const, simple, clusters = self._residues
         out = const * z
         for b, r in simple:
             out = out + r * (z * (_moebius_mean(-b, z) + b))
-        for c, weights in repeated:
+        for c, weights in clusters:
             for n, g in enumerate(weights):
                 # a lone multiple zero at 0 weighs only its last K_n
                 if g:
@@ -241,32 +280,40 @@ class Blaschke(DiskFunction):
 
     def _primitive_size(self) -> float:
         # |P z| <= |P|; a simple zero's term sums r_k z B_{-b_k} and r_k z b_k,
-        # each below |r_k| as |B_a| <= 1; and |K_n(c, z)| <= K_n(|c|, 1)
-        const, simple, repeated = self._residues
+        # each below |r_k| as |B_a| <= 1; |K_n(c, z)| <= K_n(|c|, 1), and
+        # rounding cz by eps moves K_n by up to eps (n+1) |c| K_{n+1}(|c|, 1),
+        # which near the circle exceeds K_n(|c|, 1) eps a hundredfold
+        const, simple, clusters = self._residues
         one = np.complex128(1.0)
         size = abs(const) + sum(2 * abs(r) for _, r in simple)
-        for c, weights in repeated:
-            size += sum(abs(g) * _k_n(n, abs(c), one).real for n, g in enumerate(weights))
+        for c, weights in clusters:
+            k = [_k_n(n, abs(c), one).real for n in range(len(weights) + 1)]
+            size += sum(abs(g) * (k[n] + (n + 1) * abs(c) * k[n + 1]) for n, g in enumerate(weights))
         return float(size)
 
 
-# K_n(c, z) takes its series for |c z| below this; the closed form's
-# binomial sum cancels as |c z| shrinks, and against 40 digits kept within
-# 15 eps of K_n(|c|, 1) from here on for n <= 5
-_K_N_SERIES = 0.75
+# zeros closer than this are summed as one cluster (``Blaschke._residues``)
+_CLUSTER = 1e-3
+
+# K_n(c, z) sums this many terms of its series where that reaches rounding;
+# the closed form's binomial sum, which cancels the more the larger n and
+# the smaller |cz|, serves only n <= 11, from |cz| = 0.77 to 0.998 on
+_K_N_TERMS = 128
 
 
 def _k_n_small(n: int, z, w):
-    # K_n = z^{n+2} sum_{m < M} C(m + n, n) w^m / (m + n + 2), w = c z, up to
-    # the first M > n with C(M + n, n) 0.75^M < 1e-17: the terms then fall
-    # by (m + n + 1)/(m + 1) 0.75 < 0.9 per step, as that M exceeds 5n
-    terms = n + 1
-    while math.comb(terms + n, n) * _K_N_SERIES**terms >= 1e-17:
-        terms += 1
+    # Euler's transformation of K_n = z^{n+2}/(n+2) 2F1(n+1, n+2; n+3; w),
+    # w = c z: K_n = z^{n+2} (1 - w)^{-n} sum_m w^m / C(n+m+2, n+1), whose
+    # coefficients are positive, so nothing cancels
     acc = 0j
-    for m in range(terms - 1, -1, -1):
-        acc = acc * w + math.comb(m + n, n) / (m + n + 2)
-    return _power(z, n + 2) * acc
+    for m in range(_K_N_TERMS - 1, -1, -1):
+        acc = acc * w + 1 / math.comb(n + m + 2, n + 1)
+    return _power(z, n + 2) * acc / _power(1 - w, n)
+
+
+def _k_n_reach(n: int) -> float:
+    # the |w| below which the series' first omitted term is below 1e-17
+    return min(1.0, (1e-17 * math.comb(n + _K_N_TERMS + 2, n + 1)) ** (1 / _K_N_TERMS))
 
 
 def _k_n_closed(n: int, c: complex, z, w):
@@ -285,11 +332,12 @@ def _k_n_closed(n: int, c: complex, z, w):
 def _k_n(n: int, c: complex, z):
     """K_n(c, z) = int_0^z t^{n+1}/(1 - ct)^{n+1} dt for |c| < 1, at an array
     or numpy scalar z in the closed disk: z^{n+2}/(n+2) at c = 0, else the
-    series where |cz| < 0.75 and the closed form elsewhere, each branch on
-    its own elements."""
+    series of ``_k_n_small`` where it reaches rounding (|cz| below 0.77 for
+    n = 0, everywhere from n = 12 on) and the closed form elsewhere, each
+    branch on its own elements."""
     if c == 0:
         return _power(z, n + 2) / (n + 2)
-    return _by_mask(abs(c * z) < _K_N_SERIES, partial(_k_n_small, n), partial(_k_n_closed, n, c), z, c * z)
+    return _by_mask(abs(c * z) < _k_n_reach(n), partial(_k_n_small, n), partial(_k_n_closed, n, c), z, c * z)
 
 
 @dataclass(frozen=True)

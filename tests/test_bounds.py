@@ -32,7 +32,7 @@ from ulambda.bounds import (
     v_of_x,
 )
 from ulambda.cli import _random_point, main, sample_omega, sample_phi
-from ulambda.core import GridSpec, _winding, q_from_phi, q_from_omega, sup_u, dilate, taylor_of_f
+from ulambda.core import ZERO_COUNT_ROUNDING, GridSpec, _winding, q_from_phi, q_from_omega, sup_u, dilate, taylor_of_f
 from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial
 from ulambda.errors import (
     BranchPointSingularity,
@@ -1102,20 +1102,49 @@ class TestOmegaVerdict:
                 assert got.verdict == want.verdict == ("Outside" if d > 0 else "Inside")
 
     def test_clustered_zeros_within_the_rounding_allowed(self):
-        # zeros 1e-6 apart weigh their residue terms by about 7.5e5, and the
-        # primitive loses digits in proportion; the rounding the certificate
-        # allows counts those terms, and covers the error measured against
-        # 40 digits
+        # zeros 1e-6 apart are summed about their centre, not as two residue
+        # terms of about 7.5e5 each; the threshold covers the error measured
+        # against 40 digits, and its rounding part a hundredfold
         lam, omega = 0.7, Blaschke(zeros=(0.5, 0.5 + 1e-6))
         z = np.exp(2j * math.pi * np.arange(16) / 16 + 0.1j)
         ref = np.array([mp_blaschke_integral(omega, p) for p in z])
         error = float(np.max(np.abs(antiderivative(omega, z) - ref)))
-        assert error > 1e-11
+        assert error <= 1e-15
         got = omega_verdict(lam, 1.2, omega)
         assert got.budget["threshold"] > error
         h = 2 * math.pi / got.budget["samples"]
         rounding = got.budget["threshold"] - h * (1 + lam) / 2
         assert rounding > 100 * lam * error
+
+    @pytest.mark.parametrize("zeros", [(0.5, 0.5 + 1e-6), (0.5, 0.5 + 1e-12), (0.5, 0.5000000000000001)])
+    def test_clustered_zeros_located_on_their_side(self, zeros):
+        # a2 3e-5 to either side of gamma taken at 40 digits; as two residue
+        # terms the primitive was off by 2.5e-4 at 1e-12 apart and by 3 one
+        # ulp apart, and locate took the wrong side
+        lam, omega = 0.7, Blaschke(zeros=zeros)
+        curve = c_omega_curve(omega, lam)
+        for t in (0.0, 0.4, 2.5, -1.3):
+            z = cmath.exp(1j * t)
+            g = z.conjugate() + lam * mp_blaschke_integral(omega, z)
+            tangent = 1j * (lam * z * omega.eval(z) - z.conjugate())
+            for d in (-3e-5, 3e-5):
+                a2 = g + d * 1j * tangent / abs(tangent)
+                want = "Outside" if d > 0 else "Inside"
+                assert curve.contains(a2) == want.lower()
+                assert omega_verdict(lam, a2, omega).verdict == want
+
+    def test_locate_band_covers_the_rounding(self):
+        # a 15-fold zero weighs its K_n terms by up to 1e5 and more; locate's
+        # band widens from BOUNDARY_TOL to the rounding omega_verdict allows
+        lam, omega = 0.7, Blaschke(zeros=(0.9,) * 15)
+        band = lam * ZERO_COUNT_ROUNDING * omega._primitive_size()
+        assert band > 2 * BOUNDARY_TOL
+        curve = c_omega_curve(omega, lam)
+        g, normal = curve_points(omega, lam, 2.0)
+        codes, dist = curve.locate([g + 0.5 * band * normal, g + 2 * band * normal])
+        assert codes.tolist() == [BOUNDARY, OUTSIDE]
+        assert dist[0] > BOUNDARY_TOL
+        assert omega_verdict(lam, g + 0.5 * band * normal, omega).verdict == "Inconclusive"
 
     def test_unprojectable_curve_is_inconclusive(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -292,6 +292,24 @@ class TestMembership:
         assert (same.verdict, same.path) == ("Inside", rep["path"])
         assert same.value == pytest.approx(rep["distance_to_curve"], rel=1e-6)
 
+    @pytest.mark.parametrize("a2, code, verdict", [
+        ([0.8462415563639936, -0.34403709731330867], 2, "Outside"),
+        ([0.8461879067585139, -0.3440102324695187], 0, "Inside"),
+    ])
+    def test_zeros_one_ulp_apart(self, tmp_path, a2, code, verdict):
+        # a2 3e-5 to either side of gamma (taken at 40 digits) at t = 0.4; as
+        # two residue terms of about 7e15 each gamma was off by 3 and both
+        # exited 3.  Summed as one cluster, they read as the double zero does
+        omega = {"kind": "blaschke", "zeros": [0.5, 0.5000000000000001]}
+        got, out = run(tmp_path, "membership",
+                       {"lambda": 0.7, "candidate": {"type": "omega", "a2": a2, "omega": omega}})
+        assert got == code
+        rep = json.loads((out / "membership.json").read_text())
+        assert rep["verdict"] == verdict
+        assert rep["distance_to_curve"] == pytest.approx(3e-5, rel=1e-6)
+        double = bounds.omega_verdict(0.7, complex(*a2), diskfun_from_json({"kind": "blaschke", "zeros": [0.5, 0.5]}))
+        assert double.verdict == verdict
+
     def test_z_squared_on_a_one_point_grid_outside(self, tmp_path):
         # the one-point grid at r = 0.5 used to read 0.469 < 0.5 and exit 0
         code, out = run(tmp_path, "membership",

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from ulambda.cli import sample_omega
+from ulambda.core import ZERO_COUNT_ROUNDING
 from ulambda.diskfun import (
     Blaschke,
     Monomial,
     MoebiusShift,
     ScaledPolynomial,
+    _k_n,
     antiderivative,
     diskfun_from_json,
     gauss_legendre,
@@ -465,13 +467,32 @@ class TestBlaschkePrimitive:
     def test_zeros_at_or_near_the_origin(self, zeros):
         self.check(Blaschke(zeros=zeros, rotation=2.0), 1e-13)
 
-    def test_close_small_zeros(self):
-        # the pair +-1e-4 weighs its two terms by -+5000, and they cancel to
-        # about z^3/3: the error is some 1000 eps, inside the 2 * 5000 * 2
-        # that ``_primitive_size`` counts for the certificate's rounding
-        fun = Blaschke(zeros=(1e-4, -1e-4), rotation=0.3)
-        assert fun._primitive_size() == pytest.approx(2e4, rel=1e-6)
-        self.check(fun, 1e-12)
+    @pytest.mark.parametrize("zeros", [
+        (1e-4, -1e-4), (0.5, 0.5 + 1e-6), (0.5, 0.5 + 1e-12), (0.5, 0.5000000000000001),
+        (0.5, 0.5009), (0.9, 0.9 + 1e-10j, 0.2j), (0.95, 0.95 + 1e-7, 0.95 - 1e-7j, -0.3),
+        (0.999, 0.999 + 1e-12), (0.7j, 0.7j + 1e-5, 0.7j, -0.2),
+    ])
+    def test_clustered_zeros(self, zeros):
+        # summed about the cluster's centre; as separate residues the terms
+        # weigh about 1/|c_k - c_j| each (5000 for +-1e-4, 7e15 one ulp
+        # apart) and lose as many digits
+        fun = Blaschke(zeros=zeros, rotation=0.3)
+        assert fun._primitive_size() < 30
+        self.check(fun, 1e-13)
+
+    @pytest.mark.parametrize("zeros", [
+        (0.9995, 0.9995 - 9e-4), (0.5, 0.502),
+        *((b * cmath.exp(0.7j),) * mu for b, mu in [(0.75, 8), (0.8, 10), (0.9, 12), (0.95, 15)]),
+    ], ids=lambda zeros: f"{len(zeros)}-at-{abs(zeros[0]):.4g}")
+    def test_within_the_rounding_allowed(self, zeros):
+        # close zeros too near the circle to expand about their centre, or
+        # farther apart than _CLUSTER, and repeated zeros of multiplicity
+        # 8-15, whose K_n weights grow and cancel: the error stays within
+        # ZERO_COUNT_ROUNDING times the size the certificate allows
+        fun = Blaschke(zeros=zeros, rotation=0.2)
+        z = self.points(fun)
+        ref = np.array([mp_blaschke_integral(fun, p) for p in z])
+        assert np.max(np.abs(antiderivative(fun, z) - ref)) <= ZERO_COUNT_ROUNDING * fun._primitive_size()
 
     def test_no_zeros(self):
         # the constant e^{i rot}, which eval gives for an empty product
@@ -482,6 +503,27 @@ class TestBlaschkePrimitive:
     def test_z63_is_the_monomial_bit_for_bit(self):
         z = np.concatenate([np.exp(2j * np.pi * np.arange(256) / 256), disk_points(np.random.default_rng(29), 10)])
         assert np.array_equal(antiderivative(Blaschke(zeros=(0,) * 63), z), antiderivative(Monomial(k=63), z))
+
+
+class TestKn:
+    @pytest.mark.parametrize("n", [0, 1, 5, 11, 12, 20, 62])
+    @pytest.mark.parametrize("r", [0.3, 0.76, 0.8, 0.9, 0.99])
+    def test_against_hypergeometric(self, n, r):
+        # K_n(c, z) = z^{n+2}/(n+2) 2F1(n+1, n+2; n+3; cz), within 4 eps of
+        # the scale ``Blaschke._primitive_size`` gives its rounding (the
+        # closed form alone was off by 6000 eps of K_n(|c|, 1) at n = 20)
+        c, one = r * cmath.exp(-0.7j), np.complex128(1.0)
+        z = np.exp(1j * np.linspace(0, 2 * math.pi, 13)[:-1] + 0.7j)
+        z = np.concatenate([z, cmath.exp(0.7j) * np.array([0.5, min(0.9, 0.77 / r), 0.95])])
+        with mpmath.workdps(40):
+            ref = np.array([complex(mpmath.mpc(p) ** (n + 2) / (n + 2)
+                                    * mpmath.hyp2f1(n + 1, n + 2, n + 3, mpmath.mpc(c) * mpmath.mpc(p))) for p in z])
+        scale = _k_n(n, r, one).real + (n + 1) * r * _k_n(n + 1, r, one).real
+        assert np.max(np.abs(_k_n(n, c, z) - ref)) <= 4 * np.finfo(float).eps * scale
+
+    def test_at_the_origin(self):
+        z = np.array([0.3, -0.8j, cmath.exp(1.1j)])
+        assert np.array_equal(_k_n(4, 0.0, z), z * z * z * z * z * z / 6)
 
 
 class TestTaylorInvariants:

@@ -10,11 +10,11 @@ whose exit code, stderr or artifact sha256 differs::
 The set: 384 ``verify-conjecture`` configs (n_max -1..70 in steps of 3,
 lambda 0.25/0.5/0.8/1, seeds 1/2/3/195, 16 samples), 1008 omega
 ``membership`` configs (8 omega x 7 a2 x lambda 0.3/0.7/1 x order
-absent/2/3/9/64/128), 12 Blaschke omega ``membership`` configs (a zero near
-the circle, alone and beside a second zero, a double zero and zeros at the
-origin, each at one lambda with three a2), 22 ``region-a2`` (each omega at
-lambda 0.5 and 1, the slit omega = 1 at both, and each of those Blaschke
-omegas at its lambda), 40 ``fixed-point``, 8 ``sharpness``,
+absent/2/3/9/64/128), 15 Blaschke omega ``membership`` configs (a zero near
+the circle, alone and beside a second zero, a double zero, zeros at the
+origin and two zeros one ulp apart, each at one lambda with three a2), 23
+``region-a2`` (each omega at lambda 0.5 and 1, the slit omega = 1 at both,
+and each of those Blaschke omegas at its lambda), 40 ``fixed-point``, 8 ``sharpness``,
 11 phi and 3 extremal ``membership``, 11 ``julia`` (a phi of each family,
 and each phi that is e^{i theta} z in another family's form), 4 malformed
 configs and the README examples.  Standard library only; exit status 1 when
@@ -46,12 +46,15 @@ OMEGAS = [
     {"kind": "poly", "coeffs": [0.0], "normalizer": 1.0},
 ]
 # (omega, lambda, a2s): Blaschke products with a zero near the circle (so a
-# pole just beyond it), a repeated zero and zeros at the origin
+# pole just beyond it), a repeated zero, zeros at the origin and two zeros
+# one ulp apart (with a2 3e-5 to either side of gamma)
 BLASCHKE = [
     ({"kind": "blaschke", "zeros": [0.995]}, 0.7, [0.3338230352176687, 1.45, [0.9, 0.1]]),
     ({"kind": "blaschke", "zeros": [[0, 0.99], -0.5]}, 1.0, [[0, 1.5], 0.5, [-1.2, 0.3]]),
     ({"kind": "blaschke", "zeros": [0.5, 0.5]}, 0.5, [0.9, [1.2, -0.3], [0, 1.05]]),
     ({"kind": "blaschke", "zeros": [0, 0, [0, 0.5]], "rotation": 1.0}, 0.7, [1.1, [0.2, -1.05], 0.5]),
+    ({"kind": "blaschke", "zeros": [0.5, 0.5000000000000001]}, 0.7,
+     [[0.8462415563639936, -0.34403709731330867], [0.8461879067585139, -0.3440102324695187], 0.5]),
 ]
 A2S = [1.45, [0.3007386830957319, 0.8294213293396829], [1.1002301497359797, -0.22364822742507573],
        0.5, [0.9, 0.1], -1.2, [0.2, -1.05]]
