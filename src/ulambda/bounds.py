@@ -82,7 +82,11 @@ def conjecture_bound(n: int, lam: float) -> float:
     Only a conjecture, and it fails for small lam already at n = 3: the
     member of U(0.1) with a2 = 1.0775 and omega the Moebius shift a = 0.5
     has a3 = a2^2 - lam omega(0) = 1.11100625 > conjecture_bound(3, 0.1) =
-    1.11.
+    1.11.  Along thm5's witnesses (omega the Moebius shift a in (0, 1),
+    a2 -> 1 + lam v(a)), a3 -> (1 + lam v)^2 - lam a exceeds 1 + lam + lam^2
+    exactly when lam < (2v - a - 1)/(1 - v^2), whose supremum, approached as
+    a -> 1 (v'(1) = 2 ln 2 - 1), is lam* = (3 - 4 ln 2)/(4 ln 2 - 2) =
+    0.29434972478104...: for every lam below it the bound fails at n = 3.
     """
     if n < 2:
         raise OutOfRange("n must be >= 2")

@@ -84,6 +84,15 @@ def _int(cfg: dict, key: str, default: int, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _fraction(v, name: str) -> float:
+    """A real number in (0, 1) as a float; a config error naming ``name``
+    otherwise."""
+    v = _real(v, name)
+    if not 0 < v < 1:
+        raise ConfigError(f"{name} must lie in (0, 1), got {v!r}")
+    return v
+
+
 def _unused(cfg: dict, *keys: str) -> dict:
     """The validated value of each of ``keys`` the config gives, for keys
     that a representation's verdict does not read.  They are checked like
@@ -127,9 +136,10 @@ def sample_omega(rng: np.random.Generator):
 
 
 def _random_point(rng: np.random.Generator, radius: float) -> complex:
-    r = radius * math.sqrt(rng.uniform())
-    t = rng.uniform(0, 2 * math.pi)
-    return r * cmath.exp(1j * t)
+    # the doubles of rng.uniform() and rng.uniform(0, 2 pi) = 0 + 2 pi v, in one call
+    u, v = rng.random(2).tolist()
+    r = radius * math.sqrt(u)
+    return r * cmath.exp(1j * (2 * math.pi * v))
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +288,12 @@ def cmd_f_roots(cfg: dict, out: Path) -> int:
         n = _int(cfg, "R_count", 50)
         rs = list(np.linspace(0.02, 0.98, n))
     rs = _list(rs, "Rs")
+    lams, rs = [_fraction(v, "lambdas") for v in lams], [_fraction(v, "Rs") for v in rs]
     lines = ["lambda,R,root,r_star"]
     mismatches = 0
     for lam in lams:
-        lam = _real(lam, "lambdas")
         thr = bounds.r_star(lam) if 0.5 < lam < 1 else 0.0
         for R in rs:
-            R = _real(R, "Rs")
             root = bounds.f_root_in_unit_interval(lam, R)
             # theorem criterion, away from the threshold band
             expected = lam <= 0.5 or R > thr
@@ -327,7 +336,7 @@ def cmd_fixed_point(cfg: dict, out: Path) -> int:
     v = bounds.v_of_omega(omega)
     try:
         if "r" in cfg:
-            r = _real(cfg["r"], "r")
+            r = _fraction(cfg["r"], "r")
         else:
             r = (1 + lam * v) / abs(a2) if a2 else math.inf
             if not r < 1:

@@ -121,10 +121,11 @@ class UCandidate:
             raise ValueError("q(0) must equal 1")
         if not (0 < self.lam <= 1):
             raise ValueError("lambda must lie in (0, 1]")
-        # pin q0 to exactly 1
-        c = self.q.coeffs.copy()
-        c[0] = 1.0
-        object.__setattr__(self, "q", TruncatedSeries(c))
+        # pin q0 to exactly 1; q_from_phi and q_from_omega already set it
+        if self.q.coeffs[0] != 1:
+            c = self.q.coeffs.copy()
+            c[0] = 1.0
+            object.__setattr__(self, "q", TruncatedSeries(c))
 
     @property
     def a2(self) -> complex:
@@ -248,8 +249,9 @@ def _proven_winding(sample, size: float, slope: float) -> tuple:
         vals = sample(n)
         drift = 2 * math.pi / n * slope
         threshold = drift / 2 + ZERO_COUNT_ROUNDING * (size + drift)
-        mod = np.abs(vals)
-        low = float(np.min(mod + np.concatenate((mod[1:], mod[:1])))) / 2
+        # halved before they are added, which is exact and cannot overflow
+        half = np.abs(vals) * 0.5
+        low = float((half + np.concatenate((half[1:], half[:1]))).min())
         if low > threshold:
             break
     budget = {"samples": n, "min_mean_abs_q": low, "threshold": threshold}
@@ -258,11 +260,16 @@ def _proven_winding(sample, size: float, slope: float) -> tuple:
 
 def _winding(vals: np.ndarray) -> int:
     """Winding number about 0 of the closed polygon through vals: the turning
-    angles arg(v_{j+1} conj(v_j)), the last back to the first, over 2 pi."""
+    angles arg(v_{j+1} conj(v_j)), the last back to the first, over 2 pi.
+
+    Samples whose largest modulus is 1 or more are first scaled down by the
+    power of two that brings it into [1/2, 1): exact, so every angle keeps
+    its value, and no product overflows however large the samples are."""
+    vals = vals * 2.0 ** -max(math.frexp(float(np.abs(vals).max()))[1], 0)
     # the product in place: one temporary of vals' size fewer
     turns = np.concatenate((vals[1:], vals[:1]))
     turns *= vals.conj()
-    return round(float(np.sum(np.angle(turns))) / (2 * math.pi))
+    return round(float(np.angle(turns).sum()) / (2 * math.pi))
 
 
 def _check_fixes_origin(phi: DiskFunction) -> complex:

@@ -31,11 +31,7 @@ from .errors import (
     OutsideDisk,
     ZeroOnOrOutsideBoundary,
 )
-from .series import (
-    DEFAULT_ORDER,
-    TruncatedSeries,
-    series_mul,
-)
+from .series import DEFAULT_ORDER, TruncatedSeries
 
 
 class DiskFunction:
@@ -55,7 +51,7 @@ class DiskFunction:
         raise NotImplementedError
 
     def base_point(self) -> complex:
-        """Value at the origin."""
+        """Value at the origin, which each family gives in closed form."""
         return complex(self.eval(0j))
 
     def _primitive(self, z):
@@ -86,6 +82,9 @@ class MoebiusShift(DiskFunction):
             raise BasePointOutsideClosedDisk(f"|a| = {abs(a):.6f} is not <= 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "psi", _finite(self.psi, "psi"))
+
+    def base_point(self) -> complex:
+        return self.a
 
     @property
     def _degenerate(self) -> bool:
@@ -155,6 +154,13 @@ class Blaschke(DiskFunction):
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "rotation", _finite(self.rotation, "rotation"))
 
+    def base_point(self) -> complex:
+        # eval's product at z = 0, factor by factor: each is -b
+        out = cmath.exp(1j * self.rotation)
+        for b in self.zeros:
+            out = out * -b
+        return out
+
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.full(z.shape, cmath.exp(1j * self.rotation), dtype=complex)
@@ -178,10 +184,11 @@ class Blaschke(DiskFunction):
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TruncatedSeries:
         # each factor (z - b)/(1 - conj(b) z) is the Moebius shift with a = -b
-        acc = TruncatedSeries.from_coeffs([cmath.exp(1j * self.rotation)], order=order)
+        acc = np.zeros(order + 1, dtype=complex)
+        acc[0] = cmath.exp(1j * self.rotation)
         for b in self.zeros:
-            acc = series_mul(acc, TruncatedSeries(_moebius_coeffs(-b, order)))
-        return acc
+            acc = np.convolve(acc, _moebius_coeffs(-b, order))[: order + 1]
+        return TruncatedSeries(acc)
 
     @cached_property
     def _residues(self) -> tuple:
@@ -353,6 +360,9 @@ class Monomial(DiskFunction):
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "k", int(self.k))
 
+    def base_point(self) -> complex:
+        return 0j
+
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
         out = cmath.exp(1j * self.theta) * _power(z, self.k)
@@ -399,6 +409,9 @@ class ScaledPolynomial(DiskFunction):
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "normalizer", norm)
 
+    def base_point(self) -> complex:
+        return self.raw[0] / self.normalizer
+
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
         acc = np.zeros(z.shape, dtype=complex)
@@ -443,12 +456,18 @@ def schwarz_pick_envelope(a_mod: float, r: float) -> float:
 _B_A_SERIES = 0.4
 
 
+# the series' coefficients 1/(j + 2), j = 39..0, in Horner's order
+_B_A_TERMS = tuple(1.0 / (j + 2) for j in range(39, -1, -1))
+
+
 def _b_a_small(a: complex, z, w):
-    # B_a(z) = a + (1 - |a|^2) z sum_{j>=0} (-w)^j / (j + 2)
+    # B_a(z) = a + (1 - |a|^2) z sum_{j>=0} (-w)^j / (j + 2), by Horner in
+    # place after the first step (a 0-d w gives numpy scalars, which rebind)
     minus_w = -w
-    acc = 0j
-    for j in range(39, -1, -1):
-        acc = acc * minus_w + 1.0 / (j + 2)
+    acc = minus_w * _B_A_TERMS[0] + _B_A_TERMS[1]
+    for c in _B_A_TERMS[2:]:
+        acc *= minus_w
+        acc += c
     return a + (1 - abs(a) ** 2) * z * acc
 
 

@@ -37,12 +37,12 @@ class TruncatedSeries:
     coeffs: np.ndarray = field()
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        # a copy, so that the caller's array can change without this one
+        c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d array")
-        if not np.all(np.isfinite(c.view(float))):
+        if not np.isfinite(c.view(float)).all():
             raise ValueError("coefficients must be finite")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 

@@ -101,6 +101,33 @@ class TestClosedFormBounds:
         assert conjecture_bound(3, lam) == pytest.approx(1.11, abs=1e-15)
         assert a3.real > conjecture_bound(3, lam) + VIOLATION_TOL
 
+    def test_n3_crossover_of_the_thm5_witnesses(self):
+        # along thm5's witnesses (omega the Moebius shift a, a2 -> 1 + lam v(a),
+        # real a in (0, 1)) a3 -> (1 + lam v)^2 - lam a, which exceeds
+        # 1 + lam + lam^2 by lam ((2v - a - 1) - lam (1 - v^2)): exactly when
+        # lam < g(a) = (2v - a - 1)/(1 - v^2).  g rises to its limit at a = 1,
+        # where v(1) = 1 and v'(1) = 2 ln 2 - 1, so the family beats the bound
+        # exactly for lam below (3 - 4 ln 2)/(4 ln 2 - 2)
+        with mpmath.workdps(40):
+            def v(x):
+                return mpmath.quad(lambda t: (x + t) / (1 + x * t), [0, 1])
+
+            def g(a, v=v):
+                return (2 * v(a) - a - 1) / (1 - v(a) ** 2)
+
+            ln2 = mpmath.log(2)
+            star = (3 - 4 * ln2) / (4 * ln2 - 2)
+            assert abs(mpmath.diff(v, 1) - (2 * ln2 - 1)) < mpmath.mpf("1e-30")
+            assert abs(g(1 - mpmath.mpf("1e-18")) - star) < mpmath.mpf("1e-17")
+            assert abs(star - mpmath.mpf("0.29434972478104491540269221597104499")) < mpmath.mpf("1e-34")
+            # v's closed form 1/x - (1 - x^2) log(1 + x)/x^2 on the grid
+            closed = lambda x: 1 / x - (1 - x**2) * mpmath.log1p(x) / x**2
+            assert abs(closed(mpmath.mpf("0.3")) - v(mpmath.mpf("0.3"))) < mpmath.mpf("1e-35")
+            assert max(g(mpmath.mpf(k) / 10**4, closed) for k in range(1, 10**4)) < star
+        lam, a = 0.29, 0.999
+        a3 = (1 + lam * v_of_x(a)) ** 2 - lam * a
+        assert a3 - conjecture_bound(3, lam) == pytest.approx(9.2766e-7, rel=1e-3)
+
     def test_dominance_grid(self):
         for lam in np.linspace(0.01, 0.99, 99):
             for n in range(2, 52):

@@ -204,7 +204,33 @@ def sweep_verdict(cand):
     return core.GeneratorVerdict(core.sup_u(cand).verdict, "sweep", 0.0)
 
 
+class TestRandomPoint:
+    def test_one_call_draws_the_two_call_doubles(self):
+        # uniform() is the next double v and uniform(0, 2 pi) is 0 + 2 pi v
+        def two_calls(rng, radius):
+            return radius * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+        for seed in range(200):
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for radius in (1.0, 0.8, 0.9, 1.0) * 50:
+                got, want = cli._random_point(mine, radius), two_calls(theirs, radius)
+                assert (got.real, got.imag) == (want.real, want.imag)
+            assert mine.random() == theirs.random()
+
+
 class TestMembership:
+    @pytest.mark.parametrize("a2", [1e308, 1e160, [1e200, 1e200]])
+    def test_huge_a2_outside_with_finite_budget(self, tmp_path, a2):
+        # the mean of |g| over neighbours and the winding's products used to
+        # overflow: "min_mean_abs_q": Infinity (not JSON) and a RuntimeWarning
+        code, out = run(tmp_path, "membership", {"lambda": 0.5, "candidate": {
+            "type": "omega", "a2": a2, "omega": {"kind": "moebius", "a": 0.3}}})
+        assert code == 2
+        text = (out / "membership.json").read_text()
+        rep = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in {text}"))
+        assert (rep["verdict"], rep["path"], rep["q_disk_zeros"], rep["samples"]) == ("Outside", "zero_count", 1, 256)
+        assert rep["min_mean_abs_q"] == pytest.approx(abs(complex(*a2) if isinstance(a2, list) else a2), rel=1e-12)
+
     def test_extremal_inside(self, tmp_path):
         code, out = run(tmp_path, "membership",
                         {"lambda": 0.5, "candidate": {"type": "extremal"}})
@@ -783,9 +809,10 @@ class TestFixedPoint:
 
     def test_given_radius_keeps_its_checks(self, tmp_path):
         omega = {"kind": "moebius", "a": 0.3}
-        # a radius outside (0, 1) is still an error with no JSON
+        # a radius outside (0, 1) is a config error with no JSON (it exited
+        # 3, inconclusive, before it was checked with the config)
         code, out = run(tmp_path, "fixed-point", {"lambda": 0.5, "a2": 1.1, "r": 1.5, "omega": omega})
-        assert code == 3 and not (out / "fixed_point.json").exists()
+        assert code == 4 and not (out / "fixed_point.json").exists()
         # a2 = 0 with a given radius reports NotContractive, not a traceback
         code, out = run(tmp_path, "fixed-point", {"lambda": 0.5, "a2": 0, "r": 0.5, "omega": omega}, outdir="zero")
         assert code == 3
@@ -948,6 +975,13 @@ class TestHarness:
         # each used to end in a TypeError traceback (exit 1): a list given
         # as a scalar
         ("f-roots", {"lambdas": 0.5}),
+        # each used to exit 3, inconclusive: a value outside (0, 1)
+        ("f-roots", {"lambdas": [0.0], "Rs": [0.5]}),
+        ("f-roots", {"lambdas": [1.0], "Rs": [0.5]}),
+        ("f-roots", {"lambdas": [0.3], "Rs": [0.0]}),
+        ("f-roots", {"lambdas": [0.3, 0.7], "Rs": [0.5, 1.0]}),
+        ("fixed-point", {"r": 1.5}),
+        ("fixed-point", {"r": -0.2}),
         ("f-roots", {"lambdas": [0.3], "Rs": 0.5}),
         ("region-a2", {"queries": 5}),
         ("julia", {"phi": {"kind": "blaschke", "zeros": 0.5}}),

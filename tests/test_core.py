@@ -51,6 +51,29 @@ def extremal(lam, phase=math.pi, order=64):
     return q_from_phi(lam, Monomial(theta=phase, k=1), order=order)
 
 
+class TestUCandidate:
+    def test_q0_within_rounding_pinned_to_one(self):
+        q = TruncatedSeries.from_coeffs([1 + 1e-13, -0.5], order=4)
+        cand = UCandidate(q, 0.5)
+        assert cand.q.coeffs[0] == 1 and cand.q.coeffs[0].imag == 0
+        assert cand.q.coeffs[1:].tolist() == q.coeffs[1:].tolist()
+        assert q.coeffs[0] == 1 + 1e-13
+
+    def test_q0_off_one_rejected(self):
+        with pytest.raises(ValueError, match="q\\(0\\)"):
+            UCandidate(TruncatedSeries.from_coeffs([1 + 1e-11, -0.5], order=4), 0.5)
+
+    def test_exact_q0_keeps_its_series(self):
+        # q_from_phi and q_from_omega set q0 to exactly 1, so no second series
+        q = TruncatedSeries.from_coeffs([1, -0.5], order=4)
+        assert UCandidate(q, 0.5).q is q
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            for cand in (q_from_phi(0.5, sample_phi(rng), order=9),
+                         q_from_omega(_random_point(rng, 1.0), 0.5, sample_omega(rng), order=9)):
+                assert cand.q.coeffs[0] == 1 and UCandidate(cand.q, 0.5).q is cand.q
+
+
 class TestUofQ:
     def test_extremal_closed_form(self):
         lam = 0.6
@@ -791,6 +814,20 @@ class TestCountDiskZeros:
         # q = (1 - 2z)^2
         cand = UCandidate(TruncatedSeries.from_coeffs([1, -4, 4], order=8), lam=0.5)
         assert count_disk_zeros(cand) == 2
+
+    @pytest.mark.parametrize("exponent", [-3, 0, 500, 1000])
+    def test_winding_of_scaled_samples(self, exponent):
+        # samples scaled by a power of two turn alike, however large: the
+        # products of neighbours no longer overflow
+        vals = core.ring_eval(TruncatedSeries.from_coeffs([1, -4, 4], order=8), 0.999, 256)
+        assert core._winding(vals * 2.0**exponent) == core._winding(vals) == 2
+
+    def test_huge_samples_proven_without_overflow(self):
+        # g = -a2 + e^{-it}, a2 = 1e308: every sum of moduli would overflow
+        z = ring(1.0, core.ZERO_COUNT_COARSE)
+        turns, proven, budget = core._proven_winding(lambda n: z.conj() - 1e308, 2 + 1e308, 1.0)
+        assert (turns, proven, budget["samples"]) == (0, True, core.ZERO_COUNT_COARSE)
+        assert budget["min_mean_abs_q"] == 1e308
 
     def test_exact_zero_sample_turns_by_nothing(self):
         # q = 1 - 2z vanishes at the first sample of the 0.5-circle; that

@@ -6,13 +6,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from ulambda.cli import sample_omega
+from ulambda.cli import sample_omega, sample_phi
 from ulambda.core import ZERO_COUNT_ROUNDING
 from ulambda.diskfun import (
     Blaschke,
     Monomial,
     MoebiusShift,
     ScaledPolynomial,
+    _b_a_small,
     _k_n,
     antiderivative,
     diskfun_from_json,
@@ -22,6 +23,9 @@ from ulambda.diskfun import (
 from ulambda.errors import BasePointOutsideClosedDisk, OutsideDisk, ZeroOnOrOutsideBoundary
 from ulambda.series import TruncatedSeries, series_eval, series_integrate, series_mul, series_reciprocal
 from ulambda.bounds import v_of_x
+
+
+EPS = np.finfo(float).eps
 
 
 def sample_functions():
@@ -540,6 +544,75 @@ class TestTaylorInvariants:
                 z = 0.6 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
                 fd = (fun.eval(z + h) - fun.eval(z - h)) / (2 * h)
                 assert abs(fd - fun.deriv(z)) < 1e-5
+
+
+class TestBasePoint:
+    """Each family's closed-form value at 0 against ``eval(0j)``."""
+
+    def test_sampled_phis_fix_the_origin_exactly(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            phi = sample_phi(rng)
+            assert phi.base_point() == complex(phi.eval(0j)) == 0
+
+    def test_to_rounding_on_sampled_omegas(self):
+        # numpy's complex loops may fuse or reorder the products and divide
+        # by a reciprocal, so the values agree to rounding, not bit for bit
+        rng = np.random.default_rng(1)
+        funs = [sample_omega(rng) for _ in range(300)] + sample_functions() + [
+            Blaschke(zeros=(0.5, -0.3 + 0.6j, 0.9j), rotation=2.0), MoebiusShift(0.6 + 0.8j, 1.0),
+            MoebiusShift(-1.0), MoebiusShift(0.3 - 0.4j, 2.5)]
+        for fun in funs:
+            value, direct = fun.base_point(), complex(fun.eval(0j))
+            assert isinstance(value, complex)
+            assert abs(value - direct) <= 4 * EPS * abs(direct)
+
+    def test_exact_where_rounding_cannot_enter(self):
+        for a in (0.5, 0.3 - 0.4j, 0.6 + 0.8j, -1.0, 0j):
+            assert MoebiusShift(a, 1.3).base_point() == a == complex(MoebiusShift(a, 1.3).eval(0j))
+        assert Blaschke(zeros=(0.5,)).base_point() == -0.5 == complex(Blaschke(zeros=(0.5,)).eval(0j))
+        assert Monomial(theta=1.0, k=3).base_point() == 0
+
+    def test_zero_when_a_zero_or_the_constant_is(self):
+        assert Blaschke(zeros=(0.3j, 0, 0.5), rotation=1.0).base_point() == 0
+        assert ScaledPolynomial(raw=(0, 0.5, 0.2j)).base_point() == 0
+        assert ScaledPolynomial(raw=(0.2, 0.5)).base_point() == 0.2 / 0.7
+
+
+class TestTaylorProducts:
+    def test_blaschke_taylor_is_the_series_product(self):
+        # the old form: one series_mul per factor, each a TruncatedSeries
+        rng = np.random.default_rng(2)
+        funs = [sample_omega(rng) for _ in range(60)] + [Blaschke(), Blaschke(zeros=(0,) * 5, rotation=1.0)]
+        for fun in [f for f in funs if isinstance(f, Blaschke)]:
+            for order in (0, 1, 9, 64):
+                acc = TruncatedSeries.from_coeffs([cmath.exp(1j * fun.rotation)], order=order)
+                for b in fun.zeros:
+                    acc = series_mul(acc, MoebiusShift(-b).taylor(order))
+                assert fun.taylor(order).coeffs.tolist() == acc.coeffs.tolist()
+
+
+def reference_b_a_small(a, z, w):
+    # the out-of-place Horner loop that ``_b_a_small`` runs in place
+    minus_w = -w
+    acc = 0j
+    for j in range(39, -1, -1):
+        acc = acc * minus_w + 1.0 / (j + 2)
+    return a + (1 - abs(a) ** 2) * z * acc
+
+
+class TestBaSeries:
+    @pytest.mark.parametrize("points", [0, 1, 16, 256, 2000])
+    def test_in_place_horner_bit_for_bit(self, points):
+        rng = np.random.default_rng(points)
+        for _ in range(10):
+            a = complex(*rng.uniform(-0.7, 0.7, 2))
+            z = 0.4 * np.sqrt(rng.uniform(size=points or None)) * np.exp(2j * np.pi * rng.uniform(size=points or None))
+            z = np.asarray(z, dtype=complex)[()]
+            w = np.conj(a) * z
+            got, want = _b_a_small(a, z, w), reference_b_a_small(a, z, w)
+            assert np.shape(got) == np.shape(want)
+            assert np.atleast_1d(got).tobytes() == np.atleast_1d(want).tobytes()
 
 
 class TestJson:

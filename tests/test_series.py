@@ -31,6 +31,34 @@ def random_series(rng, order):
     return TruncatedSeries(c)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("coeffs", [
+        [1, math.nan], [1, complex(0, math.nan)], [math.inf, 0], [1, complex(0, -math.inf)],
+    ])
+    def test_non_finite_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            TruncatedSeries(np.array(coeffs, dtype=complex))
+
+    @pytest.mark.parametrize("coeffs", [[], np.zeros((2, 3)), 1.0])
+    def test_empty_or_not_1d_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="1-d"):
+            TruncatedSeries(coeffs)
+
+    def test_holds_a_read_only_copy(self):
+        source = np.array([1, 2, 3], dtype=complex)
+        a = TruncatedSeries(source)
+        source[1] = 7
+        assert a.coeffs.tolist() == [1, 2, 3]
+        assert not a.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            a.coeffs[0] = 5
+
+    def test_strided_and_real_input(self):
+        source = np.arange(8, dtype=complex)
+        assert TruncatedSeries(source[::-2]).coeffs.tolist() == [7, 5, 3, 1]
+        assert TruncatedSeries([1, 2.5]).coeffs.dtype == complex
+
+
 class TestMul:
     def test_difference_of_squares(self):
         out = series_mul(ts(1, 1, 0), ts(1, -1, 0))

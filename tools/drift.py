@@ -17,8 +17,11 @@ origin and two zeros one ulp apart, each at one lambda with three a2), 23
 and each of those Blaschke omegas at its lambda), 40 ``fixed-point``, 8 ``sharpness``,
 11 phi and 3 extremal ``membership``, 11 ``julia`` (a phi of each family,
 and each phi that is e^{i theta} z in another family's form), 4 malformed
-configs and the README examples.  Standard library only; exit status 1 when
-anything differs.
+configs and the README examples; then 6 configs with a value outside (0, 1)
+(f-roots' lambdas and Rs, fixed-point's r), 3 omega ``membership`` configs
+with a huge a2 (1e308, 1e160, [1e200, 1e200]) and 4 ``verify-conjecture``
+configs with 400 samples (lambda 0.25/1, seeds 1/2).  Standard library
+only; exit status 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -71,6 +74,15 @@ PHIS = [
     {"kind": "blaschke", "zeros": [0, 0]},
     {"kind": "poly", "coeffs": [0, 0.8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.005], "normalizer": 1.0},
     {"kind": "moebius", "a": 0},
+]
+# values outside (0, 1), each a config error
+OUT_OF_RANGE = [
+    ("f-roots", {"lambdas": [0.0], "Rs": [0.5]}),
+    ("f-roots", {"lambdas": [1.0], "Rs": [0.5]}),
+    ("f-roots", {"lambdas": [0.3], "Rs": [0.0]}),
+    ("f-roots", {"lambdas": [0.3], "Rs": [1.0]}),
+    ("fixed-point", {"lambda": 0.5, "a2": 2.5, "omega": OMEGAS[0], "r": 1.5}),
+    ("fixed-point", {"lambda": 0.5, "a2": 2.5, "omega": OMEGAS[0], "r": -0.2}),
 ]
 README = [
     ("verify-conjecture", {"lambda": 0.5, "n_max": 10, "samples": 100, "seed": 7}),
@@ -138,6 +150,15 @@ def configs() -> list:
                 {"lambda": lam, "candidate": {"type": "omega", "a2": a2, "omega": omega}})
         add("region-a2", "region-a2",
             {"lambda": lam, "omega": omega, "queries": [[0.9, 0], [1.4, 0], [0, 0.5], [-1.2, 0.3]] + a2s})
+    for command, cfg in OUT_OF_RANGE:
+        add("malformed", command, cfg)
+    for a2 in (1e308, 1e160, [1e200, 1e200]):
+        add("membership-huge", "membership",
+            {"lambda": 0.5, "candidate": {"type": "omega", "a2": a2, "omega": OMEGAS[0]}})
+    # every sampler family, and the 8192-sample passes, at volume
+    for lam in (0.25, 1.0):
+        for seed in (1, 2):
+            add("verify-conjecture", "verify-conjecture", {"lambda": lam, "n_max": 10, "samples": 400, "seed": seed})
     return out
 
 
