@@ -975,6 +975,10 @@ class TestHarness:
         # each used to end in a TypeError traceback (exit 1): a list given
         # as a scalar
         ("f-roots", {"lambdas": 0.5}),
+        ("f-roots", {"lambdas": [0.3], "Rs": 0.5}),
+        ("region-a2", {"queries": 5}),
+        ("julia", {"phi": {"kind": "blaschke", "zeros": 0.5}}),
+        ("membership", {"candidate": {"type": "phi", "phi": {"kind": "poly", "coeffs": 0.5}}}),
         # each used to exit 3, inconclusive: a value outside (0, 1)
         ("f-roots", {"lambdas": [0.0], "Rs": [0.5]}),
         ("f-roots", {"lambdas": [1.0], "Rs": [0.5]}),
@@ -982,10 +986,6 @@ class TestHarness:
         ("f-roots", {"lambdas": [0.3, 0.7], "Rs": [0.5, 1.0]}),
         ("fixed-point", {"r": 1.5}),
         ("fixed-point", {"r": -0.2}),
-        ("f-roots", {"lambdas": [0.3], "Rs": 0.5}),
-        ("region-a2", {"queries": 5}),
-        ("julia", {"phi": {"kind": "blaschke", "zeros": 0.5}}),
-        ("membership", {"candidate": {"type": "phi", "phi": {"kind": "poly", "coeffs": 0.5}}}),
     ])
     def test_malformed_input_is_a_config_error(self, tmp_path, command, cfg):
         base = {"lambda": 0.5, "a2": 2.5, "omega": {"kind": "moebius", "a": 0.3}}
