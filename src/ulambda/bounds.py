@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -300,8 +301,8 @@ def fixed_point_zero(
     bounds the antiderivative.  A caller that already holds that v passes it
     to skip the boundary scan.
     """
-    if not (0 < r < 1):
-        raise OutOfRange("r must lie in (0, 1)")
+    if not 0 < r < 1:
+        raise OutOfRange(f"r must lie in (0, 1), got {r!r}")
     a2 = complex(a2)
     if a2 == 0:
         raise NotContractive("a2 = 0: the map F is undefined")
@@ -442,9 +443,12 @@ def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> Reg
     = lam |omega(1/zeta)| / |zeta|^2 < 1 on |zeta| > 1, so by Aksent'ev's
     criterion G maps the exterior of the disk conformally onto the complement
     of the admissible set, and gamma runs clockwise around it.
+
+    ``resolution`` must be an integer >= 64 (numpy integers included, bools
+    not), else OutOfRange.
     """
-    if resolution < 64:
-        raise OutOfRange("resolution must be >= 64")
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) or resolution < 64:
+        raise OutOfRange(f"resolution must be an integer >= 64, got {resolution!r}")
     z = ring(1.0, resolution)
     open_pts = z.conj() + lam * antiderivative(omega, z)
     return RegionA2(
@@ -550,8 +554,9 @@ def sharpness_construction_thm6(lam: float, a: complex) -> tuple:
     bound.
     """
     a = complex(a)
-    if abs(a) >= 1:
-        raise OutOfRange("|a| must be < 1")
+    # written so that a NaN a fails too
+    if not abs(a) < 1:
+        raise OutOfRange(f"sharpness needs |a| < 1, got {abs(a)}")
     # B_a peaks on the circle at t0 = arg a, where B_a(e^{i t0}) = e^{i t0} v(|a|)
     t0, value = max_boundary_ba(a)
     B = b_a(a, cmath.exp(1j * t0))

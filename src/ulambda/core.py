@@ -91,12 +91,8 @@ class GridSpec:
         if not r or any(not (0 < x < 1) for x in r):
             raise ValueError("radii must lie strictly in (0, 1)")
         object.__setattr__(self, "radii", tuple(sorted(r)))
-        # the rule of series.ring; a bad grid is a config error, not a range
-        # error of the sweep
-        try:
-            object.__setattr__(self, "angles", _angle_count(self.angles))
-        except OutOfRange as e:
-            raise ValueError(str(e)) from None
+        # the rule of series.ring
+        object.__setattr__(self, "angles", _angle_count(self.angles))
 
     @staticmethod
     def from_json(obj: dict) -> "GridSpec":

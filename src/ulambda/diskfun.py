@@ -31,7 +31,7 @@ from .errors import (
     OutsideDisk,
     ZeroOnOrOutsideBoundary,
 )
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import DEFAULT_ORDER, TruncatedSeries, _horner
 
 
 class DiskFunction:
@@ -355,9 +355,12 @@ class Monomial(DiskFunction):
     k: int = 1
 
     def __post_init__(self):
+        # int() would truncate a float and read a bool as 0 or 1
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("monomial degree must be >= 1")
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", _finite(self.theta, "theta"))
         object.__setattr__(self, "k", int(self.k))
 
     def base_point(self) -> complex:
@@ -398,8 +401,10 @@ class ScaledPolynomial(DiskFunction):
 
     def __post_init__(self):
         raw = tuple(complex(c) for c in self.raw)
-        total = float(sum(abs(c) for c in raw))
-        norm = float(self.normalizer)
+        # summed in order and by abs(): math.fsum or a hypot modulus would
+        # round some sums, and so every value of those polynomials, differently
+        total = _finite(float(sum(abs(c) for c in raw)), "the sum of |coeffs|")
+        norm = _finite(self.normalizer, "normalizer")
         if norm == 0.0:
             norm = total if total > 0 else 1.0
         if norm < total - 1e-12:
@@ -414,18 +419,12 @@ class ScaledPolynomial(DiskFunction):
 
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
-        acc = np.zeros(z.shape, dtype=complex)
-        for c in self.raw[::-1]:
-            acc = acc * z + c
-        acc = acc / self.normalizer
+        acc = _horner(self.raw, z) / self.normalizer
         return acc if z.ndim else complex(acc)
 
     def deriv(self, z):
         z = np.asarray(z, dtype=complex)
-        acc = np.zeros(z.shape, dtype=complex)
-        for k in range(len(self.raw) - 1, 0, -1):
-            acc = acc * z + k * self.raw[k]
-        acc = acc / self.normalizer
+        acc = _horner([k * c for k, c in enumerate(self.raw)][1:], z) / self.normalizer
         return acc if z.ndim else complex(acc)
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -434,11 +433,8 @@ class ScaledPolynomial(DiskFunction):
         )
 
     def _primitive(self, z):
-        # Horner on the integrated coefficients 0, p_0, p_1/2, p_2/3, ...
-        acc = np.zeros(z.shape, dtype=complex)
-        for k in range(len(self.raw) - 1, -1, -1):
-            acc = acc * z + self.raw[k] / (k + 1)
-        return acc * z / self.normalizer
+        # z times Horner on the integrated coefficients p_0, p_1/2, p_2/3, ...
+        return _horner([c / (k + 1) for k, c in enumerate(self.raw)], z) * z / self.normalizer
 
 
 def schwarz_pick_envelope(a_mod: float, r: float) -> float:
@@ -585,11 +581,7 @@ def diskfun_from_json(obj: dict) -> DiskFunction:
             rotation=_real(obj.get("rotation", 0.0), "rotation"),
         )
     if kind == "monomial":
-        k = obj.get("k", 1)
-        # int() would truncate a float and read a bool as 0 or 1
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        return Monomial(theta=_real(obj.get("theta", 0.0), "theta"), k=int(k))
+        return Monomial(theta=_real(obj.get("theta", 0.0), "theta"), k=obj.get("k", 1))
     if kind == "poly":
         return ScaledPolynomial(
             raw=tuple(_cplx(c, "coeffs") for c in _list(obj["coeffs"], "coeffs")),
@@ -620,8 +612,13 @@ def _list(v, name: str) -> list | tuple:
 
 
 def _cplx(v, name: str) -> complex:
-    """A finite complex number from a [re, im] pair or a real, as ``_real``."""
+    """A finite complex number from a [re, im] pair or a real, as ``_real``,
+    whose modulus is finite too: abs() of one beyond the float range raises
+    OverflowError wherever it is taken."""
     parts = v if isinstance(v, (list, tuple)) else [v, 0.0]
     if len(parts) != 2 or not all(map(_is_real, parts)):
         raise ValueError(f"{name} must be a real number or a [re, im] pair, got {v!r}")
-    return complex(_finite(parts[0], name), _finite(parts[1], name))
+    re, im = _finite(parts[0], name), _finite(parts[1], name)
+    if not math.isfinite(math.hypot(re, im)):
+        raise ValueError(f"{name} must have a finite modulus, got {v!r}")
+    return complex(re, im)

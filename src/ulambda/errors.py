@@ -45,8 +45,8 @@ class NoConvergence(UlambdaError):
     """Iteration did not converge within the cap."""
 
 
-class OutOfRange(UlambdaError):
-    """Scalar argument outside its admissible interval."""
+class OutOfRange(UlambdaError, ValueError):
+    """Scalar argument outside its admissible interval (an invalid argument)."""
 
 
 class ConfigError(UlambdaError):

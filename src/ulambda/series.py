@@ -10,7 +10,8 @@ package samples.  Its unit circle for each angle count is computed once and
 kept (a small bounded cache of read-only arrays); each call returns a fresh
 grid scaled from it.  A series is swept over it by ``ring_eval``, one batched
 inverse FFT on all circles; ``series_eval_many`` is the Horner loop for
-scattered points, and ``series_eval`` its one-point case.
+scattered points (``_horner``, which polynomial disk functions share), and
+``series_eval`` its one-point case.
 """
 
 from __future__ import annotations
@@ -115,8 +116,14 @@ def series_eval_many(a: TruncatedSeries, z: np.ndarray) -> np.ndarray:
     modulus = np.abs(z)
     if np.any(modulus > 1 + 1e-14):
         raise OutsideDisk(f"|z| = {float(np.max(modulus)):.6f} > 1")
-    acc = np.zeros_like(z)
-    for c in a.coeffs[::-1]:
+    return _horner(a.coeffs, z)
+
+
+def _horner(coeffs, z) -> np.ndarray:
+    """sum_k coeffs[k] z^k by Horner's rule, with the shape of z (an array
+    or a numpy scalar); no check on where z lies."""
+    acc = np.zeros(np.shape(z), dtype=complex)
+    for c in coeffs[::-1]:
         acc = acc * z + c
     return acc
 

@@ -10,7 +10,7 @@ from test_diskfun import mp_blaschke_integral
 from ulambda import bounds, cli, core
 from ulambda.cli import main
 from ulambda.diskfun import Monomial, MoebiusShift, antiderivative, diskfun_from_json, gauss_legendre
-from ulambda.errors import NoConvergence
+from ulambda.errors import NoConvergence, OutOfRange
 from ulambda.geometry import INSIDE
 
 
@@ -187,6 +187,40 @@ class TestVerifyConjecture:
                         {"lambda": 0.5, "n_max": n_max, "samples": 3, "seed": 1})
         assert code == 0
         assert (out / "bounds.csv").read_text() == "n,conjecture,theorem2,observed_max,family\n"
+
+    def test_observed_max_is_abs_bit_for_bit(self, tmp_path, monkeypatch):
+        # each observed_max is abs() of the first candidate's coefficient that
+        # attains it, the table that a loop over the candidates writes;
+        # numpy's array abs differs from abs() in the last bit for about a
+        # third of complex values
+        n_max, lam = 40, 0.5
+        inverted = []
+        taylor_of_f = cli.taylor_of_f
+        monkeypatch.setattr(cli, "taylor_of_f", lambda cand: inverted.append(taylor_of_f(cand)) or inverted[-1])
+        code, out = run(tmp_path, "verify-conjecture", {"lambda": lam, "n_max": n_max, "samples": 100, "seed": 5})
+        assert code in (0, 2)
+        assert len(inverted) > 50
+        rows = []
+        for n in range(2, n_max + 1):
+            best, family = -1.0, None
+            for i, series in enumerate(inverted):
+                if abs(series[n - 1]) > best:
+                    best, family = abs(series[n - 1]), "random" if i else "extremal"
+            rows.append((n, bounds.conjecture_bound(n, lam), bounds.theorem2_bound(n, lam), best, family))
+        assert (out / "bounds.csv").read_text() == bounds.BoundTable(rows).to_csv()
+
+    def test_ties_go_to_the_extremal_candidate(self, tmp_path, monkeypatch):
+        # every candidate inverted to the extremal one's coefficients ties it
+        # in every row, and the first, the extremal one, attains each
+        n_max = 8
+        inverted = []
+        taylor_of_f = cli.taylor_of_f
+        monkeypatch.setattr(cli, "taylor_of_f", lambda cand: inverted.append(taylor_of_f(cand)) or inverted[0])
+        code, out = run(tmp_path, "verify-conjecture", {"lambda": 0.5, "n_max": n_max, "samples": 12, "seed": 3})
+        assert code == 0
+        assert json.loads((out / "verify_conjecture.json").read_text())["members_kept"] > 0
+        rows = (out / "bounds.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[-1] for row in rows] == ["extremal"] * (n_max - 1)
 
 
 # lambda = 1 and a phi whose boundary maximum exceeds 1; verify-conjecture
@@ -835,6 +869,9 @@ class TestFixedPoint:
         assert set(json.loads((out / "fixed_point.json").read_text())) == keys
 
 
+# a [re, im] pair whose modulus overflows, though each part is finite
+HUGE = [1.7e308, 1.7e308]
+
 # the README's -z^2 configs
 Z_SQUARED = {
     "membership": {"lambda": 0.5,
@@ -992,6 +1029,46 @@ class TestHarness:
         code, out = run(tmp_path, command, {**base, **cfg})
         assert code == 4
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command,cfg", [
+        # each used to end in an OverflowError traceback (exit 1)
+        ("membership", {"candidate": {"type": "omega", "a2": HUGE, "omega": {"kind": "moebius", "a": 0.3}}}),
+        ("fixed-point", {"a2": HUGE}),
+        ("sharpness", {"a": HUGE}),
+        ("julia", {"phi": {"kind": "moebius", "a": HUGE}}),
+        ("membership", {"candidate": {"type": "phi", "phi": {"kind": "blaschke", "zeros": [0, HUGE]}}}),
+        ("membership", {"candidate": {"type": "phi", "phi": {"kind": "poly", "coeffs": [0, HUGE]}}}),
+        # used to exit 3 with a RuntimeWarning: the projection did not settle
+        ("region-a2", {"queries": [[0.9, 0.0], HUGE]}),
+    ])
+    def test_overflowing_modulus_is_a_config_error(self, tmp_path, capsys, command, cfg):
+        base = {"lambda": 0.5, "a2": 2.5, "omega": {"kind": "moebius", "a": 0.3}}
+        code, out = run(tmp_path, command, {**base, **cfg})
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "must have a finite modulus" in err
+        assert "Warning" not in err and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("membership", {"candidate": {"type": "extremal"}, "grid": {"angles": 0}}, "angles must be >= 1, got 0"),
+        ("region-a2", {"resolution": 32}, "resolution must be an integer >= 64, got 32"),
+        ("sharpness", {"a": 1.2}, "sharpness needs |a| < 1, got 1.2"),
+        ("fixed-point", {"r": 1.5}, "r must lie in (0, 1), got 1.5"),
+        # f-roots checks its lists itself: with no lambdas the library sees no R
+        ("f-roots", {"lambdas": [], "Rs": [1.5]}, "Rs must lie in (0, 1), got 1.5"),
+    ])
+    def test_range_errors_keep_their_text(self, tmp_path, capsys, command, cfg, message):
+        # the library raises each; OutOfRange is a ValueError, so none is
+        # converted on the way to exit 4
+        base = {"lambda": 0.5, "a2": 2.5, "omega": {"kind": "moebius", "a": 0.3}}
+        code, out = run(tmp_path, command, {**base, **cfg})
+        assert code == 4
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_out_of_range_is_a_value_error(self):
+        assert issubclass(OutOfRange, ValueError)
 
     def test_threads_variable_is_not_read(self, tmp_path, monkeypatch):
         # it used to be validated (0 exited 4) and then never used

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from collections import Counter
 
 import mpmath
@@ -184,6 +185,33 @@ def reciprocal_blaschke_taylor(b, order):
             den = TruncatedSeries.from_coeffs([1.0, -np.conj(zero)], order=order)
             acc = series_mul(acc, series_reciprocal(den))
     return acc
+
+
+class TestOwnParameters:
+    """A monomial and a polynomial check their own parameters, as a Moebius
+    shift and a Blaschke product do; each of these used to be accepted."""
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"theta": math.nan}, "theta must be finite"),
+        ({"theta": -math.inf}, "theta must be finite"),
+        # read as k = 2
+        ({"k": 2.7}, "k must be an integer, got 2.7"),
+        ({"k": True}, "k must be an integer, got True"),
+    ])
+    def test_monomial(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Monomial(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"raw": (math.nan,)}, "the sum of |coeffs| must be finite, got nan"),
+        # finite coefficients whose sum overflows
+        ({"raw": (0, 1e308, 1e308)}, "the sum of |coeffs| must be finite, got inf"),
+        ({"raw": (0.5,), "normalizer": math.nan}, "normalizer must be finite, got nan"),
+        ({"raw": (0.5,), "normalizer": math.inf}, "normalizer must be finite, got inf"),
+    ])
+    def test_polynomial(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScaledPolynomial(**kwargs)
 
 
 class TestEnvelope:
@@ -644,6 +672,9 @@ class TestJson:
             ({"kind": "monomial", "k": 1.9}, "k must be an integer"),
             ({"kind": "monomial", "k": True}, "k must be an integer"),
             ({"kind": "poly", "coeffs": [0.2, 0.3], "normalizer": "2"}, "normalizer must be a real number"),
+            # each part is finite, the modulus is not
+            ({"kind": "poly", "coeffs": [0, [1.7e308, 1.7e308]]}, "coeffs must have a finite modulus"),
+            ({"kind": "moebius", "a": [-1.7e308, 1.7e308]}, "a must have a finite modulus"),
         ],
     )
     def test_non_numeric_parameters_rejected(self, obj, message):

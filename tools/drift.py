@@ -19,9 +19,12 @@ and each of those Blaschke omegas at its lambda), 40 ``fixed-point``, 8 ``sharpn
 and each phi that is e^{i theta} z in another family's form), 4 malformed
 configs and the README examples; then 6 configs with a value outside (0, 1)
 (f-roots' lambdas and Rs, fixed-point's r), 3 omega ``membership`` configs
-with a huge a2 (1e308, 1e160, [1e200, 1e200]) and 4 ``verify-conjecture``
-configs with 400 samples (lambda 0.25/1, seeds 1/2).  Standard library
-only; exit status 1 when anything differs.
+with a huge a2 (1e308, 1e160, [1e200, 1e200]), 4 ``verify-conjecture``
+configs with 400 samples (lambda 0.25/1, seeds 1/2), 7 configs with a value
+whose modulus overflows (an a2, a sharpness a, a Moebius a, a Blaschke zero,
+a polynomial coefficient and a region-a2 query) and 5 with a polynomial
+whose coefficients sum to infinity.  Standard library only; exit status 1
+when anything differs.
 """
 
 from __future__ import annotations
@@ -83,6 +86,28 @@ OUT_OF_RANGE = [
     ("f-roots", {"lambdas": [0.3], "Rs": [1.0]}),
     ("fixed-point", {"lambda": 0.5, "a2": 2.5, "omega": OMEGAS[0], "r": 1.5}),
     ("fixed-point", {"lambda": 0.5, "a2": 2.5, "omega": OMEGAS[0], "r": -0.2}),
+]
+# a value whose modulus overflows: each ended in an OverflowError traceback
+# (exit 1), the region-a2 query in a projection that did not settle (exit 3)
+HUGE = [1.7e308, 1.7e308]
+OVERFLOW = [
+    ("membership", {"lambda": 0.5, "candidate": {"type": "omega", "a2": HUGE, "omega": OMEGAS[0]}}),
+    ("fixed-point", {"lambda": 0.5, "a2": HUGE, "omega": OMEGAS[0]}),
+    ("sharpness", {"lambda": 0.5, "a": HUGE}),
+    ("julia", {"lambda": 0.5, "phi": {"kind": "moebius", "a": HUGE}}),
+    ("membership", {"lambda": 0.5, "candidate": {"type": "phi", "phi": {"kind": "blaschke", "zeros": [0, HUGE]}}}),
+    ("membership", {"lambda": 0.5, "candidate": {"type": "phi", "phi": {"kind": "poly", "coeffs": [0, HUGE]}}}),
+    ("region-a2", {"lambda": 0.5, "omega": OMEGAS[0], "queries": [[0.9, 0], HUGE]}),
+]
+# a polynomial whose finite coefficients sum to infinity, so that every
+# value was divided by an infinite normalizer
+INFINITE_SUM = {"kind": "poly", "coeffs": [0, 1e308, 1e308]}
+FAMILY = [
+    ("membership", {"lambda": 0.5, "candidate": {"type": "phi", "phi": INFINITE_SUM}}),
+    ("membership", {"lambda": 0.5, "candidate": {"type": "omega", "a2": 1.5, "omega": INFINITE_SUM}}),
+    ("julia", {"lambda": 0.5, "phi": INFINITE_SUM}),
+    ("region-a2", {"lambda": 0.5, "omega": INFINITE_SUM, "queries": [[0.9, 0]]}),
+    ("fixed-point", {"lambda": 0.5, "a2": 2.5, "omega": INFINITE_SUM}),
 ]
 README = [
     ("verify-conjecture", {"lambda": 0.5, "n_max": 10, "samples": 100, "seed": 7}),
@@ -159,6 +184,8 @@ def configs() -> list:
     for lam in (0.25, 1.0):
         for seed in (1, 2):
             add("verify-conjecture", "verify-conjecture", {"lambda": lam, "n_max": 10, "samples": 400, "seed": seed})
+    for command, cfg in OVERFLOW + FAMILY:
+        add("malformed", command, cfg)
     return out
 
 
