@@ -17,11 +17,14 @@ call, then golden section) only for a Blaschke product or a polynomial.
 a2 is admissible exactly when q = 1 - a2 z + lam z W(z), W = int_0^z omega,
 has no zero in the disk: q(e^{it}) = e^{it} (gamma(t) - a2) with gamma(t) =
 e^{-it} + lam W(e^{it}), so exactly when a2 lies inside gamma.  This module
-is the one place that decides it.  ``omega_verdict`` proves the winding
-of gamma - a2 from samples on |z| = 1, each taken from omega's exact
-primitive (``diskfun.antiderivative``, for every family), against the bound
-1 + lam on |gamma'|, and otherwise asks ``RegionA2.locate``, which projects
-a2 onto the same gamma, from |z| = 1 only.
+is the one place that decides it.  ``omega_verdicts`` proves the winding
+of gamma - a2 for many pairs (a2, omega) from samples on |z| = 1, each
+taken from omega's exact primitive, against the bound 1 + lam on |gamma'|:
+the 256-point pass of every pair as one row of one array
+(``diskfun._primitive_rows``), and the 8192-point pass of each pair it
+leaves unproven alone.  Otherwise it asks ``RegionA2.locate``, which
+projects a2 onto the same gamma, from |z| = 1 only.  ``omega_verdict`` is
+its one-pair case.
 Every f in U(lam) is univalent, so gamma runs clockwise around the admissible
 set (``c_omega_curve`` gives the proof), and ``locate`` takes a2's side from
 that, with no sampled check of gamma's shape.
@@ -47,7 +50,9 @@ from .diskfun import (
     MoebiusShift,
     _any,
     _disk_points,
+    _modulus,
     _moebius_mean,
+    _primitive_rows,
     antiderivative,
     gauss_legendre,
 )
@@ -484,18 +489,44 @@ def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerd
     of gamma, Inconclusive within its band (``BOUNDARY_TOL``, or gamma's
     rounding if larger) or when the projection onto gamma does not settle
     (NoConvergence).  ``budget`` records the last
-    pass's ``samples``, ``min_mean_abs_q`` and ``threshold``.
-    """
-    size = 1 + max(1.0, lam * omega._primitive_size()) + abs(a2)
+    pass's ``samples``, ``min_mean_abs_q`` and ``threshold``.  An a2 whose
+    modulus exceeds the float range raises ValueError.
 
-    def sample(n):
+    This is the one-pair case of ``omega_verdicts``.
+    """
+    return omega_verdicts(lam, [a2], [omega])[0]
+
+
+def omega_verdicts(lam: float, a2s, omegas) -> list:
+    """``omega_verdict`` of each pair (a2s[i], omegas[i]), in order.
+
+    The first, 256-point pass samples every pair's gamma - a2 as one row of
+    a (pairs x 256) array (``diskfun._primitive_rows``), and
+    ``_proven_winding`` judges each row by its own size and threshold.  A
+    pair that pass leaves unproven takes the 8192-point pass alone, in
+    pieces of ``_OMEGA_CHUNK`` points, then ``RegionA2.locate``.  Each
+    verdict is the one-pair call's, bit for bit.
+    """
+    size = [1 + max(1.0, lam * omega._primitive_size()) + _modulus(a2, "a2")
+            for a2, omega in zip(a2s, omegas)]
+
+    def sample(n, rows):
         z = ring(1.0, n)
-        out = np.empty(n, dtype=complex)
+        a2 = np.array([a2s[i] for i in rows], dtype=complex)[:, None]
+        funs = [omegas[i] for i in rows]
+        out = np.empty((len(rows), n), dtype=complex)
         for i in range(0, n, _OMEGA_CHUNK):
             piece = z[i:i + _OMEGA_CHUNK]
-            out[i:i + _OMEGA_CHUNK] = piece.conj() + lam * antiderivative(omega, piece) - a2
+            out[:, i:i + _OMEGA_CHUNK] = piece.conj() + lam * _primitive_rows(funs, piece) - a2
         return out
-    turns, proven, budget = _proven_winding(sample, size, 1 + lam)
+
+    passes = _proven_winding(sample, size, [1 + lam] * len(size))
+    return [_omega_decision(lam, a2, omega, *judged) for a2, omega, judged in zip(a2s, omegas, passes)]
+
+
+def _omega_decision(lam: float, a2: complex, omega: DiskFunction, turns: int, proven: bool,
+                    budget: dict) -> GeneratorVerdict:
+    # the verdict from _proven_winding's numbers, or else from locate
     if proven:
         zeros = turns + 1
         return GeneratorVerdict("Outside" if zeros else "Inside", "zero_count", zeros, budget=budget)
@@ -555,7 +586,7 @@ def sharpness_construction_thm6(lam: float, a: complex) -> tuple:
     """
     a = complex(a)
     # written so that a NaN a fails too
-    if not abs(a) < 1:
+    if not _modulus(a, "a") < 1:
         raise OutOfRange(f"sharpness needs |a| < 1, got {abs(a)}")
     # B_a peaks on the circle at t0 = arg a, where B_a(e^{i t0}) = e^{i t0} v(|a|)
     t0, value = max_boundary_ba(a)

@@ -26,8 +26,11 @@ import numpy as np
 
 from . import bounds
 from .core import (
+    ZERO_COUNT_COARSE,
+    ZERO_COUNT_SAMPLES,
     GridSpec,
     phi_verdict,
+    phi_verdicts,
     q_from_omega,
     q_from_phi,
     taylor_of_f,
@@ -114,10 +117,10 @@ def sample_phi(rng: np.random.Generator):
         return Monomial(theta=float(rng.uniform(0, 2 * math.pi)), k=int(rng.integers(1, 4)))
     if kind == 1:
         deg = int(rng.integers(2, 5))
-        zeros = [0j] + [_random_point(rng, 0.8) for _ in range(deg - 1)]  # keep the origin fixed
+        zeros = [0j] + _random_points(rng, 0.8, deg - 1)  # keep the origin fixed
         return Blaschke(zeros=tuple(zeros), rotation=float(rng.uniform(0, 2 * math.pi)))
     deg = int(rng.integers(2, 9))
-    raw = [0j] + [_random_point(rng, 1.0) for _ in range(deg)]
+    raw = [0j] + _random_points(rng, 1.0, deg)
     return ScaledPolynomial(raw=tuple(raw))
 
 
@@ -128,18 +131,22 @@ def sample_omega(rng: np.random.Generator):
         return MoebiusShift(a=_random_point(rng, 0.9), psi=float(rng.uniform(0, 2 * math.pi)))
     if kind == 1:
         deg = int(rng.integers(1, 5))
-        zeros = tuple(_random_point(rng, 0.8) for _ in range(deg))
+        zeros = tuple(_random_points(rng, 0.8, deg))
         return Blaschke(zeros=zeros, rotation=float(rng.uniform(0, 2 * math.pi)))
     deg = int(rng.integers(1, 9))
-    raw = tuple(_random_point(rng, 1.0) for _ in range(deg + 1))
+    raw = tuple(_random_points(rng, 1.0, deg + 1))
     return ScaledPolynomial(raw=raw)
 
 
 def _random_point(rng: np.random.Generator, radius: float) -> complex:
-    # the doubles of rng.uniform() and rng.uniform(0, 2 pi) = 0 + 2 pi v, in one call
-    u, v = rng.random(2).tolist()
-    r = radius * math.sqrt(u)
-    return r * cmath.exp(1j * (2 * math.pi * v))
+    return _random_points(rng, radius, 1)[0]
+
+
+def _random_points(rng: np.random.Generator, radius: float, count: int) -> list:
+    # each point from the doubles u, v of rng.uniform() and rng.uniform(0,
+    # 2 pi) = 0 + 2 pi v, and the 2 count doubles in one call
+    uv = rng.random(2 * count).tolist()
+    return [radius * math.sqrt(u) * cmath.exp(1j * (2 * math.pi * v)) for u, v in zip(uv[::2], uv[1::2])]
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +167,23 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
 
     candidates = [("extremal", q_from_phi(lam, Monomial(theta=math.pi, k=1), order=head - 1))]
     kept = 0
-    for _ in range(samples):
-        phi = sample_phi(rng)
-        omega = sample_omega(rng)
-        a2 = _random_point(rng, 1.0)
-        if phi_verdict(lam, phi).verdict == "Inside":
-            candidates.append(("random", q_from_phi(lam, phi, order=head - 1)))
-            kept += 1
-        if bounds.omega_verdict(lam, a2, omega).verdict == "Inside":
-            candidates.append(("random", q_from_omega(a2, lam, omega, order=head - 1)))
-            kept += 1
+    # the draws (phi, omega, a2), each block decided by one row-wise call
+    # per representation, and the candidates kept in the order of the draws;
+    # a block's first passes hold as many circle points as one full pass, so
+    # memory does not grow with samples
+    block = ZERO_COUNT_SAMPLES // ZERO_COUNT_COARSE
+    for start in range(0, samples, block):
+        draws = [(sample_phi(rng), sample_omega(rng), _random_point(rng, 1.0))
+                 for _ in range(min(block, samples - start))]
+        phis, omegas, a2s = zip(*draws)
+        decided = zip(draws, phi_verdicts(lam, phis), bounds.omega_verdicts(lam, a2s, omegas))
+        for (phi, omega, a2), by_phi, by_omega in decided:
+            if by_phi.verdict == "Inside":
+                candidates.append(("random", q_from_phi(lam, phi, order=head - 1)))
+                kept += 1
+            if by_omega.verdict == "Inside":
+                candidates.append(("random", q_from_omega(a2, lam, omega, order=head - 1)))
+                kept += 1
 
     # one reciprocal per candidate, of q_0..q_{n_max-1}, a row each; hypot
     # is abs() of each coefficient bit for bit, as np.abs is not, and argmax

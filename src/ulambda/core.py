@@ -20,11 +20,14 @@ Bernstein's inequality turns into an upper bound.  Only a phi without a
 rule is sampled without a bound, and can then be Outside or Inconclusive,
 never Inside.
 
-``count_disk_zeros`` and ``bounds.omega_verdict`` share one certificate
+``count_disk_zeros`` and ``bounds.omega_verdicts`` share one certificate
 (``_proven_winding``): a winding is proven on a 256-point circle when
 neighbouring samples stay farther from 0 than the curve can move between
 them (a slope bound, plus rounding), and the full sample count is taken
-only otherwise.
+only otherwise.  It judges many curves at once, one row of samples each,
+and takes the full count for each curve the first pass leaves unproven,
+alone.  ``phi_verdicts`` likewise takes the first Bernstein pass of many
+polynomial phi in one row-wise evaluation.
 
 The representation theorem's two majorants, 1 + 2 lam z + lam z^2 and
 (1 - z)(1 - lam z), are quadratics, so subordination to them is decided by
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diskfun import Blaschke, DiskFunction, MoebiusShift, Monomial, ScaledPolynomial
+from .diskfun import Blaschke, DiskFunction, MoebiusShift, Monomial, ScaledPolynomial, _horner_rows
 from .errors import (
     BasePointNotZero,
     HypothesisViolated,
@@ -209,17 +212,20 @@ def count_disk_zeros(cand: UCandidate) -> int:
     """
     weights = np.abs(cand.q.coeffs) * ZERO_COUNT_RADIUS ** np.arange(len(cand.q.coeffs))
     slope = float(np.sum(np.arange(len(weights)) * weights))
-    zeros, _, _ = _proven_winding(lambda n: ring_eval(cand.q, ZERO_COUNT_RADIUS, n),
-                                  float(np.sum(weights)), slope)
+    [(zeros, _, _)] = _proven_winding(lambda n, rows: ring_eval(cand.q, ZERO_COUNT_RADIUS, n)[None],
+                                      [float(np.sum(weights))], [slope])
     return zeros
 
 
-def _proven_winding(sample, size: float, slope: float) -> tuple:
-    """(winding, proven, budget) of a closed curve g(t) about 0 from its
-    samples g_j at t_j = j h, h = 2 pi / n: ``sample(n)``, first at n =
-    ZERO_COUNT_COARSE, then at ZERO_COUNT_SAMPLES.
+def _proven_winding(sample, size, slope) -> list:
+    """[(winding, proven, budget)] of closed curves g(t) about 0, one for
+    each entry of the lists ``size`` and ``slope``, from their samples g_j
+    at t_j = j h, h = 2 pi / n: ``sample(n, rows)``, an array with a row of
+    n samples for each curve of the list ``rows``.  The first pass takes
+    n = ZERO_COUNT_COARSE for every curve at once, and each curve it leaves
+    unproven takes n = ZERO_COUNT_SAMPLES alone.
 
-    A pass proves its winding (``_winding``) when
+    A pass proves a curve's winding (``_winding``) when
 
         min_j (|g_j| + |g_{j+1}|) / 2 > h slope / 2 + eps,
 
@@ -240,32 +246,60 @@ def _proven_winding(sample, size: float, slope: float) -> tuple:
     Otherwise ``proven`` is False and the winding is the last pass's.
     ``budget`` holds the last pass's ``samples``, ``min_mean_abs_q`` (the
     least mean of |g| over two neighbouring samples) and ``threshold``.
+    Each row's numbers are those of its curve judged alone, bit for bit.
     """
-    for n in (ZERO_COUNT_COARSE, ZERO_COUNT_SAMPLES):
-        vals = sample(n)
-        drift = 2 * math.pi / n * slope
-        threshold = drift / 2 + ZERO_COUNT_ROUNDING * (size + drift)
-        # halved before they are added, which is exact and cannot overflow
-        half = np.abs(vals) * 0.5
-        low = float((half + np.concatenate((half[1:], half[:1]))).min())
-        if low > threshold:
-            break
-    budget = {"samples": n, "min_mean_abs_q": low, "threshold": threshold}
-    return _winding(vals), low > threshold, budget
+    out = _judge(sample(ZERO_COUNT_COARSE, list(range(len(size)))), size, slope, final=False)
+    for i, judged in enumerate(out):
+        if judged is None:
+            [out[i]] = _judge(sample(ZERO_COUNT_SAMPLES, [i]), [size[i]], [slope[i]], final=True)
+    return out
 
 
-def _winding(vals: np.ndarray) -> int:
-    """Winding number about 0 of the closed polygon through vals: the turning
-    angles arg(v_{j+1} conj(v_j)), the last back to the first, over 2 pi.
+def _judge(vals: np.ndarray, size, slope, final: bool) -> list:
+    # one pass of _proven_winding over the rows of vals: (winding, proven,
+    # budget) for each row that it proves, or for every row if final, and
+    # None for the others
+    n = vals.shape[1]
+    moduli = np.abs(vals)
+    # halved before they are added, which is exact and cannot overflow
+    half = moduli * 0.5
+    pairs = np.concatenate((half[:, 1:], half[:, :1]), axis=1)
+    pairs += half
+    lows = pairs.min(axis=1).tolist()
+    judged = []
+    for low, s, d in zip(lows, size, slope):
+        drift = 2 * math.pi / n * d
+        threshold = drift / 2 + ZERO_COUNT_ROUNDING * (s + drift)
+        judged.append((low > threshold, {"samples": n, "min_mean_abs_q": low, "threshold": threshold}))
+    keep = [i for i, (proven, _) in enumerate(judged) if proven or final]
+    if len(keep) < len(vals):
+        vals, moduli = vals[keep], moduli[keep]
+    out = [None] * len(judged)
+    for i, turns in zip(keep, _winding(vals, moduli) if keep else []):
+        out[i] = (turns, *judged[i])
+    return out
+
+
+def _winding(vals: np.ndarray, moduli: np.ndarray | None = None):
+    """Winding number about 0 of the closed polygon through vals, or the
+    list of those through each row of a 2-d vals: the turning angles
+    arg(v_{j+1} conj(v_j)), the last back to the first, over 2 pi.
 
     Samples whose largest modulus is 1 or more are first scaled down by the
     power of two that brings it into [1/2, 1): exact, so every angle keeps
-    its value, and no product overflows however large the samples are."""
-    vals = vals * 2.0 ** -max(math.frexp(float(np.abs(vals).max()))[1], 0)
-    # the product in place: one temporary of vals' size fewer
-    turns = np.concatenate((vals[1:], vals[:1]))
-    turns *= vals.conj()
-    return round(float(np.angle(turns).sum()) / (2 * math.pi))
+    its value, and no product overflows however large the samples are.
+    ``moduli`` is np.abs(vals), where the caller has it."""
+    rows = np.atleast_2d(vals)
+    moduli = np.abs(rows) if moduli is None else moduli
+    scale = [[2.0 ** -max(math.frexp(top)[1], 0)] for top in moduli.max(axis=1).tolist()]
+    rows = rows * np.array(scale)
+    # the products in place, on the copies made: two temporaries fewer
+    turns = np.concatenate((rows[:, 1:], rows[:, :1]), axis=1)
+    turns *= np.conjugate(rows, out=rows)
+    # np.angle's arctan2, without its checks
+    turns = np.arctan2(turns.imag, turns.real).sum(axis=1) / (2 * math.pi)
+    turns = [round(x) for x in turns.tolist()]
+    return turns if vals.ndim > 1 else turns[0]
 
 
 def _check_fixes_origin(phi: DiskFunction) -> complex:
@@ -330,10 +364,13 @@ def l_of_phi(lam: float, phi: DiskFunction, z):
     # one flat array even for a point: numpy's scalar arithmetic rounds
     # differently from its array loops, and a point must get an array's value
     flat = z.reshape(-1)
-    p = phi.eval(flat)
-    zdp = flat * phi.deriv(flat)
-    out = np.abs(-(1 + lam) * (p - zdp) + lam * p * (p - 2 * zdp)).reshape(z.shape)
+    out = _u_modulus(lam, phi.eval(flat), flat * phi.deriv(flat)).reshape(z.shape)
     return out if z.ndim else float(out)
+
+
+def _u_modulus(lam: float, p, zdp):
+    # |U| of the phi candidate from phi and z phi'
+    return np.abs(-(1 + lam) * (p - zdp) + lam * p * (p - 2 * zdp))
 
 
 def phi_boundary_max(lam: float, phi: DiskFunction) -> tuple:
@@ -345,9 +382,15 @@ def phi_boundary_max(lam: float, phi: DiskFunction) -> tuple:
 
 def _boundary_max(lam: float, phi: DiskFunction, n: int) -> tuple:
     # phi_boundary_max on ring(1.0, n)
-    vals = l_of_phi(lam, phi, ring(1.0, n))
-    i = int(np.argmax(vals))
-    return i * (2 * math.pi / n), float(vals[i])
+    return _row_max(l_of_phi(lam, phi, ring(1.0, n))[None])[0]
+
+
+def _row_max(vals: np.ndarray) -> list:
+    # (t, value) of the first largest sample of each row, whose n samples
+    # lie at the angles of ring(1.0, n)
+    i = np.argmax(vals, axis=1)
+    t = i * (2 * math.pi / vals.shape[1])
+    return list(zip(t.tolist(), vals[np.arange(len(vals)), i].tolist()))
 
 
 @dataclass(frozen=True)
@@ -414,6 +457,22 @@ def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
     only.  A phi that does not fix 0 raises BasePointNotZero, as in
     ``q_from_phi``.
     """
+    return phi_verdicts(lam, [phi])[0]
+
+
+def phi_verdicts(lam: float, phis) -> list:
+    """``phi_verdict`` of each phi, in order: the first Bernstein pass of
+    every polynomial is one row of one evaluation (``_bernstein_verdicts``)."""
+    out = [_phi_rule(lam, phi) for phi in phis]
+    polys = [i for i, verdict in enumerate(out) if verdict is None]
+    for i, verdict in zip(polys, _bernstein_verdicts(lam, [phis[i] for i in polys])):
+        out[i] = verdict
+    return out
+
+
+def _phi_rule(lam: float, phi: DiskFunction) -> GeneratorVerdict | None:
+    # phi_verdict of phi, or None for a polynomial, which the Bernstein
+    # certificate decides
     if _check_fixes_origin(phi) == 0:
         monomial = _as_monomial(phi)
         if monomial is not None:
@@ -421,7 +480,7 @@ def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
         if isinstance(phi, Blaschke):
             return _blaschke_verdict(lam, phi)
         if isinstance(phi, ScaledPolynomial):
-            return _bernstein_verdict(lam, phi)
+            return None
     t, best = phi_boundary_max(lam, phi)
     return GeneratorVerdict(_verdict(lam, math.inf, best), "boundary_max", best, t)
 
@@ -497,7 +556,22 @@ def _blaschke_verdict(lam: float, phi: Blaschke) -> GeneratorVerdict:
     return GeneratorVerdict(_verdict(lam, math.inf, value), "obstruction", value, t, {"m": m})
 
 
-def _bernstein_verdict(lam: float, phi: ScaledPolynomial) -> GeneratorVerdict:
+def _bernstein_verdicts(lam: float, phis: list) -> list:
+    """``_bernstein_verdict`` of each polynomial phi.  Their first passes
+    are the rows of one evaluation, ``l_of_phi`` bit for bit: ``eval`` and
+    ``deriv`` of all of them in one zero-padded Horner loop each
+    (``diskfun._horner_rows``)."""
+    if not phis:
+        return []
+    z = ring(1.0, ZERO_COUNT_COARSE)
+    normalizer = np.array([[phi.normalizer] for phi in phis])
+    p = _horner_rows([phi.raw for phi in phis], z) / normalizer
+    zdp = z * (_horner_rows([phi._derivative for phi in phis], z) / normalizer)
+    firsts = _row_max(_u_modulus(lam, p, zdp))
+    return [_bernstein_verdict(lam, phi, first) for phi, first in zip(phis, firsts)]
+
+
+def _bernstein_verdict(lam: float, phi: ScaledPolynomial, first: tuple) -> GeneratorVerdict:
     """A polynomial phi of degree d makes U a polynomial of degree at most
     2d, so by Bernstein's inequality |d/dt U(e^{it})| <= 2d max |U| on the
     circle.  Every point of the circle lies within pi/n of one of n
@@ -506,7 +580,8 @@ def _bernstein_verdict(lam: float, phi: ScaledPolynomial) -> GeneratorVerdict:
     ``_proven_winding`` allows, for terms of |U| of size (1 + lam)(1 + d)
     + lam (1 + 2d) (|phi| <= 1 and |z phi'| <= d on the circle).
 
-    Takes ZERO_COUNT_COARSE samples, then PHI_BOUNDARY_ANGLES, then 16384:
+    Takes ZERO_COUNT_COARSE samples, whose (t, M_n) the caller gives as
+    ``first``, then PHI_BOUNDARY_ANGLES, then 16384:
     Inside when the bound is at most lam, Outside when M_n exceeds lam +
     MEMBERSHIP_TOL (a sample bounds the maximum from below), Inconclusive
     when no pass decides.  ``bernstein_factor`` and ``bound`` are None when
@@ -515,7 +590,7 @@ def _bernstein_verdict(lam: float, phi: ScaledPolynomial) -> GeneratorVerdict:
     d = max((k for k, c in enumerate(phi.raw) if c != 0), default=0)
     rounding = ZERO_COUNT_ROUNDING * ((1 + lam) * (1 + d) + lam * (1 + 2 * d))
     for n in (ZERO_COUNT_COARSE, PHI_BOUNDARY_ANGLES, _BERNSTEIN_LAST):
-        t, best = _boundary_max(lam, phi, n)
+        t, best = first if n == ZERO_COUNT_COARSE else _boundary_max(lam, phi, n)
         slack = 1 - 2 * math.pi * d / n
         factor = 1 / slack if slack > 0 else None
         bound = None if factor is None else factor * (best + rounding)

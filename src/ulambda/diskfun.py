@@ -9,7 +9,11 @@ functions never rests on a numerical optimization.
 whole array of points, by the family's exact primitive.  A Moebius shift's is
 z B_a(z e^{i psi}), where ``_moebius_mean`` is the one implementation of the
 majorant B_a that ``bounds.b_a`` also calls.  A Blaschke product's is a sum
-of residue terms (``Blaschke._residues``).  ``gauss_legendre``, a 16-node rule on one segment near
+of residue terms (``Blaschke._residues``).  ``_primitive_rows`` gives the
+primitives of many functions on one circle, one row each, from a
+``_moebius_mean`` call per branch (one base point per row) and one
+``_horner`` loop.
+``gauss_legendre``, a 16-node rule on one segment near
 the origin and on two farther out, shares no code with them: it is the
 independent reference that the tests and the sharpness checks compare them
 with.
@@ -78,7 +82,7 @@ class MoebiusShift(DiskFunction):
     def __post_init__(self):
         a = complex(self.a)
         # written so that a NaN a fails too
-        if not abs(a) <= 1 + 1e-12:
+        if not _modulus(a, "a") <= 1 + 1e-12:
             raise BasePointOutsideClosedDisk(f"|a| = {abs(a):.6f} is not <= 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "psi", _finite(self.psi, "psi"))
@@ -111,11 +115,14 @@ class MoebiusShift(DiskFunction):
             return TruncatedSeries.from_coeffs([self.a], order=order)
         return TruncatedSeries(_moebius_coeffs(self.a, order, cmath.exp(1j * self.psi)))
 
-    def _primitive(self, z):
+    def _primitive(self, z, mean=None):
         if self._degenerate:
             return self.a * z
-        # substituting u = t e^{i psi}: int_0^z omega = z B_a(z e^{i psi})
-        return z * _moebius_mean(self.a, z * cmath.exp(1j * self.psi))
+        # substituting u = t e^{i psi}: int_0^z omega = z B_a(z e^{i psi}),
+        # given as ``mean`` by ``_primitive_rows``
+        if mean is None:
+            mean = _moebius_mean(self.a, z * cmath.exp(1j * self.psi))
+        return z * mean
 
 
 def _finite(v, name: str) -> float:
@@ -149,7 +156,7 @@ class Blaschke(DiskFunction):
         zs = tuple(complex(b) for b in self.zeros)
         for b in zs:
             # written so that a NaN zero fails too
-            if not abs(b) < 1:
+            if not _modulus(b, "zeros") < 1:
                 raise ZeroOnOrOutsideBoundary(f"zero with |b| = {abs(b):.6f} is not < 1")
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "rotation", _finite(self.rotation, "rotation"))
@@ -272,12 +279,15 @@ class Blaschke(DiskFunction):
         weights = [sum(h[m - p + 1] * taylor[m - n] for m in range(max(p - 1, n), order)) for n in range(order)]
         return c0, tuple(complex(g) for g in weights)
 
-    def _primitive(self, z):
-        # int_0^z of the partial fractions of ``_residues``, term by term
+    def _primitive(self, z, means=None):
+        # int_0^z of the partial fractions of ``_residues``, term by term;
+        # ``_primitive_rows`` gives B_{-b}(z) of each simple zero as ``means``
         const, simple, clusters = self._residues
+        if means is None:
+            means = [_moebius_mean(-b, z) for b, _ in simple]
         out = const * z
-        for b, r in simple:
-            out = out + r * (z * (_moebius_mean(-b, z) + b))
+        for (b, r), mean in zip(simple, means):
+            out = out + r * (z * (mean + b))
         for c, weights in clusters:
             for n, g in enumerate(weights):
                 # a lone multiple zero at 0 weighs only its last K_n
@@ -403,7 +413,7 @@ class ScaledPolynomial(DiskFunction):
         raw = tuple(complex(c) for c in self.raw)
         # summed in order and by abs(): math.fsum or a hypot modulus would
         # round some sums, and so every value of those polynomials, differently
-        total = _finite(float(sum(abs(c) for c in raw)), "the sum of |coeffs|")
+        total = _finite(float(sum(_modulus(c, "coeffs") for c in raw)), "the sum of |coeffs|")
         norm = _finite(self.normalizer, "normalizer")
         if norm == 0.0:
             norm = total if total > 0 else 1.0
@@ -424,17 +434,29 @@ class ScaledPolynomial(DiskFunction):
 
     def deriv(self, z):
         z = np.asarray(z, dtype=complex)
-        acc = _horner([k * c for k, c in enumerate(self.raw)][1:], z) / self.normalizer
+        acc = _horner(self._derivative, z) / self.normalizer
         return acc if z.ndim else complex(acc)
+
+    @cached_property
+    def _derivative(self) -> tuple:
+        # the coefficients p_1, 2 p_2, 3 p_3, ... of p'
+        return tuple(k * c for k, c in enumerate(self.raw))[1:]
 
     def taylor(self, order: int = DEFAULT_ORDER) -> TruncatedSeries:
         return TruncatedSeries.from_coeffs(
             [c / self.normalizer for c in self.raw], order=order
         )
 
-    def _primitive(self, z):
-        # z times Horner on the integrated coefficients p_0, p_1/2, p_2/3, ...
-        return _horner([c / (k + 1) for k, c in enumerate(self.raw)], z) * z / self.normalizer
+    @cached_property
+    def _integral(self) -> tuple:
+        # the integrated coefficients p_0, p_1/2, p_2/3, ...
+        return tuple(c / (k + 1) for k, c in enumerate(self.raw))
+
+    def _primitive(self, z, acc=None):
+        # z times Horner on ``_integral``, given as ``acc`` by ``_primitive_rows``
+        if acc is None:
+            acc = _horner(self._integral, z)
+        return acc * z / self.normalizer
 
 
 def schwarz_pick_envelope(a_mod: float, r: float) -> float:
@@ -456,31 +478,107 @@ _B_A_SERIES = 0.4
 _B_A_TERMS = tuple(1.0 / (j + 2) for j in range(39, -1, -1))
 
 
-def _b_a_small(a: complex, z, w):
-    # B_a(z) = a + (1 - |a|^2) z sum_{j>=0} (-w)^j / (j + 2), by Horner in
-    # place after the first step (a 0-d w gives numpy scalars, which rebind)
+def _b_a_constants(a: complex) -> tuple:
+    """(conj(a), a, 1 - |a|^2, conj(a)^2, 1/conj(a)), each by scalar
+    arithmetic, for one-a calls and rows of ``_moebius_mean`` alike: the
+    array forms of 1 - |a|^2 and conj(a)^2 round some a differently.  a = 0
+    takes only the series, so its 1/conj(a) is never read."""
+    c = np.conj(a)
+    return c, a, 1 - abs(a) ** 2, c**2, 1 / c if a else c
+
+
+def _b_a_small(z, w, a, s, *_):
+    # B_a(z) = a + s z sum_{j>=0} (-w)^j / (j + 2), s = 1 - |a|^2, by Horner
+    # in place after the first step (a 0-d w gives numpy scalars, which rebind)
     minus_w = -w
     acc = minus_w * _B_A_TERMS[0] + _B_A_TERMS[1]
     for c in _B_A_TERMS[2:]:
         acc *= minus_w
         acc += c
-    return a + (1 - abs(a) ** 2) * z * acc
+    return a + s * z * acc
 
 
-def _b_a_closed(a: complex, z, w):
-    return 1 / np.conj(a) - (1 - abs(a) ** 2) / (np.conj(a) ** 2 * z) * np.log1p(w)
+def _b_a_closed(z, w, _, s, square, inverse):
+    # 1/conj(a) - (s/(conj(a)^2 z)) log(1 + w)
+    return inverse - s / (square * z) * np.log1p(w)
 
 
-def _moebius_mean(a: complex, z):
+def _moebius_mean(a, z):
     """B_a(z) = (1/z) int_0^z (a + u)/(1 + conj(a) u) du for |a| < 1, at an
-    array or numpy scalar z with conj(a) z off the branch point -1.
+    array or numpy scalar z with conj(a) z off the branch point -1; or, for
+    a list a, with a[i] on z[i] (z's first axis runs over the a's).
 
     Each element takes the series for |conj(a) z| < 0.4 and the closed form
     1/conj(a) - ((1-|a|^2)/(conj(a)^2 z)) log(1+conj(a) z) elsewhere; each
     branch runs only on its own elements.  a = 0 gives z/2 (series path).
+    Each row's value is that of a call with its a alone, bit for bit: the
+    constants of each a are scalars (``_b_a_constants``), and numpy's
+    elementwise arithmetic rounds a scalar operand as it does an array.
     """
-    w = np.conj(a) * z
-    return _by_mask(abs(w) < _B_A_SERIES, partial(_b_a_small, a), partial(_b_a_closed, a), z, w)
+    if isinstance(a, list):
+        # one column per constant, exact: 1 - |a|^2 as a complex rounds as
+        # a real operand does once numpy casts it
+        k = np.array([_b_a_constants(complex(x)) for x in a], dtype=complex)
+        k = k.T.reshape((5, -1) + (1,) * (np.ndim(z) - 1))
+    else:
+        k = _b_a_constants(a)
+    w = k[0] * z
+    return _by_mask(abs(w) < _B_A_SERIES, _b_a_small, _b_a_closed, z, w, *k[1:])
+
+
+def _primitive_rows(funs, z) -> np.ndarray:
+    """``funs[i]._primitive(z)`` as row i, bit for bit, for a 1-d array z.
+
+    The B_a of every Moebius shift and of every simple zero of every
+    Blaschke product take one ``_moebius_mean`` row each, and every
+    polynomial one row of a ``_horner`` loop on its integrated coefficients,
+    zero-padded to the longest (a leading zero leaves Horner's sum exactly
+    0); each function then sums its own terms.  A monomial and a degenerate
+    shift take their own ``_primitive``, and so do a Blaschke product's
+    cluster terms and a lone function, which rows would only slow."""
+    if len(funs) == 1:
+        return funs[0]._primitive(z)[None]
+    terms, polys = [], []  # (a, argument) of each B_a; polynomials' coefficients
+    for f in funs:
+        if isinstance(f, MoebiusShift) and not f._degenerate:
+            terms.append((f.a, z * cmath.exp(1j * f.psi)))
+        elif isinstance(f, Blaschke):
+            terms += [(-b, z) for b, _ in f._residues[1]]
+        elif isinstance(f, ScaledPolynomial):
+            polys.append(f._integral)
+    means = [None] * len(terms)
+    # one call for the a with |a| < _B_A_SERIES and one for the others: on
+    # the circle |conj(a) z| = |a|, so each call's rows take one branch
+    # whole, and ``_by_mask`` gathers no elements
+    for series in (True, False):
+        group = [i for i, (a, _) in enumerate(terms) if (abs(a) < _B_A_SERIES) == series]
+        if group:
+            rows = _moebius_mean([terms[i][0] for i in group], np.array([terms[i][1] for i in group]))
+            for i, row in zip(group, rows):
+                means[i] = row
+    means = iter(means)
+    accs = iter(_horner_rows(polys, z) if polys else ())
+    out = np.empty((len(funs),) + z.shape, dtype=complex)
+    for i, f in enumerate(funs):
+        if isinstance(f, MoebiusShift) and not f._degenerate:
+            out[i] = f._primitive(z, next(means))
+        elif isinstance(f, Blaschke):
+            out[i] = f._primitive(z, [next(means) for _ in f._residues[1]])
+        elif isinstance(f, ScaledPolynomial):
+            out[i] = f._primitive(z, next(accs))
+        else:
+            out[i] = f._primitive(z)
+    return out
+
+
+def _horner_rows(coeffs, z) -> np.ndarray:
+    """``_horner(coeffs[i], z)`` as row i, bit for bit, for a 1-d array z,
+    by one Horner loop on the coefficients zero-padded to the longest: the
+    padding's steps leave the sum exactly 0."""
+    padded = np.zeros((max(1, *map(len, coeffs)), len(coeffs), 1), dtype=complex)
+    for i, c in enumerate(coeffs):
+        padded[:len(c), i, 0] = c
+    return _horner(padded, z)
 
 
 # 16-point Gauss-Legendre rule mapped to [0, 1] (nodes t, weights w), and the
@@ -500,16 +598,26 @@ def _any(mask) -> bool:
 
 def _by_mask(mask, on, off, *args):
     """``on(*args)`` where mask holds and ``off(*args)`` elsewhere, each run
-    only on its own elements of the array arguments (so a 0-d mask runs
-    exactly one of them, on the arguments as given)."""
-    if not _any(~mask):
+    only on its own elements of the array arguments, which broadcast
+    against the mask (so a 0-d mask runs exactly one of them, on the
+    arguments as given); a scalar argument goes to both as it is."""
+    if mask.ndim == 0:
+        return (on if mask else off)(*args)
+    if mask.all():
         return on(*args)
-    if not _any(mask):
+    if not mask.any():
         return off(*args)
     out = np.empty(mask.shape, dtype=complex)
-    out[mask] = on(*(x[mask] for x in args))
-    out[~mask] = off(*(x[~mask] for x in args))
+    for part, fun in ((mask, on), (~mask, off)):
+        out[part] = fun(*(_elements(x, part) for x in args))
     return out
+
+
+def _elements(x, part):
+    # the elements of x, broadcast against the mask ``part``, where it holds
+    if not isinstance(x, np.ndarray):
+        return x
+    return (x if x.shape == part.shape else np.broadcast_to(x, part.shape))[part]
 
 
 def _disk_points(z):
@@ -613,12 +721,20 @@ def _list(v, name: str) -> list | tuple:
 
 def _cplx(v, name: str) -> complex:
     """A finite complex number from a [re, im] pair or a real, as ``_real``,
-    whose modulus is finite too: abs() of one beyond the float range raises
-    OverflowError wherever it is taken."""
+    whose modulus is finite too (``_modulus``)."""
     parts = v if isinstance(v, (list, tuple)) else [v, 0.0]
     if len(parts) != 2 or not all(map(_is_real, parts)):
         raise ValueError(f"{name} must be a real number or a [re, im] pair, got {v!r}")
-    re, im = _finite(parts[0], name), _finite(parts[1], name)
-    if not math.isfinite(math.hypot(re, im)):
-        raise ValueError(f"{name} must have a finite modulus, got {v!r}")
-    return complex(re, im)
+    z = complex(_finite(parts[0], name), _finite(parts[1], name))
+    _modulus(z, name, v)
+    return z
+
+
+def _modulus(z: complex, name: str, given=None) -> float:
+    """abs(z); a ValueError naming ``name`` and showing ``given`` (z by
+    default) where abs() would raise OverflowError: finite parts whose
+    modulus exceeds the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        raise ValueError(f"{name} must have a finite modulus, got {z if given is None else given!r}") from None

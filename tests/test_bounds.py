@@ -23,6 +23,7 @@ from ulambda.bounds import (
     fixed_point_zero,
     max_boundary_ba,
     omega_verdict,
+    omega_verdicts,
     r_star,
     rogosinski_check,
     sharpness_construction_thm6,
@@ -1228,3 +1229,49 @@ class TestOmegaVerdict:
             paths[got.path, got.budget["samples"]] += 1
         assert set(paths) == {("zero_count", 256), ("zero_count", 8192), ("curve_distance", 8192)}
         assert sum(paths.values()) > 80
+
+
+def hexed(verdict):
+    """A verdict with every float as its hex string, so that == is bit for bit."""
+    def bits(v):
+        return v.hex() if isinstance(v, float) else v
+    return (verdict.verdict, verdict.path, bits(verdict.value), bits(verdict.t),
+            {k: bits(v) for k, v in verdict.budget.items()})
+
+
+class TestOmegaVerdicts:
+    @pytest.mark.parametrize("lam", [0.25, 1.0])
+    def test_rows_are_the_one_pair_verdicts(self, lam):
+        # verify-conjecture's draws, and a2 1e-3 and 1e-5 from gamma, which
+        # take the 8192-point pass and locate
+        rng = np.random.default_rng(17)
+        a2s, omegas = [], []
+        for k in range(48):
+            sample_phi(rng)
+            omega, a2 = sample_omega(rng), _random_point(rng, 1.0)
+            if k % 3:
+                g, normal = curve_points(omega, lam, rng.uniform(0, 2 * math.pi))
+                a2 = complex(g + (1e-3 if k % 3 == 1 else 1e-5) * rng.choice([-1, 1]) * normal)
+            a2s.append(a2)
+            omegas.append(omega)
+        got = omega_verdicts(lam, a2s, omegas)
+        want = [omega_verdict(lam, a2, omega) for a2, omega in zip(a2s, omegas)]
+        assert list(map(hexed, got)) == list(map(hexed, want))
+        paths = {(v.path, v.budget["samples"]) for v in got}
+        assert paths == {("zero_count", 256), ("zero_count", 8192), ("curve_distance", 8192)}
+
+    def test_no_pairs(self):
+        assert omega_verdicts(0.5, [], []) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: MoebiusShift(h),
+    lambda h: Blaschke(zeros=(h,)),
+    lambda h: ScaledPolynomial(raw=(h,)),
+    lambda h: sharpness_construction_thm6(0.5, h),
+    lambda h: omega_verdict(0.5, h, MoebiusShift(0.3)),
+], ids=["moebius", "blaschke", "polynomial", "sharpness", "omega_verdict"])
+def test_overflowing_modulus_is_a_value_error(call):
+    # finite parts whose modulus overflows: abs() raised OverflowError
+    with pytest.raises(ValueError, match="must have a finite modulus"):
+        call(complex(1.7e308, 1.7e308))

@@ -105,7 +105,8 @@ class TestVerifyConjecture:
         code, out = run(tmp_path, "verify-conjecture", cfg, outdir="new")
         assert code == 0
         assert json.loads((out / "verify_conjecture.json").read_text())["members_kept"] == 10
-        monkeypatch.setattr(cli, "phi_verdict", lambda lam, phi: sweep_verdict(core.q_from_phi(lam, phi)))
+        monkeypatch.setattr(cli, "phi_verdicts",
+                            lambda lam, phis: [sweep_verdict(core.q_from_phi(lam, phi)) for phi in phis])
         code, old = run(tmp_path, "verify-conjecture", cfg, outdir="old")
         assert code == 0
         assert json.loads((old / "verify_conjecture.json").read_text())["members_kept"] == 11
@@ -116,8 +117,9 @@ class TestVerifyConjecture:
         # and each kept draw get a q, and only at the order the table reads
         n_max = 7
         decided, built = [], []
-        verdict, make = cli.phi_verdict, cli.q_from_phi
-        monkeypatch.setattr(cli, "phi_verdict", lambda lam, phi: decided.append((phi, verdict(lam, phi))) or decided[-1][1])
+        verdicts, make = cli.phi_verdicts, cli.q_from_phi
+        monkeypatch.setattr(cli, "phi_verdicts", lambda lam, phis: [
+            decided.append((phi, v)) or v for phi, v in zip(phis, verdicts(lam, phis))])
         monkeypatch.setattr(cli, "q_from_phi", lambda lam, phi, order: built.append((phi, order)) or make(lam, phi, order))
         code, _ = run(tmp_path, "verify-conjecture", {"lambda": 0.5, "n_max": n_max, "samples": 24, "seed": 3})
         assert code == 0
@@ -128,14 +130,14 @@ class TestVerifyConjecture:
         assert all(order == n_max - 1 for _, order in built)
 
     def test_omega_q_built_only_once_kept(self, tmp_path, monkeypatch):
-        # an omega draw is decided on |z| = 1 by bounds.omega_verdict, which
+        # an omega draw is decided on |z| = 1 by bounds.omega_verdicts, which
         # takes no order (the stand-in below accepts none); only each kept
         # draw gets a q of the CLI's own, the one the table reads
         n_max = 7
         decided, built = [], []
-        verdict, make = bounds.omega_verdict, cli.q_from_omega
-        monkeypatch.setattr(bounds, "omega_verdict", lambda lam, a2, omega: decided.append(
-            (omega, verdict(lam, a2, omega))) or decided[-1][1])
+        verdicts, make = bounds.omega_verdicts, cli.q_from_omega
+        monkeypatch.setattr(bounds, "omega_verdicts", lambda lam, a2s, omegas: [
+            decided.append((omega, v)) or v for omega, v in zip(omegas, verdicts(lam, a2s, omegas))])
         monkeypatch.setattr(cli, "q_from_omega", lambda a2, lam, omega, order: built.append(
             (omega, order)) or make(a2, lam, omega, order))
         code, _ = run(tmp_path, "verify-conjecture", {"lambda": 0.5, "n_max": n_max, "samples": 24, "seed": 4})
@@ -167,8 +169,8 @@ class TestVerifyConjecture:
         code, plain = run(tmp_path, "verify-conjecture", cfg, outdir="plain")
         assert code == 0
         verdicts = []
-        verdict = bounds.omega_verdict
-        monkeypatch.setattr(bounds, "omega_verdict", lambda *a: verdicts.append(verdict(*a)) or verdicts[-1])
+        decide = bounds.omega_verdicts
+        monkeypatch.setattr(bounds, "omega_verdicts", lambda *a: [verdicts.append(v) or v for v in decide(*a)])
 
         def fail(*args, **kwargs):
             raise NoConvergence("no projection")
@@ -239,16 +241,27 @@ def sweep_verdict(cand):
 
 
 class TestRandomPoint:
-    def test_one_call_draws_the_two_call_doubles(self):
+    @staticmethod
+    def two_calls(rng, radius):
         # uniform() is the next double v and uniform(0, 2 pi) is 0 + 2 pi v
-        def two_calls(rng, radius):
-            return radius * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        return radius * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
 
+    def test_one_call_draws_the_two_call_doubles(self):
         for seed in range(200):
             mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             for radius in (1.0, 0.8, 0.9, 1.0) * 50:
-                got, want = cli._random_point(mine, radius), two_calls(theirs, radius)
+                got, want = cli._random_point(mine, radius), self.two_calls(theirs, radius)
                 assert (got.real, got.imag) == (want.real, want.imag)
+            assert mine.random() == theirs.random()
+
+    def test_points_of_one_call_are_the_per_point_draws(self):
+        # the 2 count doubles of one call, as count points drawn one by one
+        for seed in range(200):
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for radius, count in ((0.8, 1), (1.0, 9), (0.8, 3), (1.0, 2)) * 10:
+                got = cli._random_points(mine, radius, count)
+                want = [self.two_calls(theirs, radius) for _ in range(count)]
+                assert [(z.real, z.imag) for z in got] == [(z.real, z.imag) for z in want]
             assert mine.random() == theirs.random()
 
 

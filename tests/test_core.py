@@ -21,6 +21,7 @@ from ulambda.core import (
     obstruction_value,
     phi_boundary_max,
     phi_verdict,
+    phi_verdicts,
     q_from_omega,
     q_from_phi,
     subordination_check,
@@ -28,6 +29,7 @@ from ulambda.core import (
     taylor_of_f,
     u_of_q,
 )
+from test_bounds import hexed
 from ulambda.bounds import omega_verdict
 from ulambda.cli import _random_point, sample_omega, sample_phi
 from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, antiderivative
@@ -496,6 +498,20 @@ class TestPhiVerdict:
                                  "bernstein_factor": got.budget["bernstein_factor"],
                                  "bound": got.budget["bound"], "verdict": verdict}
 
+    def test_rows_are_the_one_phi_verdicts(self):
+        # verify-conjecture's draws, and polynomials of unequal degree whose
+        # first pass decides nothing (they go on to 4096 and 16384 samples)
+        # or that have no derivative at all
+        rng = np.random.default_rng(8)
+        phis = [sample_phi(rng) for _ in range(200)] + [
+            ScaledPolynomial(raw=(0, c), normalizer=1.0) for c in (0.99, 0.9997, 0.9999)] + [
+            ScaledPolynomial(raw=(0,)), ScaledPolynomial(raw=(0, 0.5) + (0,) * 40 + (1e-9,), normalizer=1.0)]
+        for lam in (0.25, 1.0):
+            got = phi_verdicts(lam, phis)
+            want = [phi_verdict(lam, phi) for phi in phis]
+            assert list(map(hexed, got)) == list(map(hexed, want))
+            assert {v.budget["samples"] for v in got if v.path == "bernstein"} == {256, 4096, 16384}
+
     def test_degree_beyond_the_samples_is_never_inside(self):
         # max |U| is about lam / 4, but 2 pi d >= n on every pass, so no
         # bound exists; at degree 700 only the 16384-sample pass has one,
@@ -825,7 +841,8 @@ class TestCountDiskZeros:
     def test_huge_samples_proven_without_overflow(self):
         # g = -a2 + e^{-it}, a2 = 1e308: every sum of moduli would overflow
         z = ring(1.0, core.ZERO_COUNT_COARSE)
-        turns, proven, budget = core._proven_winding(lambda n: z.conj() - 1e308, 2 + 1e308, 1.0)
+        [(turns, proven, budget)] = core._proven_winding(lambda n, rows: (z.conj() - 1e308)[None],
+                                                         [2 + 1e308], [1.0])
         assert (turns, proven, budget["samples"]) == (0, True, core.ZERO_COUNT_COARSE)
         assert budget["min_mean_abs_q"] == 1e308
 

@@ -16,6 +16,8 @@ from ulambda.diskfun import (
     ScaledPolynomial,
     _b_a_small,
     _k_n,
+    _moebius_mean,
+    _primitive_rows,
     antiderivative,
     diskfun_from_json,
     gauss_legendre,
@@ -638,9 +640,40 @@ class TestBaSeries:
             z = 0.4 * np.sqrt(rng.uniform(size=points or None)) * np.exp(2j * np.pi * rng.uniform(size=points or None))
             z = np.asarray(z, dtype=complex)[()]
             w = np.conj(a) * z
-            got, want = _b_a_small(a, z, w), reference_b_a_small(a, z, w)
+            got, want = _b_a_small(z, w, a, 1 - abs(a) ** 2), reference_b_a_small(a, z, w)
             assert np.shape(got) == np.shape(want)
             assert np.atleast_1d(got).tobytes() == np.atleast_1d(want).tobytes()
+
+
+class TestRows:
+    """The row-wise evaluations against one call per row, bit for bit."""
+
+    def test_moebius_mean_rows(self):
+        # base points on both sides of the series threshold, and 0; points
+        # inside the disk, so that rows mix the two branches
+        rng = np.random.default_rng(11)
+        a = [0j, 0.4, 0.4 - 1e-16, 0.3999999999j] + list(0.95 * np.sqrt(rng.uniform(size=300))
+                                                        * np.exp(2j * np.pi * rng.uniform(size=300)))
+        z = np.sqrt(rng.uniform(size=(len(a), 64))) * np.exp(2j * np.pi * rng.uniform(size=(len(a), 64)))
+        z[:, 0] = 1.0
+        got = _moebius_mean(a, z)
+        want = np.array([_moebius_mean(complex(x), row) for x, row in zip(a, z)])
+        assert got.tobytes() == want.tobytes()
+        series = np.abs(np.conj(np.array(a))[:, None] * z) < 0.4
+        assert series.any(axis=1).sum() > 100 and (~series).any(axis=1).sum() > 100
+
+    def test_primitive_rows(self):
+        # every family, and polynomials of unequal degree; a degenerate
+        # shift, a Blaschke product with clustered zeros and one with a
+        # multiple zero at 0 as well
+        rng = np.random.default_rng(5)
+        funs = sample_functions() + [sample_omega(rng) for _ in range(60)] + [
+            MoebiusShift(1.0), Blaschke(zeros=(0.5, 0.5 + 1e-6, -0.3j)), Blaschke(zeros=(0, 0, 0.4 + 0.4j)),
+            ScaledPolynomial(raw=(0.1,)), ScaledPolynomial(raw=(0.1, 0.2, 0, 0, 0, 0, 0, 0.3j))]
+        z = np.exp(2j * np.pi * np.arange(256) / 256)
+        got = _primitive_rows(funs, z)
+        want = np.array([antiderivative(f, z) for f in funs])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestJson:

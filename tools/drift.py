@@ -22,9 +22,11 @@ configs and the README examples; then 6 configs with a value outside (0, 1)
 with a huge a2 (1e308, 1e160, [1e200, 1e200]), 4 ``verify-conjecture``
 configs with 400 samples (lambda 0.25/1, seeds 1/2), 7 configs with a value
 whose modulus overflows (an a2, a sharpness a, a Moebius a, a Blaschke zero,
-a polynomial coefficient and a region-a2 query) and 5 with a polynomial
-whose coefficients sum to infinity.  Standard library only; exit status 1
-when anything differs.
+a polynomial coefficient and a region-a2 query), 5 with a polynomial
+whose coefficients sum to infinity and 3 ``verify-conjecture`` configs at
+lambda 0.1 with 0, 1 and 33 samples (no draw, one, and one more than a
+block of 32 draws).  Standard library only; exit status 1 when anything
+differs.
 """
 
 from __future__ import annotations
@@ -186,6 +188,9 @@ def configs() -> list:
             add("verify-conjecture", "verify-conjecture", {"lambda": lam, "n_max": 10, "samples": 400, "seed": seed})
     for command, cfg in OVERFLOW + FAMILY:
         add("malformed", command, cfg)
+    # verify-conjecture decides its draws in blocks of 32
+    for samples in (0, 1, 33):
+        add("verify-conjecture", "verify-conjecture", {"lambda": 0.1, "n_max": 10, "samples": samples, "seed": 5})
     return out
 
 
