@@ -10,7 +10,9 @@ on the unit circle (``phi_verdict``, which needs phi alone), an omega
 candidate by the zeros of its q on |z| = 1 (``bounds.omega_verdict``,
 beside ``RegionA2``, which answers the same question).  Only a raw q, such
 as a dilated or perturbed one, is swept (``sup_u``) as a truncated series
-over a grid of circles, and has its zeros counted by ``count_disk_zeros``.
+over a grid of circles, outermost first, skipping each inner circle whose
+coefficient bound cannot reach the outer maximum, and has its zeros
+counted by ``count_disk_zeros``.
 
 ``phi_verdict`` decides each family by an exact rule: a monomial by the
 closed form of the maximum, a Blaschke product by the paper's obstruction
@@ -139,7 +141,6 @@ class MembershipReport:
     margin: float
     verdict: str  # Inside | Outside | Inconclusive
     grid: dict
-    radial_max: tuple = ()
 
 
 def _u_series(cand: UCandidate) -> TruncatedSeries:
@@ -166,17 +167,41 @@ def _ring_point(radii: tuple, angles: int, i: int) -> complex:
 
 
 def sup_u(cand: UCandidate, grid: GridSpec = GridSpec()) -> MembershipReport:
-    """Estimate sup |U_f| over the grid, in one evaluation on all its circles.
+    """Estimate sup |U_f| over the grid: the largest ``ring_eval`` sample of
+    U on its circles, and the first sample that attains it in (radius,
+    angle) order, a point of ``ring``.
 
     The quantity is analytic, so per-radius maxima are nondecreasing in the
-    radius and the outermost circle decides the estimate; the argmax is the
-    first maximal sample in (radius, angle) order, a point of ``ring``.  The
-    verdict is a numerical report, not a proof: Inside / Outside when the
-    margin exceeds MEMBERSHIP_TOL, Inconclusive otherwise.
+    radius and the outermost circle decides the estimate.  That circle is
+    sampled first.  An inner circle of radius r is then sampled only if
+    its coefficient bound B(r) = sum_k |u_k| r^k, plus the rounding
+    allowance 4 (len(u) + angles) eps (B(r) + tiny), exceeds the outer
+    maximum, or either is not finite.  A computed sample of U on that
+    circle exceeds the true one by a few eps B(r) at most (``ring_eval``),
+    and the computed B(r) is within len(u) eps B(r) of the exact bound;
+    eps times tiny, the least normal double, is the spacing of the
+    subnormals, so the allowance's absolute term covers rounding there.
+    So no computed sample on a skipped circle reaches the outer maximum,
+    and the estimate and argmax are those of the whole grid, bit for bit.
+
+    The verdict is a numerical report, not a proof: Inside / Outside when
+    the margin exceeds MEMBERSHIP_TOL, Inconclusive otherwise.
     """
-    vals = np.abs(ring_eval(_u_series(cand), grid.radii, grid.angles))
-    i = int(np.argmax(vals))
-    best = float(vals.flat[i])
+    u = _u_series(cand)
+    radii, angles = grid.radii, grid.angles
+    vals = np.abs(ring_eval(u, radii[-1:], angles))
+    inner = np.array(radii[:-1])
+    bound = np.sum(np.abs(u.coeffs) * np.power.outer(inner, np.arange(len(u.coeffs))), axis=-1)
+    finfo = np.finfo(float)
+    reach = bound + 4 * (len(u.coeffs) + angles) * finfo.eps * (bound + finfo.tiny)
+    # a NaN maximum skips nothing, and an infinite reach is swept
+    skip = (reach <= vals.max()) & np.isfinite(reach)
+    rows = np.flatnonzero(~skip).tolist()
+    if rows:
+        vals = np.concatenate((np.abs(ring_eval(u, inner[rows], angles)), vals))
+    rows.append(len(radii) - 1)
+    row, col = divmod(int(np.argmax(vals)), angles)
+    best = float(vals[row, col])
     margin = cand.lam - best
     if best > cand.lam + MEMBERSHIP_TOL:
         verdict = "Outside"
@@ -186,11 +211,10 @@ def sup_u(cand: UCandidate, grid: GridSpec = GridSpec()) -> MembershipReport:
         verdict = "Inconclusive"
     return MembershipReport(
         sup_estimate=best,
-        argmax=_ring_point(grid.radii, grid.angles, i),
+        argmax=_ring_point(radii, angles, rows[row] * angles + col),
         margin=margin,
         verdict=verdict,
         grid=grid.describe(),
-        radial_max=tuple(vals.max(axis=1).tolist()),
     )
 
 
@@ -258,20 +282,25 @@ def _proven_winding(sample, size, slope) -> list:
 def _judge(vals: np.ndarray, size, slope, final: bool) -> list:
     # one pass of _proven_winding over the rows of vals: (winding, proven,
     # budget) for each row that it proves, or for every row if final, and
-    # None for the others
-    n = vals.shape[1]
+    # None for the others.  A single row is judged as a 1-d array, on which
+    # numpy's calls cost less than on a one-row 2-d array.
+    if len(vals) == 1:
+        vals = vals[0]
+    n = vals.shape[-1]
     moduli = np.abs(vals)
     # halved before they are added, which is exact and cannot overflow
     half = moduli * 0.5
-    pairs = np.concatenate((half[:, 1:], half[:, :1]), axis=1)
+    pairs = np.concatenate((half[..., 1:], half[..., :1]), axis=-1)
     pairs += half
-    lows = pairs.min(axis=1).tolist()
+    lows = pairs.min(axis=-1)
     judged = []
-    for low, s, d in zip(lows, size, slope):
+    for low, s, d in zip(lows.tolist() if vals.ndim > 1 else [float(lows)], size, slope):
         drift = 2 * math.pi / n * d
         threshold = drift / 2 + ZERO_COUNT_ROUNDING * (s + drift)
         judged.append((low > threshold, {"samples": n, "min_mean_abs_q": low, "threshold": threshold}))
     keep = [i for i, (proven, _) in enumerate(judged) if proven or final]
+    if vals.ndim == 1:
+        return [(_winding(vals, moduli), *judged[0]) if keep else None]
     if len(keep) < len(vals):
         vals, moduli = vals[keep], moduli[keep]
     out = [None] * len(judged)
@@ -289,17 +318,18 @@ def _winding(vals: np.ndarray, moduli: np.ndarray | None = None):
     power of two that brings it into [1/2, 1): exact, so every angle keeps
     its value, and no product overflows however large the samples are.
     ``moduli`` is np.abs(vals), where the caller has it."""
-    rows = np.atleast_2d(vals)
-    moduli = np.abs(rows) if moduli is None else moduli
-    scale = [[2.0 ** -max(math.frexp(top)[1], 0)] for top in moduli.max(axis=1).tolist()]
-    rows = rows * np.array(scale)
+    moduli = np.abs(vals) if moduli is None else moduli
+    tops = moduli.max(axis=-1)
+    if vals.ndim > 1:
+        rows = vals * np.array([[2.0 ** -max(math.frexp(top)[1], 0)] for top in tops.tolist()])
+    else:
+        rows = vals * 2.0 ** -max(math.frexp(float(tops))[1], 0)
     # the products in place, on the copies made: two temporaries fewer
-    turns = np.concatenate((rows[:, 1:], rows[:, :1]), axis=1)
+    turns = np.concatenate((rows[..., 1:], rows[..., :1]), axis=-1)
     turns *= np.conjugate(rows, out=rows)
     # np.angle's arctan2, without its checks
-    turns = np.arctan2(turns.imag, turns.real).sum(axis=1) / (2 * math.pi)
-    turns = [round(x) for x in turns.tolist()]
-    return turns if vals.ndim > 1 else turns[0]
+    turns = np.arctan2(turns.imag, turns.real).sum(axis=-1) / (2 * math.pi)
+    return [round(x) for x in turns.tolist()] if vals.ndim > 1 else round(float(turns))
 
 
 def _check_fixes_origin(phi: DiskFunction) -> complex:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from ulambda.errors import (
     OutsideDisk,
 )
 from ulambda.geometry import BOUNDARY, BOUNDARY_TOL, INSIDE, LABELS, OUTSIDE
-from ulambda.series import TruncatedSeries, ring, series_eval, series_eval_many, series_integrate
+from ulambda.series import TruncatedSeries, ring, ring_eval, series_eval, series_eval_many, series_integrate
 
 from test_geometry import polygon_distance, reference_contains
 
@@ -122,8 +123,7 @@ class TestSupU:
 
     def test_monotone_radial_maxima(self):
         for cand in (extremal(0.7), q_from_phi(0.4, Blaschke(zeros=(0, 0.3), rotation=1.0))):
-            rep = sup_u(cand)
-            diffs = np.diff(rep.radial_max)
+            diffs = np.diff(reference_sup_u(cand)[2])
             assert np.all(diffs >= -1e-12)
 
 
@@ -956,6 +956,15 @@ def reference_sup_u(cand, grid=GridSpec(), tol=1e-6):
     return best, best_z, tuple(radial)
 
 
+def sweep_verdict(best, lam):
+    """The verdict ``sup_u`` gives for the estimate best."""
+    if best > lam + MEMBERSHIP_TOL:
+        return "Outside"
+    if best < lam - MEMBERSHIP_TOL:
+        return "Inside"
+    return "Inconclusive"
+
+
 def reference_count_disk_zeros(cand, radius=0.999, samples=8192):
     """``count_disk_zeros`` as it was before its circle came from ``ring``."""
     theta = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
@@ -970,18 +979,16 @@ class TestOneCallSweeps:
     argmax on the grid whose Horner value is maximal within that bound."""
 
     def check(self, cand, grid=GridSpec()):
-        rep = sup_u(cand, grid)
+        with mock.patch.object(core, "ring_eval", wraps=core.ring_eval) as spy:
+            rep = sup_u(cand, grid)
         best, _, radial = reference_sup_u(cand, grid)
         bound = sweep_bound(u_series(cand), grid.radii)
-        assert np.all(np.abs(np.array(rep.radial_max) - radial) <= bound)
+        # a circle sup_u skips cannot hold the maximum, by Horner's values
+        swept = {float(r) for c in spy.call_args_list for r in np.ravel(c.args[1])}
+        skipped = [i for i, r in enumerate(grid.radii) if r not in swept]
+        assert np.all(np.array(radial)[skipped] + bound[skipped] < rep.sup_estimate)
         assert abs(rep.sup_estimate - best) <= bound.max()
-        if best > cand.lam + 1e-6:
-            verdict = "Outside"
-        elif best < cand.lam - 1e-6:
-            verdict = "Inside"
-        else:
-            verdict = "Inconclusive"
-        assert rep.verdict == verdict
+        assert rep.verdict == sweep_verdict(best, cand.lam)
         assert rep.margin == cand.lam - rep.sup_estimate
         # the argmax is a point of the grid, bit for bit
         z = ring(grid.radii, grid.angles).ravel()
@@ -1003,7 +1010,8 @@ class TestOneCallSweeps:
         # constant |U| on every circle: the first sample of the first circle
         cand = UCandidate(TruncatedSeries.one(8), 0.5)
         rep = sup_u(cand)
-        assert rep.argmax == 0.1 and rep.radial_max == (0.0,) * 11
+        assert rep.argmax == 0.1 and rep.sup_estimate == 0
+        assert reference_sup_u(cand)[2] == (0.0,) * 11
         self.check(cand)
         # |U| = lam |z|^2 is constant on each circle up to rounding
         self.check(extremal(0.5, 0.0))
@@ -1021,3 +1029,74 @@ class TestOneCallSweeps:
             q = cand.q.coeffs.copy()
             q[1] -= complex(*rng.uniform(-0.5, 0.5, 2))
             self.check(UCandidate(TruncatedSeries(q), lam), grid)
+
+
+def full_grid_sup_u(cand, grid):
+    """``sup_u`` as it was before it skipped circles: one ``ring_eval`` over
+    every circle of the grid, and its first maximal sample in (radius,
+    angle) order; (estimate, argmax, margin, verdict)."""
+    vals = np.abs(ring_eval(u_series(cand), grid.radii, grid.angles))
+    i = int(np.argmax(vals))
+    best = float(vals.flat[i])
+    argmax = complex(ring(grid.radii, grid.angles).flat[i])
+    return best, argmax, cand.lam - best, sweep_verdict(best, cand.lam)
+
+
+def hexed_report(best, argmax, margin, verdict):
+    return best.hex(), argmax.real.hex(), argmax.imag.hex(), margin.hex(), verdict
+
+
+def workload_extremals(rng):
+    """The subordination benchmark's candidates: rotated extremals of order
+    256, dilated, and perturbed in q_1."""
+    for k in range(6):
+        lam = float(rng.uniform(0.25, 0.9))
+        cand = extremal(lam, float(rng.uniform(0, 2 * math.pi)), order=256)
+        yield cand
+        yield dilate(cand, float(rng.uniform(0.3, 0.95)))
+        q = cand.q.coeffs.copy()
+        q[1] -= cmath.rect(float(rng.uniform(6, 7)), float(rng.uniform(0, 2 * math.pi)))
+        yield UCandidate(TruncatedSeries(q), lam)
+
+
+class TestSupUSkipsCircles:
+    """``sup_u`` samples an inner circle only when its coefficient bound can
+    reach the outer maximum, and reports what the whole grid reports."""
+
+    GRIDS = [GridSpec(), GridSpec(angles=2048), GridSpec(radii=(0.5, 0.5000000001)), GridSpec(angles=1)]
+
+    def candidates(self):
+        rng = np.random.default_rng(26)
+        for order in (16, 64, 256):
+            for k in range(12):
+                lam = (0.25, 0.5, 0.75, 1.0)[k % 4]
+                yield q_from_phi(lam, sample_phi(rng), order=order)
+                a2 = complex(*rng.uniform(-1, 1, 2))
+                yield q_from_omega(a2, lam, sample_omega(rng), order=order)
+        yield from workload_extremals(rng)
+        # U = z^2 (1 - z): on the one-angle grid, the ray t > 0, the maximum
+        # lies on the circle of radius 0.7, not the outermost
+        yield UCandidate(TruncatedSeries.from_coeffs([1, 0, -1, 0.5], order=8), 0.5)
+        # U = 0: every sample ties at 0
+        yield UCandidate(TruncatedSeries.from_coeffs([1, -0.3 + 0.2j], order=8), 0.5)
+        # more coefficients than angles, folded by ring_eval
+        yield q_from_phi(0.7, Blaschke(zeros=(0, 0.99j), rotation=0.4), order=4096)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["default", "2048-angles", "close-radii", "one-angle"])
+    def test_reports_are_the_full_grid_ones(self, grid):
+        for cand in self.candidates():
+            rep = sup_u(cand, grid)
+            got = hexed_report(rep.sup_estimate, rep.argmax, rep.margin, rep.verdict)
+            assert got == hexed_report(*full_grid_sup_u(cand, grid))
+            assert rep.grid == grid.describe()
+
+    def test_inner_circle_can_hold_the_maximum(self):
+        cand = UCandidate(TruncatedSeries.from_coeffs([1, 0, -1, 0.5], order=8), 0.5)
+        assert sup_u(cand, GridSpec(angles=1)).argmax == 0.7
+
+    def test_workload_samples_the_outer_circle_alone(self):
+        grid = GridSpec(angles=2048)
+        for cand in workload_extremals(np.random.default_rng(1)):
+            with mock.patch.object(core, "ring_eval", wraps=core.ring_eval) as spy:
+                sup_u(cand, grid)
+            assert [np.ravel(c.args[1]).tolist() for c in spy.call_args_list] == [[0.999]]
