@@ -15,12 +15,11 @@ coefficient bound cannot reach the outer maximum, and has its zeros
 counted by ``count_disk_zeros``.
 
 ``phi_verdict`` decides each family by an exact rule: a monomial by the
-closed form of the maximum, a Blaschke product by the paper's obstruction
-at the points where phi = -1 (Outside, with Clark's measure bounding the
-largest boundary quotient from below), and a polynomial by samples that
-Bernstein's inequality turns into an upper bound.  Only a phi without a
-rule is sampled without a bound, and can then be Outside or Inconclusive,
-never Inside.
+closed form of the maximum, a Blaschke product (a Moebius shift among
+them) by the paper's obstruction at the points where phi = -1 (Outside
+from degree 2, with Clark's measure bounding the largest boundary quotient
+from below), and a polynomial by samples that Bernstein's inequality turns
+into an upper bound.
 
 ``count_disk_zeros`` and ``bounds.omega_verdicts`` share one certificate
 (``_proven_winding``): a winding is proven on a 256-point circle when
@@ -28,7 +27,7 @@ neighbouring samples stay farther from 0 than the curve can move between
 them (a slope bound, plus rounding), and the full sample count is taken
 only otherwise.  It judges many curves at once, one row of samples each,
 and takes the full count for each curve the first pass leaves unproven,
-alone.  ``phi_verdicts`` likewise takes the first Bernstein pass of many
+alone.  ``phi_verdicts`` likewise takes each Bernstein pass of many
 polynomial phi in one row-wise evaluation.
 
 The representation theorem's two majorants, 1 + 2 lam z + lam z^2 and
@@ -45,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diskfun import Blaschke, DiskFunction, MoebiusShift, Monomial, ScaledPolynomial, _horner_rows
+from .diskfun import Blaschke, DiskFunction, MoebiusShift, Monomial, ScaledPolynomial, _horner_rows, _list, _real
 from .errors import (
     BasePointNotZero,
     HypothesisViolated,
@@ -68,8 +67,8 @@ from .series import (
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGLES = 720
 MEMBERSHIP_TOL = 1e-6
-# unit-circle samples of a phi candidate's boundary maximum: the second
-# pass of a polynomial phi's Bernstein certificate, and the sampled fallback
+# unit-circle samples of the second pass of a polynomial phi's Bernstein
+# certificate
 PHI_BOUNDARY_ANGLES = 4096
 # the Bernstein certificate's last pass, for a maximum within 2 pi d / 4096
 # of lam relative, where the second pass can neither prove nor refute it
@@ -101,8 +100,11 @@ class GridSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "GridSpec":
+        """The grid of a JSON object whose radii are a list of reals; else ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"grid must be a JSON object, got {obj!r}")
         return GridSpec(
-            radii=tuple(obj.get("radii", DEFAULT_RADII)),
+            radii=tuple(_real(r, "radii") for r in _list(obj.get("radii", DEFAULT_RADII), "radii")),
             angles=obj.get("angles", DEFAULT_ANGLES),
         )
 
@@ -341,13 +343,16 @@ def _check_fixes_origin(phi: DiskFunction) -> complex:
 
 
 def q_from_phi(lam: float, phi: DiskFunction, order: int = DEFAULT_ORDER) -> UCandidate:
-    """Candidate with z/f = 1 - (1+lam) phi + lam phi^2, phi fixing 0."""
-    _check_fixes_origin(phi)
+    """Candidate with z/f = 1 - (1+lam) phi + lam phi^2, phi fixing 0;
+    BasePointNotZero when phi(0) moves q(0) beyond ``UCandidate``'s 1e-12 of 1."""
+    base = _check_fixes_origin(phi)
     p = phi.taylor(order)
     q = np.zeros(order + 1, dtype=complex)
     q[0] = 1.0
     q -= (1 + lam) * p.coeffs
     q += lam * series_mul(p, p).coeffs
+    if abs(q[0] - 1) > 1e-12:
+        raise BasePointNotZero(f"|phi(0)| = {abs(base):.3e} puts q(0) {abs(q[0] - 1):.3e} away from 1")
     return UCandidate(TruncatedSeries(q), lam)
 
 
@@ -403,18 +408,6 @@ def _u_modulus(lam: float, p, zdp):
     return np.abs(-(1 + lam) * (p - zdp) + lam * p * (p - 2 * zdp))
 
 
-def phi_boundary_max(lam: float, phi: DiskFunction) -> tuple:
-    """(t, max |U|) over ``ring(1.0, PHI_BOUNDARY_ANGLES)`` for the phi
-    candidate: the largest sample of ``l_of_phi`` on the unit circle and its
-    angle t, the first maximal one, spaced as ``ring`` spaces them."""
-    return _boundary_max(lam, phi, PHI_BOUNDARY_ANGLES)
-
-
-def _boundary_max(lam: float, phi: DiskFunction, n: int) -> tuple:
-    # phi_boundary_max on ring(1.0, n)
-    return _row_max(l_of_phi(lam, phi, ring(1.0, n))[None])[0]
-
-
 def _row_max(vals: np.ndarray) -> list:
     # (t, value) of the first largest sample of each row, whose n samples
     # lie at the angles of ring(1.0, n)
@@ -431,10 +424,9 @@ class GeneratorVerdict:
     - for a phi candidate (``phi_verdict``), "closed_form", with ``value``
       the maximum of |U| on the unit circle; "obstruction", with ``value``
       the paper's obstruction at phi's largest boundary quotient, a lower
-      bound of that maximum; "bernstein", with ``value`` the largest of the
-      samples of |U| that Bernstein's inequality certified; or
-      "boundary_max", with ``value`` the largest of PHI_BOUNDARY_ANGLES
-      samples.  ``t`` is the angle at which ``value`` is taken;
+      bound of that maximum; or "bernstein", with ``value`` the largest of
+      the samples of |U| that Bernstein's inequality certified.  ``t`` is
+      the angle at which ``value`` is taken;
     - for an omega candidate (``bounds.omega_verdict``), "zero_count", with
       ``value`` the number of zeros of q in the disk, or "curve_distance",
       with ``value`` the distance of a2 to the curve gamma (None when gamma
@@ -458,7 +450,7 @@ class GeneratorVerdict:
 
 
 # the name of GeneratorVerdict.value in to_json, by path; "boundary_max"
-# for the other phi paths
+# for the closed_form and bernstein paths
 _VALUE_KEYS = {"obstruction": "obstruction_value", "zero_count": "q_disk_zeros",
                "curve_distance": "distance_to_curve"}
 
@@ -469,30 +461,29 @@ def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
     q = (1 - phi)(1 - lam phi) has no zero in the disk, and U is analytic on
     the closed disk, so by the maximum principle its maximum on the unit
     circle decides: Inside when it is at most lam, Outside when it exceeds
-    lam + MEMBERSHIP_TOL.  A phi with phi(0) = 0 is decided by its family's
-    exact rule:
+    lam + MEMBERSHIP_TOL.  Each phi is decided by its family's exact rule:
 
     - a monomial e^{i theta} z^k, and every phi that is one exactly (a
       polynomial with one nonzero coefficient c_k and normalizer |c_k|, a
       Blaschke product with zeros (0,), a Moebius shift with a = 0), by the
       closed form of the maximum (``_monomial_verdict``);
-    - any other Blaschke product, Outside by the paper's obstruction
-      (``_blaschke_verdict``);
+    - any other Blaschke product, and any other Moebius shift (the
+      Blaschke product with the one zero -a e^{-i psi} and rotation psi),
+      by the paper's obstruction (``_blaschke_verdict``): Outside at degree
+      2 or more, Inconclusive at degree 1;
     - any other polynomial, by samples and Bernstein's inequality
-      (``_bernstein_verdict``).
+      (``_bernstein_verdicts``), never Inside when phi(0) != 0, since f is
+      then not normalised.
 
-    Any other phi, and one with 0 < |phi(0)| <= 1e-9, takes the largest
-    ``phi_boundary_max`` sample: Outside beyond lam + MEMBERSHIP_TOL and
-    Inconclusive otherwise, since a sample bounds the maximum from below
-    only.  A phi that does not fix 0 raises BasePointNotZero, as in
-    ``q_from_phi``.
+    A phi with |phi(0)| > 1e-9 raises BasePointNotZero, as in
+    ``q_from_phi``; a phi of no family above raises TypeError.
     """
     return phi_verdicts(lam, [phi])[0]
 
 
 def phi_verdicts(lam: float, phis) -> list:
-    """``phi_verdict`` of each phi, in order: the first Bernstein pass of
-    every polynomial is one row of one evaluation (``_bernstein_verdicts``)."""
+    """``phi_verdict`` of each phi, in order: each Bernstein pass of the
+    polynomials is one row-wise evaluation (``_bernstein_verdicts``)."""
     out = [_phi_rule(lam, phi) for phi in phis]
     polys = [i for i, verdict in enumerate(out) if verdict is None]
     for i, verdict in zip(polys, _bernstein_verdicts(lam, [phis[i] for i in polys])):
@@ -503,16 +494,17 @@ def phi_verdicts(lam: float, phis) -> list:
 def _phi_rule(lam: float, phi: DiskFunction) -> GeneratorVerdict | None:
     # phi_verdict of phi, or None for a polynomial, which the Bernstein
     # certificate decides
-    if _check_fixes_origin(phi) == 0:
-        monomial = _as_monomial(phi)
-        if monomial is not None:
-            return _monomial_verdict(lam, monomial)
-        if isinstance(phi, Blaschke):
-            return _blaschke_verdict(lam, phi)
-        if isinstance(phi, ScaledPolynomial):
-            return None
-    t, best = phi_boundary_max(lam, phi)
-    return GeneratorVerdict(_verdict(lam, math.inf, best), "boundary_max", best, t)
+    _check_fixes_origin(phi)
+    if isinstance(phi, MoebiusShift):
+        phi = Blaschke(zeros=(-phi.a * cmath.exp(-1j * phi.psi),), rotation=phi.psi)
+    monomial = _as_monomial(phi)
+    if monomial is not None:
+        return _monomial_verdict(lam, monomial)
+    if isinstance(phi, Blaschke):
+        return _blaschke_verdict(lam, phi)
+    if isinstance(phi, ScaledPolynomial):
+        return None
+    raise TypeError(f"no membership rule for a {type(phi).__name__}")
 
 
 def _verdict(lam: float, upper: float, lower: float) -> str:
@@ -526,12 +518,9 @@ def _verdict(lam: float, upper: float, lower: float) -> str:
 
 
 def _as_monomial(phi: DiskFunction) -> Monomial | None:
-    """The monomial e^{i theta} z^k that phi, with phi(0) = 0, equals
-    exactly, or None."""
+    """The monomial e^{i theta} z^k that phi equals exactly, or None."""
     if isinstance(phi, Monomial):
         return phi
-    if isinstance(phi, MoebiusShift) and phi.a == 0:
-        return Monomial(theta=phi.psi, k=1)
     if isinstance(phi, Blaschke) and phi.zeros == (0,):
         return Monomial(theta=phi.rotation, k=1)
     if isinstance(phi, ScaledPolynomial):
@@ -556,16 +545,20 @@ def _monomial_verdict(lam: float, phi: Monomial) -> GeneratorVerdict:
 
 
 def _blaschke_verdict(lam: float, phi: Blaschke) -> GeneratorVerdict:
-    """A Blaschke product of degree n >= 2 with phi(0) = 0 is Outside.
+    """A Blaschke product of degree n >= 2 with |phi(0)| <= 1e-9 is Outside.
 
     phi = -1 at n points zeta_j of the circle, the roots of
     e^{i rho} prod_k (z - b_k) + prod_k (1 - conj(b_k) z), and there its
     boundary quotient is m_j = zeta_j phi'(zeta_j)/phi(zeta_j)
     = sum_k (1 - |b_k|^2)/|zeta_j - b_k|^2 > 0.  The Clark measure of phi
     at -1 (D. N. Clark, J. Anal. Math. 25, 1972) has point masses 1/m_j and
-    total mass (1 - |phi(0)|^2)/|1 + phi(0)|^2 = 1, so max m_j >= n, and the
-    paper's obstruction (``obstruction_value``) gives |U(zeta_j)| = lam +
-    (1 + 3 lam)(m_j - 1) >= lam + (1 + 3 lam)(n - 1) > lam.
+    total mass (1 - |phi(0)|^2)/|1 + phi(0)|^2 <= 1 + 3e-9, so max m_j >=
+    n (1 - 3e-9), and the paper's obstruction (``obstruction_value``) gives
+    |U(zeta_j)| = lam + (1 + 3 lam)(m_j - 1) > lam + MEMBERSHIP_TOL.
+
+    At degree 1 the zero b has 0 < |b| <= 1e-9 (b = 0 is a monomial), so on
+    the circle |m - 1| <= 2|b|/(1 - |b|), and every |U| = |(1 + lam)(m - 1)
+    + lam phi (1 - 2m)| is within 2.1e-9 (1 + 3 lam) of lam: Inconclusive.
 
     So the verdict needs no sample.  Its witness is the largest m_j, with
     the angle t of its zeta_j, from the roots of that polynomial (one
@@ -587,48 +580,49 @@ def _blaschke_verdict(lam: float, phi: Blaschke) -> GeneratorVerdict:
 
 
 def _bernstein_verdicts(lam: float, phis: list) -> list:
-    """``_bernstein_verdict`` of each polynomial phi.  Their first passes
-    are the rows of one evaluation, ``l_of_phi`` bit for bit: ``eval`` and
-    ``deriv`` of all of them in one zero-padded Horner loop each
-    (``diskfun._horner_rows``)."""
-    if not phis:
-        return []
-    z = ring(1.0, ZERO_COUNT_COARSE)
-    normalizer = np.array([[phi.normalizer] for phi in phis])
-    p = _horner_rows([phi.raw for phi in phis], z) / normalizer
-    zdp = z * (_horner_rows([phi._derivative for phi in phis], z) / normalizer)
-    firsts = _row_max(_u_modulus(lam, p, zdp))
-    return [_bernstein_verdict(lam, phi, first) for phi, first in zip(phis, firsts)]
+    """The verdict of each polynomial phi.  A phi of degree d makes U a
+    polynomial of degree at most 2d, so by Bernstein's inequality
+    |d/dt U(e^{it})| <= 2d max |U| on the circle.  Every point of the
+    circle lies within pi/n of one of n equispaced samples, so max |U| <=
+    M_n/(1 - 2 pi d/n), with M_n the largest sample, when 2 pi d < n.  M_n
+    is raised by the rounding that ``_proven_winding`` allows, for terms of
+    |U| of size (1 + lam)(1 + d) + lam (1 + 2d) (|phi| <= 1 and |z phi'| <=
+    d on the circle, whatever phi(0) is).
 
+    Takes ZERO_COUNT_COARSE samples, then PHI_BOUNDARY_ANGLES, then 16384,
+    each pass only of the phi that the last one left Inconclusive: Inside
+    when the bound is at most lam and phi(0) = 0 (else f is not
+    normalised), Outside when M_n exceeds lam + MEMBERSHIP_TOL (a sample
+    bounds the maximum from below), Inconclusive when no pass decides.
+    ``bernstein_factor`` and ``bound`` are None when 2 pi d >= n.
 
-def _bernstein_verdict(lam: float, phi: ScaledPolynomial, first: tuple) -> GeneratorVerdict:
-    """A polynomial phi of degree d makes U a polynomial of degree at most
-    2d, so by Bernstein's inequality |d/dt U(e^{it})| <= 2d max |U| on the
-    circle.  Every point of the circle lies within pi/n of one of n
-    equispaced samples, so max |U| <= M_n/(1 - 2 pi d/n), with M_n the
-    largest sample, when 2 pi d < n.  M_n is raised by the rounding that
-    ``_proven_winding`` allows, for terms of |U| of size (1 + lam)(1 + d)
-    + lam (1 + 2d) (|phi| <= 1 and |z phi'| <= d on the circle).
-
-    Takes ZERO_COUNT_COARSE samples, whose (t, M_n) the caller gives as
-    ``first``, then PHI_BOUNDARY_ANGLES, then 16384:
-    Inside when the bound is at most lam, Outside when M_n exceeds lam +
-    MEMBERSHIP_TOL (a sample bounds the maximum from below), Inconclusive
-    when no pass decides.  ``bernstein_factor`` and ``bound`` are None when
-    2 pi d >= n.
+    Each pass is one evaluation whose rows are ``l_of_phi`` bit for bit:
+    ``eval`` and ``deriv`` of all its phi in one zero-padded Horner loop
+    each (``diskfun._horner_rows``).
     """
-    d = max((k for k, c in enumerate(phi.raw) if c != 0), default=0)
-    rounding = ZERO_COUNT_ROUNDING * ((1 + lam) * (1 + d) + lam * (1 + 2 * d))
+    out = [None] * len(phis)
+    todo = list(range(len(phis)))
     for n in (ZERO_COUNT_COARSE, PHI_BOUNDARY_ANGLES, _BERNSTEIN_LAST):
-        t, best = first if n == ZERO_COUNT_COARSE else _boundary_max(lam, phi, n)
-        slack = 1 - 2 * math.pi * d / n
-        factor = 1 / slack if slack > 0 else None
-        bound = None if factor is None else factor * (best + rounding)
-        verdict = _verdict(lam, math.inf if bound is None else bound, best)
-        if verdict != "Inconclusive":
+        if not todo:
             break
-    budget = {"samples": n, "bernstein_factor": factor, "bound": bound}
-    return GeneratorVerdict(verdict, "bernstein", best, t, budget)
+        z = ring(1.0, n)
+        normalizer = np.array([[phis[i].normalizer] for i in todo])
+        p = _horner_rows([phis[i].raw for i in todo], z) / normalizer
+        zdp = z * (_horner_rows([phis[i]._derivative for i in todo], z) / normalizer)
+        left = []
+        for i, (t, best) in zip(todo, _row_max(_u_modulus(lam, p, zdp))):
+            d = max((k for k, c in enumerate(phis[i].raw) if c != 0), default=0)
+            rounding = ZERO_COUNT_ROUNDING * ((1 + lam) * (1 + d) + lam * (1 + 2 * d))
+            slack = 1 - 2 * math.pi * d / n
+            factor = 1 / slack if slack > 0 else None
+            bound = None if factor is None else factor * (best + rounding)
+            upper = math.inf if bound is None or phis[i].base_point() != 0 else bound
+            budget = {"samples": n, "bernstein_factor": factor, "bound": bound}
+            out[i] = GeneratorVerdict(_verdict(lam, upper, best), "bernstein", best, t, budget)
+            if out[i].verdict == "Inconclusive":
+                left.append(i)
+        todo = left
+    return out
 
 
 def julia_quotient(phi: DiskFunction, theta0: float) -> float:

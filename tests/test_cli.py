@@ -1036,6 +1036,17 @@ class TestHarness:
         ("f-roots", {"lambdas": [0.3, 0.7], "Rs": [0.5, 1.0]}),
         ("fixed-point", {"r": 1.5}),
         ("fixed-point", {"r": -0.2}),
+        # each used to end in an AttributeError (grid not an object) or a
+        # TypeError (radii not a list of reals) traceback, exit 1
+        ("membership", {"candidate": {"type": "extremal"}, "grid": 5}),
+        ("membership", {"candidate": {"type": "extremal"}, "grid": None}),
+        ("membership", {"candidate": {"type": "extremal"}, "grid": [1, 2]}),
+        ("verify-conjecture", {"grid": 5}),
+        ("membership", {"candidate": {"type": "extremal"}, "grid": {"radii": 5}}),
+        ("membership", {"candidate": {"type": "extremal"}, "grid": {"radii": [0.5, None]}}),
+        ("membership", {"candidate": {"type": "extremal"}, "grid": {"radii": [[0.5]]}}),
+        # used to run after a silent coercion, with exit 0
+        ("membership", {"candidate": {"type": "extremal"}, "grid": {"radii": ["0.5"]}}),
     ])
     def test_malformed_input_is_a_config_error(self, tmp_path, command, cfg):
         base = {"lambda": 0.5, "a2": 2.5, "omega": {"kind": "moebius", "a": 0.3}}

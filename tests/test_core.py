@@ -20,7 +20,6 @@ from ulambda.core import (
     l_of_phi,
     majorant_h_boundary,
     obstruction_value,
-    phi_boundary_max,
     phi_verdict,
     phi_verdicts,
     q_from_omega,
@@ -148,6 +147,14 @@ class TestQFromPhi:
     def test_rejects_nonzero_base_point(self):
         with pytest.raises(BasePointNotZero):
             q_from_phi(0.5, MoebiusShift(0.5, 0.0))
+
+    @pytest.mark.parametrize("phi", [MoebiusShift(1e-10), ScaledPolynomial((1e-10, 0.5))],
+                             ids=["moebius", "poly"])
+    def test_tiny_base_point_moving_q0(self, phi):
+        # phi_verdict takes it, but q(0) is not within 1e-12 of 1; UCandidate
+        # used to raise ValueError("q(0) must equal 1")
+        with pytest.raises(BasePointNotZero, match=rf"\|phi\(0\)\| = {abs(phi.base_point()):.3e}"):
+            q_from_phi(0.5, phi)
 
 
 class TestQFromOmega:
@@ -328,23 +335,30 @@ class TestLofPhi:
         assert l_of_phi(0.5, Monomial(theta=0.0, k=2), np.array([1.0, 1j])).shape == (2,)
 
 
+def boundary_max(lam, phi):
+    """(t, max |U|) of the first largest ``l_of_phi`` sample on
+    ``ring(1.0, PHI_BOUNDARY_ANGLES)``, as a Bernstein pass reads it."""
+    [(t, best)] = core._row_max(l_of_phi(lam, phi, ring(1.0, PHI_BOUNDARY_ANGLES))[None])
+    return t, best
+
+
 class TestPhiBoundaryMax:
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75, 1.0])
     def test_extremal_rotations_reach_lambda(self, lam):
         # |U| = lam |z|^2 for every rotation, so the maximum is lam itself
         for theta in np.linspace(0.0, 2 * math.pi, 13):
-            _, best = phi_boundary_max(lam, Monomial(theta=float(theta), k=1))
+            _, best = boundary_max(lam, Monomial(theta=float(theta), k=1))
             assert abs(best - lam) <= 6.7e-16
             assert phi_verdict(lam, Monomial(theta=float(theta), k=1)).verdict == "Inside"
 
     def test_z_squared_peaks_at_one(self):
         # -z^2 reaches 1 + 4 lam at z = 1, the boundary obstruction point
-        t, best = phi_boundary_max(0.5, Monomial(theta=math.pi, k=2))
+        t, best = boundary_max(0.5, Monomial(theta=math.pi, k=2))
         assert t == 0.0 and abs(best - 3.0) < 1e-12
 
     def test_t_is_a_ring_angle(self):
         phi = Blaschke(zeros=(0, 0.4 - 0.3j), rotation=0.8)
-        t, best = phi_boundary_max(0.6, phi)
+        t, best = boundary_max(0.6, phi)
         vals = l_of_phi(0.6, phi, ring(1.0, PHI_BOUNDARY_ANGLES))
         i = int(np.argmax(vals))
         assert t == i * (2 * math.pi / PHI_BOUNDARY_ANGLES) and best == vals[i]
@@ -358,12 +372,17 @@ class TestGeneratorVerdict:
         (0.5 + 2e-6, "Outside"),
     ])
     def test_phi_bands(self, monkeypatch, best, verdict):
-        # a phi with 0 < |phi(0)| <= 1e-9 has no exact rule and takes the
-        # sampled maximum, which bounds the true one from below only
-        monkeypatch.setattr(core, "phi_boundary_max", lambda lam, phi: (1.25, best))
-        got = phi_verdict(0.5, MoebiusShift(a=1e-10))
-        assert (got.verdict, got.path, got.value, got.t) == (verdict, "boundary_max", best, 1.25)
-        assert got.to_json() == {"path": "boundary_max", "boundary_max": best, "t": 1.25, "verdict": verdict}
+        # a polynomial with 0 < |phi(0)| <= 1e-9 makes no normalised f, so
+        # its Bernstein bound proves nothing and the largest sample bounds
+        # the maximum from below only: 0.4 is Inconclusive, not Inside
+        monkeypatch.setattr(core, "_row_max", lambda vals: [(1.25, best)] * len(vals))
+        got = phi_verdict(0.5, ScaledPolynomial(raw=(1e-10, 0.5)))
+        samples = 256 if verdict == "Outside" else 16384
+        assert (got.verdict, got.path, got.value, got.t) == (verdict, "bernstein", best, 1.25)
+        assert got.to_json() == {"path": "bernstein", "boundary_max": best, "t": 1.25, "samples": samples,
+                                 "bernstein_factor": got.budget["bernstein_factor"],
+                                 "bound": got.budget["bound"], "verdict": verdict}
+        assert got.budget["bound"] > best
 
     def test_phi_verdict_needs_an_origin_fixing_phi(self):
         with pytest.raises(BasePointNotZero):
@@ -528,10 +547,35 @@ class TestPhiVerdict:
             assert (got.verdict, got.budget["samples"]) == ("Inside", samples)
 
     def test_fallback_is_never_inside(self):
-        # phi(0) = 1e-10: a rotation to 1e-10, sampled, with no exact rule
+        # phi(0) = 1e-10: the Blaschke product with the one zero -1e-10
+        # e^{-0.3i}, whose every |U| on the circle is within 1e-8 of lam
         got = phi_verdict(0.5, MoebiusShift(a=1e-10, psi=0.3))
-        assert (got.verdict, got.path) == ("Inconclusive", "boundary_max")
+        assert (got.verdict, got.path) == ("Inconclusive", "obstruction")
         assert abs(got.value - 0.5) < 1e-9
+
+    # 0 < |phi(0)| <= 1e-9, and the verdicts at lambda 0.3 and 1 of the
+    # 4096-sample maximum that decided these before their family's rule did
+    TINY_BASE_POINT = {
+        "moebius-1e-10": (MoebiusShift(a=1e-10), "Inconclusive", "Inconclusive"),
+        "moebius-minus-1e-10": (MoebiusShift(a=-1e-10), "Inconclusive", "Inconclusive"),
+        "moebius-1e-9i": (MoebiusShift(a=1e-9j), "Inconclusive", "Inconclusive"),
+        "blaschke-1": (Blaschke(zeros=(1e-10,)), "Inconclusive", "Inconclusive"),
+        "blaschke-2": (Blaschke(zeros=(1e-10, 0.5)), "Outside", "Outside"),
+        "blaschke-3": (Blaschke(zeros=(2e-10, 0.3 + 0.2j, -0.4)), "Outside", "Outside"),
+        "poly-0.3-0.1": (ScaledPolynomial(raw=(1e-10, 0.3, 0.1)), "Outside", "Inconclusive"),
+        "poly-0.9-0.1i": (ScaledPolynomial(raw=(1e-10, 0.9, 0.1j)), "Outside", "Outside"),
+        # its Bernstein bound, 0.075 at lambda 0.3, would read Inside were
+        # phi(0) = 0
+        "poly-0.5": (ScaledPolynomial(raw=(5e-10, 0.5), normalizer=1.0), "Inconclusive", "Inconclusive"),
+    }
+
+    @pytest.mark.parametrize("name", TINY_BASE_POINT)
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_tiny_base_point_keeps_its_verdict(self, name, lam):
+        phi, *verdicts = self.TINY_BASE_POINT[name]
+        got = phi_verdict(lam, phi)
+        assert got.verdict == verdicts[lam == 1.0] and got.verdict != "Inside"
+        assert got.path == ("bernstein" if isinstance(phi, ScaledPolynomial) else "obstruction")
 
     def test_seeded_agreement_with_dense_samples(self):
         # 2000 sample_phi draws, lambda cycling through four values, against

@@ -25,8 +25,11 @@ whose modulus overflows (an a2, a sharpness a, a Moebius a, a Blaschke zero,
 a polynomial coefficient and a region-a2 query), 5 with a polynomial
 whose coefficients sum to infinity and 3 ``verify-conjecture`` configs at
 lambda 0.1 with 0, 1 and 33 samples (no draw, one, and one more than a
-block of 32 draws).  Standard library only; exit status 1 when anything
-differs.
+block of 32 draws), 20 phi ``membership`` configs with 0 < |phi(0)| <= 1e-9
+(10 Moebius, Blaschke and polynomial phi at lambda 0.3 and 1), 7 ``julia``
+configs with such a phi at a point where it is -1, and 8 with a malformed
+``grid`` (7 ``membership``, 1 ``verify-conjecture``).  Standard library
+only; exit status 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -111,6 +114,32 @@ FAMILY = [
     ("region-a2", {"lambda": 0.5, "omega": INFINITE_SUM, "queries": [[0.9, 0]]}),
     ("fixed-point", {"lambda": 0.5, "a2": 2.5, "omega": INFINITE_SUM}),
 ]
+# (phi, theta0) with 0 < |phi(0)| <= 1e-9, and a point where phi = -1 for
+# julia (None where phi is never -1)
+PI = 3.141592653589793
+TINY_BASE_POINT = [
+    ({"kind": "moebius", "a": 1e-10}, PI),
+    ({"kind": "moebius", "a": -1e-10}, PI),
+    ({"kind": "moebius", "a": [0, 1e-9]}, 3.141592655589793),
+    ({"kind": "blaschke", "zeros": [1e-10]}, PI),
+    ({"kind": "blaschke", "zeros": [1e-10, 0.5]}, 1.0471975511099951),
+    ({"kind": "blaschke", "zeros": [2e-10, [0.3, 0.2], -0.4]}, 3.061997528266716),
+    ({"kind": "poly", "coeffs": [1e-10, 0.3, 0.1]}, None),
+    ({"kind": "poly", "coeffs": [1e-10, 0.9, [0, 0.1]]}, None),
+    ({"kind": "poly", "coeffs": [5e-10, 0.5], "normalizer": 1.0}, None),
+    ({"kind": "poly", "coeffs": [1e-10, -0.3, -0.1]}, 0.0),
+]
+EXTREMAL = {"type": "extremal"}
+BAD_GRIDS = [
+    ("membership", {"lambda": 0.5, "candidate": EXTREMAL, "grid": 5}),
+    ("membership", {"lambda": 0.5, "candidate": EXTREMAL, "grid": None}),
+    ("membership", {"lambda": 0.5, "candidate": EXTREMAL, "grid": [1, 2]}),
+    ("verify-conjecture", {"lambda": 0.5, "grid": 5}),
+    ("membership", {"lambda": 0.5, "candidate": EXTREMAL, "grid": {"radii": 5}}),
+    ("membership", {"lambda": 0.5, "candidate": EXTREMAL, "grid": {"radii": [0.5, None]}}),
+    ("membership", {"lambda": 0.5, "candidate": EXTREMAL, "grid": {"radii": [[0.5]]}}),
+    ("membership", {"lambda": 0.5, "candidate": EXTREMAL, "grid": {"radii": ["0.5"]}}),
+]
 README = [
     ("verify-conjecture", {"lambda": 0.5, "n_max": 10, "samples": 100, "seed": 7}),
     ("membership", {"lambda": 0.5, "candidate": {"type": "extremal"}}),
@@ -191,6 +220,13 @@ def configs() -> list:
     # verify-conjecture decides its draws in blocks of 32
     for samples in (0, 1, 33):
         add("verify-conjecture", "verify-conjecture", {"lambda": 0.1, "n_max": 10, "samples": samples, "seed": 5})
+    for phi, theta0 in TINY_BASE_POINT:
+        for lam in (0.3, 1.0):
+            add("membership-tiny", "membership", {"lambda": lam, "candidate": {"type": "phi", "phi": phi}})
+        if theta0 is not None:
+            add("julia", "julia", {"lambda": 0.3, "phi": phi, "theta0": theta0})
+    for command, cfg in BAD_GRIDS:
+        add("malformed", command, cfg)
     return out
 
 
