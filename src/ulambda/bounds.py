@@ -17,17 +17,13 @@ call, then golden section) only for a Blaschke product or a polynomial.
 a2 is admissible exactly when q = 1 - a2 z + lam z W(z), W = int_0^z omega,
 has no zero in the disk: q(e^{it}) = e^{it} (gamma(t) - a2) with gamma(t) =
 e^{-it} + lam W(e^{it}), so exactly when a2 lies inside gamma.  This module
-is the one place that decides it.  ``omega_verdicts`` proves the winding
-of gamma - a2 for many pairs (a2, omega) from samples on |z| = 1, each
-taken from omega's exact primitive, against the bound 1 + lam on |gamma'|:
-the 256-point pass of every pair as one row of one array
-(``diskfun._primitive_rows``), and the 8192-point pass of each pair it
-leaves unproven alone.  Otherwise it asks ``RegionA2.locate``, which
-projects a2 onto the same gamma, from |z| = 1 only.  ``omega_verdict`` is
-its one-pair case.
+decides it by one rule, ``omega_verdicts``: the winding of gamma - a2 that
+``core._proven_winding`` proves from samples of omega's exact primitive on
+|z| = 1, against the bound 1 + lam on |gamma'|.  ``omega_verdict`` reports
+it for membership, and ``RegionA2.locate`` labels region-a2's queries by
+it, projecting them onto gamma only for their distance.
 Every f in U(lam) is univalent, so gamma runs clockwise around the admissible
-set (``c_omega_curve`` gives the proof), and ``locate`` takes a2's side from
-that, with no sampled check of gamma's shape.
+set (``c_omega_curve`` gives the proof).
 
 Theorem 5's bound 1 + lam v(a) is Theorem 6's at real a in (0, 1), attained
 by the same f: ``sharpness_g_thm5`` is a view of the one witness that
@@ -62,12 +58,11 @@ from .errors import (
     NotContractive,
     OutOfRange,
 )
-from .geometry import BOUNDARY, BOUNDARY_TOL, INSIDE, LABELS, OUTSIDE, BoundaryRegion
+from .geometry import BOUNDARY, INSIDE, LABELS, OUTSIDE, BoundaryRegion
 from .series import DEFAULT_ORDER, TruncatedSeries, ring, series_reciprocal
 from .core import (
     DEFAULT_ANGLES,
     DEFAULT_RADII,
-    ZERO_COUNT_ROUNDING,
     GeneratorVerdict,
     UCandidate,
     _proven_winding,
@@ -353,29 +348,20 @@ class RegionA2:
         return g, 1j * (self.lam * z * w - zc), -zc - self.lam * z * (w + z * self.omega.deriv(z))
 
     def locate(self, a2) -> tuple:
-        """(codes, distances) of the points a2, flattened: the distance to
-        gamma(t*), the nearest point, and BOUNDARY within ``BOUNDARY_TOL``
-        (or within lam ZERO_COUNT_ROUNDING S, the rounding of gamma that
-        ``omega_verdict`` allows, S = ``omega._primitive_size()``, if that is
-        larger), else INSIDE or OUTSIDE by the side of gamma'(t*) the point
-        lies on: gamma runs clockwise, so the exterior lies to the left of
-        gamma'.
+        """(codes, distances) of the points a2, flattened.  The codes are
+        ``omega_verdicts``': INSIDE or OUTSIDE when q has no zero or some
+        zero in the disk, BOUNDARY where the certificate stops at its floor.
 
-        Newton steps on Re(conj(gamma') (gamma - a2)) = 0 (descent steps where
-        the distance is not convex in t), each clamped to one sample spacing,
-        start at every local minimum of the sample distances, and at both
-        neighbours of the nearest sample, since the two nearest points on
-        either side of a fold's tip can share it; the nearest settled point
-        is t*.  Where several settled points tie for nearest
-        (to a relative 1e-12, plus 1e-12 for the rounding of gamma), the point
-        is OUTSIDE if any of them reads the exterior side.  G is conformal on
-        |zeta| > 1, so the exterior side of gamma always has exterior points
-        next to it, but at lam = 1 gamma can fold onto itself and leave its
-        interior side empty: omega = 1 makes gamma(t) = 2 cos t, a slit traced
-        twice.  A cusp (gamma'(t*) = 0: lam = 1, |omega| = 1) reads the
-        exterior side: G' vanishes there, so the interior angle is 0 and no
-        interior point has the cusp as its nearest point."""
+        The distance is that to gamma(t*), the nearest point: Newton steps on
+        Re(conj(gamma') (gamma - a2)) = 0 (descent steps where the distance
+        is not convex in t), each clamped to one sample spacing, start at
+        every local minimum of the sample distances, and at both neighbours
+        of the nearest sample, since the two nearest points on either side
+        of a fold's tip can share it; the nearest settled point is t*.
+        NoConvergence when no start settles in 64 steps."""
         p = np.asarray(a2, dtype=complex).reshape(-1)
+        verdicts = omega_verdicts(self.lam, p.tolist(), [self.omega] * len(p))
+        codes = [{"Inside": INSIDE, "Outside": OUTSIDE}.get(v.verdict, BOUNDARY) for v in verdicts]
         s = self.curve.samples[:-1]
         h = 2 * math.pi / len(s)
         starts = [np.zeros((2, 0), dtype=np.intp)]
@@ -397,20 +383,12 @@ class RegionA2:
             t = t + step
             if not _any(np.abs(step) > 1e-12):
                 break
-        g, g1, g2 = self._gamma(t)
-        dist = np.where(np.abs(step) <= 1e-12, np.abs(q - g), np.inf)
+        dist = np.where(np.abs(step) <= 1e-12, np.abs(q - self._gamma(t)[0]), np.inf)
         best = np.full(len(p), np.inf)
         np.minimum.at(best, row, dist)
         if not np.all(np.isfinite(best)):
             raise NoConvergence("projection onto the a2 curve did not settle in 64 steps")
-        tie = dist <= best[row] * (1 + 1e-12) + 1e-12
-        row, q, g, g1 = row[tie], q[tie], g[tie], g1[tie]
-        exterior = (np.imag(g1.conj() * (q - g)) >= 0) | (np.abs(g1) <= 1e-8)
-        outside = np.zeros(len(p), dtype=bool)
-        outside[row[exterior]] = True
-        codes = np.where(outside, OUTSIDE, INSIDE)
-        band = max(BOUNDARY_TOL, self.lam * ZERO_COUNT_ROUNDING * self.omega._primitive_size())
-        return np.where(best <= band, BOUNDARY, codes).astype(np.int8), best
+        return np.array(codes, dtype=np.int8), best
 
     def contains(self, a2: complex) -> str:
         return LABELS[self.locate(a2)[0][0]]
@@ -484,12 +462,10 @@ def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerd
     terms that W sums (``_primitive_size``): 2 + |a2| for a closed form
     (S = 1), more for a Blaschke product with large residue terms.
 
-    When neither pass proves the winding, a2 lies within about h (1 + lam)
-    of gamma, and ``RegionA2.locate`` decides: Inside or Outside by the side
-    of gamma, Inconclusive within its band (``BOUNDARY_TOL``, or gamma's
-    rounding if larger) or when the projection onto gamma does not settle
-    (NoConvergence).  ``budget`` records the last
-    pass's ``samples``, ``min_mean_abs_q`` and ``threshold``.  An a2 whose
+    Where neither fixed pass proves it, only the failing arcs are halved;
+    the verdict is Inconclusive, with no zero count, only at the rounding
+    floor (a2 within about 1e-12 (2 + |a2| + lam S) of gamma) or about a
+    cusp (``core._halve``).  ``budget`` records the passes.  An a2 whose
     modulus exceeds the float range raises ValueError.
 
     This is the one-pair case of ``omega_verdicts``.
@@ -498,44 +474,32 @@ def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerd
 
 
 def omega_verdicts(lam: float, a2s, omegas) -> list:
-    """``omega_verdict`` of each pair (a2s[i], omegas[i]), in order.
-
-    The first, 256-point pass samples every pair's gamma - a2 as one row of
-    a (pairs x 256) array (``diskfun._primitive_rows``), and
-    ``_proven_winding`` judges each row by its own size and threshold.  A
-    pair that pass leaves unproven takes the 8192-point pass alone, in
-    pieces of ``_OMEGA_CHUNK`` points, then ``RegionA2.locate``.  Each
-    verdict is the one-pair call's, bit for bit.
-    """
+    """``omega_verdict`` of each pair (a2s[i], omegas[i]), in order, each
+    the one-pair call's bit for bit.  Each omega's gamma is sampled once per
+    pass size (``RegionA2`` passes one omega for all its queries), as a row
+    of ``diskfun._primitive_rows`` in pieces of ``_OMEGA_CHUNK`` points."""
     size = [1 + max(1.0, lam * omega._primitive_size()) + _modulus(a2, "a2")
             for a2, omega in zip(a2s, omegas)]
+    a2 = np.array(a2s, dtype=complex)
+    gammas = {}  # gamma on ring(1.0, n) by (n, id(omega))
 
     def sample(n, rows):
-        z = ring(1.0, n)
-        a2 = np.array([a2s[i] for i in rows], dtype=complex)[:, None]
-        funs = [omegas[i] for i in rows]
-        out = np.empty((len(rows), n), dtype=complex)
-        for i in range(0, n, _OMEGA_CHUNK):
-            piece = z[i:i + _OMEGA_CHUNK]
-            out[:, i:i + _OMEGA_CHUNK] = piece.conj() + lam * _primitive_rows(funs, piece) - a2
-        return out
+        funs = list({id(omegas[i]): omegas[i] for i in rows if (n, id(omegas[i])) not in gammas}.values())
+        if funs:
+            z, gamma = ring(1.0, n), np.empty((len(funs), n), dtype=complex)
+            for i in range(0, n, _OMEGA_CHUNK):
+                piece = z[i:i + _OMEGA_CHUNK]
+                gamma[:, i:i + _OMEGA_CHUNK] = piece.conj() + lam * _primitive_rows(funs, piece)
+            gammas.update(((n, id(fun)), row) for fun, row in zip(funs, gamma))
+        return np.array([gammas[n, id(omegas[i])] for i in rows]).reshape(-1, n) - a2[rows, None]
 
-    passes = _proven_winding(sample, size, [1 + lam] * len(size))
-    return [_omega_decision(lam, a2, omega, *judged) for a2, omega, judged in zip(a2s, omegas, passes)]
+    def sample_at(t, i):
+        z = np.exp(1j * t)
+        return z.conj() + lam * omegas[i]._primitive(z) - a2[i]
 
-
-def _omega_decision(lam: float, a2: complex, omega: DiskFunction, turns: int, proven: bool,
-                    budget: dict) -> GeneratorVerdict:
-    # the verdict from _proven_winding's numbers, or else from locate
-    if proven:
-        zeros = turns + 1
-        return GeneratorVerdict("Outside" if zeros else "Inside", "zero_count", zeros, budget=budget)
-    try:
-        code, dist = c_omega_curve(omega, lam).locate([a2])
-    except NoConvergence as e:
-        return GeneratorVerdict("Inconclusive", "curve_distance", None, budget={**budget, "error": str(e)})
-    verdict = {INSIDE: "Inside", OUTSIDE: "Outside"}.get(int(code[0]), "Inconclusive")
-    return GeneratorVerdict(verdict, "curve_distance", float(dist[0]), budget=budget)
+    return [GeneratorVerdict(("Outside" if turns + 1 else "Inside") if proven else "Inconclusive", "zero_count",
+                             turns + 1 if proven else None, budget=budget)
+            for turns, proven, budget in _proven_winding(sample, size, [1 + lam] * len(size), sample_at)]
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ neighbouring samples stay farther from 0 than the curve can move between
 them (a slope bound, plus rounding), and the full sample count is taken
 only otherwise.  It judges many curves at once, one row of samples each,
 and takes the full count for each curve the first pass leaves unproven,
-alone.  ``phi_verdicts`` likewise takes each Bernstein pass of many
-polynomial phi in one row-wise evaluation.
+alone; for an omega, it then halves only the arcs that still fail.
+``phi_verdicts`` likewise takes each Bernstein pass of many polynomial phi
+in one row-wise evaluation.
 
 The representation theorem's two majorants, 1 + 2 lam z + lam z^2 and
 (1 - z)(1 - lam z), are quadratics, so subordination to them is decided by
@@ -243,7 +244,7 @@ def count_disk_zeros(cand: UCandidate) -> int:
     return zeros
 
 
-def _proven_winding(sample, size, slope) -> list:
+def _proven_winding(sample, size, slope, sample_at=None) -> list:
     """[(winding, proven, budget)] of closed curves g(t) about 0, one for
     each entry of the lists ``size`` and ``slope``, from their samples g_j
     at t_j = j h, h = 2 pi / n: ``sample(n, rows)``, an array with a row of
@@ -251,9 +252,9 @@ def _proven_winding(sample, size, slope) -> list:
     n = ZERO_COUNT_COARSE for every curve at once, and each curve it leaves
     unproven takes n = ZERO_COUNT_SAMPLES alone.
 
-    A pass proves a curve's winding (``_winding``) when
+    A pass proves a curve's winding (``_winding``) when every arc j has
 
-        min_j (|g_j| + |g_{j+1}|) / 2 > h slope / 2 + eps,
+        (|g_j| + |g_{j+1}|) / 2 > h slope / 2 + eps,
 
     with slope >= |g'|, each g_j a value of g(t_j) in which only rounding
     errs, and eps = ZERO_COUNT_ROUNDING (size + h slope) = 1024 eps
@@ -269,16 +270,50 @@ def _proven_winding(sample, size, slope) -> list:
     the chord too, is simply connected: the arc turns about 0 by the chord's
     angle, and the angles sum to g's winding.
 
-    Otherwise ``proven`` is False and the winding is the last pass's.
-    ``budget`` holds the last pass's ``samples``, ``min_mean_abs_q`` (the
-    least mean of |g| over two neighbouring samples) and ``threshold``.
-    Each row's numbers are those of its curve judged alone, bit for bit.
+    Each arc may have its own h: given ``sample_at(t, i)``, curve i at the
+    angles t, only the arcs that fail the full pass are halved (``_halve``),
+    down to the floor h slope / 2 <= ZERO_COUNT_ROUNDING size.  Otherwise
+    ``proven`` is False and the winding is the last pass's.  ``budget``
+    holds the last pass's ``samples``, ``min_mean_abs_q`` (the least mean of
+    |g| over two neighbouring samples) and ``threshold``, and the halving's
+    ``total_samples`` and ``narrowest_arc``.  Each row's numbers are those
+    of its curve judged alone, bit for bit.
     """
     out = _judge(sample(ZERO_COUNT_COARSE, list(range(len(size)))), size, slope, final=False)
     for i, judged in enumerate(out):
         if judged is None:
-            [out[i]] = _judge(sample(ZERO_COUNT_SAMPLES, [i]), [size[i]], [slope[i]], final=True)
+            vals = sample(ZERO_COUNT_SAMPLES, [i])
+            [out[i]] = _judge(vals, [size[i]], [slope[i]], final=True)
+            if sample_at is not None and not out[i][1]:
+                out[i] = _halve(lambda t: sample_at(t, i), vals[0], size[i], slope[i], out[i])
     return out
+
+
+def _halve(sample_at, vals, size: float, slope: float, judged) -> tuple:
+    # _proven_winding's halving of one curve after its full pass (vals,
+    # judged): each level samples the failing arcs' midpoints in one call.
+    # It also stops at a sample within half the floor of 0 (no arc beside it
+    # can pass), or at more failing arcs than vals (a cusp multiplies them)
+    t = np.linspace(0.0, 2 * math.pi, len(vals) + 1)  # the angles of ring
+    ta, tb, ga, gb = t[:-1], t[1:], vals, np.roll(vals, -1)
+    turn, added, narrowest, floor = 0.0, 0, math.inf, ZERO_COUNT_ROUNDING * size
+    while True:
+        drift = (tb - ta) * slope
+        narrowest = min(narrowest, float(np.min(tb - ta)))
+        fail = ~(np.abs(ga) * 0.5 + np.abs(gb) * 0.5 > drift / 2 + ZERO_COUNT_ROUNDING * (size + drift))
+        ta, tb, ga, gb, drift = ta[fail], tb[fail], ga[fail], gb[fail], drift[fail]
+        if not len(ta) or len(ta) > len(vals) or (drift / 2 <= floor).any() \
+                or (np.minimum(np.abs(ga), np.abs(gb)) <= floor / 2).any():
+            break
+        tm = (ta + tb) / 2
+        gm = sample_at(tm)
+        turn += float(np.sum(np.angle(gm * ga.conj()) + np.angle(gb * gm.conj()) - np.angle(gb * ga.conj())))
+        added += len(tm)
+        ta, tb = np.concatenate((ta, tm)), np.concatenate((tm, tb))
+        ga, gb = np.concatenate((ga, gm)), np.concatenate((gm, gb))
+    winding, _, budget = judged
+    return (winding + round(turn / (2 * math.pi)), not len(ta),
+            {**budget, "total_samples": len(vals) + added, "narrowest_arc": narrowest})
 
 
 def _judge(vals: np.ndarray, size, slope, final: bool) -> list:
@@ -428,13 +463,13 @@ class GeneratorVerdict:
       the samples of |U| that Bernstein's inequality certified.  ``t`` is
       the angle at which ``value`` is taken;
     - for an omega candidate (``bounds.omega_verdict``), "zero_count", with
-      ``value`` the number of zeros of q in the disk, or "curve_distance",
-      with ``value`` the distance of a2 to the curve gamma (None when gamma
-      could not be projected on).
+      ``value`` the number of zeros of q in the disk (None when the winding
+      certificate stops at its rounding floor: Inconclusive).
 
     ``budget`` holds the rule's other numbers: ``m`` for "obstruction";
     ``samples``, ``bernstein_factor`` and ``bound`` for "bernstein"; and for
-    an omega verdict those its last circle pass was judged by
+    an omega verdict those its last circle pass was judged by, with the
+    halving's ``total_samples`` and ``narrowest_arc`` where it took place
     (``_proven_winding``)."""
 
     verdict: str  # Inside | Outside | Inconclusive
@@ -451,8 +486,7 @@ class GeneratorVerdict:
 
 # the name of GeneratorVerdict.value in to_json, by path; "boundary_max"
 # for the closed_form and bernstein paths
-_VALUE_KEYS = {"obstruction": "obstruction_value", "zero_count": "q_disk_zeros",
-               "curve_distance": "distance_to_curve"}
+_VALUE_KEYS = {"obstruction": "obstruction_value", "zero_count": "q_disk_zeros"}
 
 
 def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:

@@ -1,7 +1,7 @@
 """Containment label codes, their boundary band, and closed-curve samples.
 
-Nothing here decides containment: ``bounds.RegionA2`` projects onto its true
-curve and ``core.QuadraticMajorant`` inverts its curve in closed form.
+Nothing here decides containment: ``bounds.RegionA2`` labels a2 by a winding
+certificate and ``core.QuadraticMajorant`` inverts its curve in closed form.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 OUTSIDE, INSIDE, BOUNDARY = 0, 1, 2
-BOUNDARY_TOL = 1e-7  # labels BOUNDARY: distance to the a2 curve, or ||root| - 1| of a majorant
+BOUNDARY_TOL = 1e-7  # labels BOUNDARY: ||root| - 1| of a majorant
 LABELS = ("outside", "inside", "boundary")
 
 

@@ -10,7 +10,7 @@ from test_diskfun import mp_blaschke_integral
 from ulambda import bounds, cli, core
 from ulambda.cli import main
 from ulambda.diskfun import Monomial, MoebiusShift, antiderivative, diskfun_from_json, gauss_legendre
-from ulambda.errors import NoConvergence, OutOfRange
+from ulambda.errors import OutOfRange
 from ulambda.geometry import INSIDE
 
 
@@ -160,25 +160,23 @@ class TestVerifyConjecture:
         code, _ = run(tmp_path, "verify-conjecture", {**cfg, "grid": {"angles": 2.5}}, outdir="bad")
         assert code == 4
 
-    def test_unprojectable_draw_rejected(self, tmp_path, monkeypatch):
+    def test_inconclusive_draw_rejected(self, tmp_path, monkeypatch):
         # seed 35's sixth omega draw at lambda 1, a polynomial, lies 3.4e-4
-        # outside gamma and is decided by locate; a curve that cannot be
-        # projected on makes it Inconclusive, which rejects the draw as
-        # Outside does, never exit 3
+        # outside gamma, and only the halving of the failing arcs proves it
+        # Outside; without the halving it is Inconclusive, which rejects the
+        # draw as Outside does, never exit 3
         cfg = {"lambda": 1.0, "n_max": 6, "samples": 16, "seed": 35}
-        code, plain = run(tmp_path, "verify-conjecture", cfg, outdir="plain")
-        assert code == 0
         verdicts = []
         decide = bounds.omega_verdicts
         monkeypatch.setattr(bounds, "omega_verdicts", lambda *a: [verdicts.append(v) or v for v in decide(*a)])
-
-        def fail(*args, **kwargs):
-            raise NoConvergence("no projection")
-
-        monkeypatch.setattr(bounds, "c_omega_curve", fail)
-        code, out = run(tmp_path, "verify-conjecture", cfg, outdir="failing")
+        code, plain = run(tmp_path, "verify-conjecture", cfg, outdir="plain")
         assert code == 0
-        assert [v.path for v in verdicts].count("curve_distance") == 1
+        assert ["total_samples" in v.budget for v in verdicts].count(True) == 1
+        assert (verdicts[5].verdict, verdicts[5].budget["samples"]) == ("Outside", 8192)
+        verdicts.clear()
+        monkeypatch.setattr(core, "_halve", lambda sample_at, vals, size, slope, judged: judged)
+        code, out = run(tmp_path, "verify-conjecture", cfg, outdir="unhalved")
+        assert code == 0
         assert verdicts[5].verdict == "Inconclusive"
         for name in ("bounds.csv", "verify_conjecture.json"):
             assert (out / name).read_bytes() == (plain / name).read_bytes()
@@ -359,11 +357,11 @@ class TestMembership:
                                                       "omega": omega}})
         assert code == 0
         rep = json.loads((out / "membership.json").read_text())
-        assert rep["verdict"] == "Inside"
-        assert 2.7e-5 < rep["distance_to_curve"] < 2.8e-5
+        assert (rep["verdict"], rep["path"], rep["q_disk_zeros"]) == ("Inside", "zero_count", 0)
+        codes, distances = bounds.c_omega_curve(diskfun_from_json(omega), 0.7).locate([0.3338230352176687])
+        assert codes.tolist() == [INSIDE] and 2.7e-5 < distances[0] < 2.8e-5
         same = bounds.omega_verdict(0.7, 0.3338230352176687, MoebiusShift(-0.995))
-        assert (same.verdict, same.path) == ("Inside", rep["path"])
-        assert same.value == pytest.approx(rep["distance_to_curve"], rel=1e-6)
+        assert (same.verdict, same.path, same.value) == ("Inside", "zero_count", 0)
 
     @pytest.mark.parametrize("a2, code, verdict", [
         ([0.8462415563639936, -0.34403709731330867], 2, "Outside"),
@@ -378,8 +376,9 @@ class TestMembership:
                        {"lambda": 0.7, "candidate": {"type": "omega", "a2": a2, "omega": omega}})
         assert got == code
         rep = json.loads((out / "membership.json").read_text())
-        assert rep["verdict"] == verdict
-        assert rep["distance_to_curve"] == pytest.approx(3e-5, rel=1e-6)
+        assert (rep["verdict"], rep["path"]) == (verdict, "zero_count")
+        distances = bounds.c_omega_curve(diskfun_from_json(omega), 0.7).locate([complex(*a2)])[1]
+        assert distances[0] == pytest.approx(3e-5, rel=1e-6)
         double = bounds.omega_verdict(0.7, complex(*a2), diskfun_from_json({"kind": "blaschke", "zeros": [0.5, 0.5]}))
         assert double.verdict == verdict
 
@@ -457,8 +456,7 @@ class TestMembership:
                        outdir="region")
         query = json.loads((where / "region.json").read_text())["queries"][0]
         assert query["where"] == "outside"
-        if rep["path"] == "curve_distance":
-            assert rep["distance_to_curve"] == query["distance_to_curve"] > 1e-7
+        assert (rep["path"], rep["q_disk_zeros"]) == ("zero_count", 1)
 
     @pytest.mark.parametrize("omega", [
         {"kind": "moebius", "a": [0.5, 0.2], "psi": 1.0},
@@ -473,23 +471,23 @@ class TestMembership:
         code, out = run(tmp_path, "membership", cfg)
         assert code == 0
         rep = json.loads((out / "membership.json").read_text())
-        assert (rep["verdict"], rep["path"]) == ("Inside", "curve_distance")
-        assert 1e-5 < rep["distance_to_curve"] < 1e-3
+        assert (rep["verdict"], rep["path"], rep["q_disk_zeros"]) == ("Inside", "zero_count", 0)
         assert rep["samples"] == 8192 and rep["min_mean_abs_q"] <= rep["threshold"]
+        assert rep["total_samples"] > 8192
+        distances = bounds.c_omega_curve(diskfun_from_json(omega), lam).locate([a2])[1]
+        assert 1e-5 < distances[0] < 1e-3
 
-    def test_unprojectable_curve_exits_3(self, tmp_path, monkeypatch):
-        def fail(*args, **kwargs):
-            raise NoConvergence("no projection")
-
-        monkeypatch.setattr(bounds, "c_omega_curve", fail)
-        zs = 0.99999 * cmath.exp(0.7j)
+    def test_on_the_curve_exits_3(self, tmp_path):
+        # a2 = gamma(0.7) puts q's zero on the circle: the halving stops at
+        # its rounding floor, with no zero count
+        zs = cmath.exp(0.7j)
         a2 = 1 / zs + 0.7 * antiderivative(MoebiusShift(0.5), zs)
         code, out = run(tmp_path, "membership", {"lambda": 0.7, "candidate": {
             "type": "omega", "a2": [a2.real, a2.imag], "omega": {"kind": "moebius", "a": 0.5}}})
         assert code == 3
         rep = json.loads((out / "membership.json").read_text())
-        assert rep["verdict"] == "Inconclusive" and rep["distance_to_curve"] is None
-        assert rep["error"] == "no projection"
+        assert (rep["verdict"], rep["path"], rep["q_disk_zeros"]) == ("Inconclusive", "zero_count", None)
+        assert rep["total_samples"] > 8192
 
     @pytest.mark.parametrize("extra,unused", [
         ({"order": 2}, {"order": 2}),

@@ -436,9 +436,8 @@ class TestGeneratorVerdict:
                 if new.verdict == "Inside":
                     assert sup_u(cand).verdict == "Inside"
                 else:
-                    # a proven count has found a pole; locate puts a2 outside
-                    assert new.verdict == "Outside"
-                    assert new.value > 0 if new.path == "zero_count" else new.path == "curve_distance"
+                    # a proven count has found a pole
+                    assert (new.verdict, new.path) == ("Outside", "zero_count") and new.value > 0
         assert phi_changed == [195]
 
 

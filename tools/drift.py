@@ -27,9 +27,12 @@ whose coefficients sum to infinity and 3 ``verify-conjecture`` configs at
 lambda 0.1 with 0, 1 and 33 samples (no draw, one, and one more than a
 block of 32 draws), 20 phi ``membership`` configs with 0 < |phi(0)| <= 1e-9
 (10 Moebius, Blaschke and polynomial phi at lambda 0.3 and 1), 7 ``julia``
-configs with such a phi at a point where it is -1, and 8 with a malformed
-``grid`` (7 ``membership``, 1 ``verify-conjecture``).  Standard library
-only; exit status 1 when anything differs.
+configs with such a phi at a point where it is -1, 8 with a malformed
+``grid`` (7 ``membership``, 1 ``verify-conjecture``), and 10 with a2 1e-6
+and 1e-10 to either side of gamma, where only halving arcs proves the
+winding (8 omega ``membership``, a Moebius shift and a near-circle Blaschke
+product, and one ``region-a2`` of the four a2 for each): 1589 in all.
+Standard library only; exit status 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -129,6 +132,17 @@ TINY_BASE_POINT = [
     ({"kind": "poly", "coeffs": [5e-10, 0.5], "normalizer": 1.0}, None),
     ({"kind": "poly", "coeffs": [1e-10, -0.3, -0.1]}, 0.0),
 ]
+# (omega, lambda, a2s): a2 1e-6 and 1e-10 outside, then inside, gamma(t)
+# along its normal, at t = 3.224 for the Moebius shift and t = 0.4 for the
+# Blaschke product (z - 0.995)/(1 - 0.995 z)
+NEAR_GAMMA = [
+    ({"kind": "moebius", "a": 0.9826, "psi": 0.131}, 0.5,
+     [[-1.4730228205304292, 0.06129066455257869], [-1.4730208275341239, 0.06129049732301762],
+      [-1.4730218241319264, 0.061290580946159634], [-1.4730218239326267, 0.06129058092943668]]),
+    ({"kind": "blaschke", "zeros": [0.995]}, 0.7,
+     [[0.27960604176436465, -0.6538002510779317], [0.279604048865123, -0.6538000826955908],
+      [0.2796050454143888, -0.6538001668951804], [0.2796050452150989, -0.6538001668783421]]),
+]
 EXTREMAL = {"type": "extremal"}
 BAD_GRIDS = [
     ("membership", {"lambda": 0.5, "candidate": EXTREMAL, "grid": 5}),
@@ -227,6 +241,11 @@ def configs() -> list:
             add("julia", "julia", {"lambda": 0.3, "phi": phi, "theta0": theta0})
     for command, cfg in BAD_GRIDS:
         add("malformed", command, cfg)
+    for omega, lam, a2s in NEAR_GAMMA:
+        for a2 in a2s:
+            add("membership-near", "membership",
+                {"lambda": lam, "candidate": {"type": "omega", "a2": a2, "omega": omega}})
+        add("region-a2", "region-a2", {"lambda": lam, "omega": omega, "queries": a2s})
     return out
 
 
