@@ -31,9 +31,8 @@ from .core import (
     GridSpec,
     phi_verdict,
     phi_verdicts,
-    q_from_omega,
     q_from_phi,
-    taylor_of_f,
+    q_rows_from_omega,
     l_of_phi,
     julia_quotient,
     obstruction_value,
@@ -41,6 +40,7 @@ from .core import (
 from .diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial, _cplx, _list, _real, diskfun_from_json, gauss_legendre
 from .errors import ConfigError, NoConvergence, NotContractive, UlambdaError
 from .geometry import LABELS
+from .series import series_reciprocal_rows
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -165,12 +165,13 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
     head = max(n_max, 1)
     rng = np.random.default_rng(seed)
 
-    candidates = [("extremal", q_from_phi(lam, Monomial(theta=math.pi, k=1), order=head - 1))]
-    kept = 0
+    # the q of each candidate as a row: the extremal one first, then each
+    # kept phi draw's; each kept omega draw's comes later, from one call
+    phi_rows = [q_from_phi(lam, Monomial(theta=math.pi, k=1), order=head - 1).q.coeffs]
+    kept_a2s, kept_omegas = [], []
     # the draws (phi, omega, a2), each block decided by one row-wise call
-    # per representation, and the candidates kept in the order of the draws;
-    # a block's first passes hold as many circle points as one full pass, so
-    # memory does not grow with samples
+    # per representation; a block's first passes hold as many circle points
+    # as one full pass, so memory does not grow with samples
     block = ZERO_COUNT_SAMPLES // ZERO_COUNT_COARSE
     for start in range(0, samples, block):
         draws = [(sample_phi(rng), sample_omega(rng), _random_point(rng, 1.0))
@@ -179,20 +180,24 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
         decided = zip(draws, phi_verdicts(lam, phis), bounds.omega_verdicts(lam, a2s, omegas))
         for (phi, omega, a2), by_phi, by_omega in decided:
             if by_phi.verdict == "Inside":
-                candidates.append(("random", q_from_phi(lam, phi, order=head - 1)))
-                kept += 1
+                phi_rows.append(q_from_phi(lam, phi, order=head - 1).q.coeffs)
             if by_omega.verdict == "Inside":
-                candidates.append(("random", q_from_omega(a2, lam, omega, order=head - 1)))
-                kept += 1
+                kept_a2s.append(a2)
+                kept_omegas.append(omega)
+    kept = len(phi_rows) - 1 + len(kept_omegas)
 
-    # one reciprocal per candidate, of q_0..q_{n_max-1}, a row each; hypot
-    # is abs() of each coefficient bit for bit, as np.abs is not, and argmax
-    # gives a tie to the first candidate, the extremal one
-    a = np.array([taylor_of_f(cand).coeffs for _, cand in candidates])
+    # one reciprocal of all rows, q_0..q_{n_max-1} each; the order of the
+    # kept rows does not matter, since every one is "random" and only the
+    # largest value is written.  hypot is abs() of each coefficient bit for
+    # bit, as np.abs is not, and argmax gives a tie to the first row, the
+    # extremal candidate
+    q = np.vstack([*phi_rows, q_rows_from_omega(kept_a2s, lam, kept_omegas, order=head - 1)])
+    a = series_reciprocal_rows(q)
     moduli = np.hypot(a.real, a.imag)
     best = moduli.argmax(axis=0).tolist()
     rows = [(n, bounds.conjecture_bound(n, lam), bounds.theorem2_bound(n, lam),
-             float(moduli[best[n - 1], n - 1]), candidates[best[n - 1]][0]) for n in range(2, n_max + 1)]
+             float(moduli[best[n - 1], n - 1]), "random" if best[n - 1] else "extremal")
+            for n in range(2, n_max + 1)]
     table = bounds.BoundTable(rows)
     (out / "bounds.csv").write_text(table.to_csv())
     report = {

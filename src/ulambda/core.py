@@ -29,7 +29,8 @@ only otherwise.  It judges many curves at once, one row of samples each,
 and takes the full count for each curve the first pass leaves unproven,
 alone; for an omega, it then halves only the arcs that still fail.
 ``phi_verdicts`` likewise takes each Bernstein pass of many polynomial phi
-in one row-wise evaluation.
+in one row-wise evaluation, and the obstruction's witnesses of all its
+Blaschke products of one degree from one eigenvalue call.
 
 The representation theorem's two majorants, 1 + 2 lam z + lam z^2 and
 (1 - z)(1 - lam z), are quadratics, so subordination to them is decided by
@@ -394,17 +395,27 @@ def q_from_phi(lam: float, phi: DiskFunction, order: int = DEFAULT_ORDER) -> UCa
 def q_from_omega(
     a2: complex, lam: float, omega: DiskFunction, order: int = DEFAULT_ORDER
 ) -> UCandidate:
-    """Candidate with z/f = 1 - a2 z + lam z * int_0^z omega.
+    """Candidate with z/f = 1 - a2 z + lam z * int_0^z omega: the one row of
+    ``q_rows_from_omega``."""
+    return UCandidate(TruncatedSeries(q_rows_from_omega([a2], lam, [omega], order)[0]), lam)
+
+
+def q_rows_from_omega(a2s, lam: float, omegas, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Row i the coefficients q_0..q_order of z/f = 1 - a2s[i] z + lam z *
+    int_0^z omegas[i].
 
     Coefficient k + 2 of q is (omega_k / (k + 1)) lam, divided before it is
     scaled, so that tail is bit for bit lam z times ``series_integrate`` of
     omega's series."""
-    q = np.zeros(order + 1, dtype=complex)
-    q[0] = 1.0
+    q = np.zeros((len(omegas), order + 1), dtype=complex)
+    q[:, 0] = 1.0
     if order >= 1:
-        q[1] -= complex(a2)
-    q[2:] = omega.taylor(order).coeffs[: order - 1] / np.arange(1, order) * lam
-    return UCandidate(TruncatedSeries(q), lam)
+        q[:, 1] -= np.array(a2s, dtype=complex)
+    for row, omega in zip(q, omegas):
+        row[2:] = omega.taylor(order).coeffs[: order - 1]
+    q[:, 2:] /= np.arange(1, order)
+    q[:, 2:] *= lam
+    return q
 
 
 def taylor_of_f(cand: UCandidate) -> TruncatedSeries:
@@ -503,7 +514,7 @@ def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
       closed form of the maximum (``_monomial_verdict``);
     - any other Blaschke product, and any other Moebius shift (the
       Blaschke product with the one zero -a e^{-i psi} and rotation psi),
-      by the paper's obstruction (``_blaschke_verdict``): Outside at degree
+      by the paper's obstruction (``_blaschke_verdicts``): Outside at degree
       2 or more, Inconclusive at degree 1;
     - any other polynomial, by samples and Bernstein's inequality
       (``_bernstein_verdicts``), never Inside when phi(0) != 0, since f is
@@ -516,28 +527,29 @@ def phi_verdict(lam: float, phi: DiskFunction) -> GeneratorVerdict:
 
 
 def phi_verdicts(lam: float, phis) -> list:
-    """``phi_verdict`` of each phi, in order: each Bernstein pass of the
-    polynomials is one row-wise evaluation (``_bernstein_verdicts``)."""
+    """``phi_verdict`` of each phi, in order: the witnesses of the Blaschke
+    products of one degree come from one eigenvalue call
+    (``_blaschke_verdicts``), and each Bernstein pass of the polynomials is
+    one row-wise evaluation (``_bernstein_verdicts``)."""
     out = [_phi_rule(lam, phi) for phi in phis]
-    polys = [i for i, verdict in enumerate(out) if verdict is None]
-    for i, verdict in zip(polys, _bernstein_verdicts(lam, [phis[i] for i in polys])):
-        out[i] = verdict
+    for family, decide in ((Blaschke, _blaschke_verdicts), (ScaledPolynomial, _bernstein_verdicts)):
+        todo = [i for i, rule in enumerate(out) if isinstance(rule, family)]
+        for i, verdict in zip(todo, decide(lam, [out[i] for i in todo])):
+            out[i] = verdict
     return out
 
 
-def _phi_rule(lam: float, phi: DiskFunction) -> GeneratorVerdict | None:
-    # phi_verdict of phi, or None for a polynomial, which the Bernstein
-    # certificate decides
+def _phi_rule(lam: float, phi: DiskFunction):
+    # phi_verdict of a monomial; else the Blaschke product (a Moebius shift
+    # as one) or the polynomial that its family's rows decide
     _check_fixes_origin(phi)
     if isinstance(phi, MoebiusShift):
         phi = Blaschke(zeros=(-phi.a * cmath.exp(-1j * phi.psi),), rotation=phi.psi)
     monomial = _as_monomial(phi)
     if monomial is not None:
         return _monomial_verdict(lam, monomial)
-    if isinstance(phi, Blaschke):
-        return _blaschke_verdict(lam, phi)
-    if isinstance(phi, ScaledPolynomial):
-        return None
+    if isinstance(phi, (Blaschke, ScaledPolynomial)):
+        return phi
     raise TypeError(f"no membership rule for a {type(phi).__name__}")
 
 
@@ -578,8 +590,9 @@ def _monomial_verdict(lam: float, phi: Monomial) -> GeneratorVerdict:
     return GeneratorVerdict(_verdict(lam, best, best), "closed_form", best, t)
 
 
-def _blaschke_verdict(lam: float, phi: Blaschke) -> GeneratorVerdict:
-    """A Blaschke product of degree n >= 2 with |phi(0)| <= 1e-9 is Outside.
+def _blaschke_verdicts(lam: float, phis: list) -> list:
+    """The verdict of each Blaschke product; one of degree n >= 2 with
+    |phi(0)| <= 1e-9 is Outside.
 
     phi = -1 at n points zeta_j of the circle, the roots of
     e^{i rho} prod_k (z - b_k) + prod_k (1 - conj(b_k) z), and there its
@@ -595,22 +608,43 @@ def _blaschke_verdict(lam: float, phi: Blaschke) -> GeneratorVerdict:
     + lam phi (1 - 2m)| is within 2.1e-9 (1 + 3 lam) of lam: Inconclusive.
 
     So the verdict needs no sample.  Its witness is the largest m_j, with
-    the angle t of its zeta_j, from the roots of that polynomial (one
-    ``np.roots`` call), each projected onto the circle.
+    the angle t of its zeta_j, from the roots of that polynomial p, each
+    projected onto the circle.  The roots of all p of one degree come from
+    one ``np.linalg.eigvals`` call on their companion matrices, stacked:
+    each the matrix whose eigenvalues numpy's ``roots`` takes (ones below
+    the diagonal, first row -p[1:]/p[0]), so the roots are its bit for bit.
+    ``roots`` would strip no coefficient either: |phi(0)| <= 1e-9 keeps the
+    first and the last of p within 1e-9 of modulus 1.
     """
-    num, den = [cmath.exp(1j * phi.rotation)], [1.0]
-    for b in phi.zeros:
-        # times z - b and times 1 - conj(b) z, coefficients highest first
-        num = [x - b * y for x, y in zip(num + [0], [0] + num)]
-        den = [y - b.conjugate() * x for x, y in zip(den + [0], [0] + den)]
-    quotients = []
-    for root in np.roots([x + y for x, y in zip(num, den)]).tolist():
-        zeta = root / abs(root)
-        quotients.append((sum((1 - abs(b) ** 2) / abs(zeta - b) ** 2 for b in phi.zeros), zeta))
-    m, zeta = max(quotients, key=lambda pair: pair[0])
-    value = lam + (1 + 3 * lam) * (m - 1)
-    t = cmath.phase(zeta) % (2 * math.pi)
-    return GeneratorVerdict(_verdict(lam, math.inf, value), "obstruction", value, t, {"m": m})
+    polys = []
+    for phi in phis:
+        num, den = [cmath.exp(1j * phi.rotation)], [1.0]
+        for b in phi.zeros:
+            # times z - b and times 1 - conj(b) z, coefficients highest first
+            num = [x - b * y for x, y in zip(num + [0], [0] + num)]
+            den = [y - b.conjugate() * x for x, y in zip(den + [0], [0] + den)]
+        polys.append([x + y for x, y in zip(num, den)])
+    roots = [None] * len(phis)
+    for size in {len(p) for p in polys}:
+        group = [i for i, p in enumerate(polys) if len(p) == size]
+        coeffs = np.array([polys[i] for i in group])
+        below = np.arange(size - 2)
+        companion = np.zeros((len(group), size - 1, size - 1), dtype=complex)
+        companion[:, below + 1, below] = 1.0
+        companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
+        for i, row in zip(group, np.linalg.eigvals(companion).tolist()):
+            roots[i] = row
+    out = []
+    for phi, row in zip(phis, roots):
+        quotients = []
+        for root in row:
+            zeta = root / abs(root)
+            quotients.append((sum((1 - abs(b) ** 2) / abs(zeta - b) ** 2 for b in phi.zeros), zeta))
+        m, zeta = max(quotients, key=lambda pair: pair[0])
+        value = lam + (1 + 3 * lam) * (m - 1)
+        t = cmath.phase(zeta) % (2 * math.pi)
+        out.append(GeneratorVerdict(_verdict(lam, math.inf, value), "obstruction", value, t, {"m": m}))
+    return out
 
 
 def _bernstein_verdicts(lam: float, phis: list) -> list:

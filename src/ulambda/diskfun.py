@@ -574,7 +574,10 @@ def _primitive_rows(funs, z) -> np.ndarray:
 def _horner_rows(coeffs, z) -> np.ndarray:
     """``_horner(coeffs[i], z)`` as row i, bit for bit, for a 1-d array z,
     by one Horner loop on the coefficients zero-padded to the longest: the
-    padding's steps leave the sum exactly 0."""
+    padding's steps leave the sum exactly 0.  A lone row takes ``_horner``
+    itself, which the padding would only slow."""
+    if len(coeffs) == 1:
+        return _horner(coeffs[0], z)[None]
     padded = np.zeros((max(1, *map(len, coeffs)), len(coeffs), 1), dtype=complex)
     for i, c in enumerate(coeffs):
         padded[:len(c), i, 0] = c

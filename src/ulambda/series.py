@@ -4,6 +4,8 @@ they are swept on.
 A series carries coefficients c_0..c_N and its order N.  Arithmetic always
 truncates to the minimum order of the operands; no operation extends the
 order, so a result never pretends to more precision than its inputs carry.
+``series_reciprocal_rows`` inverts many series at once, given as the rows
+of one array, and ``series_reciprocal`` is its one-row case.
 
 ``ring`` is the one open uniform angular grid every circle sweep of the
 package samples.  Its unit circle for each angle count is computed once and
@@ -83,16 +85,39 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """Series r with a*r = 1 up to the order, by the standard recurrence."""
-    a0 = complex(a.coeffs[0])
-    if abs(a0) <= EPS0:
-        raise NearZeroConstantTerm(f"|constant term| = {abs(a0):.3e} <= {EPS0}")
-    n = a.order
-    r = np.zeros(n + 1, dtype=complex)
-    r[0] = 1.0 / a0
-    for k in range(1, n + 1):
-        r[k] = -np.dot(a.coeffs[1 : k + 1], r[k - 1 :: -1]) / a0
-    return TruncatedSeries(r)
+    """Series r with a*r = 1 up to the order: the one row of
+    ``series_reciprocal_rows``."""
+    return TruncatedSeries(series_reciprocal_rows(a.coeffs[None])[0])
+
+
+def series_reciprocal_rows(a) -> np.ndarray:
+    """Row i the series r with a[i] * r = 1 up to the order, for a 2-d array
+    a of coefficient rows, by the standard recurrence r_0 = 1/a_0, r_k =
+    -(a_1 r_{k-1} + ... + a_k r_0)/a_0.
+
+    Each order k of all rows is one stacked ``np.matmul`` of a[:, 1:k+1]
+    against r[:, k-1::-1], made contiguous: matmul then hands each
+    (1 x k)(k x 1) product to the BLAS dot that ``np.dot`` calls on the
+    same pair, so a row does not depend on the others.  r_0 is Python's
+    complex division of each a_0, which rounds some quotients otherwise
+    than numpy's.
+    ValueError for a coefficient that is not finite, in a or in r;
+    NearZeroConstantTerm for a row with |a_0| <= EPS0."""
+    a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients must be finite")
+    heads = a[:, 0].tolist()
+    for a0 in heads:
+        if abs(a0) <= EPS0:
+            raise NearZeroConstantTerm(f"|constant term| = {abs(a0):.3e} <= {EPS0}")
+    r = np.zeros(a.shape, dtype=complex)
+    r[:, 0] = [1.0 / a0 for a0 in heads]
+    for k in range(1, a.shape[1]):
+        reversed_r = np.ascontiguousarray(r[:, k - 1::-1])
+        r[:, k] = -np.matmul(a[:, None, 1:k + 1], reversed_r[:, :, None])[:, 0, 0] / a[:, 0]
+    if not np.isfinite(r).all():
+        raise ValueError("coefficients must be finite")
+    return r
 
 
 def series_integrate(a: TruncatedSeries) -> TruncatedSeries:

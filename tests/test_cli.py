@@ -12,6 +12,7 @@ from ulambda.cli import main
 from ulambda.diskfun import Monomial, MoebiusShift, antiderivative, diskfun_from_json, gauss_legendre
 from ulambda.errors import OutOfRange
 from ulambda.geometry import INSIDE
+from ulambda.series import TruncatedSeries, series_reciprocal
 
 
 def run(tmp_path, command, cfg, outdir="out"):
@@ -55,16 +56,18 @@ class TestVerifyConjecture:
 
     def test_one_reciprocal_per_candidate(self, tmp_path, monkeypatch):
         calls = []
-        taylor_of_f = cli.taylor_of_f
-        monkeypatch.setattr(cli, "taylor_of_f", lambda cand: calls.append(cand) or taylor_of_f(cand))
+        reciprocal_rows = cli.series_reciprocal_rows
+        monkeypatch.setattr(cli, "series_reciprocal_rows", lambda q: calls.append(q) or reciprocal_rows(q))
         code, out = run(tmp_path, "verify-conjecture",
                         {"lambda": 0.5, "n_max": 10, "samples": 12, "seed": 3})
         assert code == 0
         kept = json.loads((out / "verify_conjecture.json").read_text())["members_kept"]
         assert kept > 0
-        # the extremal candidate and each kept member, once each
-        assert len(calls) == kept + 1
-        assert len({id(c) for c in calls}) == len(calls)
+        # one call, with a row for the extremal candidate and for each kept
+        # member, once each
+        [q] = calls
+        assert len(q) == kept + 1
+        assert len({row.tobytes() for row in q}) == len(q)
 
     def test_truncated_reciprocal_is_the_full_one(self, tmp_path, monkeypatch):
         # each candidate is built and inverted at order n_max - 1 only; the
@@ -72,24 +75,28 @@ class TestVerifyConjecture:
         # of the same candidate, which ``built`` records
         n_max, lam = 10, 0.5
         built, inverted = [], []
-        for name in ("q_from_phi", "q_from_omega"):
-            make = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *a, make=make, **k: built.append(
-                make(*a, **{**k, "order": 64})) or make(*a, **k))
-        taylor_of_f = cli.taylor_of_f
-        monkeypatch.setattr(cli, "taylor_of_f", lambda cand: inverted.append((cand, taylor_of_f(cand))) or inverted[-1][1])
+        make_phi, make_omega = cli.q_from_phi, cli.q_rows_from_omega
+        monkeypatch.setattr(cli, "q_from_phi", lambda *a, **k: built.append(
+            make_phi(*a, **{**k, "order": 64}).q.coeffs) or make_phi(*a, **k))
+        monkeypatch.setattr(cli, "q_rows_from_omega", lambda *a, **k: built.extend(
+            make_omega(*a, **{**k, "order": 64})) or make_omega(*a, **k))
+        reciprocal_rows = cli.series_reciprocal_rows
+        monkeypatch.setattr(cli, "series_reciprocal_rows", lambda q: inverted.append(
+            (q, reciprocal_rows(q))) or inverted[-1][1])
         code, out = run(tmp_path, "verify-conjecture",
                         {"lambda": lam, "n_max": n_max, "samples": 12, "seed": 3})
         assert code == 0
+        [(q, got)] = inverted
         full = iter(built)
         coeffs = []
-        for cand, got in inverted:
-            assert cand.q.order == n_max - 1
+        for row, got_row in zip(q, got):
+            assert len(row) == n_max
             # the candidate it was cut from, in the order they were built
-            source = next(c for c in full if np.array_equal(c.q.coeffs[:n_max], cand.q.coeffs))
-            expect = taylor_of_f(source).coeffs
-            assert np.array_equal(got.coeffs, expect[:n_max])
+            source = next(c for c in full if np.array_equal(c[:n_max], row))
+            expect = series_reciprocal(TruncatedSeries(source)).coeffs
+            assert np.array_equal(got_row, expect[:n_max])
             coeffs.append(expect)
+        assert len(coeffs) == len(q) > 1
         rows = []
         for n in range(2, n_max + 1):
             obs = [abs(a[n - 1]) for a in coeffs]
@@ -135,11 +142,11 @@ class TestVerifyConjecture:
         # draw gets a q of the CLI's own, the one the table reads
         n_max = 7
         decided, built = [], []
-        verdicts, make = bounds.omega_verdicts, cli.q_from_omega
+        verdicts, make = bounds.omega_verdicts, cli.q_rows_from_omega
         monkeypatch.setattr(bounds, "omega_verdicts", lambda lam, a2s, omegas: [
             decided.append((omega, v)) or v for omega, v in zip(omegas, verdicts(lam, a2s, omegas))])
-        monkeypatch.setattr(cli, "q_from_omega", lambda a2, lam, omega, order: built.append(
-            (omega, order)) or make(a2, lam, omega, order))
+        monkeypatch.setattr(cli, "q_rows_from_omega", lambda a2s, lam, omegas, order: built.extend(
+            (omega, order) for omega in omegas) or make(a2s, lam, omegas, order))
         code, _ = run(tmp_path, "verify-conjecture", {"lambda": 0.5, "n_max": n_max, "samples": 24, "seed": 4})
         assert code == 0
         assert len(decided) == 24
@@ -195,8 +202,14 @@ class TestVerifyConjecture:
         # third of complex values
         n_max, lam = 40, 0.5
         inverted = []
-        taylor_of_f = cli.taylor_of_f
-        monkeypatch.setattr(cli, "taylor_of_f", lambda cand: inverted.append(taylor_of_f(cand)) or inverted[-1])
+
+        def reciprocal_rows(q, rows=cli.series_reciprocal_rows):
+            # each row as a series, whose items are Python complex numbers
+            a = rows(q)
+            inverted.extend(map(TruncatedSeries, a))
+            return a
+
+        monkeypatch.setattr(cli, "series_reciprocal_rows", reciprocal_rows)
         code, out = run(tmp_path, "verify-conjecture", {"lambda": lam, "n_max": n_max, "samples": 100, "seed": 5})
         assert code in (0, 2)
         assert len(inverted) > 50
@@ -213,9 +226,8 @@ class TestVerifyConjecture:
         # every candidate inverted to the extremal one's coefficients ties it
         # in every row, and the first, the extremal one, attains each
         n_max = 8
-        inverted = []
-        taylor_of_f = cli.taylor_of_f
-        monkeypatch.setattr(cli, "taylor_of_f", lambda cand: inverted.append(taylor_of_f(cand)) or inverted[0])
+        reciprocal_rows = cli.series_reciprocal_rows
+        monkeypatch.setattr(cli, "series_reciprocal_rows", lambda q: np.tile(reciprocal_rows(q)[:1], (len(q), 1)))
         code, out = run(tmp_path, "verify-conjecture", {"lambda": 0.5, "n_max": n_max, "samples": 12, "seed": 3})
         assert code == 0
         assert json.loads((out / "verify_conjecture.json").read_text())["members_kept"] > 0
@@ -805,9 +817,12 @@ class TestFixedPoint:
     def test_q_residual_from_the_representation(self, tmp_path, monkeypatch):
         # q(z0) = 1 - a2 z0 + lam z0 int_0^z0 omega by quadrature; no truncated q is built
         def build(*args, **kwargs):
-            raise AssertionError("q_from_omega called")
+            raise AssertionError("q_rows_from_omega called")
 
-        monkeypatch.setattr(cli, "q_from_omega", build)
+        # the one builder of an omega q, which q_from_omega calls, under both
+        # names that the package holds it by
+        monkeypatch.setattr(core, "q_rows_from_omega", build)
+        monkeypatch.setattr(cli, "q_rows_from_omega", build)
         omega = {"kind": "moebius", "a": [0.3, 0.4], "psi": 1.0}
         code, out = run(tmp_path, "fixed-point", {"lambda": 0.6, "a2": [2.0, 1.0], "omega": omega})
         assert code == 0

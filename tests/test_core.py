@@ -24,6 +24,7 @@ from ulambda.core import (
     phi_verdicts,
     q_from_omega,
     q_from_phi,
+    q_rows_from_omega,
     subordination_check,
     sup_u,
     taylor_of_f,
@@ -218,6 +219,19 @@ class TestQFromOmega:
             got = q_from_omega(a2, 0.7, omega, order).q.coeffs
             assert got.shape == ref.shape
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 9, 64])
+    def test_rows_are_the_one_row_candidates(self, order):
+        # verify-conjecture's kept omega draws as rows of one array, each the
+        # q of q_from_omega bit for bit
+        rng = np.random.default_rng(order)
+        omegas = [sample_omega(rng) for _ in range(20)]
+        a2s = [_random_point(rng, 1.0) for _ in omegas]
+        got = q_rows_from_omega(a2s, 0.7, omegas, order)
+        assert got.shape == (20, order + 1)
+        for a2, omega, row in zip(a2s, omegas, got):
+            assert row.tobytes() == q_from_omega(a2, 0.7, omega, order).q.coeffs.tobytes()
+        assert q_rows_from_omega([], 0.7, [], order).shape == (0, order + 1)
 
 
 class TestTaylorOfF:
@@ -447,6 +461,23 @@ def reference_max(lam, phi):
     return max(float(np.max(l_of_phi(lam, phi, row))) for row in ring(1.0, 2**16).reshape(16, 4096))
 
 
+def roots_witness(lam, phi):
+    """(value, t, m) of the obstruction's witness by one np.roots call per
+    phi, as ``phi_verdict`` took it before the stacked eigenvalue calls."""
+    if isinstance(phi, MoebiusShift):
+        phi = Blaschke(zeros=(-phi.a * cmath.exp(-1j * phi.psi),), rotation=phi.psi)
+    num, den = [cmath.exp(1j * phi.rotation)], [1.0]
+    for b in phi.zeros:
+        num = [x - b * y for x, y in zip(num + [0], [0] + num)]
+        den = [y - b.conjugate() * x for x, y in zip(den + [0], [0] + den)]
+    quotients = []
+    for root in np.roots([x + y for x, y in zip(num, den)]).tolist():
+        zeta = root / abs(root)
+        quotients.append((sum((1 - abs(b) ** 2) / abs(zeta - b) ** 2 for b in phi.zeros), zeta))
+    m, zeta = max(quotients, key=lambda pair: pair[0])
+    return lam + (1 + 3 * lam) * (m - 1), cmath.phase(zeta) % (2 * math.pi), m
+
+
 class TestPhiVerdict:
     @pytest.mark.parametrize("phi", [
         ScaledPolynomial(raw=(0, 1.0)),
@@ -529,6 +560,34 @@ class TestPhiVerdict:
             want = [phi_verdict(lam, phi) for phi in phis]
             assert list(map(hexed, got)) == list(map(hexed, want))
             assert {v.budget["samples"] for v in got if v.path == "bernstein"} == {256, 4096, 16384}
+
+    def test_blaschke_witnesses_are_those_of_np_roots(self):
+        # a seeded mixed batch: Blaschke products of degree 1 (a zero within
+        # 5e-10 of 0) to 6, Moebius shifts with |a| = 5e-10, monomials and
+        # polynomials, shuffled, so that each degree's stacked eigenvalue
+        # call holds rows from all over the batch
+        rng = np.random.default_rng(29)
+        phis = []
+        for _ in range(12):
+            tiny = 5e-10 * cmath.exp(2j * math.pi * rng.random())
+            phis.append(Blaschke(zeros=(tiny * rng.random(),), rotation=2 * math.pi * rng.random()))
+            for degree in range(2, 7):
+                zeros = (0j,) + tuple(_random_point(rng, 0.95) for _ in range(degree - 1))
+                phis.append(Blaschke(zeros=zeros, rotation=2 * math.pi * rng.random()))
+            phis.append(MoebiusShift(a=tiny, psi=2 * math.pi * rng.random()))
+            phis.append(Monomial(theta=2 * math.pi * rng.random(), k=int(rng.integers(1, 4))))
+            phis.append(ScaledPolynomial(raw=(0j,) + tuple(_random_point(rng, 1.0) for _ in range(3))))
+        phis = [phis[i] for i in rng.permutation(len(phis))]
+        for lam in (0.25, 1.0):
+            got = phi_verdicts(lam, phis)
+            for phi, verdict in zip(phis, got):
+                assert hexed(verdict) == hexed(phi_verdict(lam, phi))
+                if isinstance(phi, (Blaschke, MoebiusShift)):
+                    value, t, m = roots_witness(lam, phi)
+                    assert verdict.path == "obstruction"
+                    assert (verdict.value.hex(), verdict.t.hex(), verdict.budget["m"].hex()) == \
+                        (value.hex(), t.hex(), m.hex())
+            assert {v.path for v in got} == {"closed_form", "obstruction", "bernstein"}
 
     def test_degree_beyond_the_samples_is_never_inside(self):
         # max |U| is about lam / 4, but 2 pi d >= n on every pass, so no

@@ -16,6 +16,7 @@ from ulambda.series import (
     series_integrate,
     series_mul,
     series_reciprocal,
+    series_reciprocal_rows,
 )
 
 
@@ -112,6 +113,46 @@ class TestReciprocal:
     def test_near_zero_constant_rejected(self):
         with pytest.raises(NearZeroConstantTerm):
             series_reciprocal(ts(1e-13, 1))
+
+
+def dot_reciprocal(a):
+    """The reciprocal by the recurrence with one np.dot per coefficient, as
+    ``series_reciprocal`` took it before the row form."""
+    a0 = complex(a[0])
+    r = np.zeros(len(a), dtype=complex)
+    r[0] = 1.0 / a0
+    for k in range(1, len(a)):
+        r[k] = -np.dot(a[1 : k + 1], r[k - 1 :: -1]) / a0
+    return r
+
+
+class TestReciprocalRows:
+    @pytest.mark.parametrize("order", [0, 1, 2, 9, 64])
+    def test_rows_are_the_one_row_reciprocal(self, order):
+        # a0 = 1, as every candidate's q has, and a0 != 1, whose 1/a0 Python
+        # and numpy round differently
+        rng = np.random.default_rng(order)
+        a = rng.standard_normal((8, order + 1)) + 1j * rng.standard_normal((8, order + 1))
+        a[:4, 0] = 1.0
+        a[4:, 0] = 1 + 0.5 * a[4:, 0]
+        got = series_reciprocal_rows(a)
+        assert got.shape == a.shape
+        for row, r in zip(a, got):
+            assert r.tobytes() == series_reciprocal(TruncatedSeries(row)).coeffs.tobytes()
+            assert r.tobytes() == dot_reciprocal(row).tobytes()
+
+    def test_near_zero_constant_rejected(self):
+        with pytest.raises(NearZeroConstantTerm):
+            series_reciprocal_rows([[1, 2, 3], [1e-13, 1, 0]])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0, math.inf)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            series_reciprocal_rows([[1, 0.5, 0.25], [1, bad, 0]])
+
+    def test_non_finite_result_rejected(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            series_reciprocal_rows([[1e-11, 1e300, 0]])
 
 
 class TestCalculus:

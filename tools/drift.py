@@ -31,7 +31,10 @@ configs with such a phi at a point where it is -1, 8 with a malformed
 ``grid`` (7 ``membership``, 1 ``verify-conjecture``), and 10 with a2 1e-6
 and 1e-10 to either side of gamma, where only halving arcs proves the
 winding (8 omega ``membership``, a Moebius shift and a near-circle Blaschke
-product, and one ``region-a2`` of the four a2 for each): 1589 in all.
+product, and one ``region-a2`` of the four a2 for each), 18
+``verify-conjecture`` configs (n_max 1, 2, 3 x samples 31, 32, 33 x lambda
+0.1 and 1), and 12 phi ``membership`` and 6 ``julia`` configs with a
+Blaschke phi of degree 1 to 6: 1625 in all.
 Standard library only; exit status 1 when anything differs.
 """
 
@@ -143,6 +146,17 @@ NEAR_GAMMA = [
      [[0.27960604176436465, -0.6538002510779317], [0.279604048865123, -0.6538000826955908],
       [0.2796050454143888, -0.6538001668951804], [0.2796050452150989, -0.6538001668783421]]),
 ]
+# (phi, theta0): Blaschke phi of degree 1 (a zero 5e-10 from the origin)
+# to 6, one with a double zero, each with a point where it is -1 for julia
+BLASCHKE_PHIS = [
+    ({"kind": "blaschke", "zeros": [[0, 5e-10]], "rotation": 2.0}, 1.14159265400594),
+    ({"kind": "blaschke", "zeros": [0, [0.6, -0.2]], "rotation": 0.7}, 0.5364028536813231),
+    ({"kind": "blaschke", "zeros": [0, 0.9, [-0.3, 0.5]], "rotation": 5.0}, 6.222702496646347),
+    ({"kind": "blaschke", "zeros": [0, [0.1, 0.2], [0.1, 0.2], -0.7]}, 3.4903612128622545),
+    ({"kind": "blaschke", "zeros": [0, 0.5, [0, 0.5], -0.5, [0, -0.5]], "rotation": 1.3}, 1.6197717934738431),
+    ({"kind": "blaschke", "zeros": [0, 0.95, [0.2, 0.9], [-0.4, -0.3], [0.3, -0.1], [-0.6, 0.6]],
+      "rotation": 4.0}, 0.02082537834205835),
+]
 EXTREMAL = {"type": "extremal"}
 BAD_GRIDS = [
     ("membership", {"lambda": 0.5, "candidate": EXTREMAL, "grid": 5}),
@@ -246,6 +260,17 @@ def configs() -> list:
             add("membership-near", "membership",
                 {"lambda": lam, "candidate": {"type": "omega", "a2": a2, "omega": omega}})
         add("region-a2", "region-a2", {"lambda": lam, "omega": omega, "queries": a2s})
+    # the reciprocal's row widths 1-3, and one block of 32 draws and either
+    # side of it
+    for n_max in (1, 2, 3):
+        for samples in (31, 32, 33):
+            for lam in (0.1, 1.0):
+                add("verify-conjecture", "verify-conjecture",
+                    {"lambda": lam, "n_max": n_max, "samples": samples, "seed": 5})
+    for phi, theta0 in BLASCHKE_PHIS:
+        for lam in (0.3, 1.0):
+            add("membership-phi", "membership", {"lambda": lam, "candidate": {"type": "phi", "phi": phi}})
+        add("julia", "julia", {"lambda": 0.5, "phi": phi, "theta0": theta0})
     return out
 
 
