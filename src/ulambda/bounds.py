@@ -394,12 +394,22 @@ class RegionA2:
         return LABELS[self.locate(a2)[0][0]]
 
     def to_csv(self) -> str:
+        """One ``theta,re,im`` row per sample, each value as ``%.17g``.
+
+        The rows are one ``%`` operation over the flattened (theta, re, im)
+        columns; ``%`` and ``str.format`` with one spec share the same
+        float-to-text routine, so the text is byte for byte that of
+        formatting each sample on its own."""
         pts = self.curve.samples
-        columns = (self.thetas.tolist(), pts.real.tolist(), pts.imag.tolist())
-        rows = map("{:.17g},{:.17g},{:.17g}".format, *columns)
-        return "theta,re,im\n" + "\n".join(rows) + "\n"
+        values = np.column_stack((self.thetas, pts.real, pts.imag)).ravel().tolist()
+        return "theta,re,im\n" + "%.17g,%.17g,%.17g\n" * len(pts) % tuple(values)
 
     def to_svg(self) -> str:
+        """The curve as one closed SVG path in a 512 x 512 picture, each
+        point as ``%.3f %.3f``.
+
+        The path is one ``%`` operation over the flattened points, byte for
+        byte the text of formatting each point on its own, as ``to_csv``."""
         pts, size = self.curve.samples, 512  # the picture is size x size
         lo = complex(np.min(pts.real), np.min(pts.imag))
         hi = complex(np.max(pts.real), np.max(pts.imag))
@@ -408,7 +418,8 @@ class RegionA2:
         scale = size / (span + 2 * pad)
         sx = (pts.real - lo.real + pad) * scale
         sy = size - (pts.imag - lo.imag + pad) * scale
-        path = "M " + " L ".join(map("{:.3f} {:.3f}".format, sx.tolist(), sy.tolist())) + " Z"
+        xy = np.column_stack((sx, sy)).ravel().tolist()
+        path = "M " + " L ".join(["%.3f %.3f"] * len(pts)) % tuple(xy) + " Z"
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
             f'viewBox="0 0 {size} {size}">\n'

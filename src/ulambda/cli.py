@@ -400,7 +400,9 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         code = _COMMANDS[args.command](cfg, out)
-    except (ConfigError, KeyError, ValueError) as e:
+    except (ConfigError, KeyError, ValueError, MemoryError) as e:
+        # a MemoryError is a size the machine cannot allocate, such as a
+        # resolution, n_max or lambda_count of 2**55
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except UlambdaError as e:

@@ -579,11 +579,23 @@ class TestRegionA2:
         assert svg.startswith("<svg") and "path" in svg
 
     @pytest.mark.parametrize("resolution", [64, 513, 1024, 4096])
-    @pytest.mark.parametrize(
-        "omega", [ZERO_FUN, MoebiusShift(0.8, 1.0), MoebiusShift(-0.3 + 0.5j, 4.0), Blaschke((0.3j,))], ids=repr
-    )
-    def test_artifacts_match_per_sample_loop(self, omega, resolution):
-        region = c_omega_curve(omega, 0.6, resolution=resolution)
+    @pytest.mark.parametrize("omega, lam", [
+        pytest.param(omega, lam, id=repr(omega) if lam == 0.6 else f"{omega!r}-lambda{lam:g}")
+        for omega, lam in [
+            (ZERO_FUN, 0.6),
+            (MoebiusShift(0.8, 1.0), 0.6),
+            (MoebiusShift(-0.3 + 0.5j, 4.0), 0.6),
+            (Blaschke((0.3j,)), 0.6),
+            (Blaschke((0.6 + 0.3j, -0.5 + 0.2j, 0.995), rotation=1.0), 0.6),
+            (ScaledPolynomial(raw=(0.2, -0.5j, 0.3, 0.4 + 0.1j)), 0.6),
+            # |a| = 1: omega is the constant a, gamma an ellipse
+            (MoebiusShift(1j, 2.0), 0.6),
+            # the cusp of gamma at t = 0
+            (MoebiusShift(0.98), 1.0),
+        ]
+    ])
+    def test_artifacts_match_per_sample_loop(self, omega, lam, resolution):
+        region = c_omega_curve(omega, lam, resolution=resolution)
         assert region.to_csv() == reference_csv(region)
         assert region.to_svg() == reference_svg(region, 512)
 

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_bounds import reference_csv, reference_svg
 from test_diskfun import mp_blaschke_integral
 
 from ulambda import bounds, cli, core
@@ -651,8 +652,24 @@ class TestRegionA2:
         # omega = 0 makes the curve the unit circle: the distance is to it,
         # not to the 128-gon, which lies up to 3e-4 inside
         assert [abs(q["distance_to_curve"] - 0.1) < 1e-15 for q in rep["queries"]] == [True, True]
-        assert (out / "region.csv").read_text().startswith("theta,re,im")
-        assert (out / "region.svg").read_text().startswith("<svg")
+        region = bounds.c_omega_curve(diskfun_from_json({"kind": "poly", "coeffs": [0.0], "normalizer": 1.0}),
+                                      0.5, resolution=128)
+        assert (out / "region.csv").read_bytes() == reference_csv(region).encode()
+        assert (out / "region.svg").read_bytes() == reference_svg(region, 512).encode()
+
+    def test_artifacts_are_the_per_sample_renderings(self, tmp_path):
+        # a config shaped as perfbench's region-a2 ops: resolution 1024, a
+        # Moebius omega, three queries inside and three outside gamma
+        cfg = {"lambda": 0.4375, "resolution": 1024,
+               "omega": {"kind": "moebius", "a": [0.41, -0.52], "psi": 2.3},
+               "queries": [[0.1, 0.2], [-0.3, 0.05], [0, -0.4], [1.7, 0.3], [-0.5, 1.8], [0.2, -2.1]]}
+        code, out = run(tmp_path, "region-a2", cfg)
+        assert code == 0
+        where = [q["where"] for q in json.loads((out / "region.json").read_text())["queries"]]
+        assert where == ["inside"] * 3 + ["outside"] * 3
+        region = bounds.c_omega_curve(diskfun_from_json(cfg["omega"]), cfg["lambda"], resolution=1024)
+        assert (out / "region.csv").read_bytes() == reference_csv(region).encode()
+        assert (out / "region.svg").read_bytes() == reference_svg(region, 512).encode()
 
     def test_cusp_labels_match_membership(self, tmp_path):
         # Moebius a = 0.98 at lambda 1: gamma has a cusp at t = 0, where a
@@ -983,6 +1000,21 @@ class TestHarness:
                         {"lambda": 0.5, "omega": {"kind": "moebius", "a": 0.3}, "queries": [[0.1, 0.0], query]})
         assert code == 4
         assert "queries must be finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("region-a2", {"lambda": 0.5, "resolution": 2**55, "omega": {"kind": "moebius", "a": 0.3}}),
+        ("verify-conjecture", {"lambda": 0.5, "n_max": 2**55, "samples": 16, "seed": 1}),
+        ("f-roots", {"lambda_count": 2**55, "Rs": [0.5]}),
+    ], ids=["region-a2", "verify-conjecture", "f-roots"])
+    def test_unallocatable_size_is_a_config_error(self, tmp_path, capsys, command, cfg):
+        # each ended in numpy's _ArrayMemoryError traceback (exit 1).  2**55
+        # samples exceed any 64-bit address space, so the allocation fails
+        # at once, whatever the machine's overcommit
+        code, out = run(tmp_path, command, cfg)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command,cfg", [

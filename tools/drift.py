@@ -33,8 +33,12 @@ and 1e-10 to either side of gamma, where only halving arcs proves the
 winding (8 omega ``membership``, a Moebius shift and a near-circle Blaschke
 product, and one ``region-a2`` of the four a2 for each), 18
 ``verify-conjecture`` configs (n_max 1, 2, 3 x samples 31, 32, 33 x lambda
-0.1 and 1), and 12 phi ``membership`` and 6 ``julia`` configs with a
-Blaschke phi of degree 1 to 6: 1625 in all.
+0.1 and 1), 12 phi ``membership`` and 6 ``julia`` configs with a
+Blaschke phi of degree 1 to 6, 6 ``region-a2`` configs at resolution 1024
+and 4096 (a Moebius, a Blaschke and a polynomial omega at lambda 0.5), and
+3 configs with a size no machine can allocate (a ``region-a2``
+``resolution``, a ``verify-conjecture`` ``n_max`` and an ``f-roots``
+``lambda_count`` of 2**55): 1634 in all.
 Standard library only; exit status 1 when anything differs.
 """
 
@@ -157,6 +161,13 @@ BLASCHKE_PHIS = [
     ({"kind": "blaschke", "zeros": [0, 0.95, [0.2, 0.9], [-0.4, -0.3], [0.3, -0.1], [-0.6, 0.6]],
       "rotation": 4.0}, 0.02082537834205835),
 ]
+# a size no 64-bit address space holds: each ended in numpy's
+# _ArrayMemoryError traceback (exit 1)
+UNALLOCATABLE = [
+    ("region-a2", {"lambda": 0.5, "resolution": 2**55, "omega": OMEGAS[0]}),
+    ("verify-conjecture", {"lambda": 0.5, "n_max": 2**55, "samples": 16, "seed": 1}),
+    ("f-roots", {"lambda_count": 2**55, "Rs": [0.5]}),
+]
 EXTREMAL = {"type": "extremal"}
 BAD_GRIDS = [
     ("membership", {"lambda": 0.5, "candidate": EXTREMAL, "grid": 5}),
@@ -271,6 +282,13 @@ def configs() -> list:
         for lam in (0.3, 1.0):
             add("membership-phi", "membership", {"lambda": lam, "candidate": {"type": "phi", "phi": phi}})
         add("julia", "julia", {"lambda": 0.5, "phi": phi, "theta0": theta0})
+    # region.csv and region.svg at perfbench's resolution and above
+    for omega in (OMEGAS[1], OMEGAS[4], OMEGAS[6]):
+        for resolution in (1024, 4096):
+            add("region-a2", "region-a2", {"lambda": 0.5, "resolution": resolution, "omega": omega,
+                                           "queries": [[0.9, 0], [1.4, 0], [0, 0.5], [-1.2, 0.3]]})
+    for command, cfg in UNALLOCATABLE:
+        add("malformed", command, cfg)
     return out
 
 
