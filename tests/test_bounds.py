@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 from collections import Counter
 
 import mpmath
@@ -15,6 +16,7 @@ import ulambda.diskfun as diskfun_module
 from ulambda.bounds import (
     VIOLATION_TOL,
     BoundTable,
+    RegionA2,
     b_a,
     c_omega_curve,
     conjecture_bound,
@@ -530,6 +532,26 @@ class TestFixedPoint:
         monkeypatch.setattr(bounds_module, "v_of_omega", None)
         assert fixed_point_zero(2.5, 0.6, omega, 0.6, v=v) == expected
 
+    @pytest.mark.parametrize("a2, lam, name", [
+        # q(0) = 1, yet an infinite a2 made the first step 0j and returned it
+        (math.inf, 0.5, "a2"),
+        (complex(-math.inf, 1.0), 0.5, "a2"),
+        # a NaN ran all FIXED_POINT_MAX_ITER steps, then raised NoConvergence
+        (math.nan, 0.5, "a2"),
+        (complex(3, math.nan), 0.5, "a2"),
+        (3.0, math.nan, "lam"),
+    ], ids=["inf", "-inf+1j", "nan", "3+nanj", "nan-lambda"])
+    def test_non_finite_input_rejected_by_name(self, monkeypatch, a2, lam, name):
+        def no_step(*args):
+            raise AssertionError("the iteration ran")
+
+        monkeypatch.setattr(bounds_module, "antiderivative", no_step)
+        monkeypatch.setattr(bounds_module, "v_of_omega", no_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                fixed_point_zero(a2, lam, MoebiusShift(0.3), 0.5)
+
 
 class TestRegionA2:
     def test_zero_omega_unit_circle(self):
@@ -598,6 +620,59 @@ class TestRegionA2:
         region = c_omega_curve(omega, lam, resolution=resolution)
         assert region.to_csv() == reference_csv(region)
         assert region.to_svg() == reference_svg(region, 512)
+
+
+class TestThetaText:
+    """``to_csv`` takes the theta column's text from ``_theta_text``, a
+    bounded cache keyed by the column's bytes; re and im are formatted on
+    every call."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        bounds_module._theta_text.cache_clear()
+        yield
+        bounds_module._theta_text.cache_clear()
+
+    def test_hit_miss_hit(self):
+        # two omegas at one resolution share a column; another resolution
+        # misses; the first column is still held
+        regions = [
+            c_omega_curve(MoebiusShift(0.41 - 0.52j, 2.3), 0.4375, resolution=1024),
+            c_omega_curve(Blaschke((0.6 + 0.3j, -0.5 + 0.2j)), 0.7, resolution=1024),
+            c_omega_curve(ScaledPolynomial(raw=(0.2, -0.5j, 0.3)), 0.5, resolution=4096),
+            c_omega_curve(MoebiusShift(-0.2 + 0.1j, 0.4), 0.9, resolution=1024),
+        ]
+        counts = []
+        for region in regions:
+            assert region.to_csv() == reference_csv(region)
+            info = bounds_module._theta_text.cache_info()
+            counts.append((info.hits, info.misses))
+        assert counts == [(0, 1), (1, 1), (1, 2), (2, 2)]
+
+    @pytest.mark.parametrize("angles", [
+        pytest.param(lambda t: t + 0.25, id="shifted"),
+        pytest.param(lambda t: t[::-1].copy(), id="reversed"),
+        pytest.param(lambda t: np.where(np.arange(len(t)) == 500, np.nextafter(t, 7), t), id="one-ulp"),
+        # equal to the cached column as numbers, yet it prints "-0"
+        pytest.param(lambda t: np.where(t == 0, -0.0, t), id="negative-zero"),
+    ])
+    def test_hand_built_column_of_a_cached_length(self, angles):
+        region = c_omega_curve(MoebiusShift(0.3, 0.2), 0.5, resolution=1024)
+        assert region.to_csv() == reference_csv(region)
+        other = RegionA2(region.lam, region.omega, angles(region.thetas), region.curve)
+        assert len(other.thetas) == len(region.thetas)
+        assert other.to_csv() == reference_csv(other)
+        assert region.to_csv() == reference_csv(region)
+
+    def test_more_columns_than_the_cache_holds(self):
+        held = bounds_module._THETA_COLUMNS
+        assert bounds_module._theta_text.cache_info().maxsize == held
+        regions = [c_omega_curve(MoebiusShift(0.5j, 0.1 * k), 0.6, resolution=64 + k)
+                   for k in range(2 * held + 1)]
+        for region in [*regions, *regions]:
+            assert region.to_csv() == reference_csv(region)
+            assert bounds_module._theta_text.cache_info().currsize <= held
+        assert bounds_module._theta_text.cache_info().hits == 0
 
 
 # the near-curve families at lam = 0.7, resolution 512
@@ -1334,6 +1409,31 @@ class TestOmegaVerdicts:
 
     def test_no_pairs(self):
         assert omega_verdicts(0.5, [], []) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 0)], ids=["nan", "inf", "inf+0j"])
+    def test_non_finite_a2_rejected_by_name(self, monkeypatch, bad):
+        # the winding's round() raised "cannot convert float NaN to integer",
+        # and inf printed a RuntimeWarning first
+        def no_sampling(*args):
+            raise AssertionError("gamma was sampled")
+
+        monkeypatch.setattr(bounds_module, "_proven_winding", no_sampling)
+        omegas = [MoebiusShift(0.3), Blaschke((0.2j,)), ScaledPolynomial(raw=(0.5, 0.1))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^a2 must be finite"):
+                omega_verdict(0.5, bad, MoebiusShift(0.3))
+            with pytest.raises(ValueError, match="^a2 must be finite"):
+                omega_verdicts(0.5, [0.1, 2.0, bad], omegas)
+            with pytest.raises(ValueError, match="^a2 must be finite"):
+                c_omega_curve(MoebiusShift(0.3), 0.5, resolution=64).locate([0.1j, bad])
+
+    def test_locate_rejects_nan(self):
+        region = c_omega_curve(MoebiusShift(0.3), 0.5, resolution=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^a2 must be finite"):
+                region.locate([math.nan])
 
 
 @pytest.mark.parametrize("call", [

@@ -671,6 +671,29 @@ class TestRegionA2:
         assert (out / "region.csv").read_bytes() == reference_csv(region).encode()
         assert (out / "region.svg").read_bytes() == reference_svg(region, 512).encode()
 
+    def test_artifacts_of_several_curves_in_one_process(self, tmp_path):
+        # perfbench renders many curves in one process: two at resolution
+        # 1024 share the theta column's text, one at 4096 needs its own
+        queries = [[0.1, 0.2], [-0.3, 0.05], [0, -0.4], [1.7, 0.3], [-0.5, 1.8], [0.2, -2.1]]
+        configs = [
+            {"lambda": 0.4375, "resolution": 1024,
+             "omega": {"kind": "moebius", "a": [0.41, -0.52], "psi": 2.3}, "queries": queries},
+            {"lambda": 0.6, "resolution": 1024,
+             "omega": {"kind": "moebius", "a": [-0.7, 0.1], "psi": 0.4}, "queries": queries},
+            {"lambda": 0.3, "resolution": 4096,
+             "omega": {"kind": "moebius", "a": [0.05, 0.6], "psi": 5.9}, "queries": queries},
+        ]
+        bounds._theta_text.cache_clear()
+        for k, cfg in enumerate(configs):
+            code, out = run(tmp_path, "region-a2", cfg, outdir=f"out-{k}")
+            assert code == 0
+            region = bounds.c_omega_curve(diskfun_from_json(cfg["omega"]), cfg["lambda"],
+                                          resolution=cfg["resolution"])
+            assert (out / "region.csv").read_bytes() == reference_csv(region).encode()
+            assert (out / "region.svg").read_bytes() == reference_svg(region, 512).encode()
+        info = bounds._theta_text.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
     def test_cusp_labels_match_membership(self, tmp_path):
         # Moebius a = 0.98 at lambda 1: gamma has a cusp at t = 0, where a
         # sampled self-intersection check found 2 close sample pairs and
