@@ -4,7 +4,6 @@ from .series import (
     TruncatedSeries,
     ring,
     series_mul,
-    series_reciprocal,
     series_integrate,
     series_eval,
 )
@@ -16,7 +15,6 @@ from .diskfun import (
     ScaledPolynomial,
     antiderivative,
     diskfun_from_json,
-    schwarz_pick_envelope,
 )
 from .core import (
     GridSpec,
@@ -31,8 +29,6 @@ from .core import (
     subordination_check,
     count_disk_zeros,
     sup_u,
-    taylor_of_f,
-    u_of_q,
 )
 from .bounds import (
     BoundTable,

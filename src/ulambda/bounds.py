@@ -60,7 +60,7 @@ from .errors import (
     OutOfRange,
 )
 from .geometry import BOUNDARY, INSIDE, LABELS, OUTSIDE, BoundaryRegion
-from .series import DEFAULT_ORDER, TruncatedSeries, ring, series_reciprocal
+from .series import DEFAULT_ORDER, ring, series_reciprocal_rows
 from .core import (
     DEFAULT_ANGLES,
     DEFAULT_RADII,
@@ -113,22 +113,21 @@ def rogosinski_check(w: DiskFunction, lam: float, n: int) -> dict:
     w a self-map of the disk fixing 0.
 
     For every m <= n the partial sums must satisfy sum_{k=1}^m |b_k|^2 <=
-    sum_{k=1}^m lam^{2k}, and |c_m| <= 1; the series are of order max(n, 64).
+    sum_{k=1}^m lam^{2k}, and |c_m| <= 1 (the coefficient step behind
+    ``theorem2_bound``); both series, of order max(n, 64), are one
+    ``series_reciprocal_rows`` call.
     """
     if abs(w.base_point()) > 1e-9:
         raise OutOfRange("w must fix the origin")
-    order = max(n, DEFAULT_ORDER)
-    t = w.taylor(order)
-    one_minus = TruncatedSeries.from_coeffs([1.0], order=order)
+    t = w.taylor(max(n, DEFAULT_ORDER)).coeffs
+    one = np.eye(1, len(t), dtype=complex)[0]
+    g1, g2 = series_reciprocal_rows(np.stack([one - lam * t, one - t]))
 
-    g1 = series_reciprocal(TruncatedSeries(one_minus.coeffs - lam * t.coeffs))
-    g2 = series_reciprocal(TruncatedSeries(one_minus.coeffs - t.coeffs))
-
-    b2 = np.abs(g1.coeffs[1 : n + 1]) ** 2
+    b2 = np.abs(g1[1 : n + 1]) ** 2
     lhs = np.cumsum(b2)
     rhs = np.cumsum(lam ** (2 * np.arange(1, n + 1)))
     slack = rhs - lhs
-    cmax = float(np.max(np.abs(g2.coeffs[1 : n + 1])))
+    cmax = float(np.max(np.abs(g2[1 : n + 1])))
     return {
         "n": n,
         "lambda": lam,

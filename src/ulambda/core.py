@@ -61,9 +61,7 @@ from .series import (
     _angle_count,
     ring,
     ring_eval,
-    series_eval,
     series_mul,
-    series_reciprocal,
 )
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
@@ -153,14 +151,6 @@ def _u_series(cand: UCandidate) -> TruncatedSeries:
     c = (1 - k) * cand.q.coeffs
     c[0] -= 1.0
     return TruncatedSeries(c)
-
-
-def u_of_q(cand: UCandidate, z: complex) -> complex:
-    """Membership quantity q(z) - z q'(z) - 1 at a point of the open disk."""
-    z = complex(z)
-    if abs(z) >= 1:
-        raise OutsideDisk(f"|z| = {abs(z):.6f} >= 1")
-    return series_eval(_u_series(cand), z)
 
 
 def _ring_point(radii: tuple, angles: int, i: int) -> complex:
@@ -416,12 +406,6 @@ def q_rows_from_omega(a2s, lam: float, omegas, order: int = DEFAULT_ORDER) -> np
     q[:, 2:] /= np.arange(1, order)
     q[:, 2:] *= lam
     return q
-
-
-def taylor_of_f(cand: UCandidate) -> TruncatedSeries:
-    """Series of f(z)/z = 1/q(z); coefficient k is the Taylor coefficient
-    a_{k+1} of f."""
-    return series_reciprocal(cand.q)
 
 
 def dilate(cand: UCandidate, R: float) -> UCandidate:

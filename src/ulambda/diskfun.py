@@ -404,13 +404,16 @@ def _power(z, k: int):
 
 @dataclass(frozen=True)
 class ScaledPolynomial(DiskFunction):
-    """p(z) / normalizer with normalizer >= sum |p_k|, hence bounded by 1."""
+    """p(z) / normalizer with normalizer >= sum |p_k|, hence bounded by 1;
+    no coefficients is p = 0.  A normalizer below the least normal float is
+    a ValueError: numpy divides complex arrays by way of its reciprocal,
+    which overflows."""
 
     raw: tuple = (0.0,)
     normalizer: float = field(default=0.0)
 
     def __post_init__(self):
-        raw = tuple(complex(c) for c in self.raw)
+        raw = tuple(complex(c) for c in self.raw) or (0j,)
         # summed in order and by abs(): math.fsum or a hypot modulus would
         # round some sums, and so every value of those polynomials, differently
         total = _finite(float(sum(_modulus(c, "coeffs") for c in raw)), "the sum of |coeffs|")
@@ -421,6 +424,8 @@ class ScaledPolynomial(DiskFunction):
             raise ValueError(
                 f"normalizer {norm} below coefficient sum {total}: bound not certified"
             )
+        if norm < np.finfo(float).tiny:
+            raise ValueError(f"normalizer {norm} below the least normal float")
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "normalizer", norm)
 
@@ -459,13 +464,6 @@ class ScaledPolynomial(DiskFunction):
         return acc * z / self.normalizer
 
 
-def schwarz_pick_envelope(a_mod: float, r: float) -> float:
-    """Sharp bound (|a| + r) / (1 + |a| r) on |w(z)| when w(0) = a, |z| = r."""
-    if not (0 <= a_mod <= 1 and 0 <= r <= 1):
-        raise ValueError("arguments must lie in [0, 1]")
-    return (a_mod + r) / (1 + a_mod * r)
-
-
 # B_a takes its 40-term series for |conj(a) z| below this: the series'
 # truncation error stays below 0.4^40 / (42 * 0.6), about 5e-18, while the
 # closed form loses accuracy as |conj(a) z| shrinks (log1p rounds
@@ -481,10 +479,11 @@ _B_A_TERMS = tuple(1.0 / (j + 2) for j in range(39, -1, -1))
 def _b_a_constants(a: complex) -> tuple:
     """(conj(a), a, 1 - |a|^2, conj(a)^2, 1/conj(a)), each by scalar
     arithmetic, for one-a calls and rows of ``_moebius_mean`` alike: the
-    array forms of 1 - |a|^2 and conj(a)^2 round some a differently.  a = 0
-    takes only the series, so its 1/conj(a) is never read."""
+    array forms of 1 - |a|^2 and conj(a)^2 round some a differently.  Only
+    the closed form reads 1/conj(a), for |conj(a) z| >= 0.4 and |z| <= 1 +
+    1e-12: it is formed for |a| >= 0.2 alone, as it overflows for tiny a."""
     c = np.conj(a)
-    return c, a, 1 - abs(a) ** 2, c**2, 1 / c if a else c
+    return c, a, 1 - abs(a) ** 2, c**2, 1 / c if abs(a) >= _B_A_SERIES / 2 else c
 
 
 def _b_a_small(z, w, a, s, *_):

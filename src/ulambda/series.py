@@ -5,7 +5,7 @@ A series carries coefficients c_0..c_N and its order N.  Arithmetic always
 truncates to the minimum order of the operands; no operation extends the
 order, so a result never pretends to more precision than its inputs carry.
 ``series_reciprocal_rows`` inverts many series at once, given as the rows
-of one array, and ``series_reciprocal`` is its one-row case.
+of one array: it is the package's one series inversion.
 
 ``ring`` is the one open uniform angular grid every circle sweep of the
 package samples.  Its unit circle for each angle count is computed once and
@@ -13,7 +13,9 @@ kept (a small bounded cache of read-only arrays); each call returns a fresh
 grid scaled from it.  A series is swept over it by ``ring_eval``, one batched
 inverse FFT on all circles; ``series_eval_many`` is the Horner loop for
 scattered points (``_horner``, which polynomial disk functions share), and
-``series_eval`` its one-point case.
+``series_eval`` its one-point case.  ``series_eval``, ``series_eval_many``
+and ``series_integrate`` are the termwise references that the tests compare
+``ring_eval`` and ``core.q_rows_from_omega`` against.
 """
 
 from __future__ import annotations
@@ -70,24 +72,12 @@ class TruncatedSeries:
                 c = np.concatenate([c, np.zeros(order + 1 - len(c))])
         return TruncatedSeries(c)
 
-    @staticmethod
-    def one(order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = 1.0
-        return TruncatedSeries(c)
-
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the minimum order."""
     n = min(a.order, b.order)
     full = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])
     return TruncatedSeries(full[: n + 1])
-
-
-def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """Series r with a*r = 1 up to the order: the one row of
-    ``series_reciprocal_rows``."""
-    return TruncatedSeries(series_reciprocal_rows(a.coeffs[None])[0])
 
 
 def series_reciprocal_rows(a) -> np.ndarray:

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ulambda.cli import main
 from ulambda.diskfun import Monomial, MoebiusShift, antiderivative, diskfun_from_json, gauss_legendre
 from ulambda.errors import OutOfRange
 from ulambda.geometry import INSIDE
-from ulambda.series import TruncatedSeries, series_reciprocal
+from ulambda.series import TruncatedSeries, series_reciprocal_rows
 
 
 def run(tmp_path, command, cfg, outdir="out"):
@@ -94,7 +95,7 @@ class TestVerifyConjecture:
             assert len(row) == n_max
             # the candidate it was cut from, in the order they were built
             source = next(c for c in full if np.array_equal(c[:n_max], row))
-            expect = series_reciprocal(TruncatedSeries(source)).coeffs
+            expect = series_reciprocal_rows(source[None])[0]
             assert np.array_equal(got_row, expect[:n_max])
             coeffs.append(expect)
         assert len(coeffs) == len(q) > 1
@@ -1186,3 +1187,66 @@ class TestHarness:
         for p1 in sorted(out1.iterdir()):
             p2 = out2 / p1.name
             assert p1.read_bytes() == p2.read_bytes()
+
+
+# (1e-310 + 1e-310 z)/2e-310, the function (1 + z)/2
+SUBNORMAL_OMEGA = {"kind": "poly", "coeffs": [1e-310, 1e-310], "normalizer": 2e-310}
+
+
+def run_strict(tmp_path, command, cfg, outdir="out"):
+    """``run`` with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(tmp_path, command, cfg, outdir)
+
+
+class TestDegenerateParameters:
+    def test_empty_polynomial_phi_is_inside(self, tmp_path, capsys):
+        # used to end in an IndexError traceback from base_point
+        code, out = run_strict(tmp_path, "membership", {"lambda": 0.5, "candidate": {
+            "type": "phi", "phi": {"kind": "poly", "coeffs": []}}})
+        assert code == 0 and capsys.readouterr().err == ""
+        assert json.loads((out / "membership.json").read_text())["verdict"] == "Inside"
+
+    def test_empty_polynomial_omega_is_zero(self, tmp_path):
+        omega = {"kind": "poly", "coeffs": []}
+        code, out = run_strict(tmp_path, "membership", {"lambda": 0.5, "candidate": {
+            "type": "omega", "a2": 0.9, "omega": omega}})
+        assert code == 0
+        zero = {"kind": "poly", "coeffs": [0.0]}
+        assert run_strict(tmp_path, "membership", {"lambda": 0.5, "candidate": {
+            "type": "omega", "a2": 0.9, "omega": zero}}, "zero")[0] == 0
+        assert (out / "membership.json").read_bytes() == (tmp_path / "zero" / "membership.json").read_bytes()
+
+    @pytest.mark.parametrize("command,cfg", [
+        # membership used to exit 4 on a NaN, region-a2 too, and fixed-point
+        # 3 on v(omega) = inf
+        ("membership", {"candidate": {"type": "omega", "a2": 0.9, "omega": SUBNORMAL_OMEGA}}),
+        ("region-a2", {"omega": SUBNORMAL_OMEGA, "queries": [[0.9, 0]]}),
+        ("fixed-point", {"a2": 3, "omega": SUBNORMAL_OMEGA}),
+        # used to read Inconclusive with "boundary_max": NaN, which is not JSON
+        ("membership", {"candidate": {"type": "phi", "phi": {"kind": "poly", "coeffs": [0, 3e-311, 3e-312]}}}),
+        # read Inside by the closed form; rejected by the same rule
+        ("membership", {"candidate": {"type": "phi", "phi": {"kind": "poly", "coeffs": [0, 5e-324]}}}),
+    ])
+    def test_subnormal_normalizer_is_a_config_error(self, tmp_path, capsys, command, cfg):
+        code, out = run_strict(tmp_path, command, {"lambda": 0.5, **cfg})
+        assert code == 4
+        assert "below the least normal float" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-310])
+    @pytest.mark.parametrize("command,config", [
+        ("membership", lambda a: {"candidate": {"type": "omega", "a2": 0.9, "omega": {"kind": "moebius", "a": a}}}),
+        ("region-a2", lambda a: {"omega": {"kind": "moebius", "a": a}, "queries": [[0.9, 0], [1.4, 0]]}),
+        ("sharpness", lambda a: {"a": a}),
+        ("fixed-point", lambda a: {"a2": 1.1, "omega": {"kind": "moebius", "a": a}}),
+    ], ids=["membership", "region-a2", "sharpness", "fixed-point"])
+    def test_subnormal_moebius_runs_as_zero_does(self, tmp_path, command, config, a):
+        # the right verdict, but a RuntimeWarning from 1/conj(a) first
+        expect, zero = run_strict(tmp_path, command, {"lambda": 0.5, **config(0)}, "zero")
+        code, out = run_strict(tmp_path, command, {"lambda": 0.5, **config(a)})
+        assert code == expect
+        if command == "membership":
+            verdict = [json.loads((d / "membership.json").read_text())["verdict"] for d in (out, zero)]
+            assert verdict == ["Inside", "Inside"]

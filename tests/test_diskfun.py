@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import warnings
 from collections import Counter
 
 import mpmath
@@ -21,10 +22,9 @@ from ulambda.diskfun import (
     antiderivative,
     diskfun_from_json,
     gauss_legendre,
-    schwarz_pick_envelope,
 )
 from ulambda.errors import BasePointOutsideClosedDisk, OutsideDisk, ZeroOnOrOutsideBoundary
-from ulambda.series import TruncatedSeries, series_eval, series_integrate, series_mul, series_reciprocal
+from ulambda.series import TruncatedSeries, series_eval, series_integrate, series_mul, series_reciprocal_rows
 from ulambda.bounds import v_of_x
 
 
@@ -57,7 +57,8 @@ class TestMoebius:
         w = MoebiusShift(0.5, 0.0)
         val = abs(w.eval(0.5j))
         assert abs(val - 0.6860) < 5e-4
-        assert val <= schwarz_pick_envelope(0.5, 0.5)
+        # Schwarz-Pick: |w(z)| <= (|a| + r)/(1 + |a| r) for w(0) = a, |z| = r
+        assert val <= (0.5 + 0.5) / (1 + 0.5 * 0.5)
 
     def test_rejects_outside_base_point(self):
         with pytest.raises(BasePointOutsideClosedDisk):
@@ -185,7 +186,7 @@ def reciprocal_blaschke_taylor(b, order):
         acc = series_mul(acc, TruncatedSeries.from_coeffs([-zero, 1.0], order=order))
         if zero != 0:
             den = TruncatedSeries.from_coeffs([1.0, -np.conj(zero)], order=order)
-            acc = series_mul(acc, series_reciprocal(den))
+            acc = series_mul(acc, TruncatedSeries(series_reciprocal_rows(den.coeffs[None])[0]))
     return acc
 
 
@@ -210,30 +211,47 @@ class TestOwnParameters:
         ({"raw": (0, 1e308, 1e308)}, "the sum of |coeffs| must be finite, got inf"),
         ({"raw": (0.5,), "normalizer": math.nan}, "normalizer must be finite, got nan"),
         ({"raw": (0.5,), "normalizer": math.inf}, "normalizer must be finite, got inf"),
+        # a normalizer below the least normal float, given or summed: numpy
+        # divided by way of its reciprocal, which overflowed to NaN values
+        ({"raw": (1e-310, 1e-310)}, "normalizer 2e-310 below the least normal float"),
+        ({"raw": (1e-310, 1e-310), "normalizer": 2e-310}, "normalizer 2e-310 below the least normal float"),
+        ({"raw": (0, 3e-311, 3e-312)}, "normalizer 3.3e-311 below the least normal float"),
+        ({"raw": (0, 5e-324)}, "normalizer 5e-324 below the least normal float"),
+        ({"raw": (0.0,), "normalizer": 1e-310}, "normalizer 1e-310 below the least normal float"),
     ])
     def test_polynomial(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ScaledPolynomial(**kwargs)
 
+    def test_polynomial_normal_normalizer_accepted(self):
+        tiny = float(np.finfo(float).tiny)
+        assert ScaledPolynomial(raw=(0, tiny)).normalizer == tiny
+        assert ScaledPolynomial(raw=(0, 3e-300, 3e-301)).eval(1.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_empty_polynomial_is_zero(self):
+        # no coefficients used to leave raw empty, and base_point raised
+        # IndexError
+        empty = ScaledPolynomial(raw=())
+        assert (empty.raw, empty.normalizer, empty.base_point()) == ((0j,), 1.0, 0j)
+        zero = ScaledPolynomial(raw=(0.0,))
+        z = np.exp(2j * np.pi * np.arange(64) / 64)
+        for f in (lambda g: g.eval(z), lambda g: g.deriv(z),
+                  lambda g: antiderivative(g, z), lambda g: g.taylor(8).coeffs):
+            assert f(empty).tobytes() == f(zero).tobytes()
+            assert not f(empty).any()
+        assert diskfun_from_json({"kind": "poly", "coeffs": []}) == empty
+
 
 class TestEnvelope:
-    def test_schwarz_lemma_case(self):
-        assert schwarz_pick_envelope(0.0, 0.7) == 0.7
-
-    def test_base_point_case(self):
-        assert schwarz_pick_envelope(0.4, 0.0) == 0.4
-
-    def test_midpoint(self):
-        assert abs(schwarz_pick_envelope(0.5, 0.5) - 0.8) < 1e-15
-
     def test_property_all_families(self):
+        # Schwarz-Pick: |w(z)| <= (|a| + r)/(1 + |a| r) for w(0) = a, |z| = r
         rng = np.random.default_rng(10)
         for fun in sample_functions():
-            a = abs(fun.base_point())
+            a = min(abs(fun.base_point()), 1.0)
             for _ in range(125):
                 r = math.sqrt(rng.uniform()) * 0.999
                 z = r * cmath.exp(2j * math.pi * rng.uniform())
-                assert abs(fun.eval(z)) <= schwarz_pick_envelope(min(a, 1.0), r) + 1e-12
+                assert abs(fun.eval(z)) <= (a + r) / (1 + a * r) + 1e-12
 
 
 class TestAntiderivative:
@@ -643,6 +661,19 @@ class TestBaSeries:
             got, want = _b_a_small(z, w, a, 1 - abs(a) ** 2), reference_b_a_small(a, z, w)
             assert np.shape(got) == np.shape(want)
             assert np.atleast_1d(got).tobytes() == np.atleast_1d(want).tobytes()
+
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-310, 5e-324j])
+    def test_subnormal_base_point_takes_the_series_without_warning(self, a):
+        # 1/conj(a) used to be formed for every a != 0, and overflowed with a
+        # RuntimeWarning; only the series reads a's below 0.2
+        z = np.exp(2j * np.pi * np.arange(64) / 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _moebius_mean(a, z)
+            rows = _moebius_mean([a, 0j], np.array([z, z]))
+        assert np.max(np.abs(got - z / 2)) < 1e-15
+        assert rows.tobytes() == np.array([got, _moebius_mean(0j, z)]).tobytes()
 
 
 class TestRows:

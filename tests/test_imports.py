@@ -1,5 +1,7 @@
-"""Every module of the package uses each name it imports, and every
-module-level private name is used somewhere in the package.
+"""Every module of the package uses each name it imports, every
+module-level private name is used somewhere in the package, and every
+public module-level function and class is too, or is listed in
+``UNREAD_PUBLIC`` with its reason.
 
 Parses the sources with ``ast`` (no import, standard library only), so the
 check also covers names that only an unused import would bind.  The package
@@ -79,3 +81,51 @@ def test_detects_dead_private_names():
         "b.py": "from .a import _helper\nimport a\n__all__ = []\nx = _helper() + a._PAIR\n",
     }
     assert dead_private_names(sources) == [("a.py", "_Gone"), ("a.py", "_SMALL")]
+
+
+# public names that no module of the package reads, each with its reason
+UNREAD_PUBLIC = {
+    ("core.py", "sup_u"): "entry point of the representation-theorem check (perfbench subordination)",
+    ("core.py", "count_disk_zeros"): "entry point of the representation-theorem check (perfbench subordination)",
+    ("core.py", "dilate"): "entry point of the representation-theorem check (perfbench subordination)",
+    ("core.py", "subordination_check"): "entry point of the representation-theorem check (perfbench subordination)",
+    ("core.py", "majorant_h_boundary"): "entry point of the representation-theorem check (perfbench subordination)",
+    ("core.py", "extremal_q_boundary"): "entry point of the representation-theorem check (perfbench subordination)",
+    ("series.py", "series_eval"): "Horner reference that the tests compare ring_eval against",
+    ("series.py", "series_integrate"): "termwise reference that the tests compare q_rows_from_omega against",
+    ("bounds.py", "rogosinski_check"): "Theorem 2's coefficient step, checked by acceptance test 04",
+}
+
+
+def unread_public_names(sources: dict) -> list:
+    """(module, name) for each module-level public function or class that
+    no module of ``sources`` reads, as a name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_no_unread_public_names():
+    # exactly the listed ones: a listed name that something now reads is a
+    # stale entry, and goes from the list
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert unread_public_names(sources) == sorted(UNREAD_PUBLIC)
+
+
+def test_detects_unread_public_names():
+    sources = {
+        "a.py": "def helper():\n    return 1\ndef gone():\n    pass\nclass Kept:\n    pass\nclass Lost:\n    pass\n",
+        "b.py": "from .a import gone, helper\nimport a\nx = helper() + a.Kept()\ndef _private():\n    pass\n",
+    }
+    assert unread_public_names(sources) == [("a.py", "Lost"), ("a.py", "gone")]

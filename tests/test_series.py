@@ -15,7 +15,6 @@ from ulambda.series import (
     series_eval_many,
     series_integrate,
     series_mul,
-    series_reciprocal,
     series_reciprocal_rows,
 )
 
@@ -25,6 +24,11 @@ EPS = np.finfo(float).eps
 
 def ts(*coeffs, order=None):
     return TruncatedSeries.from_coeffs(coeffs, order=order)
+
+
+def reciprocal(a):
+    """The reciprocal of one series: the one row of ``series_reciprocal_rows``."""
+    return TruncatedSeries(series_reciprocal_rows(a.coeffs[None])[0])
 
 
 def random_series(rng, order):
@@ -91,17 +95,17 @@ class TestMul:
 
 class TestReciprocal:
     def test_geometric(self):
-        out = series_reciprocal(ts(1, -1, *[0] * 8))
+        out = reciprocal(ts(1, -1, *[0] * 8))
         assert np.allclose(out.coeffs, np.ones(10))
 
     def test_alternating(self):
-        out = series_reciprocal(ts(1, 1, *[0] * 8))
+        out = reciprocal(ts(1, 1, *[0] * 8))
         assert np.allclose(out.coeffs, (-1.0) ** np.arange(10))
 
     def test_double_pole_product(self):
         # 1/((1-z)(1-z/2)) has coefficients 2 - 2^{-n}
         q = series_mul(ts(1, -1, *[0] * 8), ts(1, -0.5, *[0] * 8))
-        out = series_reciprocal(q)
+        out = reciprocal(q)
         n = np.arange(10)
         assert np.allclose(out.coeffs, 2 - 0.5**n, atol=1e-13)
         assert abs(out.coeffs[3] - 1.875) < 1e-14
@@ -112,12 +116,12 @@ class TestReciprocal:
 
     def test_near_zero_constant_rejected(self):
         with pytest.raises(NearZeroConstantTerm):
-            series_reciprocal(ts(1e-13, 1))
+            reciprocal(ts(1e-13, 1))
 
 
 def dot_reciprocal(a):
     """The reciprocal by the recurrence with one np.dot per coefficient, as
-    ``series_reciprocal`` took it before the row form."""
+    the one-row reciprocal took it before the row form."""
     a0 = complex(a[0])
     r = np.zeros(len(a), dtype=complex)
     r[0] = 1.0 / a0
@@ -138,7 +142,7 @@ class TestReciprocalRows:
         got = series_reciprocal_rows(a)
         assert got.shape == a.shape
         for row, r in zip(a, got):
-            assert r.tobytes() == series_reciprocal(TruncatedSeries(row)).coeffs.tobytes()
+            assert r.tobytes() == series_reciprocal_rows(row[None])[0].tobytes()
             assert r.tobytes() == dot_reciprocal(row).tobytes()
 
     def test_near_zero_constant_rejected(self):
@@ -397,7 +401,7 @@ class TestProperties:
         a = TruncatedSeries.from_coeffs(cs, order=16)
         if abs(a.coeffs[0]) < 0.1 or np.sum(np.abs(a.coeffs)) > 10:
             return
-        r = series_reciprocal(a)
+        r = reciprocal(a)
         back = series_mul(a, r)
         # residuals scale with the size of the reciprocal coefficients, which
         # can grow geometrically for poorly conditioned inputs
@@ -415,7 +419,7 @@ class TestProperties:
             if abs(c[0]) < 0.1:
                 continue
             a = TruncatedSeries(c)
-            back = series_mul(a, series_reciprocal(a))
+            back = series_mul(a, reciprocal(a))
             assert abs(back.coeffs[0] - 1) < 1e-12
             assert np.max(np.abs(back.coeffs[1:])) < 1e-10
 

@@ -38,7 +38,11 @@ Blaschke phi of degree 1 to 6, 6 ``region-a2`` configs at resolution 1024
 and 4096 (a Moebius, a Blaschke and a polynomial omega at lambda 0.5), and
 3 configs with a size no machine can allocate (a ``region-a2``
 ``resolution``, a ``verify-conjecture`` ``n_max`` and an ``f-roots``
-``lambda_count`` of 2**55): 1634 in all.
+``lambda_count`` of 2**55), and 6 with a Blaschke omega whose primitive
+takes a cluster branch (a double zero at 0.9, by the closed-form K_n, and
+zeros 0.999 and 0.9998, a cluster split into its zeros), each in two
+omega ``membership`` configs, a2 inside and outside gamma, and one
+``region-a2``: 1640 in all.
 Standard library only; exit status 1 when anything differs.
 """
 
@@ -160,6 +164,14 @@ BLASCHKE_PHIS = [
     ({"kind": "blaschke", "zeros": [0, 0.5, [0, 0.5], -0.5, [0, -0.5]], "rotation": 1.3}, 1.6197717934738431),
     ({"kind": "blaschke", "zeros": [0, 0.95, [0.2, 0.9], [-0.4, -0.3], [0.3, -0.1], [-0.6, 0.6]],
       "rotation": 4.0}, 0.02082537834205835),
+]
+# (omega, lambda, a2s): Blaschke products whose primitive takes
+# diskfun._k_n_closed (a repeated zero near the circle) and the split of a
+# cluster wider than its room into its repeated zeros; a2 inside gamma, then
+# outside
+CLUSTER_BRANCHES = [
+    ({"kind": "blaschke", "zeros": [0.9, 0.9]}, 0.5, [0.5, 1.6]),
+    ({"kind": "blaschke", "zeros": [0.999, 0.9998]}, 0.5, [0.5, 1.6]),
 ]
 # a size no 64-bit address space holds: each ended in numpy's
 # _ArrayMemoryError traceback (exit 1)
@@ -289,6 +301,12 @@ def configs() -> list:
                                            "queries": [[0.9, 0], [1.4, 0], [0, 0.5], [-1.2, 0.3]]})
     for command, cfg in UNALLOCATABLE:
         add("malformed", command, cfg)
+    for omega, lam, a2s in CLUSTER_BRANCHES:
+        for a2 in a2s:
+            add("membership-cluster", "membership",
+                {"lambda": lam, "candidate": {"type": "omega", "a2": a2, "omega": omega}})
+        add("region-a2", "region-a2",
+            {"lambda": lam, "omega": omega, "queries": [[0.9, 0], [1.4, 0], [0, 0.5], [-1.2, 0.3]] + a2s})
     return out
 
 
