@@ -484,11 +484,6 @@ def c_omega_curve(omega: DiskFunction, lam: float, resolution: int = 512) -> Reg
     )
 
 
-# circle points per piece of omega's samples: the primitive's temporaries
-# then stay at this size, not at the 8192 of the full pass
-_OMEGA_CHUNK = 1024
-
-
 def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerdict:
     """Membership of the omega candidate q = 1 - a2 z + lam z W,
     W = int_0^z omega.
@@ -504,12 +499,13 @@ def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerd
     terms that W sums (``_primitive_size``): 2 + |a2| for a closed form
     (S = 1), more for a Blaschke product with large residue terms.
 
-    Where neither fixed pass proves it, only the failing arcs are halved;
-    the verdict is Inconclusive, with no zero count, only at the rounding
-    floor (a2 within about 1e-12 (2 + |a2| + lam S) of gamma) or about a
-    cusp (``core._halve``).  ``budget`` records the passes.  An a2 that is
-    not finite, or whose modulus exceeds the float range, raises ValueError
-    before anything is sampled.
+    Where the 256-point pass does not prove it, only that pass's failing
+    arcs are halved, with no denser pass of gamma; the verdict is
+    Inconclusive, with no zero count, only at the rounding floor (a2 within
+    about 1e-12 (2 + |a2| + lam S) of gamma) or about a cusp
+    (``core._halve``).  ``budget`` records the pass and the halving.  An a2
+    that is not finite, or whose modulus exceeds the float range, raises
+    ValueError before anything is sampled.
 
     This is the one-pair case of ``omega_verdicts``.
     """
@@ -518,23 +514,20 @@ def omega_verdict(lam: float, a2: complex, omega: DiskFunction) -> GeneratorVerd
 
 def omega_verdicts(lam: float, a2s, omegas) -> list:
     """``omega_verdict`` of each pair (a2s[i], omegas[i]), in order, each
-    the one-pair call's bit for bit.  Each omega's gamma is sampled once per
-    pass size (``RegionA2`` passes one omega for all its queries), as a row
-    of ``diskfun._primitive_rows`` in pieces of ``_OMEGA_CHUNK`` points."""
+    the one-pair call's bit for bit.  Each omega's gamma is sampled once, at
+    ZERO_COUNT_COARSE points, as a row of ``diskfun._primitive_rows``
+    (``RegionA2`` passes one omega for all its queries); the halving then
+    samples only the midpoints of one pair's failing arcs."""
     size = [1 + max(1.0, lam * omega._primitive_size()) + _a2_modulus(a2)
             for a2, omega in zip(a2s, omegas)]
     a2 = np.array(a2s, dtype=complex)
-    gammas = {}  # gamma on ring(1.0, n) by (n, id(omega))
 
     def sample(n, rows):
-        funs = list({id(omegas[i]): omegas[i] for i in rows if (n, id(omegas[i])) not in gammas}.values())
-        if funs:
-            z, gamma = ring(1.0, n), np.empty((len(funs), n), dtype=complex)
-            for i in range(0, n, _OMEGA_CHUNK):
-                piece = z[i:i + _OMEGA_CHUNK]
-                gamma[:, i:i + _OMEGA_CHUNK] = piece.conj() + lam * _primitive_rows(funs, piece)
-            gammas.update(((n, id(fun)), row) for fun, row in zip(funs, gamma))
-        return np.array([gammas[n, id(omegas[i])] for i in rows]).reshape(-1, n) - a2[rows, None]
+        # called once, for the coarse pass of every row: one gamma per omega
+        funs = {id(omegas[i]): omegas[i] for i in rows}
+        z = ring(1.0, n)
+        gammas = dict(zip(funs, z.conj() + lam * _primitive_rows(list(funs.values()), z)))
+        return np.array([gammas[id(omegas[i])] for i in rows]).reshape(-1, n) - a2[rows, None]
 
     def sample_at(t, i):
         z = np.exp(1j * t)

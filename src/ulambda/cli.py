@@ -170,8 +170,9 @@ def cmd_verify_conjecture(cfg: dict, out: Path) -> int:
     phi_rows = [q_from_phi(lam, Monomial(theta=math.pi, k=1), order=head - 1).q.coeffs]
     kept_a2s, kept_omegas = [], []
     # the draws (phi, omega, a2), each block decided by one row-wise call
-    # per representation; a block's first passes hold as many circle points
-    # as one full pass, so memory does not grow with samples
+    # per representation; a block's coarse pass of each representation
+    # holds ZERO_COUNT_SAMPLES circle points, so memory does not grow with
+    # samples
     block = ZERO_COUNT_SAMPLES // ZERO_COUNT_COARSE
     for start in range(0, samples, block):
         draws = [(sample_phi(rng), sample_omega(rng), _random_point(rng, 1.0))

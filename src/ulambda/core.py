@@ -24,10 +24,10 @@ into an upper bound.
 ``count_disk_zeros`` and ``bounds.omega_verdicts`` share one certificate
 (``_proven_winding``): a winding is proven on a 256-point circle when
 neighbouring samples stay farther from 0 than the curve can move between
-them (a slope bound, plus rounding), and the full sample count is taken
-only otherwise.  It judges many curves at once, one row of samples each,
-and takes the full count for each curve the first pass leaves unproven,
-alone; for an omega, it then halves only the arcs that still fail.
+them (a slope bound, plus rounding).  It judges many curves at once, one
+row of samples each.  An omega's curve that this pass leaves unproven has
+only the arcs that fail halved; a raw q takes the full sample count
+instead, alone.
 ``phi_verdicts`` likewise takes each Bernstein pass of many polynomial phi
 in one row-wise evaluation, and the obstruction's witnesses of all its
 Blaschke products of one degree from one eigenvalue call.
@@ -73,9 +73,9 @@ PHI_BOUNDARY_ANGLES = 4096
 # the Bernstein certificate's last pass, for a maximum within 2 pi d / 4096
 # of lam relative, where the second pass can neither prove nor refute it
 _BERNSTEIN_LAST = 16384
-# count_disk_zeros' circle radius, and the samples of the first and full
-# pass of _proven_winding and the rounding it allows per unit of size + h
-# slope (see there)
+# count_disk_zeros' circle radius, the samples of _proven_winding's coarse
+# pass and of its full pass (the cap on the failing arcs of one halving
+# level), and the rounding it allows per unit of size + h slope (see there)
 ZERO_COUNT_RADIUS = 0.999
 ZERO_COUNT_COARSE = 256
 ZERO_COUNT_SAMPLES = 8192
@@ -223,10 +223,11 @@ def count_disk_zeros(cand: UCandidate) -> int:
 
     The winding is that of ``ring_eval``'s samples of q on the circle,
     proven by ``_proven_winding`` with S = sum_k |c_k| r^k and the slope
-    D = sum_k k |c_k| r^k, which bounds |d/dt q(r e^{it})|.  When neither
-    pass proves it (a zero near the circle, or a q too steep for the
-    samples) the count is the ZERO_COUNT_SAMPLES-point winding, as without
-    the certificate.
+    D = sum_k k |c_k| r^k, which bounds |d/dt q(r e^{it})|.  q gives no
+    ``sample_at``, so it takes the full ZERO_COUNT_SAMPLES-point pass where
+    the coarse one fails, and not the halving.  When neither pass proves it
+    (a zero near the circle, or a q too steep for the samples) the count is
+    the full pass's winding, as without the certificate.
     """
     weights = np.abs(cand.q.coeffs) * ZERO_COUNT_RADIUS ** np.arange(len(cand.q.coeffs))
     slope = float(np.sum(np.arange(len(weights)) * weights))
@@ -239,9 +240,8 @@ def _proven_winding(sample, size, slope, sample_at=None) -> list:
     """[(winding, proven, budget)] of closed curves g(t) about 0, one for
     each entry of the lists ``size`` and ``slope``, from their samples g_j
     at t_j = j h, h = 2 pi / n: ``sample(n, rows)``, an array with a row of
-    n samples for each curve of the list ``rows``.  The first pass takes
-    n = ZERO_COUNT_COARSE for every curve at once, and each curve it leaves
-    unproven takes n = ZERO_COUNT_SAMPLES alone.
+    n samples for each curve of the list ``rows``.  The coarse pass takes
+    n = ZERO_COUNT_COARSE for every curve at once.
 
     A pass proves a curve's winding (``_winding``) when every arc j has
 
@@ -262,29 +262,32 @@ def _proven_winding(sample, size, slope, sample_at=None) -> list:
     angle, and the angles sum to g's winding.
 
     Each arc may have its own h: given ``sample_at(t, i)``, curve i at the
-    angles t, only the arcs that fail the full pass are halved (``_halve``),
-    down to the floor h slope / 2 <= ZERO_COUNT_ROUNDING size.  Otherwise
-    ``proven`` is False and the winding is the last pass's.  ``budget``
-    holds the last pass's ``samples``, ``min_mean_abs_q`` (the least mean of
-    |g| over two neighbouring samples) and ``threshold``, and the halving's
-    ``total_samples`` and ``narrowest_arc``.  Each row's numbers are those
-    of its curve judged alone, bit for bit.
+    angles t, a curve that the coarse pass leaves unproven has only the arcs
+    of that pass that fail halved (``_halve``), down to the floor h slope / 2
+    <= ZERO_COUNT_ROUNDING size; no denser pass samples it.  Without
+    ``sample_at`` such a curve takes n = ZERO_COUNT_SAMPLES alone.  What
+    neither proves has ``proven`` False and the winding of its last pass or
+    level.  ``budget`` holds the last pass's ``samples``, ``min_mean_abs_q``
+    (the least mean of |g| over two neighbouring samples) and ``threshold``,
+    and the halving's ``total_samples`` and ``narrowest_arc``.  Each row's
+    numbers are those of its curve judged alone, bit for bit.
     """
-    out = _judge(sample(ZERO_COUNT_COARSE, list(range(len(size)))), size, slope, final=False)
-    for i, judged in enumerate(out):
+    coarse = sample(ZERO_COUNT_COARSE, list(range(len(size))))
+    out = _judge(coarse, size, slope, final=sample_at is not None)
+    for i, (judged, vals) in enumerate(zip(out, coarse)):
         if judged is None:
-            vals = sample(ZERO_COUNT_SAMPLES, [i])
-            [out[i]] = _judge(vals, [size[i]], [slope[i]], final=True)
-            if sample_at is not None and not out[i][1]:
-                out[i] = _halve(lambda t: sample_at(t, i), vals[0], size[i], slope[i], out[i])
+            [out[i]] = _judge(sample(ZERO_COUNT_SAMPLES, [i]), [size[i]], [slope[i]], final=True)
+        elif not judged[1]:
+            out[i] = _halve(lambda t: sample_at(t, i), vals, size[i], slope[i], judged)
     return out
 
 
 def _halve(sample_at, vals, size: float, slope: float, judged) -> tuple:
-    # _proven_winding's halving of one curve after its full pass (vals,
+    # _proven_winding's halving of one curve after its coarse pass (vals,
     # judged): each level samples the failing arcs' midpoints in one call.
     # It also stops at a sample within half the floor of 0 (no arc beside it
-    # can pass), or at more failing arcs than vals (a cusp multiplies them)
+    # can pass), or at more failing arcs than ZERO_COUNT_SAMPLES (a cusp
+    # multiplies them)
     t = np.linspace(0.0, 2 * math.pi, len(vals) + 1)  # the angles of ring
     ta, tb, ga, gb = t[:-1], t[1:], vals, np.roll(vals, -1)
     turn, added, narrowest, floor = 0.0, 0, math.inf, ZERO_COUNT_ROUNDING * size
@@ -293,7 +296,7 @@ def _halve(sample_at, vals, size: float, slope: float, judged) -> tuple:
         narrowest = min(narrowest, float(np.min(tb - ta)))
         fail = ~(np.abs(ga) * 0.5 + np.abs(gb) * 0.5 > drift / 2 + ZERO_COUNT_ROUNDING * (size + drift))
         ta, tb, ga, gb, drift = ta[fail], tb[fail], ga[fail], gb[fail], drift[fail]
-        if not len(ta) or len(ta) > len(vals) or (drift / 2 <= floor).any() \
+        if not len(ta) or len(ta) > ZERO_COUNT_SAMPLES or (drift / 2 <= floor).any() \
                 or (np.minimum(np.abs(ga), np.abs(gb)) <= floor / 2).any():
             break
         tm = (ta + tb) / 2
@@ -463,9 +466,9 @@ class GeneratorVerdict:
 
     ``budget`` holds the rule's other numbers: ``m`` for "obstruction";
     ``samples``, ``bernstein_factor`` and ``bound`` for "bernstein"; and for
-    an omega verdict those its last circle pass was judged by, with the
-    halving's ``total_samples`` and ``narrowest_arc`` where it took place
-    (``_proven_winding``)."""
+    an omega verdict those its 256-point circle pass was judged by, with the
+    halving's ``total_samples`` and ``narrowest_arc`` where that pass left
+    it unproven (``_proven_winding``)."""
 
     verdict: str  # Inside | Outside | Inconclusive
     path: str

@@ -35,7 +35,17 @@ from ulambda.bounds import (
     v_of_x,
 )
 from ulambda.cli import _random_point, main, sample_omega, sample_phi
-from ulambda.core import ZERO_COUNT_ROUNDING, GridSpec, _winding, q_from_phi, q_from_omega, sup_u, dilate
+from ulambda.core import (
+    ZERO_COUNT_COARSE,
+    ZERO_COUNT_ROUNDING,
+    ZERO_COUNT_SAMPLES,
+    GridSpec,
+    _winding,
+    dilate,
+    q_from_omega,
+    q_from_phi,
+    sup_u,
+)
 from ulambda.diskfun import Blaschke, Monomial, MoebiusShift, ScaledPolynomial
 from ulambda.errors import (
     BranchPointSingularity,
@@ -1174,8 +1184,8 @@ def sampled_omega_draw(seed, draw):
 
 class TestOmegaVerdict:
     """``omega_verdict`` decides a2 on |z| = 1 by the proven winding of
-    gamma - a2, sampled from omega's exact primitive: in the 256-point or
-    the 8192-point pass, or else by halving the arcs that fail the test."""
+    gamma - a2, sampled from omega's exact primitive: in the 256-point
+    pass, or else by halving the arcs of that pass that fail the test."""
 
     def test_chord_between_samples_not_trusted(self):
         # omega = 0 makes gamma the unit circle.  a2 = R e^{-i h/2}, h = 2 pi
@@ -1191,7 +1201,8 @@ class TestOmegaVerdict:
         got = omega_verdict(0.5, a2, ZERO_FUN)
         assert (got.verdict, got.path, got.value) == ("Outside", "zero_count", 1)
         assert set(got.budget) == {"samples", "min_mean_abs_q", "threshold", "total_samples", "narrowest_arc"}
-        assert got.budget["samples"] == 8192 < got.budget["total_samples"]
+        assert got.budget["samples"] == 256 < got.budget["total_samples"] < 256 + 40
+        assert 2 * math.pi / 256 / 1024 < got.budget["narrowest_arc"] < 2 * math.pi / 256 / 256
         assert c_omega_curve(ZERO_FUN, 0.5).locate([a2])[1][0] == pytest.approx(3e-5, rel=1e-6)
 
     def test_blaschke_power_is_the_monomial(self):
@@ -1272,11 +1283,11 @@ class TestOmegaVerdict:
     def test_between_the_arcs_of_a_cusp_inside(self):
         # Moebius a = 0.98 at lam = 1: gamma has a cusp at gamma(0) = 1 +
         # v(0.98) = 1.992, and a2 = 1.9 lies 9.5e-5 from its two arcs, too
-        # close for 8192 samples; a sampled self-intersection check took the
-        # cusp for a crossing and left this Inconclusive
+        # close for 256 samples (or 8192); a sampled self-intersection check
+        # took the cusp for a crossing and left this Inconclusive
         got = omega_verdict(1.0, 1.9, MoebiusShift(0.98))
         assert (got.verdict, got.path, got.value) == ("Inside", "zero_count", 0)
-        assert got.budget["total_samples"] > 8192
+        assert got.budget["samples"] == 256 < got.budget["total_samples"] < 256 + 100
         assert 9e-5 < c_omega_curve(MoebiusShift(0.98), 1.0).locate([1.9])[1][0] < 1e-4
         assert mp_moebius_zero_count(1.0, 1.9, 0.98) == 0
 
@@ -1285,7 +1296,7 @@ class TestOmegaVerdict:
         # to it can pass before the halving reaches the rounding floor
         got = omega_verdict(0.5, cmath.exp(-0.3j), ZERO_FUN)
         assert (got.verdict, got.path, got.value) == ("Inconclusive", "zero_count", None)
-        assert 8192 < got.budget["total_samples"] < 8192 + 200
+        assert got.budget["samples"] == 256 < got.budget["total_samples"] < 256 + 100
         assert got.to_json()["q_disk_zeros"] is None
 
     @pytest.mark.parametrize("seed,draw,lam", [(165, 6, 0.5), (23, 0, 1.0), (222, 9, 0.75)])
@@ -1299,10 +1310,10 @@ class TestOmegaVerdict:
     def test_seeded_agreement_with_locate(self):
         # verify-conjecture's omega draws, with a2 moved to 1e-4..1e-1 from a
         # random point of gamma: every a2 farther than 1e-4 from gamma gets
-        # the side ``locate`` gives it, by whichever pass; a count the halving
-        # proved also matches that of the 2^16-gon of gamma - a2 (its samples
-        # lie over 1e-4 from 0, each side's arc within (1 + lam) pi / 2^16 <
-        # 1e-4 of an end)
+        # the side ``locate`` gives it, by the pass or the halving; a count
+        # the halving proved also matches that of the 2^16-gon of gamma - a2
+        # (its samples lie over 1e-4 from 0, each side's arc within (1 +
+        # lam) pi / 2^16 < 1e-4 of an end)
         rng = np.random.default_rng(21)
         paths = Counter()
         dense = ring(1.0, 2**16)
@@ -1319,13 +1330,14 @@ class TestOmegaVerdict:
             assert got.verdict == {INSIDE: "Inside", OUTSIDE: "Outside"}[int(codes[0])]
             if "total_samples" in got.budget:
                 assert got.value == _winding(dense.conj() + lam * antiderivative(omega, dense) - a2) + 1
+                assert got.budget["total_samples"] < 256 + 100
             paths[got.path, got.budget["samples"], "total_samples" in got.budget] += 1
-        assert set(paths) == {("zero_count", 256, False), ("zero_count", 8192, False), ("zero_count", 8192, True)}
+        assert set(paths) == {("zero_count", 256, False), ("zero_count", 256, True)}
         assert sum(paths.values()) > 80
 
 
-# (lam, omega, a, psi, t): a2 next to gamma(t), where the fixed passes
-# leave it unproven.  The Moebius shift is where a2 within 5e-4 of gamma
+# (lam, omega, a, psi, t): a2 next to gamma(t), where the 256-point pass
+# leaves it unproven.  The Moebius shift is where a2 within 5e-4 of gamma
 # used to be decided by the side of gamma; the near-circle Blaschke product
 # (z - 0.995)/(1 - 0.995 z) is the Moebius shift a = -0.995
 HALVED = {
@@ -1335,7 +1347,7 @@ HALVED = {
 
 
 class TestHalvedArcs:
-    """Where the fixed passes leave the winding unproven, the certificate
+    """Where the 256-point pass leaves the winding unproven, the certificate
     halves only the arcs that fail its test, each judged by its own width,
     down to the rounding floor."""
 
@@ -1350,8 +1362,8 @@ class TestHalvedArcs:
         got = omega_verdict(lam, a2, omega)
         assert (got.verdict, got.path, got.value) == (("Outside" if zeros else "Inside"), "zero_count", zeros)
         # a few halved arcs, not a denser pass
-        assert got.budget["samples"] == 8192 < got.budget["total_samples"] < 8192 + 200
-        assert got.budget["narrowest_arc"] < 2 * math.pi / 8192 / 8
+        assert got.budget["samples"] == 256 < got.budget["total_samples"] < 256 + 100
+        assert got.budget["narrowest_arc"] < 2 * math.pi / 256 / 4096
         assert c_omega_curve(omega, lam).contains(a2) == got.verdict.lower()
 
     @pytest.mark.parametrize("case", sorted(HALVED))
@@ -1360,13 +1372,13 @@ class TestHalvedArcs:
         g = complex(curve_points(omega, lam, t)[0])
         got = omega_verdict(lam, g, omega)
         assert (got.verdict, got.path, got.value) == ("Inconclusive", "zero_count", None)
-        assert got.budget["total_samples"] < 8192 + 200
+        assert got.budget["total_samples"] < 256 + 200
         assert c_omega_curve(omega, lam).contains(g) == "boundary"
 
     def test_steps_stop_about_a_cusp(self):
         # Moebius a = 0.98 at lam = 1 has a cusp where z^2 omega(z) = 1: gamma
         # lingers there, and the arcs that fail multiply as they narrow.  A
-        # level with more failing arcs than the full pass has samples ends
+        # level with more failing arcs than ZERO_COUNT_SAMPLES (8192) ends
         # Inconclusive; 1e-6 off the cusp is proven with fewer
         omega = MoebiusShift(0.98, 0.3)
         z = cmath.exp(-0.0015187723180627648j)  # z^2 omega(z) = 1 to 1.4e-17
@@ -1374,6 +1386,86 @@ class TestHalvedArcs:
         near, nearer = omega_verdict(1.0, cusp + 1e-6j, omega), omega_verdict(1.0, cusp + 1e-8j, omega)
         assert near.verdict == "Outside" and abs(mp_pole(1.0, cusp + 1e-6j, omega)) < 1
         assert nearer.verdict == "Inconclusive" and nearer.budget["total_samples"] < 20 * 8192
+
+    @pytest.mark.parametrize("psi,a2,zeros", [(0.0, -1e-5, 0), (0.3, 1e-6j, 1)], ids=["inside", "outside"])
+    def test_cusp_levels_wider_than_the_coarse_pass_are_proven(self, monkeypatch, psi, a2, zeros):
+        # Moebius a = 0.98 at lam = 1, a2 next to the cusp where z^2 omega(z)
+        # = 1: the failing arcs of some levels outnumber the 256 samples of
+        # the coarse pass (780 and 1406 here), and the halving goes on up to
+        # ZERO_COUNT_SAMPLES of them
+        omega = MoebiusShift(0.98, psi)
+        z = cmath.exp(-0.0015187723180627648j if psi else 0j)  # z^2 omega(z) = 1
+        a2 += z.conjugate() + complex(antiderivative(omega, z))
+        dense = ring(1.0, 2**16)
+        assert _winding(dense.conj() + antiderivative(omega, dense) - a2) + 1 == zeros
+        sizes = spy_primitive(monkeypatch, omega)
+        got = omega_verdict(1.0, a2, omega)
+        assert (got.verdict, got.path, got.value) == (("Outside" if zeros else "Inside"), "zero_count", zeros)
+        assert sizes[0] == ZERO_COUNT_COARSE < max(sizes[1:]) <= ZERO_COUNT_SAMPLES
+
+
+def spy_primitive(monkeypatch, omega):
+    """The list to which every later sample of omega's primitive appends its
+    number of points."""
+    sizes, primitive = [], type(omega)._primitive
+    monkeypatch.setattr(type(omega), "_primitive",
+                        lambda self, z, *rest: sizes.append(np.size(z)) or primitive(self, z, *rest))
+    return sizes
+
+
+def near_gamma_omegas(rng):
+    """One omega of each family that the near-gamma tests draw: Moebius
+    shifts with |a| < 0.4 and with |a| >= 0.4, a Blaschke product with one
+    zero within 0.1 of the circle, and a cubic polynomial."""
+    def point(lo, hi):
+        return rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+    return [MoebiusShift(point(0.0, 0.4), rng.uniform(0, 2 * math.pi)),
+            MoebiusShift(point(0.4, 0.95), rng.uniform(0, 2 * math.pi)),
+            Blaschke(zeros=(point(0.0, 0.7), point(0.9, 0.98)), rotation=rng.uniform(0, 2 * math.pi)),
+            ScaledPolynomial(raw=tuple(point(0.0, 1.0) for _ in range(4)))]
+
+
+class TestCoarseHalving:
+    """An omega winding that the 256-point pass leaves unproven is proven by
+    halving that pass's failing arcs, with no denser pass of gamma."""
+
+    @pytest.mark.parametrize("lam", [0.3, 0.7, 1.0])
+    def test_near_gamma_agrees_with_dense_winding(self, lam):
+        # 72 a2 per lam, 1e-2, 1e-3 and 1e-6 to either side of gamma along
+        # its normal at a random t; each verdict and zero count is that of
+        # the 2^16-gon of gamma - a2, whose chords sag from gamma by less
+        # than 2e-7 here (h^2 max |gamma''| / 8, h = 2 pi / 2^16).  The
+        # coarse pass proves some of the a2 1e-2 and 1e-3 away, and none
+        # 1e-6 away
+        rng = np.random.default_rng(33)
+        dense = ring(1.0, 2**16)
+        halved = Counter()
+        for _ in range(3):
+            for omega in near_gamma_omegas(rng):
+                gamma = dense.conj() + lam * antiderivative(omega, dense)
+                g, normal = curve_points(omega, lam, rng.uniform(0, 2 * math.pi))
+                for d in (1e-2, -1e-2, 1e-3, -1e-3, 1e-6, -1e-6):
+                    a2 = complex(g + d * normal)
+                    zeros = _winding(gamma - a2) + 1
+                    got = omega_verdict(lam, a2, omega)
+                    assert (got.verdict, got.path, got.value) == \
+                        (("Outside" if zeros else "Inside"), "zero_count", zeros)
+                    assert got.budget["samples"] == ZERO_COUNT_COARSE
+                    halved[abs(d)] += "total_samples" in got.budget
+        assert halved[1e-6] == 24 and halved[1e-3] > 20
+
+    @pytest.mark.parametrize("omega", near_gamma_omegas(np.random.default_rng(34)),
+                             ids=["moebius-small", "moebius-large", "blaschke", "poly"])
+    def test_no_sample_beyond_the_coarse_pass(self, monkeypatch, omega):
+        # a2 1e-6 from gamma fails the coarse pass; every later sample of
+        # gamma is one halving level's, of no more points than that pass
+        lam = 0.7
+        g, normal = curve_points(omega, lam, 1.0)
+        sizes = spy_primitive(monkeypatch, omega)
+        got = omega_verdict(lam, complex(g + 1e-6 * normal), omega)
+        assert got.verdict in ("Inside", "Outside") and "total_samples" in got.budget
+        assert sizes[0] == ZERO_COUNT_COARSE and max(sizes) <= ZERO_COUNT_COARSE and len(sizes) > 1
 
 
 def hexed(verdict):
@@ -1388,7 +1480,7 @@ class TestOmegaVerdicts:
     @pytest.mark.parametrize("lam", [0.25, 1.0])
     def test_rows_are_the_one_pair_verdicts(self, lam):
         # verify-conjecture's draws, and a2 1e-3 and 1e-5 from gamma, which
-        # take the 8192-point pass and the halving
+        # take the halving
         rng = np.random.default_rng(17)
         a2s, omegas = [], []
         for k in range(48):
@@ -1403,7 +1495,7 @@ class TestOmegaVerdicts:
         want = [omega_verdict(lam, a2, omega) for a2, omega in zip(a2s, omegas)]
         assert list(map(hexed, got)) == list(map(hexed, want))
         paths = {(v.path, v.budget["samples"], "total_samples" in v.budget) for v in got}
-        assert paths == {("zero_count", 256, False), ("zero_count", 8192, False), ("zero_count", 8192, True)}
+        assert paths == {("zero_count", 256, False), ("zero_count", 256, True)}
 
     def test_no_pairs(self):
         assert omega_verdicts(0.5, [], []) == []

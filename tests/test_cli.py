@@ -181,7 +181,8 @@ class TestVerifyConjecture:
         code, plain = run(tmp_path, "verify-conjecture", cfg, outdir="plain")
         assert code == 0
         assert ["total_samples" in v.budget for v in verdicts].count(True) == 1
-        assert (verdicts[5].verdict, verdicts[5].budget["samples"]) == ("Outside", 8192)
+        assert (verdicts[5].verdict, verdicts[5].budget["samples"]) == ("Outside", 256)
+        assert 256 < verdicts[5].budget["total_samples"] < 256 + 20
         verdicts.clear()
         monkeypatch.setattr(core, "_halve", lambda sample_at, vals, size, slope, judged: judged)
         code, out = run(tmp_path, "verify-conjecture", cfg, outdir="unhalved")
@@ -338,26 +339,33 @@ class TestMembership:
                                               psi=5.611645507023389))
         assert core.sup_u(cand).sup_estimate < 0.3
 
-    @pytest.mark.parametrize("lam,a2,samples", [(0.7, 0.5, 256), (1.0, 0.5, 256), (1.0, 1.45, 8192)])
-    def test_near_boundary_moebius_omega_inside(self, tmp_path, lam, a2, samples):
+    @pytest.mark.parametrize("lam,a2,halved", [(0.7, 0.5, False), (1.0, 0.5, False), (1.0, 1.45, True)])
+    def test_near_boundary_moebius_omega_inside(self, tmp_path, lam, a2, halved):
         # U = -lam z^2 omega is below lam everywhere and q has no zero; the
         # order-64 sweep read 0.796 at lambda 0.7 and called it Outside.
         # Samples of the exact q prove the count, and the budget has no
         # truncation tail.  At lambda 1, min |q| on the circle is 7.0e-3 and
         # 1.4e-3: the tail of q's order-64 truncation, 7.2e-3, would hide
         # both.  gamma has a cusp there, which a sampled self-intersection
-        # check took for a crossing; locate agrees on both
+        # check took for a crossing; locate agrees on both.  1.45 takes the
+        # halving of the 256-point pass's failing arcs
         code, out = run(tmp_path, "membership",
                         {"lambda": lam,
                          "candidate": {"type": "omega", "a2": a2,
                                        "omega": {"kind": "moebius", "a": 0.98}}})
         assert code == 0
         rep = json.loads((out / "membership.json").read_text())
+        halving = {key: rep[key] for key in ("total_samples", "narrowest_arc")} if halved else {}
         assert rep == {"path": "zero_count", "q_disk_zeros": 0, "verdict": "Inside",
-                       "samples": samples,
-                       "threshold": pytest.approx(2 * math.pi / samples * (1 + lam) / 2, rel=1e-6),
-                       "min_mean_abs_q": rep["min_mean_abs_q"]}
-        assert rep["min_mean_abs_q"] > rep["threshold"]
+                       "samples": 256,
+                       "threshold": pytest.approx(2 * math.pi / 256 * (1 + lam) / 2, rel=1e-6),
+                       "min_mean_abs_q": rep["min_mean_abs_q"], **halving}
+        if halved:
+            assert rep["min_mean_abs_q"] <= rep["threshold"]
+            assert 256 < rep["total_samples"] < 256 + 20
+            assert 2 * math.pi / 256 / 32 < rep["narrowest_arc"] < 2 * math.pi / 256 / 8
+        else:
+            assert rep["min_mean_abs_q"] > rep["threshold"]
         if lam == 1.0:
             assert bounds.c_omega_curve(MoebiusShift(0.98), lam).locate([0.5, 1.45])[0].tolist() == [INSIDE] * 2
 
@@ -486,8 +494,8 @@ class TestMembership:
         assert code == 0
         rep = json.loads((out / "membership.json").read_text())
         assert (rep["verdict"], rep["path"], rep["q_disk_zeros"]) == ("Inside", "zero_count", 0)
-        assert rep["samples"] == 8192 and rep["min_mean_abs_q"] <= rep["threshold"]
-        assert rep["total_samples"] > 8192
+        assert rep["samples"] == 256 and rep["min_mean_abs_q"] <= rep["threshold"]
+        assert 256 < rep["total_samples"] < 256 + 20
         distances = bounds.c_omega_curve(diskfun_from_json(omega), lam).locate([a2])[1]
         assert 1e-5 < distances[0] < 1e-3
 
@@ -501,7 +509,7 @@ class TestMembership:
         assert code == 3
         rep = json.loads((out / "membership.json").read_text())
         assert (rep["verdict"], rep["path"], rep["q_disk_zeros"]) == ("Inconclusive", "zero_count", None)
-        assert rep["total_samples"] > 8192
+        assert rep["samples"] == 256 < rep["total_samples"] < 256 + 100
 
     @pytest.mark.parametrize("extra,unused", [
         ({"order": 2}, {"order": 2}),

@@ -42,7 +42,10 @@ and 4096 (a Moebius, a Blaschke and a polynomial omega at lambda 0.5), and
 takes a cluster branch (a double zero at 0.9, by the closed-form K_n, and
 zeros 0.999 and 0.9998, a cluster split into its zeros), each in two
 omega ``membership`` configs, a2 inside and outside gamma, and one
-``region-a2``: 1640 in all.
+``region-a2``, and 32 omega ``membership`` configs with a2 1e-2 and 1e-3
+to either side of gamma (Moebius shifts with |a| = 0.3 and 0.7, a Blaschke
+product and a polynomial, each at lambda 0.7 and 1), most of which only
+halving the 256-point pass's failing arcs proves: 1672 in all.
 Standard library only; exit status 1 when anything differs.
 """
 
@@ -153,6 +156,36 @@ NEAR_GAMMA = [
     ({"kind": "blaschke", "zeros": [0.995]}, 0.7,
      [[0.27960604176436465, -0.6538002510779317], [0.279604048865123, -0.6538000826955908],
       [0.2796050454143888, -0.6538001668951804], [0.2796050452150989, -0.6538001668783421]]),
+]
+# (omega, lambda, a2s): a2 1e-2 outside, then inside, gamma(t) along its
+# normal, then 1e-3 outside and inside, at t = 2 (t = 1 for the Moebius
+# shifts at lambda 1), where the halving of the 256-point pass's failing
+# arcs decides most of them
+HALVED_FROM_COARSE = [
+    ({"kind": "moebius", "a": 0.3, "psi": 0.5}, 0.7,
+     [[-0.6354657386363023, -1.0797033188472405], [-0.6366813986893824, -1.0597402987692224],
+      [-0.6360127856601884, -1.0707199598121324], [-0.6361343516654964, -1.0687236578043304]]),
+    ({"kind": "moebius", "a": 0.3, "psi": 0.5}, 1.0,
+     [[0.41218826395536107, -0.27339210958004734], [0.4032207044367266, -0.2555152285243445],
+      [0.40815286217197555, -0.26534751310498106], [0.4072561062201121, -0.2635598249994108]]),
+    ({"kind": "moebius", "a": 0.7, "psi": 1.0}, 0.7,
+     [[-0.5836771506578635, -0.8243183306401463], [-0.571683243179985, -0.8083137630604804],
+      [-0.5782798922928182, -0.8171162752292966], [-0.5770805015450303, -0.81551581847133]]),
+    ({"kind": "moebius", "a": 0.7, "psi": 1.0}, 1.0,
+     [[0.7012270220976144, -0.10309077539928511], [0.6959268210750584, -0.0838058624069873],
+      [0.6988419316374642, -0.0944125645527511], [0.6983119115352087, -0.09248407325352132]]),
+    ({"kind": "blaschke", "zeros": [[0.3, -0.4], 0.9], "rotation": 1.0}, 0.7,
+     [[-0.6158168706782313, -0.43417362807912646], [-0.613682927402459, -0.41428779678909017],
+      [-0.6148565962041338, -0.42522500399861013], [-0.6146432018765565, -0.4232364208696065]]),
+    ({"kind": "blaschke", "zeros": [[0.3, -0.4], 0.9], "rotation": 1.0}, 1.0,
+     [[-0.7001981089321895, -0.22633944463762706], [-0.699532885571246, -0.20635051075209793],
+      [-0.6998987584197649, -0.21734442438913895], [-0.6998322360836706, -0.21534553100058604]]),
+    ({"kind": "poly", "coeffs": [0.3, [0.2, 0.4], -0.1]}, 0.7,
+     [[-0.4788686756588271, -0.8558405963558624], [-0.47050884361275963, -0.8376715785463731],
+      [-0.47510675123809676, -0.8476645383415922], [-0.47427076803349, -0.8458476365606433]]),
+    ({"kind": "poly", "coeffs": [0.3, [0.2, 0.4], -0.1]}, 1.0,
+     [[-0.5039673041882898, -0.8290329113053317], [-0.4955890063021405, -0.8108724012758489],
+      [-0.5001970701395226, -0.8208606817920645], [-0.49935924035090773, -0.8190446307891162]]),
 ]
 # (phi, theta0): Blaschke phi of degree 1 (a zero 5e-10 from the origin)
 # to 6, one with a double zero, each with a point where it is -1 for julia
@@ -307,6 +340,10 @@ def configs() -> list:
                 {"lambda": lam, "candidate": {"type": "omega", "a2": a2, "omega": omega}})
         add("region-a2", "region-a2",
             {"lambda": lam, "omega": omega, "queries": [[0.9, 0], [1.4, 0], [0, 0.5], [-1.2, 0.3]] + a2s})
+    for omega, lam, a2s in HALVED_FROM_COARSE:
+        for a2 in a2s:
+            add("membership-near", "membership",
+                {"lambda": lam, "candidate": {"type": "omega", "a2": a2, "omega": omega}})
     return out
 
 
