@@ -64,6 +64,7 @@ from .series import DEFAULT_ORDER, ring, series_reciprocal_rows
 from .core import (
     DEFAULT_ANGLES,
     DEFAULT_RADII,
+    ZERO_COUNT_COARSE,
     GeneratorVerdict,
     UCandidate,
     _proven_winding,
@@ -521,21 +522,15 @@ def omega_verdicts(lam: float, a2s, omegas) -> list:
     size = [1 + max(1.0, lam * omega._primitive_size()) + _a2_modulus(a2)
             for a2, omega in zip(a2s, omegas)]
     a2 = np.array(a2s, dtype=complex)
-
-    def sample(n, rows):
-        # called once, for the coarse pass of every row: one gamma per omega
-        funs = {id(omegas[i]): omegas[i] for i in rows}
-        z = ring(1.0, n)
-        gammas = dict(zip(funs, z.conj() + lam * _primitive_rows(list(funs.values()), z)))
-        return np.array([gammas[id(omegas[i])] for i in rows]).reshape(-1, n) - a2[rows, None]
-
-    def sample_at(t, i):
-        z = np.exp(1j * t)
-        return z.conj() + lam * omegas[i]._primitive(z) - a2[i]
-
+    funs = {id(omega): omega for omega in omegas}
+    z = ring(1.0, ZERO_COUNT_COARSE)
+    gammas = dict(zip(funs, z.conj() + lam * _primitive_rows(list(funs.values()), z)))
+    coarse = np.array([gammas[id(omega)] for omega in omegas]).reshape(-1, len(z)) - a2[:, None]
     return [GeneratorVerdict(("Outside" if turns + 1 else "Inside") if proven else "Inconclusive", "zero_count",
                              turns + 1 if proven else None, budget=budget)
-            for turns, proven, budget in _proven_winding(sample, size, [1 + lam] * len(size), sample_at)]
+            for turns, proven, budget in _proven_winding(
+                coarse, size, [1 + lam] * len(size),
+                lambda z, i: z.conj() + lam * omegas[i]._primitive(z) - a2[i])]
 
 
 # ---------------------------------------------------------------------------

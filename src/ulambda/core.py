@@ -25,9 +25,8 @@ into an upper bound.
 (``_proven_winding``): a winding is proven on a 256-point circle when
 neighbouring samples stay farther from 0 than the curve can move between
 them (a slope bound, plus rounding).  It judges many curves at once, one
-row of samples each.  An omega's curve that this pass leaves unproven has
-only the arcs that fail halved; a raw q takes the full sample count
-instead, alone.
+row of samples each.  A curve that this pass leaves unproven, an omega's
+or a raw q's, has only the arcs that fail halved.
 ``phi_verdicts`` likewise takes each Bernstein pass of many polynomial phi
 in one row-wise evaluation, and the obstruction's witnesses of all its
 Blaschke products of one degree from one eigenvalue call.
@@ -41,6 +40,7 @@ boundary curve.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,6 +59,7 @@ from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
     _angle_count,
+    _horner,
     ring,
     ring_eval,
     series_mul,
@@ -73,9 +74,9 @@ PHI_BOUNDARY_ANGLES = 4096
 # the Bernstein certificate's last pass, for a maximum within 2 pi d / 4096
 # of lam relative, where the second pass can neither prove nor refute it
 _BERNSTEIN_LAST = 16384
-# count_disk_zeros' circle radius, the samples of _proven_winding's coarse
-# pass and of its full pass (the cap on the failing arcs of one halving
-# level), and the rounding it allows per unit of size + h slope (see there)
+# count_disk_zeros' circle radius, the samples of _proven_winding's pass,
+# the cap on the failing arcs of one level of its halving, and the rounding
+# it allows per unit of size + h slope (see there)
 ZERO_COUNT_RADIUS = 0.999
 ZERO_COUNT_COARSE = 256
 ZERO_COUNT_SAMPLES = 8192
@@ -221,27 +222,38 @@ def count_disk_zeros(cand: UCandidate) -> int:
     zeros enclosed.  A smaller disk's count is that of a ``dilate``d
     candidate.
 
-    The winding is that of ``ring_eval``'s samples of q on the circle,
-    proven by ``_proven_winding`` with S = sum_k |c_k| r^k and the slope
-    D = sum_k k |c_k| r^k, which bounds |d/dt q(r e^{it})|.  q gives no
-    ``sample_at``, so it takes the full ZERO_COUNT_SAMPLES-point pass where
-    the coarse one fails, and not the halving.  When neither pass proves it
-    (a zero near the circle, or a q too steep for the samples) the count is
-    the full pass's winding, as without the certificate.
-    """
-    weights = np.abs(cand.q.coeffs) * ZERO_COUNT_RADIUS ** np.arange(len(cand.q.coeffs))
+    The coefficients c_k are first scaled by the power of two that brings
+    their largest part into [1/2, 1): the zeros stay, no sample overflows,
+    and while the c_k stay normal every sample and decision is the unscaled
+    one's times that power (one that does not moves by at most 2^-1075).
+    ``_proven_winding`` proves the winding of g(t) = q(r e^{it}) from
+    ``ring_eval``'s samples and the midpoints of the failing arcs, sampled
+    by Horner's rule (``series._horner``) on c_k r^k up to the last nonzero
+    c_k, with the slope D = sum_k k |c_k| r^k >= |g'| and the size S + D/32,
+    S = sum_k |c_k| r^k.  Horner's value is sum_k c_k r^k z^k (1 + th_k),
+    c_k r^k passing k complex products (error sqrt(2) gamma_2) and k + 1
+    sums (u = eps/2): |th_k| <= eps (2k + 1/2) to first order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, 3.6 and 5.1).
+    With the 3 eps/2 of scaling by r^k, a sample errs by eps (2 S + 2 D) at
+    most, and its point's 5 eps from the nominal one (``_halve``) adds
+    5 eps D: twice that is within ZERO_COUNT_ROUNDING (S + D/32) = 1024 eps
+    S + 32 eps D beside the FFT's tens of eps S, at every order of q."""
+    q = cand.q.coeffs * 2.0 ** -math.frexp(float(np.abs(cand.q.coeffs.view(float)).max()))[1]
+    powers = ZERO_COUNT_RADIUS ** np.arange(len(q))
+    weights = np.abs(q) * powers
     slope = float(np.sum(np.arange(len(weights)) * weights))
-    [(zeros, _, _)] = _proven_winding(lambda n, rows: ring_eval(cand.q, ZERO_COUNT_RADIUS, n)[None],
-                                      [float(np.sum(weights))], [slope])
+    # built once, when the first halving level needs them
+    horner = functools.cache(lambda: (q * powers)[: np.flatnonzero(q)[-1] + 1])
+    [(zeros, _, _)] = _proven_winding(ring_eval(TruncatedSeries(q), ZERO_COUNT_RADIUS, ZERO_COUNT_COARSE)[None],
+                                      [float(np.sum(weights)) + slope / 32], [slope],
+                                      lambda z, i: _horner(horner(), z))
     return zeros
 
 
-def _proven_winding(sample, size, slope, sample_at=None) -> list:
-    """[(winding, proven, budget)] of closed curves g(t) about 0, one for
-    each entry of the lists ``size`` and ``slope``, from their samples g_j
-    at t_j = j h, h = 2 pi / n: ``sample(n, rows)``, an array with a row of
-    n samples for each curve of the list ``rows``.  The coarse pass takes
-    n = ZERO_COUNT_COARSE for every curve at once.
+def _proven_winding(coarse: np.ndarray, size, slope, sample_at) -> list:
+    """[(winding, proven, budget)] of closed curves g(t) about 0: curve i
+    has the n samples coarse[i] = g_j at t_j = j h, h = 2 pi / n, and
+    ``sample_at(z, i)``, its values at the points z = e^{it} of an array.
 
     A pass proves a curve's winding (``_winding``) when every arc j has
 
@@ -251,93 +263,85 @@ def _proven_winding(sample, size, slope, sample_at=None) -> list:
     errs, and eps = ZERO_COUNT_ROUNDING (size + h slope) = 1024 eps
     (size + h slope) for size a bound on the terms summed into a sample.
     That exceeds twice the rounding of a sample (a few tens of eps times
-    size for ``ring_eval`` on at most 8192 points, Bornemann, FoCM 2011, or
-    for an exact primitive) plus that of the test.  At t_j + s on the arc to
-    t_{j+1}, g lies within slope s + e of the computed g_j and within
-    slope (h - s) + e of the computed g_{j+1}, e the rounding, and
-    the two radii sum to less than |g_j| + |g_{j+1}|: the arc lies in the
-    disk of radius |g_j| about g_j or in that of radius |g_{j+1}| about
-    g_{j+1}.  Those disks miss 0 and overlap, so their union, which holds
-    the chord too, is simply connected: the arc turns about 0 by the chord's
-    angle, and the angles sum to g's winding.
+    size for ``ring_eval``, Bornemann, FoCM 2011, or for an exact
+    primitive; Horner's is in ``count_disk_zeros``) plus that of the test.
+    At t_j + s on the arc to t_{j+1}, g lies within slope s + e of the
+    computed g_j and within slope (h - s) + e of the computed g_{j+1}, e
+    the rounding, and the two radii sum to less than |g_j| + |g_{j+1}|: the
+    arc lies in the disk of radius |g_j| about g_j or in that of radius
+    |g_{j+1}| about g_{j+1}.  Those disks miss 0 and overlap, so their
+    union, which holds the chord too, is simply connected: the arc turns
+    about 0 by the chord's angle, and the angles sum to g's winding.
 
-    Each arc may have its own h: given ``sample_at(t, i)``, curve i at the
-    angles t, a curve that the coarse pass leaves unproven has only the arcs
-    of that pass that fail halved (``_halve``), down to the floor h slope / 2
-    <= ZERO_COUNT_ROUNDING size; no denser pass samples it.  Without
-    ``sample_at`` such a curve takes n = ZERO_COUNT_SAMPLES alone.  What
-    neither proves has ``proven`` False and the winding of its last pass or
-    level.  ``budget`` holds the last pass's ``samples``, ``min_mean_abs_q``
-    (the least mean of |g| over two neighbouring samples) and ``threshold``,
-    and the halving's ``total_samples`` and ``narrowest_arc``.  Each row's
-    numbers are those of its curve judged alone, bit for bit.
-    """
-    coarse = sample(ZERO_COUNT_COARSE, list(range(len(size))))
-    out = _judge(coarse, size, slope, final=sample_at is not None)
-    for i, (judged, vals) in enumerate(zip(out, coarse)):
-        if judged is None:
-            [out[i]] = _judge(sample(ZERO_COUNT_SAMPLES, [i]), [size[i]], [slope[i]], final=True)
-        elif not judged[1]:
-            out[i] = _halve(lambda t: sample_at(t, i), vals, size[i], slope[i], judged)
-    return out
-
-
-def _halve(sample_at, vals, size: float, slope: float, judged) -> tuple:
-    # _proven_winding's halving of one curve after its coarse pass (vals,
-    # judged): each level samples the failing arcs' midpoints in one call.
-    # It also stops at a sample within half the floor of 0 (no arc beside it
-    # can pass), or at more failing arcs than ZERO_COUNT_SAMPLES (a cusp
-    # multiplies them)
-    t = np.linspace(0.0, 2 * math.pi, len(vals) + 1)  # the angles of ring
-    ta, tb, ga, gb = t[:-1], t[1:], vals, np.roll(vals, -1)
-    turn, added, narrowest, floor = 0.0, 0, math.inf, ZERO_COUNT_ROUNDING * size
-    while True:
-        drift = (tb - ta) * slope
-        narrowest = min(narrowest, float(np.min(tb - ta)))
-        fail = ~(np.abs(ga) * 0.5 + np.abs(gb) * 0.5 > drift / 2 + ZERO_COUNT_ROUNDING * (size + drift))
-        ta, tb, ga, gb, drift = ta[fail], tb[fail], ga[fail], gb[fail], drift[fail]
-        if not len(ta) or len(ta) > ZERO_COUNT_SAMPLES or (drift / 2 <= floor).any() \
-                or (np.minimum(np.abs(ga), np.abs(gb)) <= floor / 2).any():
-            break
-        tm = (ta + tb) / 2
-        gm = sample_at(tm)
-        turn += float(np.sum(np.angle(gm * ga.conj()) + np.angle(gb * gm.conj()) - np.angle(gb * ga.conj())))
-        added += len(tm)
-        ta, tb = np.concatenate((ta, tm)), np.concatenate((tm, tb))
-        ga, gb = np.concatenate((ga, gm)), np.concatenate((gm, gb))
-    winding, _, budget = judged
-    return (winding + round(turn / (2 * math.pi)), not len(ta),
-            {**budget, "total_samples": len(vals) + added, "narrowest_arc": narrowest})
-
-
-def _judge(vals: np.ndarray, size, slope, final: bool) -> list:
-    # one pass of _proven_winding over the rows of vals: (winding, proven,
-    # budget) for each row that it proves, or for every row if final, and
-    # None for the others.  A single row is judged as a 1-d array, on which
-    # numpy's calls cost less than on a one-row 2-d array.
-    if len(vals) == 1:
-        vals = vals[0]
+    The proof holds arc by arc, so an unproven curve has only its failing
+    arcs halved (``_halve``).  ``budget`` holds the pass's ``samples``,
+    ``min_mean_abs_q`` (the least mean of |g| over neighbouring samples)
+    and ``threshold``, and the halving's ``total_samples`` and
+    ``narrowest_arc``, each row's as if judged alone, bit for bit."""
+    # a lone row as a 1-d array, on which numpy's calls cost less
+    vals = coarse[0] if len(coarse) == 1 else coarse
     n = vals.shape[-1]
     moduli = np.abs(vals)
     # halved before they are added, which is exact and cannot overflow
     half = moduli * 0.5
     pairs = np.concatenate((half[..., 1:], half[..., :1]), axis=-1)
     pairs += half
-    lows = pairs.min(axis=-1)
-    judged = []
-    for low, s, d in zip(lows.tolist() if vals.ndim > 1 else [float(lows)], size, slope):
-        drift = 2 * math.pi / n * d
-        threshold = drift / 2 + ZERO_COUNT_ROUNDING * (s + drift)
-        judged.append((low > threshold, {"samples": n, "min_mean_abs_q": low, "threshold": threshold}))
-    keep = [i for i, (proven, _) in enumerate(judged) if proven or final]
+    turns, lows = _winding(vals, moduli), pairs.min(axis=-1)
     if vals.ndim == 1:
-        return [(_winding(vals, moduli), *judged[0]) if keep else None]
-    if len(keep) < len(vals):
-        vals, moduli = vals[keep], moduli[keep]
-    out = [None] * len(judged)
-    for i, turns in zip(keep, _winding(vals, moduli) if keep else []):
-        out[i] = (turns, *judged[i])
+        turns, lows = [turns], lows[None]
+    out = []
+    for i, (turn, low) in enumerate(zip(turns, lows.tolist())):
+        drift = 2 * math.pi / n * slope[i]
+        threshold = drift / 2 + ZERO_COUNT_ROUNDING * (size[i] + drift)
+        judged = (turn, low > threshold, {"samples": n, "min_mean_abs_q": low, "threshold": threshold})
+        out.append(judged if judged[1] else _halve(lambda z: sample_at(z, i), coarse[i], size[i], slope[i], judged))
     return out
+
+
+def _halve(sample_at, vals, size: float, slope: float, judged) -> tuple:
+    """``_proven_winding``'s halving of one curve after its pass (vals,
+    judged): (winding, proven, budget).  Level L splits each arc that
+    failed level L - 1 and judges the halves by the pass's test with one
+    width h = 2 pi / n, n = len(vals) 2^L, sampling all midpoints in one
+    call.  Arc ends are integers j on the n-point grid, nominally at
+    e^{2 pi i j / n}; fl(2 pi) / n is exact, so a midpoint's t = fl(j
+    fl(2 pi) / n) is within 4 eps of 2 pi j / n and exp adds less than eps.
+    That 5 eps moves g by 5 eps slope, inside the size (``count_disk_zeros``
+    adds slope/32; an omega has size >= 2 >= slope), and h slope is the
+    nominal drift to within eps times it, inside ZERO_COUNT_ROUNDING drift.
+    It stops, unproven, at the floor h slope / 2 <= ZERO_COUNT_ROUNDING
+    size, at a sample within half the floor of 0 (no arc beside it can
+    pass), or at more failing arcs than ZERO_COUNT_SAMPLES (about a cusp).
+    A split arc turns by its halves' angles, not its chord's."""
+    n = len(vals)
+    # the failing arcs' left ends j, and the samples g at their (left,
+    # right) ends as two rows; the moduli are taken anew at each level,
+    # which costs fewer numpy calls than carrying them for a few arcs
+    j = np.arange(n)
+    g = np.concatenate((vals, vals[1:], vals[:1])).reshape(2, -1)
+    floor, splits = ZERO_COUNT_ROUNDING * size, [(g[:, :0], vals[:0])]
+    while True:
+        h = 2 * math.pi / n
+        drift = h * slope
+        half = np.abs(g) * 0.5
+        fail = ~(half[0] + half[1] > drift / 2 + ZERO_COUNT_ROUNDING * (size + drift))
+        j, g, half = j[fail], g.compress(fail, axis=1), half.compress(fail, axis=1)
+        if not len(j) or len(j) > ZERO_COUNT_SAMPLES or drift / 2 <= floor or half.min() <= floor / 4:
+            break
+        n, mid = 2 * n, 2 * j + 1
+        # mid times i fl(2 pi) / n: imaginary part fl(mid fl(2 pi) / n), real part 0
+        gm = sample_at(np.exp(mid * (2j * math.pi / n)))
+        splits.append((g, gm))
+        # the halves' (left, right) ends: rows left, mid, mid, right as two
+        j = np.concatenate((mid - 1, mid))
+        g = np.concatenate((g[0], gm, gm, g[1])).reshape(2, -1)
+    (ga, gb), gm = np.concatenate([g for g, _ in splits], axis=1), np.concatenate([gm for _, gm in splits])
+    # the halves' angles, and the chord's negated
+    turn = np.concatenate((gm * ga.conj(), gb * gm.conj(), ga * gb.conj()))
+    turn = float(np.arctan2(turn.imag, turn.real).sum())
+    winding, _, budget = judged
+    return (winding + round(turn / (2 * math.pi)), not len(j),
+            {**budget, "total_samples": len(vals) + len(gm), "narrowest_arc": h})
 
 
 def _winding(vals: np.ndarray, moduli: np.ndarray | None = None):
@@ -352,7 +356,7 @@ def _winding(vals: np.ndarray, moduli: np.ndarray | None = None):
     moduli = np.abs(vals) if moduli is None else moduli
     tops = moduli.max(axis=-1)
     if vals.ndim > 1:
-        rows = vals * np.array([[2.0 ** -max(math.frexp(top)[1], 0)] for top in tops.tolist()])
+        rows = vals * np.array([[2.0 ** -max(math.frexp(top)[1], 0)] for top in tops.tolist()]).reshape(-1, 1)
     else:
         rows = vals * 2.0 ** -max(math.frexp(float(tops))[1], 0)
     # the products in place, on the copies made: two temporaries fewer

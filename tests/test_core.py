@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -964,8 +965,8 @@ class TestCountDiskZeros:
     def test_huge_samples_proven_without_overflow(self):
         # g = -a2 + e^{-it}, a2 = 1e308: every sum of moduli would overflow
         z = ring(1.0, core.ZERO_COUNT_COARSE)
-        [(turns, proven, budget)] = core._proven_winding(lambda n, rows: (z.conj() - 1e308)[None],
-                                                         [2 + 1e308], [1.0])
+        [(turns, proven, budget)] = core._proven_winding((z.conj() - 1e308)[None], [2 + 1e308], [1.0],
+                                                         lambda z, i: pytest.fail("halved"))
         assert (turns, proven, budget["samples"]) == (0, True, core.ZERO_COUNT_COARSE)
         assert budget["min_mean_abs_q"] == 1e308
 
@@ -984,23 +985,39 @@ class TestCountDiskZeros:
         monkeypatch.setattr(core, "ring_eval", lambda a, radii, angles: counts.append(angles) or sweep(a, radii, angles))
         return counts
 
+    @staticmethod
+    def windings(monkeypatch) -> list:
+        """The (winding, proven, budget) of each curve ``_proven_winding`` judges."""
+        judged = []
+        prove = core._proven_winding
+        monkeypatch.setattr(core, "_proven_winding", lambda *args: judged.extend(prove(*args)) or judged[-1:])
+        return judged
+
     def test_aliased_coarse_circle_not_trusted(self, monkeypatch):
         # q = 1 + 2 z^257 has its 257 zeros on |z| = 2^(-1/257) ~ 0.99731;
-        # on 256 samples z^257 aliases to z, which winds once
+        # on 256 samples z^257 aliases to z, which winds once.  Halving the
+        # failing arcs proves 257 with 1298 samples
         q = np.zeros(258, dtype=complex)
         q[0], q[257] = 1, 2
         cand = UCandidate(TruncatedSeries(q), lam=0.5)
         assert core._winding(core.ring_eval(cand.q, 0.999, 256)) == 1
-        passes = self.passes(monkeypatch)
+        passes, judged = self.passes(monkeypatch), self.windings(monkeypatch)
         assert count_disk_zeros(cand) == 257
-        assert passes == [256, 8192]
+        assert passes == [256]
+        [(turns, proven, budget)] = judged
+        assert (turns, proven, budget["samples"]) == (257, True, 256)
+        assert 1200 < budget["total_samples"] < 1400
 
-    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
-    def test_zero_on_the_circle_takes_the_full_pass(self, monkeypatch, lam):
-        # the extremal q = (1 - z)(1 - lam z) vanishes at z = 1
-        passes = self.passes(monkeypatch)
+    @pytest.mark.parametrize("lam,total", [(0.25, 266), (0.5, 280), (1.0, 9340)])
+    def test_zero_on_the_circle_is_halved(self, monkeypatch, lam, total):
+        # the extremal q = (1 - z)(1 - lam z) vanishes at z = 1, 0.001 beyond
+        # the circle; the failing arcs about t = 0 are halved until they pass
+        passes, judged = self.passes(monkeypatch), self.windings(monkeypatch)
         assert count_disk_zeros(extremal(lam, phase=0.0)) == 0
-        assert passes == [256, 8192]
+        assert passes == [256]
+        [(turns, proven, budget)] = judged
+        assert (turns, proven) == (0, True)
+        assert 0.9 * total < budget["total_samples"] < 1.1 * total
 
     @pytest.mark.parametrize("coeffs,zeros", [([1], 0), ([1, -2], 1), ([1, -4, 4], 2), ([1, -0.5], 0)])
     def test_far_zeros_proven_on_the_coarse_circle(self, monkeypatch, coeffs, zeros):
@@ -1010,8 +1027,9 @@ class TestCountDiskZeros:
 
     def test_verify_conjecture_omega_draws(self, monkeypatch):
         # the omega candidates of verify-conjecture, drawn as it draws them:
-        # both passes occur, and every count is the reference's
-        passes = self.passes(monkeypatch)
+        # every count is proven and the reference's, 16 of the 200 after
+        # halving, with 1 to 11 samples beyond the 256-point pass
+        passes, judged = self.passes(monkeypatch), self.windings(monkeypatch)
         rng = np.random.default_rng(11)
         counts = []
         for k in range(200):
@@ -1021,8 +1039,82 @@ class TestCountDiskZeros:
             cand = q_from_omega(_random_point(rng, 1.0), lam, omega)
             counts.append(count_disk_zeros(cand))
             assert counts[-1] == reference_count_disk_zeros(cand)
-        assert passes.count(256) == 200 and 0 < passes.count(8192) < 100
+        assert passes == [256] * 200
+        assert all(proven for _, proven, _ in judged)
+        halved = [budget["total_samples"] for _, _, budget in judged if "total_samples" in budget]
+        assert 0 < len(halved) < 50 and max(halved) < 256 + 30
         assert 0 < np.count_nonzero(counts) < 200
+
+    def test_subordination_mix_proven(self, monkeypatch):
+        # the candidates of the representation-theorem check: rotated
+        # extremal q of order 256, undilated and dilated (no zero), and
+        # dilated with c z subtracted, |c| >= 6, which puts one zero in
+        # |z| < 0.3 and the other beyond 1/(lam R^2 0.3).  Each count is
+        # proven from the one 256-point pass and the halving, never from a
+        # denser pass; every undilated member needs the halving
+        passes, judged = self.passes(monkeypatch), self.windings(monkeypatch)
+        rng = np.random.default_rng(34)
+        want = []
+        for k in range(240):
+            lam = rng.uniform(0.25, 0.9)
+            cand = extremal(lam, phase=rng.uniform(0, 2 * math.pi), order=256)
+            if k % 3:
+                cand = dilate(cand, rng.uniform(0.3, 0.95))
+            if k % 3 == 2:
+                q = cand.q.coeffs.copy()
+                q[1] -= rng.uniform(6, 7) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                cand = UCandidate(TruncatedSeries(q), lam)
+            want.append(int(k % 3 == 2))
+            assert count_disk_zeros(cand) == want[-1]
+        assert passes == [256] * 240
+        assert [(turns, proven) for turns, proven, _ in judged] == [(zeros, True) for zeros in want]
+        halved = ["total_samples" in budget for _, _, budget in judged]
+        assert sum(halved[::3]) == 80
+
+    @pytest.mark.parametrize("lam,total", [(0.99, 2210), (1.0, 9340)])
+    def test_zero_just_beyond_the_circle(self, monkeypatch, lam, total):
+        # the extremal q at phase 0 vanishes at z = 1 (and 1/lam), 0.001
+        # beyond the circle, where |q| falls to 1.7e-4 (lam 0.99) and 7.5e-5
+        # (lam 1): the halving proves no zero, with 2210 and 9340 samples in
+        # about 0.7 and 1.8 ms on a 2-core x86-64 VM
+        judged = self.windings(monkeypatch)
+        assert count_disk_zeros(extremal(lam, phase=0.0, order=256)) == 0
+        [(turns, proven, budget)] = judged
+        assert (turns, proven) == (0, True)
+        assert 0.9 * total < budget["total_samples"] < 1.1 * total
+
+    @pytest.mark.parametrize("order", [300, 600, 1000])
+    def test_top_heavy_against_roots(self, monkeypatch, order):
+        # q = 1 + c z^(order/2) + b z^order + small terms weighted (k/order)^2,
+        # with |c| r^(order/2) = 4 and |b| r^order = 1.5 on the circle |z| = r:
+        # order/2 zeros in the disk.  The slope, about 3.5 order, is many
+        # times the sum of the terms (7), which Horner's rounding grows with
+        # and the size's slope term covers.  The count is proven and that of
+        # numpy's roots
+        judged = self.windings(monkeypatch)
+        r = core.ZERO_COUNT_RADIUS
+        rng = np.random.default_rng(order)
+        k = np.arange(order + 1)
+        c = (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) * (k / order) ** 2
+        c *= 0.5 / np.sum(np.abs(c) * r**k)
+        c[0] = 1
+        c[order // 2] += 4 / r ** (order // 2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        c[order] += 1.5 / r**order * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        roots = np.abs(np.roots(c[::-1]))
+        assert np.min(np.abs(roots - r)) > 1e-4
+        assert count_disk_zeros(UCandidate(TruncatedSeries(c), lam=0.5)) == np.count_nonzero(roots < r) == order // 2
+        [(turns, proven, budget)] = judged
+        assert (turns, proven) == (order // 2, True) and "total_samples" in budget
+
+    @pytest.mark.parametrize("coeffs,zeros", [([1, 1e308, 1e308], 1), ([1, 0, 0, 1.7e308], 3)])
+    def test_huge_coefficients_counted(self, coeffs, zeros):
+        # their samples overflowed: _winding's round() raised "cannot convert
+        # float NaN to integer" after RuntimeWarnings.  Scaled by a power of
+        # two first, z^2 + z + 1e-308 has one zero near 0 (the other is -1 +
+        # 1e-308, beyond the circle) and 1.7e308 z^3 + 1 three
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert count_disk_zeros(UCandidate(TruncatedSeries.from_coeffs(coeffs), lam=0.5)) == zeros
 
 
 class TestGridSpec:
